@@ -1,154 +1,72 @@
-"""Hot numeric kernels with a numba fast path and a numpy/python fallback.
+"""The two numeric hot paths: the design-sweep batch evaluator and the node
+trace fold.
 
-Backend selection: numba is used when it imports cleanly and the environment
-variable ``LOWCARB_NUMBA`` is not set to ``0``. Both paths execute the same
-arithmetic in the same order, so results agree to the last bit; the numba
-path only matters for large design sweeps and long node traces (see
-``benchmarks/bench_kernels.py``).
+``batch_energy`` runs :func:`lowcarb.energy.thermal_balance`, the same
+function the scalar engine calls, on per-design arrays, so the sweep and
+``annual_end_use`` agree to the bit. ``node_sim`` is the only
+implementation of the node step; :func:`lowcarb.node.step` runs it on a
+one-sample trace. Both are timed per layer by ``perfbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+from .energy import thermal_balance
 
 
 def numba_enabled() -> bool:
-    """True when the njit kernels are active (importable and not disabled)."""
-    return HAS_NUMBA and os.environ.get("LOWCARB_NUMBA", "1") != "0"
+    """Always False: there is no compiled backend.
+
+    Kept because the benchmark records it among the facts of every run.
+    """
+    return False
 
 
 # ---------------------------------------------------------------------------
 # batch design evaluation (one row per candidate design)
 # ---------------------------------------------------------------------------
-#
-# Array arguments are one value per design; scalar arguments are shared by the
-# whole sweep. wall_u/glz_u/... are already resolved from the catalog.
-# Returns (eui, electricity_kwh, gas_m3, cooling_kwh, heating_fuel_kwh).
 
-def _batch_energy_numpy(wwr, overhang, glz_u, glz_shgc, wall_u, roof_u, ach,
-                        lighting_kwh, cop, heat_eff, heat_is_gas,
-                        gross_area, irradiation, roof_area, volume,
-                        tan_summer, tan_winter, t_cool, t_heat, w_cool, w_heat,
-                        gain_util, equip_kwh, gain_mult, floor_area,
-                        gas_energy_content):
-    n = glz_u.shape[0]
-    h_env = roof_area * roof_u
-    solar_cool = np.zeros(n)
-    solar_heat = np.zeros(n)
-    for o in range(4):
-        a_glz = gross_area[o] * wwr[o]
-        a_wall = gross_area[o] - a_glz
-        h_env = h_env + a_wall * wall_u + a_glz * glz_u
-        sf_s = 1.0 - np.minimum(1.0, overhang[o] * tan_summer)
-        sf_w = 1.0 - np.minimum(1.0, overhang[o] * tan_winter)
-        solar_cool = solar_cool + glz_shgc * a_glz * irradiation[o] * sf_s
-        solar_heat = solar_heat + glz_shgc * a_glz * irradiation[o] * sf_w
-    h_total = h_env + 0.335 * ach * volume
-    gains = (lighting_kwh + equip_kwh) * gain_mult
-    l_cool = h_total * t_cool + w_cool * (solar_cool + gains)
-    l_heat = np.maximum(0.0, h_total * t_heat - gain_util * w_heat * (solar_heat + gains))
-    cooling_kwh = l_cool / cop
-    heating_fuel_kwh = l_heat / heat_eff
-    total_kwh = lighting_kwh + equip_kwh + cooling_kwh + heating_fuel_kwh
-    electricity = (lighting_kwh + equip_kwh + cooling_kwh
-                   + np.where(heat_is_gas, 0.0, heating_fuel_kwh))
-    gas_m3 = np.where(heat_is_gas, heating_fuel_kwh / gas_energy_content, 0.0)
-    return total_kwh / floor_area, electricity, gas_m3, cooling_kwh, heating_fuel_kwh
+class _Shading:
+    """Per-orientation shading factors, computed when the balance reads them.
 
+    Computing one orientation at a time keeps a single n-long temporary
+    alive per season instead of a (4, n) block.
+    """
 
-def _batch_energy_loop(wwr, overhang, glz_u, glz_shgc, wall_u, roof_u, ach,
-                       lighting_kwh, cop, heat_eff, heat_is_gas,
-                       gross_area, irradiation, roof_area, volume,
-                       tan_summer, tan_winter, t_cool, t_heat, w_cool, w_heat,
-                       gain_util, equip_kwh, gain_mult, floor_area,
-                       gas_energy_content,
-                       eui_out, elec_out, gas_out, cool_out, heat_out):
-    n = glz_u.shape[0]
-    for i in range(n):
-        h_env = roof_area * roof_u[i]
-        solar_cool = 0.0
-        solar_heat = 0.0
-        for o in range(4):
-            a_glz = gross_area[o] * wwr[o, i]
-            a_wall = gross_area[o] - a_glz
-            h_env = h_env + a_wall * wall_u[i] + a_glz * glz_u[i]
-            sf_s = 1.0 - min(1.0, overhang[o, i] * tan_summer)
-            sf_w = 1.0 - min(1.0, overhang[o, i] * tan_winter)
-            solar_cool = solar_cool + glz_shgc[i] * a_glz * irradiation[o] * sf_s
-            solar_heat = solar_heat + glz_shgc[i] * a_glz * irradiation[o] * sf_w
-        h_total = h_env + 0.335 * ach[i] * volume
-        gains = (lighting_kwh[i] + equip_kwh) * gain_mult
-        l_cool = h_total * t_cool + w_cool * (solar_cool + gains)
-        l_heat = max(0.0, h_total * t_heat - gain_util * w_heat * (solar_heat + gains))
-        cooling_kwh = l_cool / cop[i]
-        heating_fuel_kwh = l_heat / heat_eff[i]
-        total_kwh = lighting_kwh[i] + equip_kwh + cooling_kwh + heating_fuel_kwh
-        electricity = lighting_kwh[i] + equip_kwh + cooling_kwh
-        gas_m3 = 0.0
-        if heat_is_gas[i]:
-            gas_m3 = heating_fuel_kwh / gas_energy_content
-        else:
-            electricity = electricity + heating_fuel_kwh
-        eui_out[i] = total_kwh / floor_area
-        elec_out[i] = electricity
-        gas_out[i] = gas_m3
-        cool_out[i] = cooling_kwh
-        heat_out[i] = heating_fuel_kwh
+    def __init__(self, overhang, tan_altitude):
+        self._overhang = overhang
+        self._tan = tan_altitude
 
-
-_batch_energy_loop_jit = njit(cache=False)(_batch_energy_loop)
+    def __getitem__(self, o):
+        return 1.0 - np.minimum(1.0, self._overhang[o] * self._tan)
 
 
 def batch_energy(wwr, overhang, glz_u, glz_shgc, wall_u, roof_u, ach,
                  lighting_kwh, cop, heat_eff, heat_is_gas,
                  gross_area, irradiation, roof_area, volume,
                  tan_summer, tan_winter, t_cool, t_heat, w_cool, w_heat,
-                 gain_util, equip_kwh, gain_mult, floor_area,
-                 gas_energy_content):
+                 equip_kwh, gain_mult, floor_area, gas_energy_content):
     """Evaluate the annual energy balance for a whole batch of designs.
 
-    ``wwr`` and ``overhang`` are (4, n) arrays in N, S, E, W order; every
-    other per-design argument is a length-n array.
+    ``wwr`` and ``overhang`` are (4, n) arrays in N, S, E, W order and the
+    next nine arguments are length-n arrays, one value per design. The rest
+    are shared by the whole sweep: ``gross_area`` and ``irradiation`` per
+    orientation, ``t_*`` and ``w_*`` from :func:`lowcarb.energy.season_terms`.
+    Returns per-design (eui, electricity_kwh, gas_m3).
     """
-    if numba_enabled():
-        n = glz_u.shape[0]
-        eui = np.empty(n)
-        elec = np.empty(n)
-        gas = np.empty(n)
-        cool = np.empty(n)
-        heat = np.empty(n)
-        _batch_energy_loop_jit(
-            wwr, overhang, glz_u, glz_shgc, wall_u, roof_u, ach,
-            lighting_kwh, cop, heat_eff, heat_is_gas,
-            gross_area, irradiation, roof_area, volume,
-            tan_summer, tan_winter, t_cool, t_heat, w_cool, w_heat,
-            gain_util, equip_kwh, gain_mult, floor_area, gas_energy_content,
-            eui, elec, gas, cool, heat)
-        return eui, elec, gas, cool, heat
-    return _batch_energy_numpy(
-        wwr, overhang, glz_u, glz_shgc, wall_u, roof_u, ach,
-        lighting_kwh, cop, heat_eff, heat_is_gas,
-        gross_area, irradiation, roof_area, volume,
-        tan_summer, tan_winter, t_cool, t_heat, w_cool, w_heat,
-        gain_util, equip_kwh, gain_mult, floor_area, gas_energy_content)
+    l_cool, l_heat = thermal_balance(
+        gross_area, wwr, (wall_u,) * 4, (glz_u,) * 4, (glz_shgc,) * 4, irradiation,
+        _Shading(overhang, tan_summer), _Shading(overhang, tan_winter),
+        roof_area, roof_u, ach, volume,
+        (lighting_kwh + equip_kwh) * gain_mult, t_cool, t_heat, w_cool, w_heat)
+    cooling_kwh = l_cool / cop
+    heating_fuel_kwh = np.maximum(0.0, l_heat) / heat_eff
+    total_kwh = lighting_kwh + equip_kwh + cooling_kwh + heating_fuel_kwh
+    electricity = (lighting_kwh + equip_kwh + cooling_kwh
+                   + np.where(heat_is_gas, 0.0, heating_fuel_kwh))
+    gas_m3 = np.where(heat_is_gas, heating_fuel_kwh / gas_energy_content, 0.0)
+    return total_kwh / floor_area, electricity, gas_m3
 
 
 # ---------------------------------------------------------------------------
@@ -156,19 +74,26 @@ def batch_energy(wwr, overhang, glz_u, glz_shgc, wall_u, roof_u, ach,
 # ---------------------------------------------------------------------------
 #
 # Sequential coulomb-counting fold; cannot be vectorized because each step's
-# state of charge depends on the previous one. Written once and compiled with
-# njit when enabled, interpreted otherwise.
+# state of charge depends on the previous one.
 
-def _node_sim_loop(irradiance, rain, dt_s, soc0, alarm0,
-                   panel_w, base_load_w, alarm_w, capacity_wh,
-                   threshold, hysteresis, charge_eff,
-                   soc_out, alarm_out, harvest_out, load_out, served_out):
-    soc = soc0
-    alarm = alarm0
+def node_sim(irradiance, rain, dt_s, soc0, alarm0,
+             panel_w, base_load_w, alarm_w, capacity_wh,
+             threshold, hysteresis, charge_eff):
+    """Run the node trace fold; returns per-step arrays plus ledger totals."""
+    n = irradiance.shape[0]
+    soc_out = np.empty(n)
+    alarm_out = np.empty(n, dtype=np.int8)
+    harvest_out = np.empty(n)
+    load_out = np.empty(n)
+    served_out = np.empty(n, dtype=np.bool_)
+    dt_s, panel_w, base_load_w, alarm_w, capacity_wh, threshold, hysteresis, charge_eff = (
+        float(v) for v in (dt_s, panel_w, base_load_w, alarm_w, capacity_wh,
+                           threshold, hysteresis, charge_eff))
+    soc = float(soc0)
+    alarm = int(alarm0)
     harvested = 0.0
     served_total = 0.0
     curtailed = 0.0
-    n = irradiance.shape[0]
     for i in range(n):
         # sensor sampled at step start; the alarm draws power the same step
         reading = rain[i]
@@ -196,26 +121,5 @@ def _node_sim_loop(irradiance, rain, dt_s, soc0, alarm0,
         harvest_out[i] = harvest_w
         load_out[i] = load_w
         served_out[i] = served_e == load_e
-    return harvested, served_total, curtailed
-
-
-_node_sim_loop_jit = njit(cache=False)(_node_sim_loop)
-
-
-def node_sim(irradiance, rain, dt_s, soc0, alarm0,
-             panel_w, base_load_w, alarm_w, capacity_wh,
-             threshold, hysteresis, charge_eff):
-    """Run the node trace fold; returns per-step arrays plus ledger totals."""
-    n = irradiance.shape[0]
-    soc = np.empty(n)
-    alarm = np.empty(n, dtype=np.int8)
-    harvest = np.empty(n)
-    load = np.empty(n)
-    served = np.empty(n, dtype=np.bool_)
-    loop = _node_sim_loop_jit if numba_enabled() else _node_sim_loop
-    harvested, served_total, curtailed = loop(
-        irradiance, rain, float(dt_s), float(soc0), int(alarm0),
-        float(panel_w), float(base_load_w), float(alarm_w), float(capacity_wh),
-        float(threshold), float(hysteresis), float(charge_eff),
-        soc, alarm, harvest, load, served)
-    return soc, alarm, harvest, load, served, harvested, served_total, curtailed
+    return (soc_out, alarm_out, harvest_out, load_out, served_out,
+            harvested, served_total, curtailed)

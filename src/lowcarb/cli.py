@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from . import energy, node, pv
-from .energy import CalibrationError, CalibrationParams, EndUseTargets
+from .energy import CalibrationError, EndUseTargets
 from .model import SpecError, load_catalog, load_climate_profile, load_tariff, \
     parse_building_spec
 from .node import TraceError
@@ -70,18 +70,6 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get(DEFAULT_OUT_ENV, "lowcarb_out"))
 
 
-def _calibration_from_spec_file(text: str) -> CalibrationParams:
-    doc = json.loads(text)
-    block = doc.get("calibration")
-    if not block:
-        return CalibrationParams()
-    return CalibrationParams(
-        internal_gain_multiplier=float(block.get("internal_gain_multiplier", 1.0)),
-        schedule_multiplier=float(block.get("schedule_multiplier", 1.0)),
-        equipment_multiplier=float(block.get("equipment_multiplier", 1.0)),
-    )
-
-
 def _report_csv(report: energy.EnergyReport, heating_fuel) -> str:
     lines = ["end_use,gj,kwh,fuel"]
     for name, gj, kwh, fuel in report.csv_rows(heating_fuel):
@@ -94,7 +82,7 @@ def cmd_audit(args) -> int:
     climate_text = _read_text(args.climate)
     spec = parse_building_spec(spec_text)
     climate = load_climate_profile(climate_text)
-    calib = _calibration_from_spec_file(spec_text)
+    calib = energy.load_calibration(spec_text)
     tariff = load_tariff(_read_text(args.tariff)) if args.tariff else None
 
     gas_content = tariff.gas_energy_content if tariff else energy.DEFAULT_GAS_ENERGY_CONTENT_KWH_M3
@@ -161,7 +149,7 @@ def cmd_optimize(args) -> int:
     catalog = load_catalog(_read_text(args.catalog))
     space, limits = DesignSpace.from_json(_read_text(args.space))
     tariff = load_tariff(_read_text(args.tariff))
-    calib = _calibration_from_spec_file(spec_text)
+    calib = energy.load_calibration(spec_text)
 
     ranked = run_optimize(spec, climate, catalog, space, limits,
                                    k=args.k, calib=calib, tariff=tariff)

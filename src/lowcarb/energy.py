@@ -138,55 +138,81 @@ def shading_factor(overhang_ratio: float, sun_altitude: float) -> float:
     return 1.0 - min(1.0, overhang_ratio * math.tan(math.radians(sun_altitude)))
 
 
-def _season_weights(climate: ClimateProfile) -> tuple[float, float]:
-    """Cooling/heating shares of the year measured by degree-day mass."""
+def season_terms(climate: ClimateProfile) -> tuple[float, float, float, float]:
+    """(t_cool, t_heat, w_cool, w_heat) of a climate.
+
+    ``t_*`` are annual degree hours in kWh per W/K; ``w_*`` are the cooling
+    and heating shares of the year measured by degree-day mass.
+    """
     cdd = climate.annual_cdd
     hdd = climate.annual_hdd
     total = cdd + hdd
-    if total <= 0.0:
-        return 0.0, 0.0
-    return cdd / total, hdd / total
+    w_cool, w_heat = (0.0, 0.0) if total <= 0.0 else (cdd / total, hdd / total)
+    return cdd * 24.0 / 1000.0, hdd * 24.0 / 1000.0, w_cool, w_heat
+
+
+def annual_lighting_kwh(count: float, lamp_power: float, hours: float,
+                        daylight_offset: float) -> float:
+    """Annual lighting energy in kWh, before the schedule multiplier."""
+    return count * lamp_power * hours * (1.0 - daylight_offset) / 1000.0
+
+
+def annual_equipment_kwh(spec: BuildingSpec) -> float:
+    """Annual equipment energy in kWh, before the equipment multiplier."""
+    return spec.equipment_power_density * spec.floor_area * spec.occupancy_hours / 1000.0
+
+
+def thermal_balance(gross_area, wwr, wall_u, glz_u, glz_shgc, irradiation,
+                    shade_summer, shade_winter, roof_area, roof_u, ach, volume,
+                    gains, t_cool, t_heat, w_cool, w_heat):
+    """Annual (cooling load kWh, unclamped heating load kWh).
+
+    The first eight arguments are per-orientation 4-sequences in
+    ``ORIENTATION_ORDER``; ``shade_*`` are the seasonal
+    :func:`shading_factor` values. Any value may be a float or a float64
+    array of per-design values: only ``+ - * /`` touch them, so the scalar
+    engine and the batch sweep run this one function and agree to the bit.
+    ``t_*`` and ``w_*`` come from :func:`season_terms`.
+    """
+    h = roof_area * roof_u
+    solar_cool = 0.0
+    solar_heat = 0.0
+    for o in range(4):
+        a_glz = gross_area[o] * wwr[o]
+        a_wall = gross_area[o] - a_glz
+        h = h + a_wall * wall_u[o] + a_glz * glz_u[o]
+        solar_cool = solar_cool + glz_shgc[o] * a_glz * irradiation[o] * shade_summer[o]
+        solar_heat = solar_heat + glz_shgc[o] * a_glz * irradiation[o] * shade_winter[o]
+    h = h + AIR_HEAT_CAPACITY_WH_M3K * ach * volume
+    cooling_load = h * t_cool + w_cool * (solar_cool + gains)
+    heating_load = h * t_heat - HEATING_GAIN_UTILIZATION * w_heat * (solar_heat + gains)
+    return cooling_load, heating_load
 
 
 def _loads(spec: BuildingSpec, climate: ClimateProfile,
            calib: CalibrationParams) -> tuple[float, float, float, float]:
     """Thermal balance: (cooling load kWh, unclamped heating load kWh,
     lighting kWh, equipment kWh)."""
-    cdd = climate.annual_cdd
-    hdd = climate.annual_hdd
-    t_cool = cdd * 24.0 / 1000.0  # kWh per W/K
-    t_heat = hdd * 24.0 / 1000.0
-    w_cool, w_heat = _season_weights(climate)
-
-    h_envelope = spec.roof.area / spec.roof.construction.r_value
-    solar_cool = 0.0
-    solar_heat = 0.0
-    for key in ORIENTATION_ORDER:
-        g = spec.envelope(key)
-        a_glazed = g.gross_wall_area * g.wwr
-        a_wall = g.gross_wall_area - a_glazed
-        h_envelope += a_wall / g.wall.r_value + a_glazed * g.glazing.u_value
-        irr = climate.irradiation[key]
-        solar_cool += g.glazing.shgc * a_glazed * irr * shading_factor(
-            g.overhang_ratio, climate.summer_design_sun_altitude)
-        solar_heat += g.glazing.shgc * a_glazed * irr * shading_factor(
-            g.overhang_ratio, climate.winter_design_sun_altitude)
-
-    h_infiltration = AIR_HEAT_CAPACITY_WH_M3K * spec.infiltration * spec.conditioned_volume
-    h_total = h_envelope + h_infiltration
-
-    lighting_kwh = (spec.lighting.lamp_count * spec.lighting.lamp_power
-                    * spec.lighting.annual_hours
-                    * (1.0 - spec.lighting.daylight_offset) / 1000.0
-                    * calib.schedule_multiplier)
-    equipment_kwh = (spec.equipment_power_density * spec.floor_area
-                     * spec.occupancy_hours / 1000.0
-                     * calib.equipment_multiplier)
-    internal_gains = (lighting_kwh + equipment_kwh) * calib.internal_gain_multiplier
-
-    cooling_load = h_total * t_cool + w_cool * (solar_cool + internal_gains)
-    heating_load = (h_total * t_heat
-                    - HEATING_GAIN_UTILIZATION * w_heat * (solar_heat + internal_gains))
+    lighting_kwh = annual_lighting_kwh(
+        spec.lighting.lamp_count, spec.lighting.lamp_power, spec.lighting.annual_hours,
+        spec.lighting.daylight_offset) * calib.schedule_multiplier
+    equipment_kwh = annual_equipment_kwh(spec) * calib.equipment_multiplier
+    groups = [spec.envelope(o) for o in ORIENTATION_ORDER]
+    cooling_load, heating_load = thermal_balance(
+        [g.gross_wall_area for g in groups],
+        [g.wwr for g in groups],
+        [1.0 / g.wall.r_value for g in groups],
+        [g.glazing.u_value for g in groups],
+        [g.glazing.shgc for g in groups],
+        [climate.irradiation[o] for o in ORIENTATION_ORDER],
+        [shading_factor(g.overhang_ratio, climate.summer_design_sun_altitude)
+         for g in groups],
+        [shading_factor(g.overhang_ratio, climate.winter_design_sun_altitude)
+         for g in groups],
+        spec.roof.area, 1.0 / spec.roof.construction.r_value,
+        spec.infiltration, spec.conditioned_volume,
+        (lighting_kwh + equipment_kwh) * calib.internal_gain_multiplier,
+        *season_terms(climate))
     return cooling_load, heating_load, lighting_kwh, equipment_kwh
 
 
@@ -343,11 +369,32 @@ def calibrate(spec: BuildingSpec, climate: ClimateProfile, targets: EndUseTarget
 
 
 def load_calibration(text: str) -> CalibrationParams:
-    """Read a ``calibration`` block (or a bare calibration JSON object)."""
-    doc = json.loads(text)
-    block = doc.get("calibration", doc)
-    return CalibrationParams(
-        internal_gain_multiplier=float(block.get("internal_gain_multiplier", 1.0)),
-        schedule_multiplier=float(block.get("schedule_multiplier", 1.0)),
-        equipment_multiplier=float(block.get("equipment_multiplier", 1.0)),
-    )
+    """Read the ``calibration`` block of a spec (or a bare calibration object).
+
+    An absent or ``null`` block gives the default multipliers.
+
+    Raises
+    ------
+    SpecError
+        If the block is not a JSON object or a multiplier is not a finite
+        number.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"calibration: syntax error at line {exc.lineno}: {exc.msg}") from exc
+    block = doc.get("calibration", doc) if isinstance(doc, dict) else doc
+    if block is None:
+        return CalibrationParams()
+    if not isinstance(block, dict):
+        raise SpecError(f"calibration block must be a JSON object, got {block!r}")
+    values = {}
+    for name in ("internal_gain_multiplier", "schedule_multiplier", "equipment_multiplier"):
+        raw = block.get(name, 1.0)
+        try:
+            values[name] = float(raw)
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"calibration.{name}: {exc}") from exc
+        if not math.isfinite(values[name]):
+            raise SpecError(f"calibration.{name} must be finite, got {raw!r}")
+    return CalibrationParams(**values)

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .energy import annual_lighting_kwh
 from .model import ClimateProfile, SpecError
 
 #: Flat-rate constant of the average daylight-factor formula
@@ -86,8 +87,7 @@ def annual_lighting_energy(count: int, lamp_power: float, hours: float,
         raise ValueError("count, lamp_power and hours must be nonnegative")
     if not 0 <= daylight_offset <= 1:
         raise ValueError(f"daylight_offset must be within [0, 1], got {daylight_offset}")
-    kwh = count * lamp_power * hours * (1.0 - daylight_offset) / 1000.0
-    return kwh * 3.6 / 1000.0
+    return annual_lighting_kwh(count, lamp_power, hours, daylight_offset) * 3.6 / 1000.0
 
 
 def load_rooms(text: str) -> list[Room]:

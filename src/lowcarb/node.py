@@ -66,6 +66,8 @@ class NodeConfig:
                 f"{self.panel_rated_voltage} V x {self.panel_rated_current} A = {rated} W")
         if self.battery_capacity <= 0:
             raise SpecError("battery_capacity must be > 0")
+        if self.rain_threshold < 0 or self.hysteresis < 0:
+            raise SpecError("rain_threshold and hysteresis must be nonnegative")
         for s in self.sensor_loads:
             if not 0 <= s.duty_cycle <= 1:
                 raise SpecError(f"sensor {s.name!r} duty_cycle must be within [0, 1]")
@@ -134,9 +136,9 @@ def alarm_transition(current: AlarmState, rain_reading: float,
 
     Turns on at ``reading >= threshold``; releases only below
     ``threshold - hysteresis``. With zero hysteresis it is a pure comparator.
+    This is the reference the trace fold in :func:`simulate` is tested
+    against; :meth:`NodeConfig.validate` rejects negative settings.
     """
-    if threshold < 0 or hysteresis < 0:
-        raise ValueError("threshold and hysteresis must be nonnegative")
     if current is AlarmState.IDLE:
         return AlarmState.ALARM if rain_reading >= threshold else AlarmState.IDLE
     return AlarmState.IDLE if rain_reading < threshold - hysteresis else AlarmState.ALARM
@@ -148,28 +150,31 @@ def step(state: NodeState, config: NodeConfig, env: EnvSample, dt: float) -> Nod
     The alarm FSM fires first (the sensor is read at step start), then the
     battery integrates harvest minus load; the state of charge is clamped to
     [0, 1]. When the battery is empty and harvest cannot carry the load, the
-    load goes unserved and the stored energy stays at zero.
+    load goes unserved and the stored energy stays at zero. This is the
+    trace fold of :func:`simulate` run on one sample.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    alarm = alarm_transition(state.alarm, env.rain_reading,
-                             config.rain_threshold, config.hysteresis)
-    harvest_w = config.panel_rated_power * env.irradiance_fraction
-    load_w = config.base_load + (config.alarm_power if alarm is AlarmState.ALARM else 0.0)
-    harvest_e = harvest_w * dt / 3600.0 * config.charge_efficiency
-    load_e = load_w * dt / 3600.0
-    stored = state.soc * config.battery_capacity
-    available = stored + harvest_e
-    served_e = load_e if available >= load_e else available
-    raw = stored + harvest_e - served_e
-    new_stored = min(raw, config.battery_capacity)
+    config.validate()
+    soc, alarm, harvest, load, *_ = _fold(config, state, np.array([env.irradiance_fraction]),
+                                          np.array([env.rain_reading]), dt)
     return NodeState(
-        soc=new_stored / config.battery_capacity,
-        alarm=alarm,
-        harvest_power=harvest_w,
-        load_power=load_w,
+        soc=float(soc[0]),
+        alarm=AlarmState.ALARM if alarm[0] else AlarmState.IDLE,
+        harvest_power=float(harvest[0]),
+        load_power=float(load[0]),
         clock=state.clock + dt,
     )
+
+
+def _fold(config: NodeConfig, start: NodeState, irradiance: np.ndarray,
+          rain: np.ndarray, dt: float):
+    return _kernels.node_sim(irradiance, rain, dt, start.soc,
+                             1 if start.alarm is AlarmState.ALARM else 0,
+                             config.panel_rated_power, config.base_load,
+                             config.alarm_power, config.battery_capacity,
+                             config.rain_threshold, config.hysteresis,
+                             config.charge_efficiency)
 
 
 def initial_state(config: NodeConfig) -> NodeState:
@@ -203,18 +208,11 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
     start = initial if initial is not None else initial_state(config)
     irr = np.array([s.irradiance_fraction for s in trace])
     rain = np.array([s.rain_reading for s in trace])
-    soc0 = start.soc
-    alarm0 = 1 if start.alarm is AlarmState.ALARM else 0
-
     soc, alarm, harvest, load, served, harvested, served_total, curtailed = \
-        _kernels.node_sim(irr, rain, dt, soc0, alarm0,
-                          config.panel_rated_power, config.base_load,
-                          config.alarm_power, config.battery_capacity,
-                          config.rain_threshold, config.hysteresis,
-                          config.charge_efficiency)
+        _fold(config, start, irr, rain, dt)
 
     clock = start.clock + dt * np.arange(1, len(trace) + 1)
-    delta_stored = (float(soc[-1]) - soc0) * config.battery_capacity
+    delta_stored = (float(soc[-1]) - start.soc) * config.battery_capacity
     return SimResult(
         clock_s=clock,
         soc=soc,

@@ -10,6 +10,7 @@ order, including parallel evaluation.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -19,10 +20,10 @@ import numpy as np
 
 from . import _kernels
 from .energy import (
-    AIR_HEAT_CAPACITY_WH_M3K,
-    HEATING_GAIN_UTILIZATION,
     CalibrationParams,
-    _season_weights,
+    annual_equipment_kwh,
+    annual_lighting_kwh,
+    season_terms,
 )
 from .model import (
     ORIENTATION_ORDER,
@@ -74,15 +75,6 @@ class DesignVariables:
 
     def overhang(self, orientation: Orientation | str) -> float:
         return getattr(self, f"overhang_{Orientation(orientation).value.lower()}")
-
-
-# variable names in lexicographic enumeration order
-_VARIABLE_ORDER = (
-    "wwr_n", "wwr_s", "wwr_e", "wwr_w",
-    "overhang_n", "overhang_s", "overhang_e", "overhang_w",
-    "glazing_id", "wall_id", "roof_id",
-    "infiltration", "lighting_technology", "hvac_id",
-)
 
 
 @dataclass(frozen=True)
@@ -221,23 +213,27 @@ def _design_from_digits(space: DesignSpace, digits: Sequence[int]) -> DesignVari
     return DesignVariables(**values)
 
 
+def _checked_size(space: DesignSpace, cap: int) -> int:
+    """Size of a validated space; raises :class:`DesignSpaceTooLarge` above ``cap``."""
+    space.validate()
+    total = space.size
+    if total > cap:
+        raise DesignSpaceTooLarge(
+            f"design space holds {total} candidates, above the cap of {cap}")
+    return total
+
+
 def enumerate_designs(space: DesignSpace,
                       cap: int = DEFAULT_ENUMERATION_CAP) -> list[DesignVariables]:
     """Full Cartesian product in lexicographic order of the variable order.
 
     Raises :class:`DesignSpaceTooLarge` when the product exceeds ``cap``.
     """
-    space.validate()
-    total = space.size
-    if total > cap:
-        raise DesignSpaceTooLarge(
-            f"design space holds {total} candidates, above the cap of {cap}")
-    dims = [len(values) for _, values in space.candidate_lists()]
-    out = []
-    for idx in range(total):
-        digits = np.unravel_index(idx, dims)
-        out.append(_design_from_digits(space, [int(d) for d in digits]))
-    return out
+    _checked_size(space, cap)
+    lists = space.candidate_lists()
+    names = [name for name, _ in lists]
+    return [DesignVariables(**dict(zip(names, values)))
+            for values in itertools.product(*(candidates for _, candidates in lists))]
 
 
 def code_check(design: DesignVariables, limits: CodeLimits) -> list[Violation]:
@@ -322,9 +318,9 @@ def _candidate_arrays(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
     roofs = [catalog.constructions[r] for r in space.roof_ids]
     hvacs = [catalog.hvac_systems[h] for h in space.hvac_ids]
     light_kwh = [
-        (spec.lighting.lamp_count * catalog.lamp_powers[t.value]
-         * spec.lighting.annual_hours * (1.0 - spec.lighting.daylight_offset)
-         / 1000.0 * calib.schedule_multiplier)
+        annual_lighting_kwh(spec.lighting.lamp_count, catalog.lamp_powers[t.value],
+                            spec.lighting.annual_hours, spec.lighting.daylight_offset)
+        * calib.schedule_multiplier
         for t in space.lighting_technologies
     ]
     return {
@@ -358,11 +354,7 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    space.validate()
-    total = space.size
-    if total > cap:
-        raise DesignSpaceTooLarge(
-            f"design space holds {total} candidates, above the cap of {cap}")
+    total = _checked_size(space, cap)
 
     lists = space.candidate_lists()
     dims = [len(values) for _, values in lists]
@@ -388,11 +380,9 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
         np.array(space.overhang_ratio[o], dtype=float)[digit_by_name[f"overhang_{o.lower()}"]]
         for o in ORIENTATION_ORDER])
 
-    w_cool, w_heat = _season_weights(climate)
-    equip_kwh = (spec.equipment_power_density * spec.floor_area
-                 * spec.occupancy_hours / 1000.0 * calib.equipment_multiplier)
+    equip_kwh = annual_equipment_kwh(spec) * calib.equipment_multiplier
 
-    eui_arr, elec, gas, _, _ = _kernels.batch_energy(
+    eui_arr, elec, gas = _kernels.batch_energy(
         wwr[:, mask], overhang[:, mask],
         cand["glz_u"][digit_by_name["glazing_id"][mask]],
         cand["glz_shgc"][digit_by_name["glazing_id"][mask]],
@@ -409,10 +399,7 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
         spec.conditioned_volume,
         math.tan(math.radians(climate.summer_design_sun_altitude)),
         math.tan(math.radians(climate.winter_design_sun_altitude)),
-        climate.annual_cdd * 24.0 / 1000.0,
-        climate.annual_hdd * 24.0 / 1000.0,
-        w_cool, w_heat,
-        HEATING_GAIN_UTILIZATION,
+        *season_terms(climate),
         equip_kwh,
         calib.internal_gain_multiplier,
         spec.floor_area,

@@ -59,6 +59,45 @@ def test_audit_invalid_spec_prints_violations(fixtures, tmp_path, capsys):
     assert any("storeys" in ln for ln in err_lines)
 
 
+def _audit_with_calibration(fixtures, tmp_path, block, name="o"):
+    doc = json.loads((fixtures / "baseline_school.json").read_text())
+    if block == "absent":
+        del doc["calibration"]
+    else:
+        doc["calibration"] = block
+    spec = tmp_path / f"{name}.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / name
+    code = main(["audit", "--spec", str(spec),
+                 "--climate", str(fixtures / "gd_climate.csv"), "--out", str(out)])
+    return code, out
+
+
+@pytest.mark.parametrize("block", ["absent", None])
+def test_audit_without_calibration_uses_defaults(fixtures, tmp_path, block):
+    code, out = _audit_with_calibration(fixtures, tmp_path, block)
+    assert code == 0
+    code, default_out = _audit_with_calibration(fixtures, tmp_path, {}, name="defaults")
+    assert code == 0
+    assert (out / "report.json").read_bytes() == (default_out / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("block", [
+    "oops",
+    [1],
+    {"internal_gain_multiplier": float("nan")},
+    {"schedule_multiplier": float("inf")},
+    {"equipment_multiplier": "many"},
+])
+def test_audit_bad_calibration_is_domain_error(fixtures, tmp_path, capsys, block):
+    code, out = _audit_with_calibration(fixtures, tmp_path, block)
+    assert code == 1
+    err_lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: calibration")
+    assert not (out / "report.json").exists()
+
+
 def test_usage_error_exit_code():
     assert main(["audit"]) == 2          # missing required flags
     assert main(["no-such-command"]) == 2

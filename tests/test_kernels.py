@@ -1,76 +1,44 @@
-"""Backend parity: the njit kernels and the numpy/python fallback must agree."""
+"""The batch sweep and the node trace fold agree with their scalar references."""
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lowcarb import _kernels
 from lowcarb import (
+    AlarmState,
     DesignSpace,
+    EnvSample,
+    alarm_transition,
+    annual_cost,
     annual_end_use,
     apply_design,
     eui,
     optimize,
     simulate,
-    EnvSample,
+    step,
 )
+from lowcarb.model import LightingTechnology
+from lowcarb.node import NodeConfig, initial_state
 from lowcarb.optimize import CodeLimits
 
-needs_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
 
-
-def test_env_flag_disables_numba(monkeypatch):
-    monkeypatch.setenv("LOWCARB_NUMBA", "0")
-    assert not _kernels.numba_enabled()
-
-
-@needs_numba
-def test_env_flag_default_enables_numba(monkeypatch):
-    monkeypatch.delenv("LOWCARB_NUMBA", raising=False)
-    assert _kernels.numba_enabled()
-
-
-@needs_numba
-def test_node_sim_backends_agree(monkeypatch):
-    rng = np.random.default_rng(3)
-    n = 2000
-    irr = rng.random(n)
-    rain = rng.uniform(0, 1000, n)
-    args = (irr, rain, 60.0, 1.0, 0, 6.0, 0.55, 0.4, 16.28, 500.0, 50.0, 1.0)
-
-    monkeypatch.setenv("LOWCARB_NUMBA", "0")
-    slow = _kernels.node_sim(*args)
-    monkeypatch.setenv("LOWCARB_NUMBA", "1")
-    fast = _kernels.node_sim(*args)
-
-    for a, b in zip(slow, fast):
-        if isinstance(a, np.ndarray):
-            assert np.array_equal(a, b)
-        else:
-            assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
-
-
-@needs_numba
-def test_optimize_backends_agree(monkeypatch, baseline_spec, climate, catalog,
-                                 baseline_calibration, tariff, paper_space):
-    space, limits = paper_space
-
-    monkeypatch.setenv("LOWCARB_NUMBA", "0")
-    numpy_ranked = optimize(baseline_spec, climate, catalog, space, limits, k=50,
-                            calib=baseline_calibration, tariff=tariff)
-    monkeypatch.setenv("LOWCARB_NUMBA", "1")
-    numba_ranked = optimize(baseline_spec, climate, catalog, space, limits, k=50,
-                            calib=baseline_calibration, tariff=tariff)
-
-    assert [r.design for r in numpy_ranked] == [r.design for r in numba_ranked]
-    for a, b in zip(numpy_ranked, numba_ranked):
-        assert a.eui == pytest.approx(b.eui, rel=1e-14)
-        assert a.cost_per_m2 == pytest.approx(b.cost_per_m2, rel=1e-14)
+def assert_sweep_matches_scalar_engine(space, spec, climate, catalog, calib, tariff):
+    ranked = optimize(spec, climate, catalog, space, CodeLimits(),
+                      k=space.size, calib=calib, tariff=tariff)
+    assert len(ranked) == space.size
+    for r in ranked:
+        applied = apply_design(spec, r.design, catalog)
+        report = annual_end_use(applied, climate, calib,
+                                gas_energy_content=tariff.gas_energy_content)
+        # only the kWh -> GJ -> kWh route of the EUI differs between the two
+        assert r.eui == pytest.approx(eui(report, spec.floor_area), rel=1e-12)
+        assert r.electricity == report.electricity
+        assert r.gas == report.gas
+        assert r.cost_per_m2 == annual_cost(report, tariff, spec.floor_area)
 
 
 def test_batch_energy_matches_scalar_engine(baseline_spec, climate, catalog,
                                             baseline_calibration, tariff):
     """The vectorized sweep and the reference engine are the same model."""
-    from lowcarb.model import LightingTechnology
     space = DesignSpace(
         wwr={"N": (0.30, 0.2), "S": (0.24, 0.5), "E": (0.25,), "W": (0.25,)},
         overhang_ratio={"N": (0.0,), "S": (0.0, 1.0 / 3.0), "E": (0.0,), "W": (0.25,)},
@@ -81,31 +49,66 @@ def test_batch_energy_matches_scalar_engine(baseline_spec, climate, catalog,
         lighting_technologies=(LightingTechnology.INCANDESCENT, LightingTechnology.LED),
         hvac_ids=("vav_baseline", "heat_pump"),
     )
-
-    ranked = optimize(baseline_spec, climate, catalog, space, CodeLimits(),
-                      k=space.size, calib=baseline_calibration, tariff=tariff)
-    assert len(ranked) == space.size
-    for r in ranked:
-        applied = apply_design(baseline_spec, r.design, catalog)
-        report = annual_end_use(applied, climate, baseline_calibration,
-                                gas_energy_content=tariff.gas_energy_content)
-        assert r.eui == pytest.approx(eui(report, baseline_spec.floor_area), rel=1e-12)
-        assert r.electricity == pytest.approx(report.electricity, rel=1e-12)
+    assert_sweep_matches_scalar_engine(space, baseline_spec, climate, catalog,
+                                       baseline_calibration, tariff)
 
 
-def test_simulate_respects_backend_flag(monkeypatch):
-    """End-to-end: simulate() output identical whichever backend runs."""
-    samples = [EnvSample(0.5, 0.0, float(i + 1) * 60.0) for i in range(100)]
-    from lowcarb.node import NodeConfig
-    config = NodeConfig(6.0, 12.0, 0.5, 16.28, 0.5, (), 100.0, 0.2)
+def _candidates(elements):
+    return st.lists(elements, min_size=1, max_size=2, unique=True).map(tuple)
 
-    monkeypatch.setenv("LOWCARB_NUMBA", "0")
-    a = simulate(config, samples, dt=60.0)
-    monkeypatch.setenv("LOWCARB_NUMBA", "1")
-    b = simulate(config, samples, dt=60.0)
-    assert np.array_equal(a.soc, b.soc)
-    assert a.uptime_fraction == b.uptime_fraction
-    assert a.ledger == b.ledger or (
-        a.ledger.harvested == pytest.approx(b.ledger.harvested, rel=1e-14)
-        and a.ledger.served == pytest.approx(b.ledger.served, rel=1e-14)
-        and a.ledger.curtailed == pytest.approx(b.ledger.curtailed, rel=1e-14))
+
+@st.composite
+def design_spaces(draw, catalog):
+    fraction = st.floats(0.0, 1.0, allow_nan=False)
+    overhang = st.floats(0.0, 3.0, allow_nan=False)
+    return DesignSpace(
+        wwr={o: draw(_candidates(fraction)) for o in "NSEW"},
+        overhang_ratio={o: draw(_candidates(overhang)) for o in "NSEW"},
+        glazing_ids=draw(_candidates(st.sampled_from(sorted(catalog.glazings)))),
+        wall_ids=draw(_candidates(st.sampled_from(sorted(catalog.constructions)))),
+        roof_ids=draw(_candidates(st.sampled_from(sorted(catalog.constructions)))),
+        infiltration=draw(_candidates(st.floats(0.0, 3.0, allow_nan=False))),
+        lighting_technologies=draw(_candidates(st.sampled_from(
+            [LightingTechnology(t) for t in sorted(catalog.lamp_powers)]))),
+        hvac_ids=draw(_candidates(st.sampled_from(sorted(catalog.hvac_systems)))),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batch_energy_matches_scalar_engine_on_random_spaces(
+        data, baseline_spec, climate, catalog, baseline_calibration, tariff):
+    space = data.draw(design_spaces(catalog))
+    assert_sweep_matches_scalar_engine(space, baseline_spec, climate, catalog,
+                                       baseline_calibration, tariff)
+
+
+# small integer readings and settings land on the threshold and on the edge
+# of the hysteresis band often
+@settings(max_examples=50, deadline=None)
+@given(
+    samples=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 20).map(float)),
+                     min_size=1, max_size=60),
+    threshold=st.integers(0, 20).map(float),
+    hysteresis=st.integers(0, 10).map(float),
+    load_w=st.floats(0.0, 8.0),
+    alarm_w=st.floats(0.0, 4.0),
+    dt=st.floats(1.0, 7200.0),
+)
+def test_step_fold_reproduces_simulate(samples, threshold, hysteresis, load_w, alarm_w, dt):
+    config = NodeConfig(6.0, 12.0, 0.5, 16.28, load_w, (), threshold, alarm_w,
+                        hysteresis=hysteresis, charge_efficiency=0.9)
+    trace = [EnvSample(irr, rain, (i + 1) * dt) for i, (irr, rain) in enumerate(samples)]
+    result = simulate(config, trace, dt=dt)
+
+    state = initial_state(config)
+    alarm = AlarmState.IDLE
+    for i, sample in enumerate(trace):
+        state = step(state, config, sample, dt)
+        alarm = alarm_transition(alarm, sample.rain_reading, threshold, hysteresis)
+        assert state.soc == result.soc[i]
+        assert state.alarm is (AlarmState.ALARM if result.alarm[i] else AlarmState.IDLE)
+        assert state.harvest_power == result.harvest_w[i]
+        assert state.load_power == result.load_w[i]
+        assert alarm is state.alarm
+

@@ -79,8 +79,9 @@ class TestAlarmTransition:
         assert alarm_transition(AlarmState.ALARM, 449.0, 500.0, 50.0) is AlarmState.IDLE
 
     def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            alarm_transition(AlarmState.IDLE, 1.0, -1.0, 0.0)
+        config = make_config(threshold=-1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            step(initial_state(config), config, EnvSample(0.0, 1.0, 60.0), dt=60.0)
 
     @given(reading=st.floats(0, 1000, allow_nan=False),
            threshold=st.floats(0, 1000, allow_nan=False))
