@@ -377,7 +377,8 @@ def load_calibration(text: str) -> CalibrationParams:
     ------
     SpecError
         If the block is not a JSON object or a multiplier is not a finite
-        number.
+        number >= 0. Zero stays legal: :func:`calibrate` can fit 0 for the
+        internal-gain multiplier.
     """
     try:
         doc = json.loads(text)
@@ -395,6 +396,6 @@ def load_calibration(text: str) -> CalibrationParams:
             values[name] = float(raw)
         except (TypeError, ValueError) as exc:
             raise SpecError(f"calibration.{name}: {exc}") from exc
-        if not math.isfinite(values[name]):
-            raise SpecError(f"calibration.{name} must be finite, got {raw!r}")
+        if not 0.0 <= values[name] < math.inf:
+            raise SpecError(f"calibration.{name} must be finite and >= 0, got {raw!r}")
     return CalibrationParams(**values)

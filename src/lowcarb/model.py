@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -499,11 +500,25 @@ def load_climate_profile(text: str) -> ClimateProfile:
 # catalog file (CSV)
 # ---------------------------------------------------------------------------
 
+def _positive_cell(row: Mapping[str, str], key: str) -> float:
+    value = float(row[key])
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{key} must be a finite number > 0, got {row[key]!r}")
+    return value
+
+
 def load_catalog(text: str) -> Catalog:
     """Parse the material/system catalog CSV.
 
     Rows are typed by their ``kind`` column: construction, glazing, hvac or
     lighting. Unused cells stay empty.
+
+    Raises
+    ------
+    SpecError
+        On a malformed row, or an ``r_value``, ``u_value``, ``cooling_cop``,
+        ``heating_efficiency`` or ``lamp_power_w`` that is not a finite
+        number > 0.
     """
     constructions: dict[str, OpaqueConstruction] = {}
     glazings: dict[str, GlazingOption] = {}
@@ -521,17 +536,19 @@ def load_catalog(text: str) -> Catalog:
         cost_indices[cid] = cost
         try:
             if kind == "construction":
-                constructions[cid] = OpaqueConstruction(cid, float(row["r_value"]), cost)
+                constructions[cid] = OpaqueConstruction(
+                    cid, _positive_cell(row, "r_value"), cost)
             elif kind == "glazing":
                 glazings[cid] = GlazingOption(
-                    cid, float(row["u_value"]), float(row["shgc"]),
+                    cid, _positive_cell(row, "u_value"), float(row["shgc"]),
                     float(row["visible_transmittance"]), cost)
             elif kind == "hvac":
                 hvac_systems[cid] = HvacSystem(
-                    float(row["cooling_cop"]), float(row["heating_efficiency"]),
+                    _positive_cell(row, "cooling_cop"),
+                    _positive_cell(row, "heating_efficiency"),
                     HeatingFuel(row["heating_fuel"].strip()))
             elif kind == "lighting":
-                lamp_powers[cid] = float(row["lamp_power_w"])
+                lamp_powers[cid] = _positive_cell(row, "lamp_power_w")
             else:
                 raise SpecError(f"unknown catalog kind {kind!r}")
         except (KeyError, TypeError, ValueError) as exc:

@@ -5,6 +5,11 @@ product is evaluated through the energy engine and ranked by EUI with the
 annual cost per m2 as tie-break and the enumeration index as the final,
 total tie-break. The ranking is therefore invariant under any evaluation
 order, including parallel evaluation.
+
+Code limits act on single candidate values, so the code-legal designs form
+a Cartesian product of their own; only it is enumerated, in chunks of
+:data:`CHUNK_SIZE` designs with a running top-k, so memory is bounded by the
+chunk and ``k``, not by the size of the space.
 """
 
 from __future__ import annotations
@@ -41,6 +46,9 @@ from .model import (
 
 #: Guard against accidentally enormous Cartesian products.
 DEFAULT_ENUMERATION_CAP = 1_000_000
+
+#: Code-legal designs evaluated per kernel call; bounds the sweep's memory.
+CHUNK_SIZE = 1 << 16
 
 
 class DesignSpaceTooLarge(ValueError):
@@ -310,30 +318,52 @@ class RankedDesign:
     pareto: bool  # not dominated on (EUI, cost)
 
 
-def _candidate_arrays(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
-                      calib: CalibrationParams):
-    """Resolve candidate lists into per-variable value arrays."""
-    glz = [catalog.glazings[g] for g in space.glazing_ids]
-    walls = [catalog.constructions[w] for w in space.wall_ids]
-    roofs = [catalog.constructions[r] for r in space.roof_ids]
-    hvacs = [catalog.hvac_systems[h] for h in space.hvac_ids]
+def _resolve(table: Mapping, ids, kind: str) -> list:
+    missing = [i for i in dict.fromkeys(ids) if i not in table]
+    if missing:
+        raise SpecError(f"design space names {kind} ids missing from the catalog: "
+                        + ", ".join(map(repr, missing)))
+    return [table[i] for i in ids]
+
+
+def _candidate_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
+                      calib: CalibrationParams) -> list[tuple[np.ndarray, ...]]:
+    """Per variable, in enumeration order, the kernel inputs of each candidate.
+
+    All are float64 (the gas flag as 0/1), so one block holds a chunk's gathers.
+
+    Raises :class:`SpecError` when the space names an id the catalog lacks.
+    """
+    glz = _resolve(catalog.glazings, space.glazing_ids, "glazing")
+    walls = _resolve(catalog.constructions, space.wall_ids, "wall")
+    roofs = _resolve(catalog.constructions, space.roof_ids, "roof")
+    lamp_w = _resolve(catalog.lamp_powers,
+                      [t.value for t in space.lighting_technologies], "lighting")
+    hvacs = _resolve(catalog.hvac_systems, space.hvac_ids, "hvac")
     light_kwh = [
-        annual_lighting_kwh(spec.lighting.lamp_count, catalog.lamp_powers[t.value],
-                            spec.lighting.annual_hours, spec.lighting.daylight_offset)
-        * calib.schedule_multiplier
-        for t in space.lighting_technologies
+        annual_lighting_kwh(spec.lighting.lamp_count, w, spec.lighting.annual_hours,
+                            spec.lighting.daylight_offset) * calib.schedule_multiplier
+        for w in lamp_w
     ]
-    return {
-        "glz_u": np.array([g.u_value for g in glz]),
-        "glz_shgc": np.array([g.shgc for g in glz]),
-        "wall_u": np.array([1.0 / w.r_value for w in walls]),
-        "roof_u": np.array([1.0 / r.r_value for r in roofs]),
-        "cop": np.array([h.cooling_cop for h in hvacs]),
-        "heat_eff": np.array([h.heating_efficiency for h in hvacs]),
-        "heat_is_gas": np.array([h.heating_fuel is HeatingFuel.GAS for h in hvacs]),
-        "lighting_kwh": np.array(light_kwh),
-        "infiltration": np.array(space.infiltration, dtype=float),
-    }
+    return [
+        *((np.array(space.wwr[o], dtype=float),) for o in ORIENTATION_ORDER),
+        *((np.array(space.overhang_ratio[o], dtype=float),) for o in ORIENTATION_ORDER),
+        (np.array([g.u_value for g in glz]), np.array([g.shgc for g in glz])),
+        (np.array([1.0 / w.r_value for w in walls]),),
+        (np.array([1.0 / r.r_value for r in roofs]),),
+        (np.array(space.infiltration, dtype=float),),
+        (np.array(light_kwh),),
+        (np.array([h.cooling_cop for h in hvacs]),
+         np.array([h.heating_efficiency for h in hvacs]),
+         np.array([h.heating_fuel is HeatingFuel.GAS for h in hvacs], dtype=float)),
+    ]
+
+
+def _ranked(cols: tuple[np.ndarray, ...], k: int | None = None) -> tuple[np.ndarray, ...]:
+    """Rows of (eui, cost, electricity, gas, position) in rank order, first ``k`` kept."""
+    eui, cost, _, _, position = cols
+    order = np.lexsort((position, cost, eui))[:k]
+    return tuple(c[order] for c in cols)
 
 
 def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
@@ -351,48 +381,24 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
         When no design passes :func:`code_check`.
     DesignSpaceTooLarge
         When the Cartesian product exceeds ``cap``.
+    SpecError
+        When the space names an id the catalog lacks.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    total = _checked_size(space, cap)
-
-    lists = space.candidate_lists()
-    dims = [len(values) for _, values in lists]
-    idx = np.arange(total)
-    digits = np.unravel_index(idx, dims)
-    digit_by_name = {name: dig for (name, _), dig in zip(lists, digits)}
-
-    # feasibility per candidate value, combined through the digit arrays
-    mask = np.ones(total, dtype=bool)
-    for o, low in (("N", "n"), ("S", "s"), ("E", "e"), ("W", "w")):
+    _checked_size(space, cap)
+    tables = _candidate_tables(space, catalog, spec, calib)
+    legal = [np.arange(len(values)) for _, values in space.candidate_lists()]
+    for i, o in enumerate(ORIENTATION_ORDER):
         lim = limits.limit(o)
-        wwr_ok = np.array([lim.wwr_ok(v) for v in space.wwr[o]])
-        ov_ok = np.array([lim.overhang_ok(v) for v in space.overhang_ratio[o]])
-        mask &= wwr_ok[digit_by_name[f"wwr_{low}"]]
-        mask &= ov_ok[digit_by_name[f"overhang_{low}"]]
-    if not mask.any():
+        legal[i] = np.flatnonzero([lim.wwr_ok(v) for v in space.wwr[o]])
+        legal[i + 4] = np.flatnonzero([lim.overhang_ok(v) for v in space.overhang_ratio[o]])
+    dims = [len(p) for p in legal]
+    feasible = math.prod(dims)
+    if feasible == 0:
         raise NoFeasibleDesignError("no design in the space passes the code limits")
-
-    cand = _candidate_arrays(space, catalog, spec, calib)
-    wwr = np.stack([np.array(space.wwr[o], dtype=float)[digit_by_name[f"wwr_{o.lower()}"]]
-                    for o in ORIENTATION_ORDER])
-    overhang = np.stack([
-        np.array(space.overhang_ratio[o], dtype=float)[digit_by_name[f"overhang_{o.lower()}"]]
-        for o in ORIENTATION_ORDER])
-
-    equip_kwh = annual_equipment_kwh(spec) * calib.equipment_multiplier
-
-    eui_arr, elec, gas = _kernels.batch_energy(
-        wwr[:, mask], overhang[:, mask],
-        cand["glz_u"][digit_by_name["glazing_id"][mask]],
-        cand["glz_shgc"][digit_by_name["glazing_id"][mask]],
-        cand["wall_u"][digit_by_name["wall_id"][mask]],
-        cand["roof_u"][digit_by_name["roof_id"][mask]],
-        cand["infiltration"][digit_by_name["infiltration"][mask]],
-        cand["lighting_kwh"][digit_by_name["lighting_technology"][mask]],
-        cand["cop"][digit_by_name["hvac_id"][mask]],
-        cand["heat_eff"][digit_by_name["hvac_id"][mask]],
-        cand["heat_is_gas"][digit_by_name["hvac_id"][mask]],
+    tables = [tuple(t[p] for t in ts) for ts, p in zip(tables, legal)]
+    shared = (
         np.array([spec.envelope(o).gross_wall_area for o in ORIENTATION_ORDER]),
         np.array([climate.irradiation[o] for o in ORIENTATION_ORDER]),
         spec.roof.area,
@@ -400,37 +406,58 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
         math.tan(math.radians(climate.summer_design_sun_altitude)),
         math.tan(math.radians(climate.winter_design_sun_altitude)),
         *season_terms(climate),
-        equip_kwh,
+        annual_equipment_kwh(spec) * calib.equipment_multiplier,
         calib.internal_gain_multiplier,
         spec.floor_area,
         tariff.gas_energy_content,
     )
-    cost = (elec * tariff.electricity_price + gas * tariff.gas_price) / spec.floor_area
-    feasible_idx = idx[mask]
 
-    order = np.lexsort((feasible_idx, cost, eui_arr))
-    # Pareto frontier on (EUI, cost) over the whole feasible set: a design is
-    # on the frontier when no cheaper design has equal-or-better EUI.
-    sorted_cost = cost[order]
-    best_cost_so_far = np.minimum.accumulate(sorted_cost)
-    pareto_sorted = sorted_cost <= best_cost_so_far
+    # Every chunk gathers its inputs into this one block. Separate arrays per
+    # input would be freed at each chunk's end; glibc then returns their pages
+    # to the OS and the next chunk faults them in again (~10k minor faults,
+    # ~30% of a sweep_large call, and the most variable part of it).
+    block = np.empty((sum(map(len, tables)), min(CHUNK_SIZE, feasible)))
 
-    masked_digits = [dig[mask] for dig in digits]
-    k_eff = min(k, len(feasible_idx))
-    out = []
-    for rank in range(k_eff):
-        pos = order[rank]
-        design = _design_from_digits(space, [int(md[pos]) for md in masked_digits])
-        out.append(RankedDesign(
-            rank=rank + 1,
-            design=design,
-            eui=float(eui_arr[pos]),
-            cost_per_m2=float(cost[pos]),
-            electricity=float(elec[pos]),
-            gas=float(gas[pos]),
-            pareto=bool(pareto_sorted[rank]),
-        ))
-    return out
+    def evaluate(start: int) -> tuple[np.ndarray, ...]:
+        # A design's position in the legal sub-product orders designs as its
+        # enumeration index does, because each variable's legal positions increase.
+        position = np.arange(start, min(start + CHUNK_SIZE, feasible))
+        cols = block[:, :position.size]
+        rows = iter(cols)
+        for ts, d in zip(tables, np.unravel_index(position, dims)):
+            for t in ts:
+                np.take(t, d, out=next(rows), mode="clip")  # "raise" would buffer
+        eui, elec, gas = _kernels.batch_energy(cols[:4], cols[4:8], *cols[8:], *shared)
+        cost = (elec * tariff.electricity_price + gas * tariff.gas_price) / spec.floor_area
+        return eui, cost, elec, gas, position
+
+    chunks = (evaluate(start) for start in range(0, feasible, CHUNK_SIZE))
+    if k >= feasible:
+        top = _ranked(tuple(map(np.concatenate, zip(*chunks))))
+    else:
+        top = None
+        for cols in chunks:
+            if cols[0].size > k:
+                # a row with EUI above the chunk's k-th smallest trails k rows;
+                # rows tied with it stay, since cost and position order them
+                keep = cols[0] <= np.partition(cols[0], k - 1)[k - 1]
+                cols = tuple(c[keep] for c in cols)
+            if top is not None:
+                cols = tuple(map(np.concatenate, zip(top, cols)))
+            top = _ranked(cols, k)
+
+    eui, cost, elec, gas, position = top
+    # Pareto frontier on (EUI, cost): a design is on it when no design ranked
+    # before it is cheaper. Ranks before a returned one are all returned.
+    pareto = cost <= np.minimum.accumulate(cost)
+    digits = np.stack([p[d] for p, d in zip(legal, np.unravel_index(position, dims))], axis=1)
+    return [
+        RankedDesign(rank=rank, design=_design_from_digits(space, d), eui=e,
+                     cost_per_m2=c, electricity=el, gas=g, pareto=f)
+        for rank, (d, e, c, el, g, f) in enumerate(
+            zip(digits.tolist(), eui.tolist(), cost.tolist(), elec.tolist(), gas.tolist(),
+                pareto.tolist()), start=1)
+    ]
 
 
 def write_results_csv(ranked: list[RankedDesign]) -> str:

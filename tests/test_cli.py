@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 from pathlib import Path
@@ -88,6 +89,7 @@ def test_audit_without_calibration_uses_defaults(fixtures, tmp_path, block):
     {"internal_gain_multiplier": float("nan")},
     {"schedule_multiplier": float("inf")},
     {"equipment_multiplier": "many"},
+    {"schedule_multiplier": -1.0},
 ])
 def test_audit_bad_calibration_is_domain_error(fixtures, tmp_path, capsys, block):
     code, out = _audit_with_calibration(fixtures, tmp_path, block)
@@ -96,6 +98,13 @@ def test_audit_bad_calibration_is_domain_error(fixtures, tmp_path, capsys, block
     assert len(err_lines) == 1
     assert err_lines[0].startswith("error: calibration")
     assert not (out / "report.json").exists()
+
+
+def test_audit_zero_calibration_multiplier_is_legal(fixtures, tmp_path):
+    # calibrate can fit 0 for the gain multiplier, so audit must accept it back
+    code, out = _audit_with_calibration(fixtures, tmp_path, {"internal_gain_multiplier": 0.0})
+    assert code == 0
+    assert (out / "report.json").exists()
 
 
 def test_usage_error_exit_code():
@@ -140,6 +149,61 @@ def test_optimize_subcommand(fixtures, tmp_path):
     assert results["best"]["eui_kwh_m2"] <= 110.0
     table = (out / "results.csv").read_text().strip().splitlines()
     assert len(table) == 11  # header + k rows
+
+
+def _optimize_once(fixtures, tmp_path, capsys, catalog=None, space=None):
+    out = tmp_path / "opt"
+    code = main(["optimize", "--spec", str(fixtures / "baseline_school.json"),
+                 "--climate", str(fixtures / "gd_climate.csv"),
+                 "--catalog", str(catalog or fixtures / "catalog.csv"),
+                 "--space", str(space or fixtures / "paper_space.json"),
+                 "--tariff", str(fixtures / "paper_tariff.json"),
+                 "--k", "10", "--out", str(out)])
+    err_lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
+    return code, err_lines, out
+
+
+@pytest.mark.parametrize("key", ["glazing", "wall", "roof", "hvac"])
+def test_optimize_space_id_missing_from_catalog_is_domain_error(fixtures, tmp_path,
+                                                                 capsys, key):
+    doc = json.loads((fixtures / "paper_space.json").read_text())
+    doc[key] = doc[key] + ["no_such_id"]
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(doc))
+    code, err_lines, out = _optimize_once(fixtures, tmp_path, capsys, space=space)
+    assert code == 1
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: ") and "'no_such_id'" in err_lines[0]
+    assert not (out / "results.json").exists()
+
+
+@pytest.mark.parametrize("row_id, column", [
+    ("wall_sip_12in", "r_value"),
+    ("roof_concrete", "r_value"),
+    ("dbl_loe", "u_value"),
+    ("heat_pump", "cooling_cop"),
+    ("vav_baseline", "heating_efficiency"),
+    ("led", "lamp_power_w"),
+])
+@pytest.mark.parametrize("value", ["0", "-1.5", "nan", "inf"])
+def test_optimize_nonpositive_catalog_coefficient_is_domain_error(fixtures, tmp_path,
+                                                                  capsys, row_id, column,
+                                                                  value):
+    with open(fixtures / "catalog.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        if row["id"] == row_id:
+            row[column] = value
+    catalog = tmp_path / "catalog.csv"
+    with open(catalog, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    code, err_lines, out = _optimize_once(fixtures, tmp_path, capsys, catalog=catalog)
+    assert code == 1
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith(f"error: malformed catalog row for {row_id!r}: {column}")
+    assert not (out / "results.json").exists()
 
 
 def test_calibrate_subcommand(fixtures, tmp_path):

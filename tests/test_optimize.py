@@ -1,7 +1,10 @@
 import dataclasses
+import importlib
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lowcarb import (
     DesignSpace,
@@ -17,6 +20,9 @@ from lowcarb import (
 from lowcarb.model import LightingTechnology
 from lowcarb.optimize import CodeLimits, DesignSpaceTooLarge, DesignVariables, \
     OrientationLimit, write_results_csv
+
+# the package exports the function optimize under the submodule's name
+optimize_module = importlib.import_module("lowcarb.optimize")
 
 
 def _small_space(**overrides) -> DesignSpace:
@@ -207,3 +213,98 @@ def test_results_csv_shape(baseline_spec, climate, catalog, baseline_calibration
     assert lines[1].split(",")[0] == "1"
     # violations column is always zero for returned designs
     assert all(line.split(",")[-2] == "0" for line in lines[1:])
+
+
+def _score_alone(design, spec, climate, catalog, calib, tariff):
+    """(EUI, cost) of one design, from a space holding only that design."""
+    alone = _small_space(
+        wwr={o: (design.wwr(o),) for o in "NSEW"},
+        overhang_ratio={o: (design.overhang(o),) for o in "NSEW"},
+        glazing_ids=(design.glazing_id,), wall_ids=(design.wall_id,),
+        roof_ids=(design.roof_id,), infiltration=(design.infiltration,),
+        lighting_technologies=(design.lighting_technology,), hvac_ids=(design.hvac_id,))
+    (ranked,) = optimize(spec, climate, catalog, alone, NO_LIMITS, k=1, calib=calib,
+                         tariff=tariff)
+    return ranked.eui, ranked.cost_per_m2
+
+
+@st.composite
+def _tied_spaces(draw):
+    """Small spaces whose candidate lists repeat values, so equal EUIs occur."""
+    wide = draw(st.sets(st.integers(0, 13), min_size=2, max_size=6))
+    # the first wwr and overhang values pass every limit _orientation_limits draws
+    pools = [[0.3, 0.2, 0.4, 0.5]] * 4 + [[0.25, 0.0, 0.5, 1.0]] * 4 + [
+        ["sgl_clr", "dbl_clr", "dbl_loe"], ["wall_uninsulated", "wall_sip_12in"],
+        ["roof_concrete", "roof_sip_10in"], [0.4, 0.8, 1.0],
+        list(LightingTechnology), ["vav_baseline", "heat_pump"]]
+    lists = [tuple(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+             for i, pool in enumerate(pools) for n in [3 if i in wide else 1]]
+    return DesignSpace(
+        wwr=dict(zip("NSEW", lists[0:4])), overhang_ratio=dict(zip("NSEW", lists[4:8])),
+        glazing_ids=lists[8], wall_ids=lists[9], roof_ids=lists[10], infiltration=lists[11],
+        lighting_technologies=lists[12], hvac_ids=lists[13])
+
+
+# bounds sit on pool values, so strict and inclusive limits differ
+_orientation_limits = st.builds(
+    OrientationLimit,
+    max_wwr=st.sampled_from([None, None, 0.4, 0.5]), strict=st.booleans(),
+    min_wwr=st.sampled_from([None, None, 0.3]),
+    max_overhang=st.sampled_from([None, None, 0.5]),
+    min_overhang=st.sampled_from([None, None, 0.25]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(space=_tied_spaces(), limits=st.builds(CodeLimits, _orientation_limits,
+                                              _orientation_limits, _orientation_limits,
+                                              _orientation_limits),
+       k_kind=st.sampled_from(["one", "middle", "beyond"]))
+def test_streamed_top_k_matches_a_full_sort(space, limits, k_kind, baseline_spec, climate,
+                                            catalog, baseline_calibration, tariff):
+    """Chunked top-k equals enumerate, score, sort by (EUI, cost, index), running min."""
+    legal = [(i, d) for i, d in enumerate(enumerate_designs(space))
+             if not code_check(d, limits)]
+    k = {"one": 1, "middle": len(legal) // 2 + 1, "beyond": len(legal) + 3}[k_kind]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize_module, "CHUNK_SIZE", 7)
+        if not legal:
+            with pytest.raises(NoFeasibleDesignError):
+                optimize(baseline_spec, climate, catalog, space, limits, k=k,
+                         calib=baseline_calibration, tariff=tariff)
+            return
+        ranked = optimize(baseline_spec, climate, catalog, space, limits, k=k,
+                          calib=baseline_calibration, tariff=tariff)
+
+    scored = sorted((*_score_alone(d, baseline_spec, climate, catalog,
+                                   baseline_calibration, tariff), i, d) for i, d in legal)
+    expected = scored[:k]
+    best_cost = float("inf")
+    for r, (e, c, _, d) in zip(ranked, expected, strict=True):
+        best_cost = min(best_cost, c)
+        assert (r.design, r.eui, r.cost_per_m2, r.pareto) == (d, e, c, c <= best_cost)
+    assert [r.rank for r in ranked] == list(range(1, len(expected) + 1))
+
+
+def test_sweep_memory_is_bounded_by_the_chunk(baseline_spec, climate, catalog,
+                                              baseline_calibration, tariff):
+    """tracemalloc peak stays far below what whole-space arrays of 884,736 designs need."""
+    grid = {o: (0.2, 0.3, 0.4, 0.5) for o in "NSEW"}
+    space = DesignSpace(
+        wwr=grid, overhang_ratio={"N": (0.0, 0.25, 0.5), "S": (0.0, 0.25, 0.5),
+                                  "E": (0.0, 0.5), "W": (0.0, 0.5)},
+        glazing_ids=("sgl_clr", "dbl_clr", "dbl_loe"),
+        wall_ids=("wall_uninsulated", "wall_sip_12in"),
+        roof_ids=("roof_concrete", "roof_sip_10in"), infiltration=(0.4, 1.0),
+        lighting_technologies=tuple(LightingTechnology),
+        hvac_ids=("vav_baseline", "heat_pump"))
+    limits = CodeLimits(*[OrientationLimit(max_wwr=0.45, strict=True)] * 4)
+    assert space.size == 884_736
+    tracemalloc.start()
+    try:
+        ranked = optimize(baseline_spec, climate, catalog, space, limits, k=10,
+                          calib=baseline_calibration, tariff=tariff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ranked) == 10
+    assert peak < 64 * 2**20
