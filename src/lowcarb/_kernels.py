@@ -10,8 +10,8 @@ one-sample trace. Both are timed per layer by ``perfbench/run.py --trace 1``.
 
 from __future__ import annotations
 
-import numpy as np
-
+# numpy is imported by the functions that use it, so that `import lowcarb`
+# and the numpy-free subcommands do not pay for it.
 from .energy import thermal_balance
 
 
@@ -39,6 +39,8 @@ class _Shading:
         self._tan = tan_altitude
 
     def __getitem__(self, o):
+        import numpy as np
+
         return 1.0 - np.minimum(1.0, self._overhang[o] * self._tan)
 
 
@@ -55,6 +57,8 @@ def batch_energy(wwr, overhang, glz_u, glz_shgc, wall_u, roof_u, ach,
     orientation, ``t_*`` and ``w_*`` from :func:`lowcarb.energy.season_terms`.
     Returns per-design (eui, electricity_kwh, gas_m3).
     """
+    import numpy as np
+
     l_cool, l_heat = thermal_balance(
         gross_area, wwr, (wall_u,) * 4, (glz_u,) * 4, (glz_shgc,) * 4, irradiation,
         _Shading(overhang, tan_summer), _Shading(overhang, tan_winter),
@@ -80,6 +84,8 @@ def node_sim(irradiance, rain, dt_s, soc0, alarm0,
              panel_w, base_load_w, alarm_w, capacity_wh,
              threshold, hysteresis, charge_eff):
     """Run the node trace fold; returns per-step arrays plus ledger totals."""
+    import numpy as np
+
     n = irradiance.shape[0]
     outputs = (np.empty(n), np.empty(n, dtype=np.int8), np.empty(n), np.empty(n),
                np.empty(n, dtype=np.bool_))

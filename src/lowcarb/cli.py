@@ -46,7 +46,8 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # a NaN or an infinity would make the report invalid JSON: fail the run instead
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_manifest(out_dir: Path, command: str, inputs: dict[str, str]) -> None:

@@ -204,14 +204,19 @@ def validate_spec(spec: BuildingSpec) -> list[Violation]:
         if not cond:
             out.append(Violation(fieldname, value, rule))
 
-    check(spec.floor_area > 0, "floor_area", spec.floor_area, "must be > 0")
-    check(spec.conditioned_volume > 0, "conditioned_volume", spec.conditioned_volume, "must be > 0")
+    def positive(value: float, fieldname: str) -> None:
+        check(0 < value < math.inf, fieldname, value, "must be > 0 and finite")
+
+    def nonnegative(value: float, fieldname: str) -> None:
+        check(0 <= value < math.inf, fieldname, value, "must be nonnegative and finite")
+
+    positive(spec.floor_area, "floor_area")
+    positive(spec.conditioned_volume, "conditioned_volume")
     check(spec.storeys >= 1, "storeys", spec.storeys, "must be >= 1")
-    check(spec.infiltration >= 0, "infiltration", spec.infiltration, "must be nonnegative")
+    nonnegative(spec.infiltration, "infiltration")
     check(0 <= spec.occupancy_hours <= 8760, "occupancy_hours", spec.occupancy_hours,
           "must be within [0, 8760]")
-    check(spec.equipment_power_density >= 0, "equipment_power_density",
-          spec.equipment_power_density, "must be nonnegative")
+    nonnegative(spec.equipment_power_density, "equipment_power_density")
 
     seen = [g.orientation for g in spec.orientations]
     check(sorted(o.value for o in seen) == sorted(ORIENTATION_ORDER),
@@ -220,36 +225,28 @@ def validate_spec(spec: BuildingSpec) -> list[Violation]:
 
     for g in spec.orientations:
         prefix = f"orientations[{g.orientation.value}]"
-        check(g.gross_wall_area >= 0, f"{prefix}.gross_wall_area", g.gross_wall_area,
-              "must be nonnegative")
+        nonnegative(g.gross_wall_area, f"{prefix}.gross_wall_area")
         check(0 <= g.wwr <= 1, f"{prefix}.wwr", g.wwr, "must be within [0, 1]")
-        check(g.overhang_ratio >= 0, f"{prefix}.overhang_ratio", g.overhang_ratio,
-              "must be nonnegative")
-        check(g.wall.r_value > 0, f"{prefix}.wall.r_value", g.wall.r_value, "must be > 0")
-        check(g.glazing.u_value > 0, f"{prefix}.glazing.u_value", g.glazing.u_value,
-              "must be > 0")
+        nonnegative(g.overhang_ratio, f"{prefix}.overhang_ratio")
+        positive(g.wall.r_value, f"{prefix}.wall.r_value")
+        positive(g.glazing.u_value, f"{prefix}.glazing.u_value")
         check(0 <= g.glazing.shgc <= 1, f"{prefix}.glazing.shgc", g.glazing.shgc,
               "must be within [0, 1]")
         check(0 <= g.glazing.visible_transmittance <= 1,
               f"{prefix}.glazing.visible_transmittance",
               g.glazing.visible_transmittance, "must be within [0, 1]")
 
-    check(spec.roof.construction.r_value > 0, "roof.construction.r_value",
-          spec.roof.construction.r_value, "must be > 0")
-    check(spec.roof.area >= 0, "roof.area", spec.roof.area, "must be nonnegative")
+    positive(spec.roof.construction.r_value, "roof.construction.r_value")
+    nonnegative(spec.roof.area, "roof.area")
 
-    check(spec.lighting.lamp_power >= 0, "lighting.lamp_power", spec.lighting.lamp_power,
-          "must be nonnegative")
-    check(spec.lighting.lamp_count >= 0, "lighting.lamp_count", spec.lighting.lamp_count,
-          "must be nonnegative")
-    check(spec.lighting.annual_hours >= 0, "lighting.annual_hours",
-          spec.lighting.annual_hours, "must be nonnegative")
+    nonnegative(spec.lighting.lamp_power, "lighting.lamp_power")
+    nonnegative(spec.lighting.lamp_count, "lighting.lamp_count")
+    nonnegative(spec.lighting.annual_hours, "lighting.annual_hours")
     check(0 <= spec.lighting.daylight_offset <= 1, "lighting.daylight_offset",
           spec.lighting.daylight_offset, "must be within [0, 1]")
 
-    check(spec.hvac.cooling_cop > 0, "hvac.cooling_cop", spec.hvac.cooling_cop, "must be > 0")
-    check(spec.hvac.heating_efficiency > 0, "hvac.heating_efficiency",
-          spec.hvac.heating_efficiency, "must be > 0")
+    positive(spec.hvac.cooling_cop, "hvac.cooling_cop")
+    positive(spec.hvac.heating_efficiency, "hvac.heating_efficiency")
 
     return out
 
@@ -309,7 +306,22 @@ def parse_building_spec(text: str) -> BuildingSpec:
     version = _require(doc, "schema_version", "")
     if version != SCHEMA_VERSION:
         raise SpecError(f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
+    try:
+        spec = _spec_from_doc(doc)
+    except (AttributeError, OverflowError, TypeError) as exc:
+        # a field of the wrong JSON type, or an infinite storey or lamp count
+        raise SpecError(f"malformed spec: {exc}") from exc
 
+    violations = validate_spec(spec)
+    if violations:
+        raise SpecError(
+            "spec violates invariants:\n" + "\n".join(str(v) for v in violations),
+            violations,
+        )
+    return spec
+
+
+def _spec_from_doc(doc: Mapping[str, Any]) -> BuildingSpec:
     groups = []
     for i, gdoc in enumerate(_require(doc, "orientations", "")):
         ctx = f"orientations[{i}]."
@@ -357,7 +369,7 @@ def parse_building_spec(text: str) -> BuildingSpec:
         heating_fuel=fuel,
     )
 
-    spec = BuildingSpec(
+    return BuildingSpec(
         name=str(_require(doc, "name", "")),
         floor_area=float(_require(doc, "floor_area_m2", "")),
         conditioned_volume=float(_require(doc, "conditioned_volume_m3", "")),
@@ -370,14 +382,6 @@ def parse_building_spec(text: str) -> BuildingSpec:
         lighting=lighting,
         hvac=hvac,
     )
-
-    violations = validate_spec(spec)
-    if violations:
-        raise SpecError(
-            "spec violates invariants:\n" + "\n".join(str(v) for v in violations),
-            violations,
-        )
-    return spec
 
 
 def serialize_building_spec(spec: BuildingSpec) -> str:
@@ -507,6 +511,13 @@ def _positive_cell(row: Mapping[str, str], key: str) -> float:
     return value
 
 
+def _fraction_cell(row: Mapping[str, str], key: str) -> float:
+    value = float(row[key])
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{key} must be a number within [0, 1], got {row[key]!r}")
+    return value
+
+
 def load_catalog(text: str) -> Catalog:
     """Parse the material/system catalog CSV.
 
@@ -516,9 +527,10 @@ def load_catalog(text: str) -> Catalog:
     Raises
     ------
     SpecError
-        On a malformed row, or an ``r_value``, ``u_value``, ``cooling_cop``,
-        ``heating_efficiency`` or ``lamp_power_w`` that is not a finite
-        number > 0.
+        On a malformed row; an ``r_value``, ``u_value``, ``cooling_cop``,
+        ``heating_efficiency``, ``lamp_power_w`` or ``cost_index`` that is
+        not a finite number > 0; or an ``shgc`` or ``visible_transmittance``
+        outside [0, 1]. An empty ``cost_index`` reads as 1.
     """
     constructions: dict[str, OpaqueConstruction] = {}
     glazings: dict[str, GlazingOption] = {}
@@ -532,16 +544,16 @@ def load_catalog(text: str) -> Catalog:
         cid = (row.get("id") or "").strip()
         if not kind or not cid:
             raise SpecError(f"catalog row missing kind or id: {row!r}")
-        cost = float(row.get("cost_index") or 1.0)
-        cost_indices[cid] = cost
         try:
+            cost = _positive_cell(row, "cost_index") if row.get("cost_index") else 1.0
+            cost_indices[cid] = cost
             if kind == "construction":
                 constructions[cid] = OpaqueConstruction(
                     cid, _positive_cell(row, "r_value"), cost)
             elif kind == "glazing":
                 glazings[cid] = GlazingOption(
-                    cid, _positive_cell(row, "u_value"), float(row["shgc"]),
-                    float(row["visible_transmittance"]), cost)
+                    cid, _positive_cell(row, "u_value"), _fraction_cell(row, "shgc"),
+                    _fraction_cell(row, "visible_transmittance"), cost)
             elif kind == "hvac":
                 hvac_systems[cid] = HvacSystem(
                     _positive_cell(row, "cooling_cop"),

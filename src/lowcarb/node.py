@@ -12,14 +12,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import _kernels
 from .model import SensorFleet, SpecError
+
+if TYPE_CHECKING:
+    import numpy as np  # imported at run time by the functions that use it
 
 HOURS_PER_YEAR = 8760.0
 
@@ -153,8 +155,10 @@ def step(state: NodeState, config: NodeConfig, env: EnvSample, dt: float) -> Nod
     load goes unserved and the stored energy stays at zero. This is the
     trace fold of :func:`simulate` run on one sample.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    import numpy as np
+
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be a finite number > 0, got {dt}")
     config.validate()
     soc, alarm, harvest, load, *_ = _fold(config, state, np.array([env.irradiance_fraction]),
                                           np.array([env.rain_reading]), dt)
@@ -190,8 +194,10 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
     uses ``dt`` seconds per sample. ``uptime_fraction`` counts steps whose
     demand was fully served.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    import numpy as np
+
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be a finite number > 0, got {dt}")
     if len(trace) == 0:
         raise TraceError("trace must not be empty")
     config.validate()

@@ -19,9 +19,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import _kernels
 from .energy import (
@@ -44,11 +42,22 @@ from .model import (
     Violation,
 )
 
+if TYPE_CHECKING:
+    import numpy as np  # imported at run time by the functions that use it
+
 #: Guard against accidentally enormous Cartesian products.
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
 #: Code-legal designs evaluated per kernel call; bounds the sweep's memory.
 CHUNK_SIZE = 1 << 16
+
+
+#: Per candidate variable (by name prefix): the test every value must pass.
+_CANDIDATE_RULES = {
+    "wwr": (lambda v: 0.0 <= v <= 1.0, "must be within [0, 1]"),
+    "overhang": (lambda v: 0.0 <= v < math.inf, "must be nonnegative and finite"),
+    "infiltration": (lambda v: 0.0 <= v < math.inf, "must be nonnegative and finite"),
+}
 
 
 class DesignSpaceTooLarge(ValueError):
@@ -125,30 +134,54 @@ class DesignSpace:
         return n
 
     def validate(self) -> None:
+        """Raise :class:`SpecError` on an empty candidate list, a wwr outside
+        [0, 1], or an overhang or infiltration that is negative or not finite."""
         for name, values in self.candidate_lists():
             if len(values) == 0:
                 raise SpecError(f"design space variable {name!r} has no candidates")
+            rule = _CANDIDATE_RULES.get(name.split("_")[0])
+            bad = [v for v in values if rule and not rule[0](v)]
+            if bad:
+                raise SpecError(f"design space variable {name!r}: {bad[0]!r} {rule[1]}")
 
     @staticmethod
     def from_json(text: str) -> tuple["DesignSpace", "CodeLimits"]:
-        """Parse a design-space file; returns the space and its code limits."""
+        """Parse a design-space file; returns the space and its code limits.
+
+        Raises :class:`SpecError` on a missing key, a candidate entry that is
+        not a list, or a value :meth:`validate` rejects.
+        """
         doc = json.loads(text)
-        wwr = {o: tuple(float(v) for v in doc["wwr"][o]) for o in ORIENTATION_ORDER}
-        overhang = {o: tuple(float(v) for v in doc["overhang_ratio"][o])
-                    for o in ORIENTATION_ORDER}
-        space = DesignSpace(
-            wwr=wwr,
-            overhang_ratio=overhang,
-            glazing_ids=tuple(doc["glazing"]),
-            wall_ids=tuple(doc["wall"]),
-            roof_ids=tuple(doc["roof"]),
-            infiltration=tuple(float(v) for v in doc["infiltration_ach"]),
-            lighting_technologies=tuple(LightingTechnology(v)
-                                        for v in doc["lighting_technology"]),
-            hvac_ids=tuple(doc["hvac"]),
-        )
+
+        def listed(*keys: str) -> list:
+            value = doc
+            for key in keys:
+                if not isinstance(value, dict) or key not in value:
+                    raise SpecError(f"design space is missing {'.'.join(keys)!r}")
+                value = value[key]
+            if not isinstance(value, list):
+                raise SpecError(f"design space {'.'.join(keys)!r} must be a list")
+            return value
+
+        try:
+            space = DesignSpace(
+                wwr={o: tuple(map(float, listed("wwr", o))) for o in ORIENTATION_ORDER},
+                overhang_ratio={o: tuple(map(float, listed("overhang_ratio", o)))
+                                for o in ORIENTATION_ORDER},
+                glazing_ids=tuple(map(str, listed("glazing"))),
+                wall_ids=tuple(map(str, listed("wall"))),
+                roof_ids=tuple(map(str, listed("roof"))),
+                infiltration=tuple(map(float, listed("infiltration_ach"))),
+                lighting_technologies=tuple(map(LightingTechnology,
+                                                listed("lighting_technology"))),
+                hvac_ids=tuple(map(str, listed("hvac"))),
+            )
+            limits = CodeLimits.from_doc(doc.get("code_limits", {}))
+        except SpecError:
+            raise
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SpecError(f"malformed design space: {exc}") from exc
         space.validate()
-        limits = CodeLimits.from_doc(doc.get("code_limits", {}))
         return space, limits
 
 
@@ -334,6 +367,8 @@ def _candidate_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
 
     Raises :class:`SpecError` when the space names an id the catalog lacks.
     """
+    import numpy as np
+
     glz = _resolve(catalog.glazings, space.glazing_ids, "glazing")
     walls = _resolve(catalog.constructions, space.wall_ids, "wall")
     roofs = _resolve(catalog.constructions, space.roof_ids, "roof")
@@ -361,6 +396,8 @@ def _candidate_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
 
 def _ranked(cols: tuple[np.ndarray, ...], k: int | None = None) -> tuple[np.ndarray, ...]:
     """Rows of (eui, cost, electricity, gas, position) in rank order, first ``k`` kept."""
+    import numpy as np
+
     eui, cost, _, _, position = cols
     order = np.lexsort((position, cost, eui))[:k]
     return tuple(c[order] for c in cols)
@@ -384,6 +421,8 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     SpecError
         When the space names an id the catalog lacks.
     """
+    import numpy as np
+
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _checked_size(space, cap)

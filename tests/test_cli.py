@@ -1,11 +1,16 @@
 import csv
 import json
+import math
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from lowcarb.cli import main
+import lowcarb
+from lowcarb.cli import _json_dumps, main
 from lowcarb.model import fixture_path
 
 
@@ -100,6 +105,31 @@ def test_audit_bad_calibration_is_domain_error(fixtures, tmp_path, capsys, block
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("field, value, named", [
+    ("floor_area_m2", math.inf, "floor_area="),
+    ("conditioned_volume_m3", math.inf, "conditioned_volume="),
+    ("infiltration_ach", math.inf, "infiltration="),
+    ("equipment_power_density_w_m2", math.inf, "equipment_power_density="),
+    ("floor_area_m2", -math.inf, "floor_area="),
+    ("storeys", math.inf, "error: malformed spec"),
+    ("orientations", 5, "error: malformed spec"),
+])
+def test_audit_infinite_or_mistyped_spec_value_is_domain_error(fixtures, tmp_path, capsys,
+                                                               field, value, named):
+    doc = json.loads((fixtures / "baseline_school.json").read_text())
+    doc[field] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    code = main(["audit", "--spec", str(spec),
+                 "--climate", str(fixtures / "gd_climate.csv"), "--out", str(out)])
+    assert code == 1
+    err_lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith(named)
+    assert not (out / "report.json").exists()
+
+
 def test_audit_zero_calibration_multiplier_is_legal(fixtures, tmp_path):
     # calibrate can fit 0 for the gain multiplier, so audit must accept it back
     code, out = _audit_with_calibration(fixtures, tmp_path, {"internal_gain_multiplier": 0.0})
@@ -177,6 +207,20 @@ def test_optimize_space_id_missing_from_catalog_is_domain_error(fixtures, tmp_pa
     assert not (out / "results.json").exists()
 
 
+def _edited_catalog(fixtures, tmp_path, row_id, column, value):
+    with open(fixtures / "catalog.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        if row["id"] == row_id:
+            row[column] = value
+    catalog = tmp_path / "catalog.csv"
+    with open(catalog, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    return catalog
+
+
 @pytest.mark.parametrize("row_id, column", [
     ("wall_sip_12in", "r_value"),
     ("roof_concrete", "r_value"),
@@ -189,20 +233,61 @@ def test_optimize_space_id_missing_from_catalog_is_domain_error(fixtures, tmp_pa
 def test_optimize_nonpositive_catalog_coefficient_is_domain_error(fixtures, tmp_path,
                                                                   capsys, row_id, column,
                                                                   value):
-    with open(fixtures / "catalog.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
-        if row["id"] == row_id:
-            row[column] = value
-    catalog = tmp_path / "catalog.csv"
-    with open(catalog, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    catalog = _edited_catalog(fixtures, tmp_path, row_id, column, value)
     code, err_lines, out = _optimize_once(fixtures, tmp_path, capsys, catalog=catalog)
     assert code == 1
     assert len(err_lines) == 1
     assert err_lines[0].startswith(f"error: malformed catalog row for {row_id!r}: {column}")
+    assert not (out / "results.json").exists()
+
+
+@pytest.mark.parametrize("row_id, column, value", [
+    ("dbl_loe", "shgc", "nan"),
+    ("dbl_loe", "shgc", "inf"),
+    ("dbl_loe", "shgc", "-0.1"),
+    ("dbl_loe", "shgc", "1.5"),
+    ("sgl_clr", "visible_transmittance", "nan"),
+    ("sgl_clr", "visible_transmittance", "-0.1"),
+    ("sgl_clr", "visible_transmittance", "1.01"),
+    ("wall_sip_12in", "cost_index", "0"),
+    ("dbl_loe", "cost_index", "-1"),
+    ("heat_pump", "cost_index", "nan"),
+    ("led", "cost_index", "inf"),
+])
+def test_optimize_catalog_fraction_or_cost_index_out_of_range_is_domain_error(
+        fixtures, tmp_path, capsys, row_id, column, value):
+    catalog = _edited_catalog(fixtures, tmp_path, row_id, column, value)
+    code, err_lines, out = _optimize_once(fixtures, tmp_path, capsys, catalog=catalog)
+    assert code == 1
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith(f"error: malformed catalog row for {row_id!r}: {column}")
+    assert not (out / "results.json").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: d["infiltration_ach"].append(-5.0), id="negative-infiltration"),
+    pytest.param(lambda d: d["infiltration_ach"].append(math.inf), id="infinite-infiltration"),
+    pytest.param(lambda d: d["wwr"]["S"].append(1.2), id="wwr-above-1"),
+    pytest.param(lambda d: d["wwr"]["N"].append(-0.1), id="negative-wwr"),
+    pytest.param(lambda d: d["wwr"]["E"].append(math.nan), id="nan-wwr"),
+    pytest.param(lambda d: d["overhang_ratio"]["E"].append(-0.25), id="negative-overhang"),
+    pytest.param(lambda d: d["overhang_ratio"]["W"].append(math.inf), id="infinite-overhang"),
+    pytest.param(lambda d: d.pop("glazing"), id="missing-glazing"),
+    pytest.param(lambda d: d["wwr"].pop("E"), id="missing-wwr-orientation"),
+    pytest.param(lambda d: d.update(hvac="heat_pump"), id="hvac-not-a-list"),
+    pytest.param(lambda d: d["overhang_ratio"].update(N=0.0), id="overhang-not-a-list"),
+    pytest.param(lambda d: d["infiltration_ach"].append(None), id="null-infiltration"),
+    pytest.param(lambda d: d.update(code_limits=5), id="code-limits-not-an-object"),
+])
+def test_optimize_bad_design_space_is_domain_error(fixtures, tmp_path, capsys, edit):
+    doc = json.loads((fixtures / "paper_space.json").read_text())
+    edit(doc)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(doc))
+    code, err_lines, out = _optimize_once(fixtures, tmp_path, capsys, space=space)
+    assert code == 1
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: ")
     assert not (out / "results.json").exists()
 
 
@@ -252,6 +337,55 @@ def test_node_sim_bad_trace_is_domain_error(fixtures, tmp_path, capsys):
                  "--trace", str(trace), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "strictly increasing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dt", ["nan", "inf", "-inf", "0", "-1"])
+def test_node_sim_nonfinite_or_nonpositive_dt_is_domain_error(fixtures, tmp_path, capsys, dt):
+    out = tmp_path / "o"
+    code = main(["node-sim", "--spec", str(fixtures / "node_demo.json"),
+                 "--trace", str(fixtures / "node_demo_trace.csv"),
+                 f"--dt={dt}", "--out", str(out)])
+    assert code == 1
+    err_lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: dt must be a finite number > 0")
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_reports_refuse_nan_and_infinity(value):
+    with pytest.raises(ValueError):
+        _json_dumps({"x": value})
+
+
+def test_audit_calibrate_and_pv_never_load_numpy(fixtures, tmp_path):
+    # a fresh interpreter, since this one has numpy loaded by other tests
+    runs = [
+        ["audit", "--spec", str(fixtures / "baseline_school.json"),
+         "--climate", str(fixtures / "gd_climate.csv"),
+         "--tariff", str(fixtures / "paper_tariff.json"), "--out", str(tmp_path / "audit")],
+        ["calibrate", "--spec", str(fixtures / "baseline_school.json"),
+         "--climate", str(fixtures / "gd_climate.csv"),
+         "--targets", str(fixtures / "baseline_targets.json"), "--out", str(tmp_path / "cal")],
+        ["pv", "--spec", str(fixtures / "pv_site.json"),
+         "--climate", str(fixtures / "gd_climate.csv"),
+         "--tariff", str(fixtures / "paper_tariff.json"), "--out", str(tmp_path / "pv")],
+    ]
+    script = ("import json, sys\n"
+              "import lowcarb\n"
+              "loaded = ['numpy' in sys.modules]\n"
+              "from lowcarb.cli import main\n"
+              "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "loaded.append('numpy' in sys.modules)\n"
+              "print(json.dumps({'codes': codes, 'numpy_loaded': loaded}))\n")
+    src = str(Path(lowcarb.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0], "numpy_loaded": [False, False]}
 
 
 def test_version_flag(capsys):
