@@ -65,6 +65,14 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict[str, str]) -> None
     _write_text(out_dir / "run_manifest.json", _json_dumps(manifest))
 
 
+def _write_reports(out_dir: Path, reports: dict[str, str], command: str,
+                   inputs: dict[str, str]) -> None:
+    # callers build every text first, so a run that fails on one writes nothing
+    for name, text in reports.items():
+        _write_text(out_dir / name, text)
+    _write_manifest(out_dir, command, inputs)
+
+
 def _out_dir(args) -> Path:
     if args.out:
         return Path(args.out)
@@ -97,12 +105,12 @@ def cmd_audit(args) -> int:
         doc["annual_cost_cny_m2"] = energy.annual_cost(report, tariff, spec.floor_area)
 
     out = _out_dir(args)
-    _write_text(out / "report.json", _json_dumps(doc))
-    _write_text(out / "report.csv", _report_csv(report, spec.hvac.heating_fuel))
     inputs = {"spec": args.spec, "climate": args.climate}
     if args.tariff:
         inputs["tariff"] = args.tariff
-    _write_manifest(out, "audit", inputs)
+    _write_reports(out, {"report.json": _json_dumps(doc),
+                         "report.csv": _report_csv(report, spec.hvac.heating_fuel)},
+                   "audit", inputs)
 
     print(f"{spec.name}: total {report.total:.2f} GJ/yr, EUI {eui_value:.2f} kWh/m2/yr")
     if tariff:
@@ -133,9 +141,8 @@ def cmd_calibrate(args) -> int:
             "equipment_gj": targets.equipment_gj,
         },
     }
-    _write_text(out / "calibration.json", _json_dumps(doc))
-    _write_manifest(out, "calibrate", {"spec": args.spec, "climate": args.climate,
-                                       "targets": args.targets})
+    _write_reports(out, {"calibration.json": _json_dumps(doc)}, "calibrate",
+                   {"spec": args.spec, "climate": args.climate, "targets": args.targets})
     print(f"calibrated: gain x{params.internal_gain_multiplier:.4f}, "
           f"schedule x{params.schedule_multiplier:.6f}, "
           f"equipment x{params.equipment_multiplier:.6f}")
@@ -156,7 +163,6 @@ def cmd_optimize(args) -> int:
                                    k=args.k, calib=calib, tariff=tariff)
 
     out = _out_dir(args)
-    _write_text(out / "results.csv", write_results_csv(ranked))
     top = ranked[0]
     doc = {
         "evaluated_space_size": space.size,
@@ -178,10 +184,10 @@ def cmd_optimize(args) -> int:
             },
         },
     }
-    _write_text(out / "results.json", _json_dumps(doc))
-    _write_manifest(out, "optimize", {"spec": args.spec, "climate": args.climate,
-                                      "catalog": args.catalog, "space": args.space,
-                                      "tariff": args.tariff})
+    _write_reports(out, {"results.csv": write_results_csv(ranked),
+                         "results.json": _json_dumps(doc)}, "optimize",
+                   {"spec": args.spec, "climate": args.climate, "catalog": args.catalog,
+                    "space": args.space, "tariff": args.tariff})
     print(f"evaluated {space.size} designs, best EUI {top.eui:.2f} kWh/m2/yr "
           f"at {top.cost_per_m2:.2f} CNY/m2/yr")
     print(f"results written to {out}")
@@ -195,9 +201,8 @@ def cmd_pv(args) -> int:
     report = pv.site_economics(site, climate.pv_equivalent_full_sun_hours, tariff)
 
     out = _out_dir(args)
-    _write_text(out / "pv_report.json", _json_dumps(report.to_dict()))
-    _write_manifest(out, "pv", {"spec": args.spec, "climate": args.climate,
-                                "tariff": args.tariff})
+    _write_reports(out, {"pv_report.json": _json_dumps(report.to_dict())}, "pv",
+                   {"spec": args.spec, "climate": args.climate, "tariff": args.tariff})
     payback = "never" if report.payback == float("inf") else f"{report.payback:.2f} yr"
     print(f"panels {report.panel_count}  capacity {report.capacity:.1f} kW  "
           f"yield {report.annual_generation:.0f} kWh/yr")
@@ -213,7 +218,6 @@ def cmd_node_sim(args) -> int:
     result = node.simulate(config, trace, dt=args.dt)
 
     out = _out_dir(args)
-    _write_text(out / "states.csv", node.write_state_log(result))
     summary = {
         "steps": len(result.soc),
         "dt_s": args.dt,
@@ -228,8 +232,9 @@ def cmd_node_sim(args) -> int:
             "residual": result.ledger.residual,
         },
     }
-    _write_text(out / "summary.json", _json_dumps(summary))
-    _write_manifest(out, "node-sim", {"spec": args.spec, "trace": args.trace})
+    _write_reports(out, {"states.csv": node.write_state_log(result),
+                         "summary.json": _json_dumps(summary)}, "node-sim",
+                   {"spec": args.spec, "trace": args.trace})
     print(f"simulated {len(result.soc)} steps: uptime {result.uptime_fraction:.3f}, "
           f"final soc {float(result.soc[-1]):.3f}")
     print(f"logs written to {out}")
@@ -248,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True, help=spec_help)
         p.add_argument("--out", "-o", default=None,
                        help=f"output directory (default ${DEFAULT_OUT_ENV} or ./lowcarb_out)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; the engine is deterministic and ignores it")
 
     p = sub.add_parser("audit", help="annual end-use audit of one building")
     common(p, spec_help="building spec JSON")

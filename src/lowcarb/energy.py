@@ -11,7 +11,6 @@ give bit-identical reports.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,9 +18,13 @@ from .model import (
     ORIENTATION_ORDER,
     BuildingSpec,
     ClimateProfile,
+    NONNEGATIVE,
+    POSITIVE,
     HeatingFuel,
     SpecError,
     Tariff,
+    number,
+    read_json,
     validate_spec,
 )
 
@@ -109,13 +112,10 @@ class EndUseTargets:
 
     @staticmethod
     def from_json(text: str) -> "EndUseTargets":
-        doc = json.loads(text)
-        return EndUseTargets(
-            lighting_gj=float(doc["lighting_gj"]),
-            cooling_gj=float(doc["cooling_gj"]),
-            heating_gj=float(doc["heating_gj"]),
-            equipment_gj=float(doc["equipment_gj"]),
-        )
+        """Parse a targets file; every target must be a finite number > 0."""
+        doc = read_json(text, "targets")
+        return EndUseTargets(*(number(doc, f"{use}_gj", "targets.", POSITIVE)
+                               for use in ("lighting", "cooling", "heating", "equipment")))
 
 
 def shading_factor(overhang_ratio: float, sun_altitude: float) -> float:
@@ -299,8 +299,8 @@ def calibrate(spec: BuildingSpec, climate: ClimateProfile, targets: EndUseTarget
         If the best residual exceeds ``tolerance`` (default 0.5% relative).
     """
     for name in ("lighting_gj", "cooling_gj", "heating_gj", "equipment_gj"):
-        if getattr(targets, name) <= 0:
-            raise ValueError(f"calibration target {name} must be positive")
+        if not POSITIVE[0](getattr(targets, name)):
+            raise ValueError(f"calibration target {name} must be positive and finite")
     violations = validate_spec(spec)
     if violations:
         raise SpecError("cannot calibrate an invalid spec", violations)
@@ -380,22 +380,12 @@ def load_calibration(text: str) -> CalibrationParams:
         number >= 0. Zero stays legal: :func:`calibrate` can fit 0 for the
         internal-gain multiplier.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"calibration: syntax error at line {exc.lineno}: {exc.msg}") from exc
-    block = doc.get("calibration", doc) if isinstance(doc, dict) else doc
+    doc = read_json(text, "calibration")
+    block = doc.get("calibration", doc)
     if block is None:
         return CalibrationParams()
     if not isinstance(block, dict):
         raise SpecError(f"calibration block must be a JSON object, got {block!r}")
-    values = {}
-    for name in ("internal_gain_multiplier", "schedule_multiplier", "equipment_multiplier"):
-        raw = block.get(name, 1.0)
-        try:
-            values[name] = float(raw)
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"calibration.{name}: {exc}") from exc
-        if not 0.0 <= values[name] < math.inf:
-            raise SpecError(f"calibration.{name} must be finite and >= 0, got {raw!r}")
-    return CalibrationParams(**values)
+    return CalibrationParams(*(number(block, name, "calibration.", NONNEGATIVE, default=1.0)
+                               for name in ("internal_gain_multiplier", "schedule_multiplier",
+                                            "equipment_multiplier")))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .energy import annual_lighting_kwh
-from .model import ClimateProfile, SpecError
+from .model import FRACTION, NONNEGATIVE, POSITIVE, ClimateProfile, SpecError, number
 
 #: Flat-rate constant of the average daylight-factor formula
 #: DF = window_area * VT * 45 / total_room_surface_area (in percent).
@@ -94,37 +94,41 @@ def load_rooms(text: str) -> list[Room]:
     """Rooms fixture CSV -> Room list (column order free, header required)."""
     rooms = []
     for row in csv.DictReader(io.StringIO(text)):
-        try:
-            rooms.append(Room(
-                id=row["id"].strip(),
-                floor_area=float(row["floor_area_m2"]),
-                depth_from_window=float(row["depth_from_window_m"]),
-                window_area=float(row["window_area_m2"]),
-                glazing_vt=float(row["glazing_vt"]),
-                target_illuminance=float(row["target_illuminance_lux"]),
-                window_head_height=float(row.get("window_head_height_m") or 2.4),
-                ceiling_height=float(row.get("ceiling_height_m") or 3.0),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"malformed room row {row!r}: {exc}") from exc
+        rid = _row_id(row, "room")
+        ctx = f"room {rid!r}: "
+        rooms.append(Room(
+            id=rid,
+            floor_area=number(row, "floor_area_m2", ctx, POSITIVE),
+            depth_from_window=number(row, "depth_from_window_m", ctx, NONNEGATIVE),
+            window_area=number(row, "window_area_m2", ctx, NONNEGATIVE),
+            glazing_vt=number(row, "glazing_vt", ctx, FRACTION),
+            target_illuminance=number(row, "target_illuminance_lux", ctx, NONNEGATIVE),
+            window_head_height=number(row, "window_head_height_m", ctx, POSITIVE, default=2.4),
+            ceiling_height=number(row, "ceiling_height_m", ctx, POSITIVE, default=3.0),
+        ))
     return rooms
 
 
 def load_lamps(text: str) -> dict[str, Lamp]:
     lamps = {}
     for row in csv.DictReader(io.StringIO(text)):
-        try:
-            lamp = Lamp(
-                id=row["id"].strip(),
-                luminous_flux=float(row["luminous_flux_lm"]),
-                power=float(row["power_w"]),
-                utilization_factor=float(row["utilization_factor"]),
-                maintenance_factor=float(row["maintenance_factor"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"malformed lamp row {row!r}: {exc}") from exc
-        lamps[lamp.id] = lamp
+        lid = _row_id(row, "lamp")
+        ctx = f"lamp {lid!r}: "
+        lamps[lid] = Lamp(
+            id=lid,
+            luminous_flux=number(row, "luminous_flux_lm", ctx, POSITIVE),
+            power=number(row, "power_w", ctx, NONNEGATIVE),
+            utilization_factor=number(row, "utilization_factor", ctx, POSITIVE),
+            maintenance_factor=number(row, "maintenance_factor", ctx, POSITIVE),
+        )
     return lamps
+
+
+def _row_id(row: dict, kind: str) -> str:
+    rid = (row.get("id") or "").strip()
+    if not rid:
+        raise SpecError(f"{kind} row missing id: {row!r}")
+    return rid
 
 
 def write_lighting_report(rooms: list[Room], lamp: Lamp, annual_hours: float,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 SCHEMA_VERSION = 1
 
@@ -193,6 +193,72 @@ class Catalog:
 
 
 # ---------------------------------------------------------------------------
+# input boundary: every loader reads through read_json and number
+# ---------------------------------------------------------------------------
+
+Rule = tuple[Callable[[float], bool], str]
+
+#: Range rules as (test, text) pairs. Every test is False for NaN and +-inf.
+FINITE: Rule = (math.isfinite, "must be finite")
+POSITIVE: Rule = (lambda v: 0 < v < math.inf, "must be > 0 and finite")
+NONNEGATIVE: Rule = (lambda v: 0 <= v < math.inf, "must be nonnegative and finite")
+FRACTION: Rule = (lambda v: 0 <= v <= 1, "must be within [0, 1]")
+SCHEMA: Rule = (lambda v: v == SCHEMA_VERSION, f"must be {SCHEMA_VERSION}")
+
+
+def read_json(text: str, what: str) -> dict:
+    """Parse one input file that must hold a JSON object.
+
+    Raises :class:`SpecError` on a syntax error (with its position), on a
+    document that is not an object, and on a ``schema_version`` that breaks
+    :data:`SCHEMA`.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(
+            f"{what}: syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    if not isinstance(doc, dict):
+        raise SpecError(f"{what} document must be a JSON object")
+    number(doc, "schema_version", f"{what}.", SCHEMA, default=SCHEMA_VERSION)
+    return doc
+
+
+def check(value: float, field: str, rule: Rule) -> float:
+    """``value`` if it passes ``rule``; else :class:`SpecError` naming ``field``."""
+    test, text = rule
+    if not test(value):
+        raise SpecError(f"{field} {text}, got {value!r}")
+    return value
+
+
+def number(doc: Any, key: Any, context: str, rule: Rule,
+           default: float | None = None) -> float:
+    """``doc[key]`` (a JSON object, a list or a CSV row) as a float passing ``rule``.
+
+    An absent key, a null or an empty CSV cell gives ``default`` when one is
+    set. Otherwise it, a non-number, NaN, +-inf or a rule failure raises
+    :class:`SpecError` naming ``context + key``.
+    """
+    try:
+        raw = doc[key]
+    except (KeyError, IndexError, TypeError):
+        raw = None
+    if raw is None or raw == "":
+        if default is None:
+            raise SpecError(f"missing required field {context}{key}")
+        return default
+    try:
+        value = float(raw)
+    except (OverflowError, TypeError, ValueError):
+        value = None
+    if value is None or isinstance(raw, bool):
+        raise SpecError(f"{context}{key} must be a number, got {raw!r}")
+    return check(value, f"{context}{key}", rule)
+
+
+# ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
@@ -200,53 +266,45 @@ def validate_spec(spec: BuildingSpec) -> list[Violation]:
     """Check every type invariant; returns an empty list iff all hold."""
     out: list[Violation] = []
 
-    def check(cond: bool, fieldname: str, value: Any, rule: str) -> None:
-        if not cond:
-            out.append(Violation(fieldname, value, rule))
+    def holds(value: Any, fieldname: str, rule: Rule) -> None:
+        if not rule[0](value):
+            out.append(Violation(fieldname, value, rule[1]))
 
-    def positive(value: float, fieldname: str) -> None:
-        check(0 < value < math.inf, fieldname, value, "must be > 0 and finite")
-
-    def nonnegative(value: float, fieldname: str) -> None:
-        check(0 <= value < math.inf, fieldname, value, "must be nonnegative and finite")
-
-    positive(spec.floor_area, "floor_area")
-    positive(spec.conditioned_volume, "conditioned_volume")
-    check(spec.storeys >= 1, "storeys", spec.storeys, "must be >= 1")
-    nonnegative(spec.infiltration, "infiltration")
-    check(0 <= spec.occupancy_hours <= 8760, "occupancy_hours", spec.occupancy_hours,
-          "must be within [0, 8760]")
-    nonnegative(spec.equipment_power_density, "equipment_power_density")
-
-    seen = [g.orientation for g in spec.orientations]
-    check(sorted(o.value for o in seen) == sorted(ORIENTATION_ORDER),
-          "orientations", [o.value for o in seen],
-          "exactly one envelope group per cardinal orientation")
+    holds(spec.floor_area, "floor_area", POSITIVE)
+    holds(spec.conditioned_volume, "conditioned_volume", POSITIVE)
+    holds(spec.storeys, "storeys", (lambda v: v >= 1, "must be >= 1"))
+    holds(spec.infiltration, "infiltration", NONNEGATIVE)
+    holds(spec.occupancy_hours, "occupancy_hours",
+          (lambda v: 0 <= v <= 8760, "must be within [0, 8760]"))
+    holds(spec.equipment_power_density, "equipment_power_density", NONNEGATIVE)
+    holds([g.orientation.value for g in spec.orientations], "orientations",
+          (lambda v: sorted(v) == sorted(ORIENTATION_ORDER),
+           "exactly one envelope group per cardinal orientation"))
 
     for g in spec.orientations:
         prefix = f"orientations[{g.orientation.value}]"
-        nonnegative(g.gross_wall_area, f"{prefix}.gross_wall_area")
-        check(0 <= g.wwr <= 1, f"{prefix}.wwr", g.wwr, "must be within [0, 1]")
-        nonnegative(g.overhang_ratio, f"{prefix}.overhang_ratio")
-        positive(g.wall.r_value, f"{prefix}.wall.r_value")
-        positive(g.glazing.u_value, f"{prefix}.glazing.u_value")
-        check(0 <= g.glazing.shgc <= 1, f"{prefix}.glazing.shgc", g.glazing.shgc,
-              "must be within [0, 1]")
-        check(0 <= g.glazing.visible_transmittance <= 1,
-              f"{prefix}.glazing.visible_transmittance",
-              g.glazing.visible_transmittance, "must be within [0, 1]")
+        holds(g.gross_wall_area, f"{prefix}.gross_wall_area", NONNEGATIVE)
+        holds(g.wwr, f"{prefix}.wwr", FRACTION)
+        holds(g.overhang_ratio, f"{prefix}.overhang_ratio", NONNEGATIVE)
+        holds(g.wall.r_value, f"{prefix}.wall.r_value", POSITIVE)
+        holds(g.wall.cost_index, f"{prefix}.wall.cost_index", POSITIVE)
+        holds(g.glazing.u_value, f"{prefix}.glazing.u_value", POSITIVE)
+        holds(g.glazing.shgc, f"{prefix}.glazing.shgc", FRACTION)
+        holds(g.glazing.visible_transmittance, f"{prefix}.glazing.visible_transmittance",
+              FRACTION)
+        holds(g.glazing.cost_index, f"{prefix}.glazing.cost_index", POSITIVE)
 
-    positive(spec.roof.construction.r_value, "roof.construction.r_value")
-    nonnegative(spec.roof.area, "roof.area")
+    holds(spec.roof.construction.r_value, "roof.construction.r_value", POSITIVE)
+    holds(spec.roof.construction.cost_index, "roof.construction.cost_index", POSITIVE)
+    holds(spec.roof.area, "roof.area", NONNEGATIVE)
 
-    nonnegative(spec.lighting.lamp_power, "lighting.lamp_power")
-    nonnegative(spec.lighting.lamp_count, "lighting.lamp_count")
-    nonnegative(spec.lighting.annual_hours, "lighting.annual_hours")
-    check(0 <= spec.lighting.daylight_offset <= 1, "lighting.daylight_offset",
-          spec.lighting.daylight_offset, "must be within [0, 1]")
+    holds(spec.lighting.lamp_power, "lighting.lamp_power", NONNEGATIVE)
+    holds(spec.lighting.lamp_count, "lighting.lamp_count", NONNEGATIVE)
+    holds(spec.lighting.annual_hours, "lighting.annual_hours", NONNEGATIVE)
+    holds(spec.lighting.daylight_offset, "lighting.daylight_offset", FRACTION)
 
-    positive(spec.hvac.cooling_cop, "hvac.cooling_cop")
-    positive(spec.hvac.heating_efficiency, "hvac.heating_efficiency")
+    holds(spec.hvac.cooling_cop, "hvac.cooling_cop", POSITIVE)
+    holds(spec.hvac.heating_efficiency, "hvac.heating_efficiency", POSITIVE)
 
     return out
 
@@ -294,18 +352,8 @@ def parse_building_spec(text: str) -> BuildingSpec:
         On JSON syntax errors (with position), missing required fields,
         unsupported schema versions, or invariant violations.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(
-            f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise SpecError("spec document must be a JSON object")
-
-    version = _require(doc, "schema_version", "")
-    if version != SCHEMA_VERSION:
-        raise SpecError(f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
+    doc = read_json(text, "spec")
+    _require(doc, "schema_version", "")
     try:
         spec = _spec_from_doc(doc)
     except (AttributeError, OverflowError, TypeError) as exc:
@@ -451,44 +499,28 @@ def load_climate_profile(text: str) -> ClimateProfile:
                 header[key.strip()] = value.strip()
         else:
             rows.append(stripped)
+    number(header, "schema_version", "climate.", SCHEMA, default=SCHEMA_VERSION)
 
-    reader = csv.DictReader(io.StringIO("\n".join(rows)))
     cdd = [0.0] * 12
     hdd = [0.0] * 12
-    seen_months: set[int] = set()
-    for row in reader:
-        try:
-            month = int(row["month"])
-            c = float(row["cooling_degree_days_K_day"])
-            h = float(row["heating_degree_days_K_day"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"malformed climate row: {row!r}") from exc
-        if not 1 <= month <= 12 or month in seen_months:
+    seen_months: set[float] = set()
+    for row in csv.DictReader(io.StringIO("\n".join(rows))):
+        month = number(row, "month", "climate.", FINITE)
+        if month not in range(1, 13) or month in seen_months:
             raise SpecError(f"invalid or duplicate month {month}")
-        if c < 0 or h < 0:
-            raise SpecError(f"degree days must be nonnegative (month {month})")
         seen_months.add(month)
-        cdd[month - 1] = c
-        hdd[month - 1] = h
+        ctx = f"climate month {month:g}: "
+        cdd[int(month) - 1] = number(row, "cooling_degree_days_K_day", ctx, NONNEGATIVE)
+        hdd[int(month) - 1] = number(row, "heating_degree_days_K_day", ctx, NONNEGATIVE)
     if len(seen_months) != 12:
         raise SpecError(f"climate file must supply all 12 months, got {len(seen_months)}")
 
-    def head(key: str) -> float:
-        if key not in header:
-            raise SpecError(f"climate header missing {key!r}")
-        return float(header[key])
-
-    irradiation = {o: head(f"irradiation_kwh_m2_{o}") for o in ORIENTATION_ORDER}
-    alt_summer = head("summer_sun_altitude_deg")
-    alt_winter = head("winter_sun_altitude_deg")
-    for name, alt in (("summer", alt_summer), ("winter", alt_winter)):
-        if not 0 < alt < 90:
-            raise SpecError(f"{name} sun altitude must lie in (0, 90), got {alt}")
-    if any(v < 0 for v in irradiation.values()):
-        raise SpecError("irradiation values must be nonnegative")
-    sun_hours = head("pv_full_sun_hours")
-    if sun_hours < 0:
-        raise SpecError("pv_full_sun_hours must be nonnegative")
+    irradiation = {o: number(header, f"irradiation_kwh_m2_{o}", "climate.", NONNEGATIVE)
+                   for o in ORIENTATION_ORDER}
+    altitude = (lambda v: 0 < v < 90, "must lie in (0, 90) degrees")
+    alt_summer = number(header, "summer_sun_altitude_deg", "climate.", altitude)
+    alt_winter = number(header, "winter_sun_altitude_deg", "climate.", altitude)
+    sun_hours = number(header, "pv_full_sun_hours", "climate.", NONNEGATIVE)
 
     return ClimateProfile(
         cooling_degree_days=tuple(cdd),
@@ -503,20 +535,6 @@ def load_climate_profile(text: str) -> ClimateProfile:
 # ---------------------------------------------------------------------------
 # catalog file (CSV)
 # ---------------------------------------------------------------------------
-
-def _positive_cell(row: Mapping[str, str], key: str) -> float:
-    value = float(row[key])
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{key} must be a finite number > 0, got {row[key]!r}")
-    return value
-
-
-def _fraction_cell(row: Mapping[str, str], key: str) -> float:
-    value = float(row[key])
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{key} must be a number within [0, 1], got {row[key]!r}")
-    return value
-
 
 def load_catalog(text: str) -> Catalog:
     """Parse the material/system catalog CSV.
@@ -544,29 +562,26 @@ def load_catalog(text: str) -> Catalog:
         cid = (row.get("id") or "").strip()
         if not kind or not cid:
             raise SpecError(f"catalog row missing kind or id: {row!r}")
-        try:
-            cost = _positive_cell(row, "cost_index") if row.get("cost_index") else 1.0
-            cost_indices[cid] = cost
-            if kind == "construction":
-                constructions[cid] = OpaqueConstruction(
-                    cid, _positive_cell(row, "r_value"), cost)
-            elif kind == "glazing":
-                glazings[cid] = GlazingOption(
-                    cid, _positive_cell(row, "u_value"), _fraction_cell(row, "shgc"),
-                    _fraction_cell(row, "visible_transmittance"), cost)
-            elif kind == "hvac":
-                hvac_systems[cid] = HvacSystem(
-                    _positive_cell(row, "cooling_cop"),
-                    _positive_cell(row, "heating_efficiency"),
-                    HeatingFuel(row["heating_fuel"].strip()))
-            elif kind == "lighting":
-                lamp_powers[cid] = _positive_cell(row, "lamp_power_w")
-            else:
-                raise SpecError(f"unknown catalog kind {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SpecError):
-                raise
-            raise SpecError(f"malformed catalog row for {cid!r}: {exc}") from exc
+        ctx = f"malformed catalog row for {cid!r}: "
+        cost = cost_indices[cid] = number(row, "cost_index", ctx, POSITIVE, default=1.0)
+        if kind == "construction":
+            constructions[cid] = OpaqueConstruction(
+                cid, number(row, "r_value", ctx, POSITIVE), cost)
+        elif kind == "glazing":
+            glazings[cid] = GlazingOption(
+                cid, number(row, "u_value", ctx, POSITIVE), number(row, "shgc", ctx, FRACTION),
+                number(row, "visible_transmittance", ctx, FRACTION), cost)
+        elif kind == "hvac":
+            fuel = (row.get("heating_fuel") or "").strip()
+            if fuel not in {f.value for f in HeatingFuel}:
+                raise SpecError(f"{ctx}heating_fuel must be 'gas' or 'electric'")
+            hvac_systems[cid] = HvacSystem(
+                number(row, "cooling_cop", ctx, POSITIVE),
+                number(row, "heating_efficiency", ctx, POSITIVE), HeatingFuel(fuel))
+        elif kind == "lighting":
+            lamp_powers[cid] = number(row, "lamp_power_w", ctx, POSITIVE)
+        else:
+            raise SpecError(f"unknown catalog kind {kind!r}")
 
     return Catalog(constructions, glazings, hvac_systems, lamp_powers, cost_indices)
 
@@ -576,42 +591,26 @@ def load_catalog(text: str) -> Catalog:
 # ---------------------------------------------------------------------------
 
 def load_tariff(text: str) -> Tariff:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"tariff file: syntax error at line {exc.lineno}: {exc.msg}") from exc
-    tariff = Tariff(
-        electricity_price=float(_require(doc, "electricity_price_cny_kwh", "tariff.")),
-        gas_price=float(_require(doc, "gas_price_cny_m3", "tariff.")),
-        gas_energy_content=float(_require(doc, "gas_energy_content_kwh_m3", "tariff.")),
-        feed_in_price=float(_require(doc, "feed_in_price_cny_kwh", "tariff.")),
-    )
-    for name in ("electricity_price", "gas_price", "gas_energy_content", "feed_in_price"):
-        if getattr(tariff, name) <= 0:
-            raise SpecError(f"tariff.{name} must be > 0")
-    return tariff
+    """Parse a tariff file; every price and the gas energy content must be > 0."""
+    doc = read_json(text, "tariff")
+    return Tariff(*(number(doc, key, "tariff.", POSITIVE) for key in (
+        "electricity_price_cny_kwh", "gas_price_cny_m3", "gas_energy_content_kwh_m3",
+        "feed_in_price_cny_kwh")))
 
 
 def load_sensor_fleet(text: str) -> SensorFleet:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"fleet file: syntax error at line {exc.lineno}: {exc.msg}") from exc
-    entries = []
-    for i, edoc in enumerate(_require(doc, "entries", "fleet.")):
-        ctx = f"entries[{i}]."
-        entry = SensorEntry(
-            kind=str(_require(edoc, "kind", ctx)),
-            count=int(_require(edoc, "count", ctx)),
-            unit_power=float(_require(edoc, "unit_power_w", ctx)),
-            duty_cycle=float(_require(edoc, "duty_cycle", ctx)),
+    """Parse a sensor-fleet file: a list of entries with kind, count, power and duty."""
+    entries = read_json(text, "fleet").get("entries")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise SpecError("fleet.entries must be a list of JSON objects")
+    return SensorFleet(tuple(
+        SensorEntry(
+            kind=str(_require(edoc, "kind", f"entries[{i}].")),
+            count=int(number(edoc, "count", f"entries[{i}].", NONNEGATIVE)),
+            unit_power=number(edoc, "unit_power_w", f"entries[{i}].", NONNEGATIVE),
+            duty_cycle=number(edoc, "duty_cycle", f"entries[{i}].", FRACTION),
         )
-        if entry.count < 0:
-            raise SpecError(f"{ctx}count must be nonnegative")
-        if not 0 <= entry.duty_cycle <= 1:
-            raise SpecError(f"{ctx}duty_cycle must be within [0, 1]")
-        entries.append(entry)
-    return SensorFleet(tuple(entries))
+        for i, edoc in enumerate(entries)))
 
 
 # ---------------------------------------------------------------------------

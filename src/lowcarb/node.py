@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from . import _kernels
-from .model import SensorFleet, SpecError
+from .model import (FRACTION, NONNEGATIVE, POSITIVE, SensorFleet, SpecError, check, number,
+                    read_json)
 
 if TYPE_CHECKING:
     import numpy as np  # imported at run time by the functions that use it
@@ -61,18 +61,19 @@ class NodeConfig:
             s.power * s.duty_cycle for s in self.sensor_loads)
 
     def validate(self) -> None:
+        for name in ("panel_rated_power", "panel_rated_voltage", "panel_rated_current",
+                     "controller_idle_power", "rain_threshold", "alarm_power", "hysteresis"):
+            check(getattr(self, name), name, NONNEGATIVE)
+        check(self.battery_capacity, "battery_capacity", POSITIVE)
+        check(self.charge_efficiency, "charge_efficiency", FRACTION)
+        for s in self.sensor_loads:
+            check(s.power, f"sensor {s.name!r} power", NONNEGATIVE)
+            check(s.duty_cycle, f"sensor {s.name!r} duty_cycle", FRACTION)
         rated = self.panel_rated_voltage * self.panel_rated_current
         if rated > 0 and abs(self.panel_rated_power - rated) > PANEL_RATING_TOLERANCE * rated:
             raise SpecError(
                 f"panel rating inconsistent: {self.panel_rated_power} W vs "
                 f"{self.panel_rated_voltage} V x {self.panel_rated_current} A = {rated} W")
-        if self.battery_capacity <= 0:
-            raise SpecError("battery_capacity must be > 0")
-        if self.rain_threshold < 0 or self.hysteresis < 0:
-            raise SpecError("rain_threshold and hysteresis must be nonnegative")
-        for s in self.sensor_loads:
-            if not 0 <= s.duty_cycle <= 1:
-                raise SpecError(f"sensor {s.name!r} duty_cycle must be within [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -201,15 +202,18 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
     if len(trace) == 0:
         raise TraceError("trace must not be empty")
     config.validate()
-    last = None
+    last = -math.inf
     for sample in trace:
-        if last is not None and sample.timestamp <= last:
+        if not last < sample.timestamp < math.inf:  # False for NaN
             raise TraceError(
-                f"trace timestamps must be strictly increasing at t={sample.timestamp}")
+                f"trace timestamps must be finite and strictly increasing at t={sample.timestamp}")
         last = sample.timestamp
         if not 0.0 <= sample.irradiance_fraction <= 1.0:
             raise TraceError(
                 f"irradiance_fraction must be within [0, 1], got {sample.irradiance_fraction}")
+        if not -math.inf < sample.rain_reading < math.inf:
+            raise TraceError(
+                f"rain_reading must be finite, got {sample.rain_reading} at t={sample.timestamp}")
 
     start = initial if initial is not None else initial_state(config)
     irr = np.array([s.irradiance_fraction for s in trace])
@@ -247,28 +251,28 @@ def fleet_annual_energy(fleet: SensorFleet) -> float:
 # ---------------------------------------------------------------------------
 
 def load_node_config(text: str) -> NodeConfig:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"node config: syntax error at line {exc.lineno}: {exc.msg}") from exc
-    try:
-        panel = doc["panel"]
-        config = NodeConfig(
-            panel_rated_power=float(panel["rated_power_w"]),
-            panel_rated_voltage=float(panel["rated_voltage_v"]),
-            panel_rated_current=float(panel["rated_current_a"]),
-            battery_capacity=float(doc["battery_capacity_wh"]),
-            controller_idle_power=float(doc["controller_idle_power_w"]),
-            sensor_loads=tuple(
-                SensorLoad(str(s["name"]), float(s["power_w"]), float(s["duty_cycle"]))
-                for s in doc.get("sensor_loads", [])),
-            rain_threshold=float(doc["rain_threshold"]),
-            alarm_power=float(doc["alarm_power_w"]),
-            hysteresis=float(doc.get("hysteresis", 0.0)),
-            charge_efficiency=float(doc.get("charge_efficiency", 1.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"malformed node config: {exc}") from exc
+    """Parse a node config file; the values must pass :meth:`NodeConfig.validate`."""
+    doc = read_json(text, "node")
+    panel = doc.get("panel")
+    loads = doc.get("sensor_loads", [])
+    if not isinstance(loads, list) or not all(isinstance(s, dict) and "name" in s
+                                              for s in loads):
+        raise SpecError("node.sensor_loads must be a list of JSON objects with a name")
+    config = NodeConfig(
+        *(number(panel, key, "node.panel.", NONNEGATIVE)
+          for key in ("rated_power_w", "rated_voltage_v", "rated_current_a")),
+        battery_capacity=number(doc, "battery_capacity_wh", "node.", POSITIVE),
+        controller_idle_power=number(doc, "controller_idle_power_w", "node.", NONNEGATIVE),
+        sensor_loads=tuple(
+            SensorLoad(str(s["name"]),
+                       number(s, "power_w", f"node.sensor_loads[{i}].", NONNEGATIVE),
+                       number(s, "duty_cycle", f"node.sensor_loads[{i}].", FRACTION))
+            for i, s in enumerate(loads)),
+        rain_threshold=number(doc, "rain_threshold", "node.", NONNEGATIVE),
+        alarm_power=number(doc, "alarm_power_w", "node.", NONNEGATIVE),
+        hysteresis=number(doc, "hysteresis", "node.", NONNEGATIVE, default=0.0),
+        charge_efficiency=number(doc, "charge_efficiency", "node.", FRACTION, default=1.0),
+    )
     config.validate()
     return config
 

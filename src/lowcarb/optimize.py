@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -29,6 +28,9 @@ from .energy import (
     season_terms,
 )
 from .model import (
+    FINITE,
+    FRACTION,
+    NONNEGATIVE,
     ORIENTATION_ORDER,
     BuildingSpec,
     Catalog,
@@ -40,6 +42,9 @@ from .model import (
     SpecError,
     Tariff,
     Violation,
+    check,
+    number,
+    read_json,
 )
 
 if TYPE_CHECKING:
@@ -52,12 +57,8 @@ DEFAULT_ENUMERATION_CAP = 1_000_000
 CHUNK_SIZE = 1 << 16
 
 
-#: Per candidate variable (by name prefix): the test every value must pass.
-_CANDIDATE_RULES = {
-    "wwr": (lambda v: 0.0 <= v <= 1.0, "must be within [0, 1]"),
-    "overhang": (lambda v: 0.0 <= v < math.inf, "must be nonnegative and finite"),
-    "infiltration": (lambda v: 0.0 <= v < math.inf, "must be nonnegative and finite"),
-}
+#: Per candidate variable (by name prefix): the rule every value must pass.
+_CANDIDATE_RULES = {"wwr": FRACTION, "overhang": NONNEGATIVE, "infiltration": NONNEGATIVE}
 
 
 class DesignSpaceTooLarge(ValueError):
@@ -140,18 +141,18 @@ class DesignSpace:
             if len(values) == 0:
                 raise SpecError(f"design space variable {name!r} has no candidates")
             rule = _CANDIDATE_RULES.get(name.split("_")[0])
-            bad = [v for v in values if rule and not rule[0](v)]
-            if bad:
-                raise SpecError(f"design space variable {name!r}: {bad[0]!r} {rule[1]}")
+            for value in values if rule else ():
+                check(value, f"design space variable {name!r}", rule)
 
     @staticmethod
     def from_json(text: str) -> tuple["DesignSpace", "CodeLimits"]:
         """Parse a design-space file; returns the space and its code limits.
 
         Raises :class:`SpecError` on a missing key, a candidate entry that is
-        not a list, or a value :meth:`validate` rejects.
+        not a list, a candidate that is not a finite number or not a lighting
+        technology, malformed code limits, or a value :meth:`validate` rejects.
         """
-        doc = json.loads(text)
+        doc = read_json(text, "design space")
 
         def listed(*keys: str) -> list:
             value = doc
@@ -163,24 +164,27 @@ class DesignSpace:
                 raise SpecError(f"design space {'.'.join(keys)!r} must be a list")
             return value
 
-        try:
-            space = DesignSpace(
-                wwr={o: tuple(map(float, listed("wwr", o))) for o in ORIENTATION_ORDER},
-                overhang_ratio={o: tuple(map(float, listed("overhang_ratio", o)))
-                                for o in ORIENTATION_ORDER},
-                glazing_ids=tuple(map(str, listed("glazing"))),
-                wall_ids=tuple(map(str, listed("wall"))),
-                roof_ids=tuple(map(str, listed("roof"))),
-                infiltration=tuple(map(float, listed("infiltration_ach"))),
-                lighting_technologies=tuple(map(LightingTechnology,
-                                                listed("lighting_technology"))),
-                hvac_ids=tuple(map(str, listed("hvac"))),
-            )
-            limits = CodeLimits.from_doc(doc.get("code_limits", {}))
-        except SpecError:
-            raise
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise SpecError(f"malformed design space: {exc}") from exc
+        def floats(*keys: str) -> tuple[float, ...]:
+            values = listed(*keys)
+            return tuple(number(values, i, f"design space {'.'.join(keys)} item ", FINITE)
+                         for i in range(len(values)))
+
+        technologies = listed("lighting_technology")
+        known = {t.value for t in LightingTechnology}
+        if not all(isinstance(t, str) and t in known for t in technologies):
+            raise SpecError("design space lighting_technology must list 'incandescent' "
+                            "or 'led'")
+        space = DesignSpace(
+            wwr={o: floats("wwr", o) for o in ORIENTATION_ORDER},
+            overhang_ratio={o: floats("overhang_ratio", o) for o in ORIENTATION_ORDER},
+            glazing_ids=tuple(map(str, listed("glazing"))),
+            wall_ids=tuple(map(str, listed("wall"))),
+            roof_ids=tuple(map(str, listed("roof"))),
+            infiltration=floats("infiltration_ach"),
+            lighting_technologies=tuple(map(LightingTechnology, technologies)),
+            hvac_ids=tuple(map(str, listed("hvac"))),
+        )
+        limits = CodeLimits.from_doc(doc.get("code_limits", {}))
         space.validate()
         return space, limits
 
@@ -231,17 +235,17 @@ class CodeLimits:
 
     @staticmethod
     def from_doc(doc: Mapping) -> "CodeLimits":
+        """Per-orientation bounds; an absent or null bound sets no limit."""
+        if not (isinstance(doc, dict)
+                and all(isinstance(doc.get(o, {}), dict) for o in ORIENTATION_ORDER)):
+            raise SpecError("code_limits must map orientations to JSON objects")
+
         def parse(o: str) -> OrientationLimit:
             block = doc.get(o, {})
-            return OrientationLimit(
-                max_wwr=None if block.get("max_wwr") is None else float(block["max_wwr"]),
-                strict=bool(block.get("strict", True)),
-                min_wwr=None if block.get("min_wwr") is None else float(block["min_wwr"]),
-                max_overhang=(None if block.get("max_overhang") is None
-                              else float(block["max_overhang"])),
-                min_overhang=(None if block.get("min_overhang") is None
-                              else float(block["min_overhang"])),
-            )
+            bounds = {key: None if block.get(key) is None
+                      else number(block, key, f"code_limits.{o}.", FINITE)
+                      for key in ("max_wwr", "min_wwr", "max_overhang", "min_overhang")}
+            return OrientationLimit(strict=bool(block.get("strict", True)), **bounds)
 
         return CodeLimits(north=parse("N"), south=parse("S"),
                           east=parse("E"), west=parse("W"))

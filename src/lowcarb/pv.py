@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from .model import SpecError, Tariff
+from .model import FRACTION, NONNEGATIVE, POSITIVE, Tariff, check, number, read_json
 
 
 @dataclass(frozen=True)
@@ -18,8 +17,8 @@ class PanelSpec:
     rated_power: float  # W
 
     def __post_init__(self):
-        if self.length <= 0 or self.width <= 0 or self.rated_power <= 0:
-            raise ValueError("panel length, width and rated_power must all be > 0")
+        for name in ("length", "width", "rated_power"):
+            check(getattr(self, name), f"panel.{name}", POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -114,25 +113,18 @@ class PvSite:
 
 
 def load_pv_site(text: str) -> PvSite:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"pv site file: syntax error at line {exc.lineno}: {exc.msg}") from exc
-    try:
-        panel = PanelSpec(
-            length=float(doc["panel"]["length_m"]),
-            width=float(doc["panel"]["width_m"]),
-            rated_power=float(doc["panel"]["rated_power_w"]),
-        )
-        return PvSite(
-            roof_area=float(doc["roof_area_m2"]),
-            panel=panel,
-            packing_factor=float(doc["packing_factor"]),
-            capex_per_watt=float(doc["capex_per_watt_cny"]),
-            annual_consumption=float(doc["annual_consumption_kwh"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"malformed pv site file: {exc}") from exc
+    """Parse a PV site file: panel dimensions and rating must be > 0, the
+    packing factor within [0, 1] and the other values nonnegative."""
+    doc = read_json(text, "pv_site")
+    panel = doc.get("panel")
+    return PvSite(
+        roof_area=number(doc, "roof_area_m2", "pv_site.", NONNEGATIVE),
+        panel=PanelSpec(*(number(panel, key, "pv_site.panel.", POSITIVE)
+                          for key in ("length_m", "width_m", "rated_power_w"))),
+        packing_factor=number(doc, "packing_factor", "pv_site.", FRACTION),
+        capex_per_watt=number(doc, "capex_per_watt_cny", "pv_site.", NONNEGATIVE),
+        annual_consumption=number(doc, "annual_consumption_kwh", "pv_site.", NONNEGATIVE),
+    )
 
 
 def site_economics(site: PvSite, equivalent_hours: float,

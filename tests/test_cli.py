@@ -1,13 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lowcarb
 from lowcarb.cli import _json_dumps, main
@@ -391,3 +395,205 @@ def test_audit_calibrate_and_pv_never_load_numpy(fixtures, tmp_path):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "lowcarb" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the input boundary, end to end
+# ---------------------------------------------------------------------------
+
+def _argv(fixtures, command, **files):
+    """CLI arguments of ``command`` on the bundled fixtures, with ``files`` swapped in."""
+    def f(name):
+        return str(files.get(name, fixtures / name))
+
+    return {
+        "audit": ["audit", "--spec", f("baseline_school.json"), "--climate", f("gd_climate.csv"),
+                  "--tariff", f("paper_tariff.json")],
+        "calibrate": ["calibrate", "--spec", f("baseline_school.json"),
+                      "--climate", f("gd_climate.csv"), "--targets", f("baseline_targets.json")],
+        "optimize": ["optimize", "--spec", f("baseline_school.json"),
+                     "--climate", f("gd_climate.csv"), "--catalog", f("catalog.csv"),
+                     "--space", f("paper_space.json"), "--tariff", f("paper_tariff.json")],
+        "pv": ["pv", "--spec", f("pv_site.json"), "--climate", f("gd_climate.csv"),
+               "--tariff", f("paper_tariff.json")],
+        "node-sim": ["node-sim", "--spec", f("node_demo.json"),
+                     "--trace", f("node_demo_trace.csv")],
+    }[command]
+
+
+#: The subcommand that reads each bundled input.
+_COMMAND_OF = {
+    "baseline_school.json": "audit", "paper_tariff.json": "audit", "gd_climate.csv": "audit",
+    "baseline_targets.json": "calibrate", "paper_space.json": "optimize",
+    "catalog.csv": "optimize", "pv_site.json": "pv", "node_demo.json": "node-sim",
+    "node_demo_trace.csv": "node-sim",
+}
+
+
+@pytest.mark.parametrize("command", ["node-sim", "optimize"])
+def test_failed_report_build_writes_nothing(fixtures, tmp_path, capsys, monkeypatch, command):
+    def refuse(_obj):
+        raise ValueError("Out of range float values are not JSON compliant: nan")
+
+    monkeypatch.setattr("lowcarb.cli._json_dumps", refuse)
+    out = tmp_path / "o"
+    assert main(_argv(fixtures, command) + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: Out of range")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def _set(*path, value=None, drop=False):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        if drop:
+            del doc[path[-1]]
+        else:
+            doc[path[-1]] = value
+    return edit
+
+
+def _replace(old, new):
+    return lambda text: text.replace(old, new, 1)
+
+
+def _probe(command, name, edit, named):
+    return pytest.param(command, name, edit, named, id=f"{command}-{named.split()[0]}")
+
+
+@pytest.mark.parametrize("command, name, edit, named", [
+    _probe("pv", "paper_tariff.json", _set("gas_price_cny_m3", value=math.inf),
+           "tariff.gas_price_cny_m3 must be > 0 and finite, got inf"),
+    _probe("audit", "paper_tariff.json", _set("electricity_price_cny_kwh", value=math.nan),
+           "tariff.electricity_price_cny_kwh"),
+    _probe("node-sim", "node_demo.json", _set("charge_efficiency", value=-3),
+           "node.charge_efficiency must be within [0, 1]"),
+    _probe("node-sim", "node_demo.json", _set("charge_efficiency", value=math.nan),
+           "node.charge_efficiency"),
+    _probe("node-sim", "node_demo.json", _set("battery_capacity_wh", value=math.inf),
+           "node.battery_capacity_wh"),
+    _probe("optimize", "paper_space.json", _set("code_limits", "S", "max_wwr", value=math.nan),
+           "code_limits.S.max_wwr must be finite"),
+    _probe("node-sim", "node_demo_trace.csv",
+           _replace("\n60.0,0.000000,0.0", "\n60.0,0.000000,nan"), "rain_reading"),
+    _probe("node-sim", "node_demo_trace.csv",
+           _replace("\n60.0,0.000000,0.0", "\nnan,0.000000,0.0"), "timestamp"),
+    _probe("calibrate", "baseline_targets.json", _set("cooling_gj", drop=True),
+           "targets.cooling_gj"),
+    _probe("calibrate", "baseline_targets.json", lambda doc: [1],
+           "targets document must be a JSON object"),
+    _probe("pv", "pv_site.json", _set("roof_area_m2", value=math.nan), "pv_site.roof_area_m2"),
+    _probe("audit", "gd_climate.csv",
+           _replace("irradiation_kwh_m2_S=600", "irradiation_kwh_m2_S=nan"),
+           "climate.irradiation_kwh_m2_S"),
+    _probe("audit", "gd_climate.csv", _replace("\n7,110.0,0.0", "\n7,inf,0.0"),
+           "climate month 7: cooling_degree_days_K_day"),
+])
+def test_malformed_input_is_one_line_naming_the_field(fixtures, tmp_path, capsys,
+                                                       command, name, edit, named):
+    text = (fixtures / name).read_text()
+    if name.endswith(".json"):
+        doc = json.loads(text)
+        edited = edit(doc)
+        text = json.dumps(doc if edited is None else edited)
+    else:
+        text = edit(text)
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "o"
+    code = main(_argv(fixtures, command, **{name: path}) + ["--out", str(out)])
+    assert code == 1
+    err_lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: ") and named in err_lines[0]
+    assert not out.exists()
+
+
+def _numeric_leaves(node, path=()):
+    """Paths of every number in a JSON document (booleans excluded)."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+    return [leaf for key, child in items for leaf in _numeric_leaves(child, path + (key,))]
+
+
+_DROP = object()
+_MUTATIONS = [math.nan, math.inf, -math.inf, -1, "x", None, _DROP]
+
+
+def _mutated_json(text, data):
+    doc = json.loads(text)
+    path = data.draw(st.sampled_from(_numeric_leaves(doc)), label="leaf")
+    value = data.draw(st.sampled_from(_MUTATIONS), label="value")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc), value
+
+
+def _csv_cell(value):
+    # a null and a dropped value both leave the cell empty
+    return "" if value is None or value is _DROP else str(value)
+
+
+def _mutated_csv(name, text, data):
+    lines = text.splitlines()
+    if name == "gd_climate.csv":
+        # one '# key=value' header entry holding a number
+        header = [i for i, ln in enumerate(lines) if "=" in ln
+                  and ln.partition("=")[2].replace(".", "", 1).isdigit()]
+        i = data.draw(st.sampled_from(header), label="header line")
+        value = data.draw(st.sampled_from(_MUTATIONS), label="value")
+        if value is _DROP:
+            del lines[i]
+        else:
+            lines[i] = lines[i].partition("=")[0] + "=" + _csv_cell(value)
+        return "\n".join(lines) + "\n", value
+    rows = [ln.split(",") for ln in lines]
+    cells = [(r, c) for r in range(1, len(rows)) for c, cell in enumerate(rows[r])
+             if cell.replace(".", "", 1).isdigit()]
+    r, c = data.draw(st.sampled_from(cells), label="cell")
+    value = data.draw(st.sampled_from(_MUTATIONS), label="value")
+    rows[r][c] = _csv_cell(value)
+    return "\n".join(",".join(row) for row in rows) + "\n", value
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"report holds {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(_COMMAND_OF)), data=st.data())
+def test_boundary_fuzz_never_escapes_and_never_reports_nan(name, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        source = fixture_path(name)
+        text = source.read_text(encoding="utf-8")
+        if name.endswith(".json"):
+            text, value = _mutated_json(text, data)
+        else:
+            text, value = _mutated_csv(name, text, data)
+        (root / name).write_text(text, encoding="utf-8")
+        out = root / "out"
+        argv = _argv(source.parent, _COMMAND_OF[name], **{name: root / name})
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv + ["--out", str(out)])
+        assert code in (0, 1), err.getvalue()
+        if isinstance(value, float) and not math.isfinite(value):
+            assert code == 1
+        if code == 0:
+            for report in out.glob("*.json"):
+                _strict_json(report.read_text(encoding="utf-8"))
+        else:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+            assert not out.exists()

@@ -1,5 +1,8 @@
+import ast
 import dataclasses
 import json
+import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,11 +22,15 @@ from lowcarb import (
     validate_spec,
 )
 from lowcarb.model import (
+    FRACTION,
+    POSITIVE,
     HeatingFuel,
     LightingTechnology,
     Roof,
     load_climate_profile,
+    number,
     read_fixture,
+    read_json,
 )
 
 
@@ -268,3 +275,58 @@ class TestTariffAndFleetFiles:
             load_sensor_fleet(json.dumps({
                 "entries": [{"kind": "x", "count": 1, "unit_power_w": 1.0,
                              "duty_cycle": 1.5}]}))
+
+
+# ---------------------------------------------------------------------------
+class TestInputBoundary:
+    @pytest.mark.parametrize("doc, key", [({}, "x"), ({"x": None}, "x"), ({"x": ""}, "x"),
+                                          (5, "x"), ([], 0)])
+    def test_absent_value_gives_the_default_or_names_the_field(self, doc, key):
+        assert number(doc, key, "file.", POSITIVE, default=2.5) == 2.5
+        with pytest.raises(SpecError, match=rf"missing required field file\.{key}"):
+            number(doc, key, "file.", POSITIVE)
+
+    @pytest.mark.parametrize("raw", ["x", True, [1], {"a": 1}, 10 ** 400])
+    def test_non_number_names_field_and_raw_value(self, raw):
+        with pytest.raises(SpecError, match=r"^file\.x must be a number, got "):
+            number({"x": raw}, "x", "file.", POSITIVE)
+
+    @pytest.mark.parametrize("raw", [math.nan, math.inf, -math.inf, "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("rule", [POSITIVE, FRACTION])
+    def test_nan_and_infinity_fail_every_rule(self, raw, rule):
+        with pytest.raises(SpecError, match=r"^file\.x must be "):
+            number({"x": raw}, "x", "file.", rule)
+
+    def test_csv_cell_and_json_number_read_alike(self):
+        assert number({"x": "0.25"}, "x", "", FRACTION) == number({"x": 0.25}, "x", "", FRACTION)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"a": }', r"^tariff: syntax error at line 1 column 7"),
+        ("[1]", r"^tariff document must be a JSON object"),
+        ('{"schema_version": 2}', r"^tariff\.schema_version must be 1, got 2"),
+    ])
+    def test_read_json_rejects_what_is_not_a_current_object(self, text, message):
+        with pytest.raises(SpecError, match=message):
+            read_json(text, "tariff")
+
+    def test_json_is_parsed_only_in_read_json(self):
+        # every loader reads JSON through model.read_json; a hand-rolled
+        # json.loads or JSONDecodeError handler elsewhere fails this test
+        import lowcarb
+
+        sites = set()
+        for path in sorted(Path(lowcarb.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            owner = {}  # node -> innermost enclosing function; ast.walk visits outer ones first
+            for func in ast.walk(tree):
+                if isinstance(func, ast.FunctionDef):
+                    owner.update(dict.fromkeys(ast.walk(func), func.name))
+            for node in ast.walk(tree):
+                calls_loads = (isinstance(node, ast.Call)
+                               and ast.unparse(node.func) in ("json.loads", "loads"))
+                catches = (isinstance(node, ast.ExceptHandler) and node.type is not None
+                           and "JSONDecodeError" in ast.unparse(node.type))
+                if calls_loads or catches:
+                    sites.add((path.stem, owner.get(node, "<module>"), type(node)))
+        assert {(module, name) for module, name, _ in sites} == {("model", "read_json")}
+        assert {kind for _, _, kind in sites} == {ast.Call, ast.ExceptHandler}
