@@ -1,11 +1,11 @@
 """The two numeric hot paths: the design-sweep batch evaluator and the node
 trace fold.
 
-``batch_energy`` runs :func:`lowcarb.energy.thermal_balance`, the same
-function the scalar engine calls, on per-design arrays, so the sweep and
-``annual_end_use`` agree to the bit. ``node_sim`` is the only
-implementation of the node step; :func:`lowcarb.node.step` runs it on a
-one-sample trace. Both are timed per layer by ``perfbench/run.py --trace 1``.
+``batch_energy`` runs :func:`lowcarb.energy.thermal_balance`, the function the
+scalar engine calls, on per-design arrays of the same inputs (shading included,
+from :func:`lowcarb.energy.shading_factor`), so the two agree to the bit.
+``node_sim`` is the only implementation of the node step; :func:`lowcarb.node.step`
+runs it on a one-sample trace. Both are timed per layer by ``perfbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
@@ -27,33 +27,17 @@ def numba_enabled() -> bool:
 # batch design evaluation (one row per candidate design)
 # ---------------------------------------------------------------------------
 
-class _Shading:
-    """Per-orientation shading factors, computed when the balance reads them.
-
-    Computing one orientation at a time keeps a single n-long temporary
-    alive per season instead of a (4, n) block.
-    """
-
-    def __init__(self, overhang, tan_altitude):
-        self._overhang = overhang
-        self._tan = tan_altitude
-
-    def __getitem__(self, o):
-        import numpy as np
-
-        return 1.0 - np.minimum(1.0, self._overhang[o] * self._tan)
-
-
-def batch_energy(wwr, overhang, glz_u, glz_shgc, wall_u, roof_u, ach,
+def batch_energy(wwr, shading, glz_u, glz_shgc, wall_u, roof_u, ach,
                  lighting_kwh, cop, heat_eff, heat_is_gas,
                  gross_area, irradiation, roof_area, volume,
-                 tan_summer, tan_winter, t_cool, t_heat, w_cool, w_heat,
+                 t_cool, t_heat, w_cool, w_heat,
                  equip_kwh, gain_mult, floor_area, gas_energy_content):
     """Evaluate the annual energy balance for a whole batch of designs.
 
-    ``wwr`` and ``overhang`` are (4, n) arrays in N, S, E, W order and the
-    next nine arguments are length-n arrays, one value per design. The rest
-    are shared by the whole sweep: ``gross_area`` and ``irradiation`` per
+    ``wwr`` is a (4, n) array in N, S, E, W order and ``shading`` (4, 2, n):
+    per orientation, the summer and winter :func:`lowcarb.energy.shading_factor`.
+    The next nine arguments are length-n arrays, one value per design. The
+    rest are shared by the whole sweep: ``gross_area`` and ``irradiation`` per
     orientation, ``t_*`` and ``w_*`` from :func:`lowcarb.energy.season_terms`.
     Returns per-design (eui, electricity_kwh, gas_m3).
     """
@@ -61,8 +45,7 @@ def batch_energy(wwr, overhang, glz_u, glz_shgc, wall_u, roof_u, ach,
 
     l_cool, l_heat = thermal_balance(
         gross_area, wwr, (wall_u,) * 4, (glz_u,) * 4, (glz_shgc,) * 4, irradiation,
-        _Shading(overhang, tan_summer), _Shading(overhang, tan_winter),
-        roof_area, roof_u, ach, volume,
+        shading[:, 0], shading[:, 1], roof_area, roof_u, ach, volume,
         (lighting_kwh + equip_kwh) * gain_mult, t_cool, t_heat, w_cool, w_heat)
     cooling_kwh = l_cool / cop
     heating_fuel_kwh = np.maximum(0.0, l_heat) / heat_eff

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -24,7 +25,7 @@ from .energy import CalibrationError, EndUseTargets
 from .model import SpecError, load_catalog, load_climate_profile, load_tariff, \
     parse_building_spec
 from .node import TraceError
-from .optimize import DesignSpace, optimize as run_optimize, write_results_csv
+from .optimize import DesignSpace, legal_positions, optimize as run_optimize, write_results_csv
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -164,8 +165,9 @@ def cmd_optimize(args) -> int:
 
     out = _out_dir(args)
     top = ranked[0]
+    evaluated = math.prod(map(len, legal_positions(space, limits)))
     doc = {
-        "evaluated_space_size": space.size,
+        "evaluated_space_size": evaluated,
         "returned": len(ranked),
         "best": {
             "eui_kwh_m2": top.eui,
@@ -188,7 +190,7 @@ def cmd_optimize(args) -> int:
                          "results.json": _json_dumps(doc)}, "optimize",
                    {"spec": args.spec, "climate": args.climate, "catalog": args.catalog,
                     "space": args.space, "tariff": args.tariff})
-    print(f"evaluated {space.size} designs, best EUI {top.eui:.2f} kWh/m2/yr "
+    print(f"evaluated {evaluated} designs, best EUI {top.eui:.2f} kWh/m2/yr "
           f"at {top.cost_per_m2:.2f} CNY/m2/yr")
     print(f"results written to {out}")
     return EXIT_OK

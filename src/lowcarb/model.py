@@ -198,11 +198,13 @@ class Catalog:
 
 Rule = tuple[Callable[[float], bool], str]
 
-#: Range rules as (test, text) pairs. Every test is False for NaN and +-inf.
+#: Value rules as (test, text) pairs. Every test is False for NaN and +-inf.
 FINITE: Rule = (math.isfinite, "must be finite")
 POSITIVE: Rule = (lambda v: 0 < v < math.inf, "must be > 0 and finite")
 NONNEGATIVE: Rule = (lambda v: 0 <= v < math.inf, "must be nonnegative and finite")
 FRACTION: Rule = (lambda v: 0 <= v <= 1, "must be within [0, 1]")
+INTEGER: Rule = (lambda v: v >= 0 and float(v).is_integer(), "must be a whole number >= 0")
+BOOLEAN: Rule = (lambda v: isinstance(v, bool), "must be true or false")
 SCHEMA: Rule = (lambda v: v == SCHEMA_VERSION, f"must be {SCHEMA_VERSION}")
 
 
@@ -356,8 +358,8 @@ def parse_building_spec(text: str) -> BuildingSpec:
     _require(doc, "schema_version", "")
     try:
         spec = _spec_from_doc(doc)
-    except (AttributeError, OverflowError, TypeError) as exc:
-        # a field of the wrong JSON type, or an infinite storey or lamp count
+    except (AttributeError, OverflowError, SpecError, TypeError) as exc:
+        # a field of the wrong JSON type, or a storey or lamp count that is no count
         raise SpecError(f"malformed spec: {exc}") from exc
 
     violations = validate_spec(spec)
@@ -401,7 +403,7 @@ def _spec_from_doc(doc: Mapping[str, Any]) -> BuildingSpec:
     lighting = LightingSystem(
         technology=technology,
         lamp_power=float(_require(light_doc, "lamp_power_w", "lighting.")),
-        lamp_count=int(_require(light_doc, "lamp_count", "lighting.")),
+        lamp_count=int(number(light_doc, "lamp_count", "lighting.", INTEGER)),
         annual_hours=float(_require(light_doc, "annual_hours", "lighting.")),
         daylight_offset=float(light_doc.get("daylight_offset", 0.0)),
     )
@@ -421,7 +423,7 @@ def _spec_from_doc(doc: Mapping[str, Any]) -> BuildingSpec:
         name=str(_require(doc, "name", "")),
         floor_area=float(_require(doc, "floor_area_m2", "")),
         conditioned_volume=float(_require(doc, "conditioned_volume_m3", "")),
-        storeys=int(_require(doc, "storeys", "")),
+        storeys=int(number(doc, "storeys", "", INTEGER)),
         orientations=tuple(groups),
         roof=roof,
         infiltration=float(_require(doc, "infiltration_ach", "")),
@@ -606,7 +608,7 @@ def load_sensor_fleet(text: str) -> SensorFleet:
     return SensorFleet(tuple(
         SensorEntry(
             kind=str(_require(edoc, "kind", f"entries[{i}].")),
-            count=int(number(edoc, "count", f"entries[{i}].", NONNEGATIVE)),
+            count=int(number(edoc, "count", f"entries[{i}].", INTEGER)),
             unit_power=number(edoc, "unit_power_w", f"entries[{i}].", NONNEGATIVE),
             duty_cycle=number(edoc, "duty_cycle", f"entries[{i}].", FRACTION),
         )

@@ -7,9 +7,9 @@ total tie-break. The ranking is therefore invariant under any evaluation
 order, including parallel evaluation.
 
 Code limits act on single candidate values, so the code-legal designs form
-a Cartesian product of their own; only it is enumerated, in chunks of
-:data:`CHUNK_SIZE` designs with a running top-k, so memory is bounded by the
-chunk and ``k``, not by the size of the space.
+a Cartesian product of their own (:func:`legal_positions`); only it is
+evaluated, in chunks of whole blocks of its trailing variables with a running
+top-k, so memory is bounded by the chunk and ``k``, not by the size of the space.
 """
 
 from __future__ import annotations
@@ -26,8 +26,10 @@ from .energy import (
     annual_equipment_kwh,
     annual_lighting_kwh,
     season_terms,
+    shading_factor,
 )
 from .model import (
+    BOOLEAN,
     FINITE,
     FRACTION,
     NONNEGATIVE,
@@ -50,10 +52,10 @@ from .model import (
 if TYPE_CHECKING:
     import numpy as np  # imported at run time by the functions that use it
 
-#: Guard against accidentally enormous Cartesian products.
+#: Cap on the code-legal designs a sweep evaluates and on :func:`enumerate_designs`.
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
-#: Code-legal designs evaluated per kernel call; bounds the sweep's memory.
+#: Code-legal designs per kernel call (more only if the last variable has more).
 CHUNK_SIZE = 1 << 16
 
 
@@ -129,10 +131,7 @@ class DesignSpace:
 
     @property
     def size(self) -> int:
-        n = 1
-        for _, values in self.candidate_lists():
-            n *= len(values)
-        return n
+        return math.prod(len(values) for _, values in self.candidate_lists())
 
     def validate(self) -> None:
         """Raise :class:`SpecError` on an empty candidate list, a wwr outside
@@ -245,7 +244,8 @@ class CodeLimits:
             bounds = {key: None if block.get(key) is None
                       else number(block, key, f"code_limits.{o}.", FINITE)
                       for key in ("max_wwr", "min_wwr", "max_overhang", "min_overhang")}
-            return OrientationLimit(strict=bool(block.get("strict", True)), **bounds)
+            strict = check(block.get("strict", True), f"code_limits.{o}.strict", BOOLEAN)
+            return OrientationLimit(strict=strict, **bounds)
 
         return CodeLimits(north=parse("N"), south=parse("S"),
                           east=parse("E"), west=parse("W"))
@@ -258,27 +258,29 @@ def _design_from_digits(space: DesignSpace, digits: Sequence[int]) -> DesignVari
     return DesignVariables(**values)
 
 
-def _checked_size(space: DesignSpace, cap: int) -> int:
-    """Size of a validated space; raises :class:`DesignSpaceTooLarge` above ``cap``."""
-    space.validate()
-    total = space.size
-    if total > cap:
-        raise DesignSpaceTooLarge(
-            f"design space holds {total} candidates, above the cap of {cap}")
-    return total
-
-
 def enumerate_designs(space: DesignSpace,
                       cap: int = DEFAULT_ENUMERATION_CAP) -> list[DesignVariables]:
     """Full Cartesian product in lexicographic order of the variable order.
 
     Raises :class:`DesignSpaceTooLarge` when the product exceeds ``cap``.
     """
-    _checked_size(space, cap)
+    space.validate()
+    if space.size > cap:
+        raise DesignSpaceTooLarge(f"{space.size} designs exceed the cap of {cap}")
     lists = space.candidate_lists()
     names = [name for name, _ in lists]
     return [DesignVariables(**dict(zip(names, values)))
             for values in itertools.product(*(candidates for _, candidates in lists))]
+
+
+def legal_positions(space: DesignSpace, limits: CodeLimits) -> list[list[int]]:
+    """Per variable, in enumeration order, the positions of its code-legal candidates."""
+    legal = [list(range(len(values))) for _, values in space.candidate_lists()]
+    for i, o in enumerate(ORIENTATION_ORDER):
+        lim = limits.limit(o)
+        legal[i] = [j for j, v in enumerate(space.wwr[o]) if lim.wwr_ok(v)]
+        legal[i + 4] = [j for j, v in enumerate(space.overhang_ratio[o]) if lim.overhang_ok(v)]
+    return legal
 
 
 def code_check(design: DesignVariables, limits: CodeLimits) -> list[Violation]:
@@ -364,10 +366,11 @@ def _resolve(table: Mapping, ids, kind: str) -> list:
 
 
 def _candidate_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
-                      calib: CalibrationParams) -> list[tuple[np.ndarray, ...]]:
+                      climate: ClimateProfile, calib: CalibrationParams) -> list[tuple]:
     """Per variable, in enumeration order, the kernel inputs of each candidate.
 
-    All are float64 (the gas flag as 0/1), so one block holds a chunk's gathers.
+    An overhang's are its summer and winter :func:`shading_factor`. All are
+    float64 (the gas flag as 0/1), so one block holds them.
 
     Raises :class:`SpecError` when the space names an id the catalog lacks.
     """
@@ -384,9 +387,11 @@ def _candidate_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
                             spec.lighting.daylight_offset) * calib.schedule_multiplier
         for w in lamp_w
     ]
+    altitudes = (climate.summer_design_sun_altitude, climate.winter_design_sun_altitude)
     return [
         *((np.array(space.wwr[o], dtype=float),) for o in ORIENTATION_ORDER),
-        *((np.array(space.overhang_ratio[o], dtype=float),) for o in ORIENTATION_ORDER),
+        *(tuple(np.array([shading_factor(v, a) for v in space.overhang_ratio[o]], dtype=float)
+                for a in altitudes) for o in ORIENTATION_ORDER),
         (np.array([g.u_value for g in glz]), np.array([g.shgc for g in glz])),
         (np.array([1.0 / w.r_value for w in walls]),),
         (np.array([1.0 / r.r_value for r in roofs]),),
@@ -407,6 +412,14 @@ def _ranked(cols: tuple[np.ndarray, ...], k: int | None = None) -> tuple[np.ndar
     return tuple(c[order] for c in cols)
 
 
+def _fill(rows: np.ndarray, tables: list[tuple[np.ndarray, ...]], digits) -> None:
+    """Per variable, write each table ``t`` at its digits ``d`` into the next row, broadcast."""
+    rows = iter(rows)
+    for ts, d in zip(tables, digits):
+        for t in ts:
+            next(rows)[...] = t[d]
+
+
 def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
              space: DesignSpace, limits: CodeLimits, k: int,
              calib: CalibrationParams, tariff: Tariff,
@@ -421,7 +434,7 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     NoFeasibleDesignError
         When no design passes :func:`code_check`.
     DesignSpaceTooLarge
-        When the Cartesian product exceeds ``cap``.
+        When the code-legal designs number more than ``cap``.
     SpecError
         When the space names an id the catalog lacks.
     """
@@ -429,52 +442,51 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
 
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    _checked_size(space, cap)
-    tables = _candidate_tables(space, catalog, spec, calib)
-    legal = [np.arange(len(values)) for _, values in space.candidate_lists()]
-    for i, o in enumerate(ORIENTATION_ORDER):
-        lim = limits.limit(o)
-        legal[i] = np.flatnonzero([lim.wwr_ok(v) for v in space.wwr[o]])
-        legal[i + 4] = np.flatnonzero([lim.overhang_ok(v) for v in space.overhang_ratio[o]])
+    space.validate()
+    legal = legal_positions(space, limits)
     dims = [len(p) for p in legal]
     feasible = math.prod(dims)
     if feasible == 0:
         raise NoFeasibleDesignError("no design in the space passes the code limits")
-    tables = [tuple(t[p] for t in ts) for ts, p in zip(tables, legal)]
-    shared = (
-        np.array([spec.envelope(o).gross_wall_area for o in ORIENTATION_ORDER]),
-        np.array([climate.irradiation[o] for o in ORIENTATION_ORDER]),
-        spec.roof.area,
-        spec.conditioned_volume,
-        math.tan(math.radians(climate.summer_design_sun_altitude)),
-        math.tan(math.radians(climate.winter_design_sun_altitude)),
-        *season_terms(climate),
-        annual_equipment_kwh(spec) * calib.equipment_multiplier,
-        calib.internal_gain_multiplier,
-        spec.floor_area,
-        tariff.gas_energy_content,
-    )
+    if feasible > cap:
+        raise DesignSpaceTooLarge(f"{feasible} code-legal designs exceed the cap of {cap}")
+    tables = [tuple(t[p] for t in ts)
+              for ts, p in zip(_candidate_tables(space, catalog, spec, climate, calib), legal)]
+    shared = (np.array([spec.envelope(o).gross_wall_area for o in ORIENTATION_ORDER]),
+              np.array([climate.irradiation[o] for o in ORIENTATION_ORDER]),
+              spec.roof.area, spec.conditioned_volume, *season_terms(climate),
+              annual_equipment_kwh(spec) * calib.equipment_multiplier,
+              calib.internal_gain_multiplier, spec.floor_area, tariff.gas_energy_content)
 
-    # Every chunk gathers its inputs into this one block. Separate arrays per
-    # input would be freed at each chunk's end; glibc then returns their pages
-    # to the OS and the next chunk faults them in again (~10k minor faults,
-    # ~30% of a sweep_large call, and the most variable part of it).
-    block = np.empty((sum(map(len, tables)), min(CHUNK_SIZE, feasible)))
+    # The longest run of trailing variables whose legal product fits in a chunk
+    # (at least the last) spans blocks of `width` designs. Their rows are filled
+    # once and tiled; a call takes `per_call` whole blocks. Reusing one array
+    # keeps glibc from returning pages that the next chunk would fault in again.
+    suffix = [math.prod(dims[i:]) for i in range(len(dims))]
+    split = next((i for i, n in enumerate(suffix) if n <= CHUNK_SIZE), len(dims) - 1)
+    width = suffix[split]
+    blocks = feasible // width
+    per_call = min(max(1, CHUNK_SIZE // width), blocks)
+    lead_rows = sum(map(len, tables[:split]))
+    block = np.empty((sum(map(len, tables)), per_call, width))
+    _fill(block[lead_rows:], tables[split:],
+          np.unravel_index(np.arange(width), dims[split:]))
 
-    def evaluate(start: int) -> tuple[np.ndarray, ...]:
+    def evaluate(first: int) -> tuple[np.ndarray, ...]:
+        count = min(per_call, blocks - first)
+        if split:
+            _fill(block[:lead_rows, :count], tables[:split],
+                  np.unravel_index(np.arange(first, first + count)[:, None], dims[:split]))
         # A design's position in the legal sub-product orders designs as its
         # enumeration index does, because each variable's legal positions increase.
-        position = np.arange(start, min(start + CHUNK_SIZE, feasible))
-        cols = block[:, :position.size]
-        rows = iter(cols)
-        for ts, d in zip(tables, np.unravel_index(position, dims)):
-            for t in ts:
-                np.take(t, d, out=next(rows), mode="clip")  # "raise" would buffer
-        eui, elec, gas = _kernels.batch_energy(cols[:4], cols[4:8], *cols[8:], *shared)
+        position = np.arange(first * width, (first + count) * width)
+        cols = block.reshape(len(block), -1)[:, :position.size]
+        eui, elec, gas = _kernels.batch_energy(cols[:4], cols[4:12].reshape(4, 2, -1),
+                                               *cols[12:], *shared)
         cost = (elec * tariff.electricity_price + gas * tariff.gas_price) / spec.floor_area
         return eui, cost, elec, gas, position
 
-    chunks = (evaluate(start) for start in range(0, feasible, CHUNK_SIZE))
+    chunks = (evaluate(first) for first in range(0, blocks, per_call))
     if k >= feasible:
         top = _ranked(tuple(map(np.concatenate, zip(*chunks))))
     else:
@@ -489,11 +501,12 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
                 cols = tuple(map(np.concatenate, zip(top, cols)))
             top = _ranked(cols, k)
 
+    del block  # free the chunk's inputs before the designs are built
     eui, cost, elec, gas, position = top
     # Pareto frontier on (EUI, cost): a design is on it when no design ranked
     # before it is cheaper. Ranks before a returned one are all returned.
     pareto = cost <= np.minimum.accumulate(cost)
-    digits = np.stack([p[d] for p, d in zip(legal, np.unravel_index(position, dims))], axis=1)
+    digits = np.stack([np.take(p, d) for p, d in zip(legal, np.unravel_index(position, dims))], 1)
     return [
         RankedDesign(rank=rank, design=_design_from_digits(space, d), eui=e,
                      cost_per_m2=c, electricity=el, gas=g, pareto=f)

@@ -117,11 +117,21 @@ def test_audit_bad_calibration_is_domain_error(fixtures, tmp_path, capsys, block
     ("floor_area_m2", -math.inf, "floor_area="),
     ("storeys", math.inf, "error: malformed spec"),
     ("orientations", 5, "error: malformed spec"),
+    ("storeys", math.nan, "error: malformed spec: storeys must be a whole number"),
+    ("storeys", 2.7, "error: malformed spec: storeys must be a whole number"),
+    ("lighting.lamp_count", 2.7,
+     "error: malformed spec: lighting.lamp_count must be a whole number"),
+    ("lighting.lamp_count", math.nan,
+     "error: malformed spec: lighting.lamp_count must be a whole number"),
 ])
 def test_audit_infinite_or_mistyped_spec_value_is_domain_error(fixtures, tmp_path, capsys,
                                                                field, value, named):
     doc = json.loads((fixtures / "baseline_school.json").read_text())
-    doc[field] = value
+    *parents, key = field.split(".")
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
     out = tmp_path / "o"
@@ -183,6 +193,21 @@ def test_optimize_subcommand(fixtures, tmp_path):
     assert results["best"]["eui_kwh_m2"] <= 110.0
     table = (out / "results.csv").read_text().strip().splitlines()
     assert len(table) == 11  # header + k rows
+
+
+def test_optimize_reports_the_code_legal_designs_it_evaluated(fixtures, tmp_path, capsys):
+    doc = json.loads((fixtures / "paper_space.json").read_text())
+    doc["code_limits"]["N"]["max_overhang"] = 0.0  # rejects one of the two N overhangs
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(doc))
+    out = tmp_path / "opt"
+    assert main(["optimize", "--spec", str(fixtures / "baseline_school.json"),
+                 "--climate", str(fixtures / "gd_climate.csv"),
+                 "--catalog", str(fixtures / "catalog.csv"), "--space", str(space),
+                 "--tariff", str(fixtures / "paper_tariff.json"),
+                 "--k", "10", "--out", str(out)]) == 0
+    assert json.loads((out / "results.json").read_text())["evaluated_space_size"] == 10_368
+    assert "evaluated 10368 designs" in capsys.readouterr().out
 
 
 def _optimize_once(fixtures, tmp_path, capsys, catalog=None, space=None):
@@ -474,6 +499,12 @@ def _probe(command, name, edit, named):
            "node.battery_capacity_wh"),
     _probe("optimize", "paper_space.json", _set("code_limits", "S", "max_wwr", value=math.nan),
            "code_limits.S.max_wwr must be finite"),
+    _probe("optimize", "paper_space.json", _set("code_limits", "S", "strict", value="no"),
+           "code_limits.S.strict must be true or false, got 'no'"),
+    _probe("optimize", "paper_space.json", _set("code_limits", "N", "strict", value=1),
+           "code_limits.N.strict must be true or false, got 1"),
+    _probe("optimize", "paper_space.json", _set("code_limits", "E", "strict", value=None),
+           "code_limits.E.strict must be true or false, got None"),
     _probe("node-sim", "node_demo_trace.csv",
            _replace("\n60.0,0.000000,0.0", "\n60.0,0.000000,nan"), "rain_reading"),
     _probe("node-sim", "node_demo_trace.csv",

@@ -258,15 +258,20 @@ _orientation_limits = st.builds(
 @given(space=_tied_spaces(), limits=st.builds(CodeLimits, _orientation_limits,
                                               _orientation_limits, _orientation_limits,
                                               _orientation_limits),
-       k_kind=st.sampled_from(["one", "middle", "beyond"]))
-def test_streamed_top_k_matches_a_full_sort(space, limits, k_kind, baseline_spec, climate,
-                                            catalog, baseline_calibration, tariff):
-    """Chunked top-k equals enumerate, score, sort by (EUI, cost, index), running min."""
+       k_kind=st.sampled_from(["one", "middle", "beyond"]),
+       chunk=st.sampled_from([1, 7, 1 << 16]))
+def test_streamed_top_k_matches_a_full_sort(space, limits, k_kind, chunk, baseline_spec,
+                                            climate, catalog, baseline_calibration, tariff):
+    """Chunked top-k equals enumerate, score, sort by (EUI, cost, index), running min.
+
+    A chunk of 1 makes each block the last variable alone, 7 part of the
+    product, and 2^16 the whole space.
+    """
     legal = [(i, d) for i, d in enumerate(enumerate_designs(space))
              if not code_check(d, limits)]
     k = {"one": 1, "middle": len(legal) // 2 + 1, "beyond": len(legal) + 3}[k_kind]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimize_module, "CHUNK_SIZE", 7)
+        mp.setattr(optimize_module, "CHUNK_SIZE", chunk)
         if not legal:
             with pytest.raises(NoFeasibleDesignError):
                 optimize(baseline_spec, climate, catalog, space, limits, k=k,
@@ -308,3 +313,38 @@ def test_sweep_memory_is_bounded_by_the_chunk(baseline_spec, climate, catalog,
         tracemalloc.stop()
     assert len(ranked) == 10
     assert peak < 64 * 2**20
+
+
+def _capped_space(max_wwr_n: float) -> tuple[DesignSpace, CodeLimits]:
+    """4,194,304 enumerated designs; 524,288 code-legal per N wwr below ``max_wwr_n``."""
+    grid = (0.2, 0.3, 0.4, 0.5)
+    space = DesignSpace(
+        wwr={"N": (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8), "S": grid, "E": grid, "W": grid},
+        overhang_ratio={o: (0.0, 0.25, 0.5, 1.0) for o in "NSEW"},
+        glazing_ids=("sgl_clr", "dbl_clr", "dbl_loe", "sgl_clr"),
+        wall_ids=("wall_uninsulated", "wall_sip_12in"), roof_ids=("roof_concrete",),
+        infiltration=(0.4, 1.0), lighting_technologies=tuple(LightingTechnology),
+        hvac_ids=("vav_baseline",))
+    return space, CodeLimits(north=OrientationLimit(max_wwr=max_wwr_n, strict=True))
+
+
+@pytest.mark.parametrize("max_wwr_n, legal", [(0.15, 524_288), (0.25, 1_048_576)])
+def test_the_cap_counts_code_legal_designs(max_wwr_n, legal, baseline_spec, climate, catalog,
+                                           baseline_calibration, tariff):
+    """The cap applies to the designs the sweep evaluates, not to the enumerated space."""
+    space, limits = _capped_space(max_wwr_n)
+    assert space.size == 4_194_304 > optimize_module.DEFAULT_ENUMERATION_CAP
+    with pytest.raises(DesignSpaceTooLarge):
+        enumerate_designs(space)
+
+    def sweep():
+        return optimize(baseline_spec, climate, catalog, space, limits, k=3,
+                        calib=baseline_calibration, tariff=tariff)
+
+    if legal <= optimize_module.DEFAULT_ENUMERATION_CAP:
+        ranked = sweep()
+        assert [r.rank for r in ranked] == [1, 2, 3]
+        assert not any(code_check(r.design, limits) for r in ranked)
+    else:
+        with pytest.raises(DesignSpaceTooLarge, match=f"{legal} code-legal designs"):
+            sweep()
