@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 domain/validation failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -128,20 +129,8 @@ def cmd_calibrate(args) -> int:
     achieved = energy.annual_end_use(spec, climate, params)
 
     out = _out_dir(args)
-    doc = {
-        "calibration": {
-            "internal_gain_multiplier": params.internal_gain_multiplier,
-            "schedule_multiplier": params.schedule_multiplier,
-            "equipment_multiplier": params.equipment_multiplier,
-        },
-        "achieved": achieved.to_dict(),
-        "targets": {
-            "lighting_gj": targets.lighting_gj,
-            "cooling_gj": targets.cooling_gj,
-            "heating_gj": targets.heating_gj,
-            "equipment_gj": targets.equipment_gj,
-        },
-    }
+    doc = {"calibration": dataclasses.asdict(params), "achieved": achieved.to_dict(),
+           "targets": dataclasses.asdict(targets)}
     _write_reports(out, {"calibration.json": _json_dumps(doc)}, "calibrate",
                    {"spec": args.spec, "climate": args.climate, "targets": args.targets})
     print(f"calibrated: gain x{params.internal_gain_multiplier:.4f}, "
@@ -226,13 +215,7 @@ def cmd_node_sim(args) -> int:
         "uptime_fraction": result.uptime_fraction,
         "final_soc": float(result.soc[-1]),
         "alarm_steps": int((result.alarm == 1).sum()),
-        "ledger_wh": {
-            "harvested": result.ledger.harvested,
-            "served": result.ledger.served,
-            "curtailed": result.ledger.curtailed,
-            "delta_stored": result.ledger.delta_stored,
-            "residual": result.ledger.residual,
-        },
+        "ledger_wh": {**dataclasses.asdict(result.ledger), "residual": result.ledger.residual},
     }
     _write_reports(out, {"states.csv": node.write_state_log(result),
                          "summary.json": _json_dumps(summary)}, "node-sim",

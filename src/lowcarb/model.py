@@ -1,9 +1,13 @@
 """Domain model: buildings, climates, construction catalogs, tariffs, sensor fleets.
 
 All types are frozen dataclasses and safe to share between threads. Parsing
-is strict: spec files carry every thermal coefficient explicitly, and the
-only defaulted fields are schedule-related (``daylight_offset``) plus the
-geometric ``overhang_ratio`` and relative ``cost_index``.
+is strict. One table, :data:`SPEC_FORMAT`, declares the building-spec format,
+and parse, validate and serialize all walk it. Spec files carry every thermal
+coefficient explicitly: the only defaulted fields are ``daylight_offset``,
+``overhang_ratio`` and ``cost_index``, and a null or absent one takes its
+default. Spec numbers pass the same boundary as every other input
+(:func:`number`), so a malformed one is named by its JSON path; ``name``, ids
+and enums are required strings (:func:`string`).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 SCHEMA_VERSION = 1
 
@@ -193,7 +197,7 @@ class Catalog:
 
 
 # ---------------------------------------------------------------------------
-# input boundary: every loader reads through read_json and number
+# input boundary: every loader reads through read_json, number and string
 # ---------------------------------------------------------------------------
 
 Rule = tuple[Callable[[float], bool], str]
@@ -235,18 +239,23 @@ def check(value: float, field: str, rule: Rule) -> float:
     return value
 
 
-def number(doc: Any, key: Any, context: str, rule: Rule,
+def _get(doc: Any, key: Any) -> Any:
+    try:
+        return doc[key]
+    except (KeyError, IndexError, TypeError):
+        return None
+
+
+def number(doc: Any, key: Any, context: str, rule: Rule | None,
            default: float | None = None) -> float:
     """``doc[key]`` (a JSON object, a list or a CSV row) as a float passing ``rule``.
 
     An absent key, a null or an empty CSV cell gives ``default`` when one is
-    set. Otherwise it, a non-number, NaN, +-inf or a rule failure raises
-    :class:`SpecError` naming ``context + key``.
+    set. Otherwise it, a non-number or a rule failure raises
+    :class:`SpecError` naming ``context + key``; so do NaN and +-inf, unless
+    ``rule`` is None, which accepts every float.
     """
-    try:
-        raw = doc[key]
-    except (KeyError, IndexError, TypeError):
-        raw = None
+    raw = _get(doc, key)
     if raw is None or raw == "":
         if default is None:
             raise SpecError(f"missing required field {context}{key}")
@@ -257,58 +266,23 @@ def number(doc: Any, key: Any, context: str, rule: Rule,
         value = None
     if value is None or isinstance(raw, bool):
         raise SpecError(f"{context}{key} must be a number, got {raw!r}")
-    return check(value, f"{context}{key}", rule)
+    return value if rule is None else check(value, f"{context}{key}", rule)
 
 
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
+def string(doc: Any, key: Any, context: str, choices: type[Enum] | None = None) -> Any:
+    """``doc[key]`` as a string, or as the member of the Enum ``choices`` it names.
 
-def validate_spec(spec: BuildingSpec) -> list[Violation]:
-    """Check every type invariant; returns an empty list iff all hold."""
-    out: list[Violation] = []
-
-    def holds(value: Any, fieldname: str, rule: Rule) -> None:
-        if not rule[0](value):
-            out.append(Violation(fieldname, value, rule[1]))
-
-    holds(spec.floor_area, "floor_area", POSITIVE)
-    holds(spec.conditioned_volume, "conditioned_volume", POSITIVE)
-    holds(spec.storeys, "storeys", (lambda v: v >= 1, "must be >= 1"))
-    holds(spec.infiltration, "infiltration", NONNEGATIVE)
-    holds(spec.occupancy_hours, "occupancy_hours",
-          (lambda v: 0 <= v <= 8760, "must be within [0, 8760]"))
-    holds(spec.equipment_power_density, "equipment_power_density", NONNEGATIVE)
-    holds([g.orientation.value for g in spec.orientations], "orientations",
-          (lambda v: sorted(v) == sorted(ORIENTATION_ORDER),
-           "exactly one envelope group per cardinal orientation"))
-
-    for g in spec.orientations:
-        prefix = f"orientations[{g.orientation.value}]"
-        holds(g.gross_wall_area, f"{prefix}.gross_wall_area", NONNEGATIVE)
-        holds(g.wwr, f"{prefix}.wwr", FRACTION)
-        holds(g.overhang_ratio, f"{prefix}.overhang_ratio", NONNEGATIVE)
-        holds(g.wall.r_value, f"{prefix}.wall.r_value", POSITIVE)
-        holds(g.wall.cost_index, f"{prefix}.wall.cost_index", POSITIVE)
-        holds(g.glazing.u_value, f"{prefix}.glazing.u_value", POSITIVE)
-        holds(g.glazing.shgc, f"{prefix}.glazing.shgc", FRACTION)
-        holds(g.glazing.visible_transmittance, f"{prefix}.glazing.visible_transmittance",
-              FRACTION)
-        holds(g.glazing.cost_index, f"{prefix}.glazing.cost_index", POSITIVE)
-
-    holds(spec.roof.construction.r_value, "roof.construction.r_value", POSITIVE)
-    holds(spec.roof.construction.cost_index, "roof.construction.cost_index", POSITIVE)
-    holds(spec.roof.area, "roof.area", NONNEGATIVE)
-
-    holds(spec.lighting.lamp_power, "lighting.lamp_power", NONNEGATIVE)
-    holds(spec.lighting.lamp_count, "lighting.lamp_count", NONNEGATIVE)
-    holds(spec.lighting.annual_hours, "lighting.annual_hours", NONNEGATIVE)
-    holds(spec.lighting.daylight_offset, "lighting.daylight_offset", FRACTION)
-
-    holds(spec.hvac.cooling_cop, "hvac.cooling_cop", POSITIVE)
-    holds(spec.hvac.heating_efficiency, "hvac.heating_efficiency", POSITIVE)
-
-    return out
+    An absent key, a null, a value that is not a string or one that names no
+    member of ``choices`` raises :class:`SpecError` naming ``context + key``.
+    """
+    raw = _get(doc, key)
+    if raw is None:
+        raise SpecError(f"missing required field {context}{key}")
+    if isinstance(raw, str) and (choices is None or raw in {m.value for m in choices}):
+        return raw if choices is None else choices(raw)
+    wanted = ("a string" if choices is None
+              else "one of " + ", ".join(repr(member.value) for member in choices))
+    raise SpecError(f"{context}{key} must be {wanted}, got {raw!r}")
 
 
 def glazed_area(spec: BuildingSpec, orientation: Orientation | str) -> float:
@@ -318,31 +292,128 @@ def glazed_area(spec: BuildingSpec, orientation: Orientation | str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# building spec file (JSON)
+# building spec file (JSON): one format table drives parse, validate, serialize
 # ---------------------------------------------------------------------------
 
-def _require(doc: Mapping[str, Any], key: str, context: str) -> Any:
-    if key not in doc:
-        raise SpecError(f"missing required field {context}{key!r}")
-    return doc[key]
+class Field(NamedTuple):
+    """One field of a spec record. Only a field with a ``default`` may be absent or null."""
+
+    attr: str
+    key: str  # in the JSON document
+    kind: Any  # float, int, str, an Enum, a record type, or [record type] for a list
+    rule: Rule | None = None
+    default: Any = None
 
 
-def _construction_from_doc(doc: Mapping[str, Any], context: str) -> OpaqueConstruction:
-    return OpaqueConstruction(
-        id=str(_require(doc, "id", context)),
-        r_value=float(_require(doc, "r_value", context)),
-        cost_index=float(doc.get("cost_index", 1.0)),
-    )
+#: The building-spec format: the fields of each record type, in file order. The
+#: records of a list are named by their first field (an Enum), and the list's
+#: rule tests those names.
+SPEC_FORMAT: dict[type, tuple[Field, ...]] = {
+    OpaqueConstruction: (
+        Field("id", "id", str),
+        Field("r_value", "r_value", float, POSITIVE),
+        Field("cost_index", "cost_index", float, POSITIVE, 1.0),
+    ),
+    GlazingOption: (
+        Field("id", "id", str),
+        Field("u_value", "u_value", float, POSITIVE),
+        Field("shgc", "shgc", float, FRACTION),
+        Field("visible_transmittance", "visible_transmittance", float, FRACTION),
+        Field("cost_index", "cost_index", float, POSITIVE, 1.0),
+    ),
+    EnvelopeGroup: (
+        Field("orientation", "orientation", Orientation),
+        Field("gross_wall_area", "gross_wall_area_m2", float, NONNEGATIVE),
+        Field("wwr", "wwr", float, FRACTION),
+        Field("overhang_ratio", "overhang_ratio", float, NONNEGATIVE, 0.0),
+        Field("wall", "wall", OpaqueConstruction),
+        Field("glazing", "glazing", GlazingOption),
+    ),
+    Roof: (
+        Field("construction", "construction", OpaqueConstruction),
+        Field("area", "area_m2", float, NONNEGATIVE),
+    ),
+    LightingSystem: (
+        Field("technology", "technology", LightingTechnology),
+        Field("lamp_power", "lamp_power_w", float, NONNEGATIVE),
+        Field("lamp_count", "lamp_count", int, NONNEGATIVE),
+        Field("annual_hours", "annual_hours", float, NONNEGATIVE),
+        Field("daylight_offset", "daylight_offset", float, FRACTION, 0.0),
+    ),
+    HvacSystem: (
+        Field("cooling_cop", "cooling_cop", float, POSITIVE),
+        Field("heating_efficiency", "heating_efficiency", float, POSITIVE),
+        Field("heating_fuel", "heating_fuel", HeatingFuel),
+    ),
+    BuildingSpec: (
+        Field("name", "name", str),
+        Field("floor_area", "floor_area_m2", float, POSITIVE),
+        Field("conditioned_volume", "conditioned_volume_m3", float, POSITIVE),
+        Field("storeys", "storeys", int, (lambda v: v >= 1, "must be >= 1")),
+        Field("infiltration", "infiltration_ach", float, NONNEGATIVE),
+        Field("occupancy_hours", "occupancy_hours", float,
+              (lambda v: 0 <= v <= 8760, "must be within [0, 8760]")),
+        Field("equipment_power_density", "equipment_power_density_w_m2", float, NONNEGATIVE),
+        Field("orientations", "orientations", [EnvelopeGroup],
+              (lambda v: sorted(v) == sorted(ORIENTATION_ORDER),
+               "exactly one envelope group per cardinal orientation")),
+        Field("roof", "roof", Roof),
+        Field("lighting", "lighting", LightingSystem),
+        Field("hvac", "hvac", HvacSystem),
+    ),
+}
 
 
-def _glazing_from_doc(doc: Mapping[str, Any], context: str) -> GlazingOption:
-    return GlazingOption(
-        id=str(_require(doc, "id", context)),
-        u_value=float(_require(doc, "u_value", context)),
-        shgc=float(_require(doc, "shgc", context)),
-        visible_transmittance=float(_require(doc, "visible_transmittance", context)),
-        cost_index=float(doc.get("cost_index", 1.0)),
-    )
+def _read(cls: type, doc: Any, context: str, checked: bool = False) -> Any:
+    """A ``cls`` record from ``doc``, a JSON object or CSV row whose fields are
+    named ``context + key``. Rules are checked here if ``checked``, else by
+    :func:`validate_spec`."""
+    where = context.removesuffix(".")
+    if not isinstance(doc, dict):
+        raise SpecError(f"missing required field {where}" if doc is None
+                        else f"{where} must be a JSON object, got {doc!r}")
+    values = {}
+    for f in SPEC_FORMAT[cls]:
+        name = context + f.key
+        if isinstance(f.kind, list):
+            items = doc.get(f.key)
+            if not isinstance(items, list):
+                raise SpecError(f"missing required field {name}" if items is None
+                                else f"{name} must be a JSON list, got {items!r}")
+            value = tuple(_read(f.kind[0], item, f"{name}[{i}].", checked)
+                          for i, item in enumerate(items))
+        elif f.kind in SPEC_FORMAT:
+            value = _read(f.kind, doc.get(f.key), name + ".", checked)
+        elif f.kind is float or f.kind is int:
+            value = f.kind(number(doc, f.key, context, INTEGER if f.kind is int else None,
+                                  f.default))
+            value = check(value, name, f.rule) if checked else value
+        else:
+            value = string(doc, f.key, context, None if f.kind is str else f.kind)
+        values[f.attr] = value
+    return cls(**values)
+
+
+def validate_spec(spec: BuildingSpec) -> list[Violation]:
+    """Check every rule of :data:`SPEC_FORMAT`; returns an empty list iff all hold."""
+    out: list[Violation] = []
+
+    def walk(record: Any, prefix: str) -> None:
+        for f in SPEC_FORMAT[type(record)]:
+            value, name = getattr(record, f.attr), prefix + f.attr
+            if isinstance(f.kind, list):
+                first = SPEC_FORMAT[f.kind[0]][0].attr
+                items, value = value, [getattr(item, first).value for item in value]
+            if f.rule is not None and not f.rule[0](value):
+                out.append(Violation(name, value, f.rule[1]))
+            if isinstance(f.kind, list):
+                for key, item in zip(value, items):
+                    walk(item, f"{name}[{key}].")
+            elif f.kind in SPEC_FORMAT:
+                walk(value, name + ".")
+
+    walk(spec, "")
+    return out
 
 
 def parse_building_spec(text: str) -> BuildingSpec:
@@ -351,135 +422,33 @@ def parse_building_spec(text: str) -> BuildingSpec:
     Raises
     ------
     SpecError
-        On JSON syntax errors (with position), missing required fields,
-        unsupported schema versions, or invariant violations.
+        On JSON syntax errors (with position), a missing or mistyped field,
+        an unsupported schema version, or invariant violations.
     """
     doc = read_json(text, "spec")
-    _require(doc, "schema_version", "")
     try:
-        spec = _spec_from_doc(doc)
-    except (AttributeError, OverflowError, SpecError, TypeError) as exc:
-        # a field of the wrong JSON type, or a storey or lamp count that is no count
+        number(doc, "schema_version", "", SCHEMA)  # read_json lets an absent one pass
+        spec = _read(BuildingSpec, doc, "")
+    except SpecError as exc:
         raise SpecError(f"malformed spec: {exc}") from exc
 
     violations = validate_spec(spec)
     if violations:
-        raise SpecError(
-            "spec violates invariants:\n" + "\n".join(str(v) for v in violations),
-            violations,
-        )
+        raise SpecError("spec violates invariants:\n" + "\n".join(map(str, violations)),
+                        violations)
     return spec
-
-
-def _spec_from_doc(doc: Mapping[str, Any]) -> BuildingSpec:
-    groups = []
-    for i, gdoc in enumerate(_require(doc, "orientations", "")):
-        ctx = f"orientations[{i}]."
-        try:
-            orientation = Orientation(_require(gdoc, "orientation", ctx))
-        except ValueError as exc:
-            raise SpecError(f"{ctx}orientation must be one of N, S, E, W") from exc
-        groups.append(EnvelopeGroup(
-            orientation=orientation,
-            gross_wall_area=float(_require(gdoc, "gross_wall_area_m2", ctx)),
-            wwr=float(_require(gdoc, "wwr", ctx)),
-            wall=_construction_from_doc(_require(gdoc, "wall", ctx), ctx + "wall."),
-            glazing=_glazing_from_doc(_require(gdoc, "glazing", ctx), ctx + "glazing."),
-            overhang_ratio=float(gdoc.get("overhang_ratio", 0.0)),
-        ))
-
-    roof_doc = _require(doc, "roof", "")
-    roof = Roof(
-        construction=_construction_from_doc(
-            _require(roof_doc, "construction", "roof."), "roof.construction."),
-        area=float(_require(roof_doc, "area_m2", "roof.")),
-    )
-
-    light_doc = _require(doc, "lighting", "")
-    try:
-        technology = LightingTechnology(_require(light_doc, "technology", "lighting."))
-    except ValueError as exc:
-        raise SpecError("lighting.technology must be 'incandescent' or 'led'") from exc
-    lighting = LightingSystem(
-        technology=technology,
-        lamp_power=float(_require(light_doc, "lamp_power_w", "lighting.")),
-        lamp_count=int(number(light_doc, "lamp_count", "lighting.", INTEGER)),
-        annual_hours=float(_require(light_doc, "annual_hours", "lighting.")),
-        daylight_offset=float(light_doc.get("daylight_offset", 0.0)),
-    )
-
-    hvac_doc = _require(doc, "hvac", "")
-    try:
-        fuel = HeatingFuel(_require(hvac_doc, "heating_fuel", "hvac."))
-    except ValueError as exc:
-        raise SpecError("hvac.heating_fuel must be 'gas' or 'electric'") from exc
-    hvac = HvacSystem(
-        cooling_cop=float(_require(hvac_doc, "cooling_cop", "hvac.")),
-        heating_efficiency=float(_require(hvac_doc, "heating_efficiency", "hvac.")),
-        heating_fuel=fuel,
-    )
-
-    return BuildingSpec(
-        name=str(_require(doc, "name", "")),
-        floor_area=float(_require(doc, "floor_area_m2", "")),
-        conditioned_volume=float(_require(doc, "conditioned_volume_m3", "")),
-        storeys=int(number(doc, "storeys", "", INTEGER)),
-        orientations=tuple(groups),
-        roof=roof,
-        infiltration=float(_require(doc, "infiltration_ach", "")),
-        occupancy_hours=float(_require(doc, "occupancy_hours", "")),
-        equipment_power_density=float(_require(doc, "equipment_power_density_w_m2", "")),
-        lighting=lighting,
-        hvac=hvac,
-    )
 
 
 def serialize_building_spec(spec: BuildingSpec) -> str:
     """Inverse of :func:`parse_building_spec`; round-trips every valid spec."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "name": spec.name,
-        "floor_area_m2": spec.floor_area,
-        "conditioned_volume_m3": spec.conditioned_volume,
-        "storeys": spec.storeys,
-        "infiltration_ach": spec.infiltration,
-        "occupancy_hours": spec.occupancy_hours,
-        "equipment_power_density_w_m2": spec.equipment_power_density,
-        "orientations": [
-            {
-                "orientation": g.orientation.value,
-                "gross_wall_area_m2": g.gross_wall_area,
-                "wwr": g.wwr,
-                "overhang_ratio": g.overhang_ratio,
-                "wall": {"id": g.wall.id, "r_value": g.wall.r_value,
-                         "cost_index": g.wall.cost_index},
-                "glazing": {"id": g.glazing.id, "u_value": g.glazing.u_value,
-                            "shgc": g.glazing.shgc,
-                            "visible_transmittance": g.glazing.visible_transmittance,
-                            "cost_index": g.glazing.cost_index},
-            }
-            for g in spec.orientations
-        ],
-        "roof": {
-            "area_m2": spec.roof.area,
-            "construction": {"id": spec.roof.construction.id,
-                             "r_value": spec.roof.construction.r_value,
-                             "cost_index": spec.roof.construction.cost_index},
-        },
-        "lighting": {
-            "technology": spec.lighting.technology.value,
-            "lamp_power_w": spec.lighting.lamp_power,
-            "lamp_count": spec.lighting.lamp_count,
-            "annual_hours": spec.lighting.annual_hours,
-            "daylight_offset": spec.lighting.daylight_offset,
-        },
-        "hvac": {
-            "cooling_cop": spec.hvac.cooling_cop,
-            "heating_efficiency": spec.hvac.heating_efficiency,
-            "heating_fuel": spec.hvac.heating_fuel.value,
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    def dump(record: Any) -> Any:
+        if isinstance(record, tuple):
+            return [dump(item) for item in record]
+        if type(record) not in SPEC_FORMAT:
+            return record.value if isinstance(record, Enum) else record
+        return {f.key: dump(getattr(record, f.attr)) for f in SPEC_FORMAT[type(record)]}
+
+    return json.dumps({"schema_version": SCHEMA_VERSION, **dump(spec)}, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -558,28 +527,19 @@ def load_catalog(text: str) -> Catalog:
     lamp_powers: dict[str, float] = {}
     cost_indices: dict[str, float] = {}
 
-    reader = csv.DictReader(io.StringIO(text))
-    for row in reader:
-        kind = (row.get("kind") or "").strip()
-        cid = (row.get("id") or "").strip()
+    for row in csv.DictReader(io.StringIO(text)):
+        row = {key: cell.strip() if isinstance(cell, str) else cell for key, cell in row.items()}
+        kind, cid = row.get("kind"), row.get("id")
         if not kind or not cid:
             raise SpecError(f"catalog row missing kind or id: {row!r}")
         ctx = f"malformed catalog row for {cid!r}: "
-        cost = cost_indices[cid] = number(row, "cost_index", ctx, POSITIVE, default=1.0)
+        cost_indices[cid] = number(row, "cost_index", ctx, POSITIVE, default=1.0)
         if kind == "construction":
-            constructions[cid] = OpaqueConstruction(
-                cid, number(row, "r_value", ctx, POSITIVE), cost)
+            constructions[cid] = _read(OpaqueConstruction, row, ctx, checked=True)
         elif kind == "glazing":
-            glazings[cid] = GlazingOption(
-                cid, number(row, "u_value", ctx, POSITIVE), number(row, "shgc", ctx, FRACTION),
-                number(row, "visible_transmittance", ctx, FRACTION), cost)
+            glazings[cid] = _read(GlazingOption, row, ctx, checked=True)
         elif kind == "hvac":
-            fuel = (row.get("heating_fuel") or "").strip()
-            if fuel not in {f.value for f in HeatingFuel}:
-                raise SpecError(f"{ctx}heating_fuel must be 'gas' or 'electric'")
-            hvac_systems[cid] = HvacSystem(
-                number(row, "cooling_cop", ctx, POSITIVE),
-                number(row, "heating_efficiency", ctx, POSITIVE), HeatingFuel(fuel))
+            hvac_systems[cid] = _read(HvacSystem, row, ctx, checked=True)
         elif kind == "lighting":
             lamp_powers[cid] = number(row, "lamp_power_w", ctx, POSITIVE)
         else:
@@ -607,7 +567,7 @@ def load_sensor_fleet(text: str) -> SensorFleet:
         raise SpecError("fleet.entries must be a list of JSON objects")
     return SensorFleet(tuple(
         SensorEntry(
-            kind=str(_require(edoc, "kind", f"entries[{i}].")),
+            kind=string(edoc, "kind", f"entries[{i}]."),
             count=int(number(edoc, "count", f"entries[{i}].", INTEGER)),
             unit_power=number(edoc, "unit_power_w", f"entries[{i}].", NONNEGATIVE),
             duty_cycle=number(edoc, "duty_cycle", f"entries[{i}].", FRACTION),

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import _kernels
 from .model import (FRACTION, NONNEGATIVE, POSITIVE, SensorFleet, SpecError, check, number,
-                    read_json)
+                    read_json, string)
 
 if TYPE_CHECKING:
     import numpy as np  # imported at run time by the functions that use it
@@ -255,16 +255,15 @@ def load_node_config(text: str) -> NodeConfig:
     doc = read_json(text, "node")
     panel = doc.get("panel")
     loads = doc.get("sensor_loads", [])
-    if not isinstance(loads, list) or not all(isinstance(s, dict) and "name" in s
-                                              for s in loads):
-        raise SpecError("node.sensor_loads must be a list of JSON objects with a name")
+    if not isinstance(loads, list) or not all(isinstance(s, dict) for s in loads):
+        raise SpecError("node.sensor_loads must be a list of JSON objects")
     config = NodeConfig(
         *(number(panel, key, "node.panel.", NONNEGATIVE)
           for key in ("rated_power_w", "rated_voltage_v", "rated_current_a")),
         battery_capacity=number(doc, "battery_capacity_wh", "node.", POSITIVE),
         controller_idle_power=number(doc, "controller_idle_power_w", "node.", NONNEGATIVE),
         sensor_loads=tuple(
-            SensorLoad(str(s["name"]),
+            SensorLoad(string(s, "name", f"node.sensor_loads[{i}]."),
                        number(s, "power_w", f"node.sensor_loads[{i}].", NONNEGATIVE),
                        number(s, "duty_cycle", f"node.sensor_loads[{i}].", FRACTION))
             for i, s in enumerate(loads)),

@@ -47,6 +47,7 @@ from .model import (
     check,
     number,
     read_json,
+    string,
 )
 
 if TYPE_CHECKING:
@@ -148,8 +149,9 @@ class DesignSpace:
         """Parse a design-space file; returns the space and its code limits.
 
         Raises :class:`SpecError` on a missing key, a candidate entry that is
-        not a list, a candidate that is not a finite number or not a lighting
-        technology, malformed code limits, or a value :meth:`validate` rejects.
+        not a list, a candidate that is not a finite number, not a string id or
+        not a lighting technology, malformed code limits, or a value
+        :meth:`validate` rejects.
         """
         doc = read_json(text, "design space")
 
@@ -163,25 +165,21 @@ class DesignSpace:
                 raise SpecError(f"design space {'.'.join(keys)!r} must be a list")
             return value
 
-        def floats(*keys: str) -> tuple[float, ...]:
+        def each(read, rule, *keys: str) -> tuple:
             values = listed(*keys)
-            return tuple(number(values, i, f"design space {'.'.join(keys)} item ", FINITE)
+            return tuple(read(values, i, f"design space {'.'.join(keys)} item ", rule)
                          for i in range(len(values)))
 
-        technologies = listed("lighting_technology")
-        known = {t.value for t in LightingTechnology}
-        if not all(isinstance(t, str) and t in known for t in technologies):
-            raise SpecError("design space lighting_technology must list 'incandescent' "
-                            "or 'led'")
         space = DesignSpace(
-            wwr={o: floats("wwr", o) for o in ORIENTATION_ORDER},
-            overhang_ratio={o: floats("overhang_ratio", o) for o in ORIENTATION_ORDER},
-            glazing_ids=tuple(map(str, listed("glazing"))),
-            wall_ids=tuple(map(str, listed("wall"))),
-            roof_ids=tuple(map(str, listed("roof"))),
-            infiltration=floats("infiltration_ach"),
-            lighting_technologies=tuple(map(LightingTechnology, technologies)),
-            hvac_ids=tuple(map(str, listed("hvac"))),
+            wwr={o: each(number, FINITE, "wwr", o) for o in ORIENTATION_ORDER},
+            overhang_ratio={o: each(number, FINITE, "overhang_ratio", o)
+                            for o in ORIENTATION_ORDER},
+            glazing_ids=each(string, None, "glazing"),
+            wall_ids=each(string, None, "wall"),
+            roof_ids=each(string, None, "roof"),
+            infiltration=each(number, FINITE, "infiltration_ach"),
+            lighting_technologies=each(string, LightingTechnology, "lighting_technology"),
+            hvac_ids=each(string, None, "hvac"),
         )
         limits = CodeLimits.from_doc(doc.get("code_limits", {}))
         space.validate()
@@ -234,16 +232,24 @@ class CodeLimits:
 
     @staticmethod
     def from_doc(doc: Mapping) -> "CodeLimits":
-        """Per-orientation bounds; an absent or null bound sets no limit."""
-        if not (isinstance(doc, dict)
-                and all(isinstance(doc.get(o, {}), dict) for o in ORIENTATION_ORDER)):
+        """Per-orientation bounds; an absent or null bound sets no limit, and an
+        unknown orientation or bound raises :class:`SpecError` naming it."""
+        if not (isinstance(doc, dict) and all(isinstance(b, dict) for b in doc.values())):
             raise SpecError("code_limits must map orientations to JSON objects")
+        keys = [f.name for f in dataclasses.fields(OrientationLimit)]
+        for o, block in doc.items():
+            if o not in ORIENTATION_ORDER:
+                raise SpecError(f"code_limits.{o} is not an orientation: use N, S, E or W")
+            for key in block:
+                if key not in keys:
+                    raise SpecError(f"code_limits.{o}.{key} is not a code limit: use "
+                                    + ", ".join(keys))
 
         def parse(o: str) -> OrientationLimit:
             block = doc.get(o, {})
             bounds = {key: None if block.get(key) is None
                       else number(block, key, f"code_limits.{o}.", FINITE)
-                      for key in ("max_wwr", "min_wwr", "max_overhang", "min_overhang")}
+                      for key in keys if key != "strict"}
             strict = check(block.get("strict", True), f"code_limits.{o}.strict", BOOLEAN)
             return OrientationLimit(strict=strict, **bounds)
 

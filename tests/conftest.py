@@ -1,7 +1,15 @@
 import pytest
+from hypothesis import strategies as st
 
 from lowcarb import (
+    BuildingSpec,
     DesignSpace,
+    EnvelopeGroup,
+    GlazingOption,
+    HvacSystem,
+    LightingSystem,
+    OpaqueConstruction,
+    Orientation,
     load_catalog,
     load_climate_profile,
     load_sensor_fleet,
@@ -10,6 +18,7 @@ from lowcarb import (
     read_fixture,
 )
 from lowcarb.energy import EndUseTargets, load_calibration
+from lowcarb.model import HeatingFuel, LightingTechnology, Roof
 
 
 @pytest.fixture(scope="session")
@@ -65,3 +74,42 @@ def paper_space():
 @pytest.fixture(scope="session")
 def baseline_targets():
     return EndUseTargets.from_json(read_fixture("baseline_targets.json"))
+
+
+# ---------------------------------------------------------------------------
+# random valid building specs
+# ---------------------------------------------------------------------------
+
+_positive = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False,
+                      allow_infinity=False)
+_fraction = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def building_specs(draw):
+    wall = OpaqueConstruction(draw(st.text("abcw", min_size=1, max_size=6)),
+                              draw(st.floats(0.05, 10.0)), draw(st.floats(0.1, 5.0)))
+    glazing = GlazingOption(draw(st.text("defg", min_size=1, max_size=6)),
+                            draw(st.floats(0.5, 7.0)), draw(_fraction),
+                            draw(_fraction), draw(st.floats(0.1, 5.0)))
+    groups = tuple(
+        EnvelopeGroup(Orientation(o), draw(st.floats(0, 2000.0)), draw(_fraction),
+                      wall, glazing, draw(st.floats(0, 2.0)))
+        for o in ("N", "S", "E", "W"))
+    return BuildingSpec(
+        name=draw(st.text(min_size=1, max_size=12)),
+        floor_area=draw(_positive),
+        conditioned_volume=draw(_positive),
+        storeys=draw(st.integers(1, 40)),
+        orientations=groups,
+        roof=Roof(OpaqueConstruction("roof", draw(st.floats(0.05, 10.0))),
+                  draw(st.floats(0, 5000.0))),
+        infiltration=draw(st.floats(0, 5.0)),
+        occupancy_hours=draw(st.floats(0, 8760.0)),
+        equipment_power_density=draw(st.floats(0, 50.0)),
+        lighting=LightingSystem(draw(st.sampled_from(list(LightingTechnology))),
+                                draw(st.floats(0, 200.0)), draw(st.integers(0, 5000)),
+                                draw(st.floats(0, 8760.0)), draw(_fraction)),
+        hvac=HvacSystem(draw(st.floats(0.5, 8.0)), draw(st.floats(0.3, 6.0)),
+                        draw(st.sampled_from(list(HeatingFuel)))),
+    )

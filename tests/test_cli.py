@@ -519,6 +519,28 @@ def _probe(command, name, edit, named):
            "climate.irradiation_kwh_m2_S"),
     _probe("audit", "gd_climate.csv", _replace("\n7,110.0,0.0", "\n7,inf,0.0"),
            "climate month 7: cooling_degree_days_K_day"),
+    _probe("optimize", "paper_space.json",
+           _set("code_limits", "S", "max_overhang_ratio", value=0.1),
+           "code_limits.S.max_overhang_ratio is not a code limit"),
+    _probe("optimize", "paper_space.json", _set("code_limits", "SW", value={"max_wwr": 0.3}),
+           "code_limits.SW is not an orientation"),
+    _probe("audit", "baseline_school.json", _set("floor_area_m2", value="x"),
+           "floor_area_m2 must be a number, got 'x'"),
+    _probe("audit", "baseline_school.json",
+           _set("roof", "construction", "r_value", value="x"),
+           "roof.construction.r_value must be a number, got 'x'"),
+    _probe("audit", "baseline_school.json", _set("name", value=None),
+           "malformed spec: missing required field name"),
+    _probe("audit", "baseline_school.json", _set("roof", value=[1]),
+           "roof must be a JSON object, got [1]"),
+    _probe("audit", "baseline_school.json", _set("lighting", "technology", value=["led"]),
+           "lighting.technology must be one of 'incandescent', 'led', got ['led']"),
+    _probe("node-sim", "node_demo.json", _set("sensor_loads", 0, "name", value=None),
+           "missing required field node.sensor_loads[0].name"),
+    _probe("optimize", "paper_space.json", _set("glazing", 0, value=1),
+           "design space glazing item 0 must be a string, got 1"),
+    _probe("optimize", "catalog.csv", _replace(",electric,", ",coal,"),
+           "malformed catalog row for 'heat_pump': heating_fuel must be one of"),
 ])
 def test_malformed_input_is_one_line_naming_the_field(fixtures, tmp_path, capsys,
                                                        command, name, edit, named):
@@ -540,25 +562,33 @@ def test_malformed_input_is_one_line_naming_the_field(fixtures, tmp_path, capsys
     assert not out.exists()
 
 
-def _numeric_leaves(node, path=()):
-    """Paths of every number in a JSON document (booleans excluded)."""
+def _values(node, path=()):
+    """(path, value) of every value below the root of a JSON document."""
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):
         items = enumerate(node)
     else:
-        return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
-    return [leaf for key, child in items for leaf in _numeric_leaves(child, path + (key,))]
+        return []
+    return [pair for key, child in items
+            for pair in [(path + (key,), child)] + _values(child, path + (key,))]
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 _DROP = object()
 _MUTATIONS = [math.nan, math.inf, -math.inf, -1, "x", None, _DROP]
+#: what replaces a string, a boolean, or a whole object or list
+_SHAPE_MUTATIONS = [None, 1, [], {}]
 
 
 def _mutated_json(text, data):
     doc = json.loads(text)
-    path = data.draw(st.sampled_from(_numeric_leaves(doc)), label="leaf")
-    value = data.draw(st.sampled_from(_MUTATIONS), label="value")
+    path, old = data.draw(st.sampled_from(_values(doc)), label="value path")
+    value = data.draw(st.sampled_from(_MUTATIONS if _is_number(old) else _SHAPE_MUTATIONS),
+                      label="value")
     parent = doc
     for key in path[:-1]:
         parent = parent[key]

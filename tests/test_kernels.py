@@ -1,6 +1,7 @@
 """The batch sweep and the node trace fold agree with their scalar references."""
 
 import pytest
+from conftest import building_specs
 from hypothesis import given, settings, strategies as st
 
 from lowcarb import (
@@ -16,6 +17,7 @@ from lowcarb import (
     simulate,
     step,
 )
+from lowcarb.energy import CalibrationParams
 from lowcarb.model import LightingTechnology
 from lowcarb.node import NodeConfig, initial_state
 from lowcarb.optimize import CodeLimits
@@ -77,10 +79,12 @@ def design_spaces(draw, catalog):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_batch_energy_matches_scalar_engine_on_random_spaces(
-        data, baseline_spec, climate, catalog, baseline_calibration, tariff):
+        data, climate, catalog, tariff):
     space = data.draw(design_spaces(catalog))
-    assert_sweep_matches_scalar_engine(space, baseline_spec, climate, catalog,
-                                       baseline_calibration, tariff)
+    spec = data.draw(building_specs())
+    multiplier = st.floats(0.0, 20.0)
+    calib = CalibrationParams(data.draw(multiplier), data.draw(multiplier), data.draw(multiplier))
+    assert_sweep_matches_scalar_engine(space, spec, climate, catalog, calib, tariff)
 
 
 # small integer readings and settings land on the threshold and on the edge

@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 import pytest
+from conftest import building_specs
 from hypothesis import given, strategies as st
 
 from lowcarb import (
@@ -169,41 +170,6 @@ class TestGlazedArea:
 # ---------------------------------------------------------------------------
 # round-trip property
 # ---------------------------------------------------------------------------
-
-_positive = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False,
-                      allow_infinity=False)
-_fraction = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-
-
-@st.composite
-def building_specs(draw):
-    wall = OpaqueConstruction(draw(st.text("abcw", min_size=1, max_size=6)),
-                              draw(st.floats(0.05, 10.0)), draw(st.floats(0.1, 5.0)))
-    glazing = GlazingOption(draw(st.text("defg", min_size=1, max_size=6)),
-                            draw(st.floats(0.5, 7.0)), draw(_fraction),
-                            draw(_fraction), draw(st.floats(0.1, 5.0)))
-    groups = tuple(
-        EnvelopeGroup(Orientation(o), draw(st.floats(0, 2000.0)), draw(_fraction),
-                      wall, glazing, draw(st.floats(0, 2.0)))
-        for o in ("N", "S", "E", "W"))
-    return BuildingSpec(
-        name=draw(st.text(min_size=1, max_size=12)),
-        floor_area=draw(_positive),
-        conditioned_volume=draw(_positive),
-        storeys=draw(st.integers(1, 40)),
-        orientations=groups,
-        roof=Roof(OpaqueConstruction("roof", draw(st.floats(0.05, 10.0))),
-                  draw(st.floats(0, 5000.0))),
-        infiltration=draw(st.floats(0, 5.0)),
-        occupancy_hours=draw(st.floats(0, 8760.0)),
-        equipment_power_density=draw(st.floats(0, 50.0)),
-        lighting=LightingSystem(draw(st.sampled_from(list(LightingTechnology))),
-                                draw(st.floats(0, 200.0)), draw(st.integers(0, 5000)),
-                                draw(st.floats(0, 8760.0)), draw(_fraction)),
-        hvac=HvacSystem(draw(st.floats(0.5, 8.0)), draw(st.floats(0.3, 6.0)),
-                        draw(st.sampled_from(list(HeatingFuel)))),
-    )
-
 
 @given(spec=building_specs())
 def test_parse_serialize_roundtrip(spec):
