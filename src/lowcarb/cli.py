@@ -26,7 +26,8 @@ from .energy import CalibrationError, EndUseTargets
 from .model import SpecError, load_catalog, load_climate_profile, load_tariff, \
     parse_building_spec
 from .node import TraceError
-from .optimize import DesignSpace, legal_positions, optimize as run_optimize, write_results_csv
+from .optimize import DesignSpace, design_doc, legal_positions, optimize as run_optimize, \
+    write_results_csv
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -161,18 +162,7 @@ def cmd_optimize(args) -> int:
         "best": {
             "eui_kwh_m2": top.eui,
             "cost_cny_m2": top.cost_per_m2,
-            "design": {
-                "wwr": {"N": top.design.wwr_n, "S": top.design.wwr_s,
-                        "E": top.design.wwr_e, "W": top.design.wwr_w},
-                "overhang_ratio": {"N": top.design.overhang_n, "S": top.design.overhang_s,
-                                   "E": top.design.overhang_e, "W": top.design.overhang_w},
-                "glazing_id": top.design.glazing_id,
-                "wall_id": top.design.wall_id,
-                "roof_id": top.design.roof_id,
-                "infiltration_ach": top.design.infiltration,
-                "lighting_technology": top.design.lighting_technology.value,
-                "hvac_id": top.design.hvac_id,
-            },
+            "design": design_doc(top.design),
         },
     }
     _write_reports(out, {"results.csv": write_results_csv(ranked),

@@ -2,12 +2,13 @@
 
 All types are frozen dataclasses and safe to share between threads. Parsing
 is strict. One table, :data:`SPEC_FORMAT`, declares the building-spec format,
-and parse, validate and serialize all walk it. Spec files carry every thermal
-coefficient explicitly: the only defaulted fields are ``daylight_offset``,
-``overhang_ratio`` and ``cost_index``, and a null or absent one takes its
-default. Spec numbers pass the same boundary as every other input
-(:func:`number`), so a malformed one is named by its JSON path; ``name``, ids
-and enums are required strings (:func:`string`).
+and parse, validate and serialize all walk it; a key it does not list (besides
+the top-level ``schema_version`` and ``calibration``) is refused by its path.
+Spec files carry every thermal coefficient explicitly: the only defaulted
+fields are ``daylight_offset``, ``overhang_ratio`` and ``cost_index``, and a
+null or absent one takes its default. Spec numbers pass the same boundary as
+every other input (:func:`number`), so a malformed one is named by its JSON
+path; ``name``, ids and enums are required strings (:func:`string`).
 """
 
 from __future__ import annotations
@@ -364,14 +365,18 @@ SPEC_FORMAT: dict[type, tuple[Field, ...]] = {
 }
 
 
-def _read(cls: type, doc: Any, context: str, checked: bool = False) -> Any:
-    """A ``cls`` record from ``doc``, a JSON object or CSV row whose fields are
-    named ``context + key``. Rules are checked here if ``checked``, else by
-    :func:`validate_spec`."""
+def _read(cls: type, doc: Any, context: str, row: bool = False) -> Any:
+    """A ``cls`` record from ``doc``, whose fields are named ``context + key``: a spec's
+    JSON object, which may hold no other key and whose rules :func:`validate_spec`
+    checks, or if ``row`` a catalog CSV row, whose rules are checked here."""
     where = context.removesuffix(".")
     if not isinstance(doc, dict):
         raise SpecError(f"missing required field {where}" if doc is None
                         else f"{where} must be a JSON object, got {doc!r}")
+    keys = [f.key for f in SPEC_FORMAT[cls]]
+    for key in () if row else doc:
+        if key not in keys:
+            raise SpecError(f"{context}{key} is not a spec field")
     values = {}
     for f in SPEC_FORMAT[cls]:
         name = context + f.key
@@ -380,14 +385,14 @@ def _read(cls: type, doc: Any, context: str, checked: bool = False) -> Any:
             if not isinstance(items, list):
                 raise SpecError(f"missing required field {name}" if items is None
                                 else f"{name} must be a JSON list, got {items!r}")
-            value = tuple(_read(f.kind[0], item, f"{name}[{i}].", checked)
+            value = tuple(_read(f.kind[0], item, f"{name}[{i}].")
                           for i, item in enumerate(items))
         elif f.kind in SPEC_FORMAT:
-            value = _read(f.kind, doc.get(f.key), name + ".", checked)
+            value = _read(f.kind, doc.get(f.key), name + ".")
         elif f.kind is float or f.kind is int:
             value = f.kind(number(doc, f.key, context, INTEGER if f.kind is int else None,
                                   f.default))
-            value = check(value, name, f.rule) if checked else value
+            value = check(value, name, f.rule) if row else value
         else:
             value = string(doc, f.key, context, None if f.kind is str else f.kind)
         values[f.attr] = value
@@ -428,7 +433,9 @@ def parse_building_spec(text: str) -> BuildingSpec:
     doc = read_json(text, "spec")
     try:
         number(doc, "schema_version", "", SCHEMA)  # read_json lets an absent one pass
-        spec = _read(BuildingSpec, doc, "")
+        # the other top-level keys: the version, checked above, and load_calibration's block
+        spec = _read(BuildingSpec, {key: value for key, value in doc.items()
+                                    if key not in ("schema_version", "calibration")}, "")
     except SpecError as exc:
         raise SpecError(f"malformed spec: {exc}") from exc
 
@@ -532,18 +539,20 @@ def load_catalog(text: str) -> Catalog:
         kind, cid = row.get("kind"), row.get("id")
         if not kind or not cid:
             raise SpecError(f"catalog row missing kind or id: {row!r}")
-        ctx = f"malformed catalog row for {cid!r}: "
-        cost_indices[cid] = number(row, "cost_index", ctx, POSITIVE, default=1.0)
-        if kind == "construction":
-            constructions[cid] = _read(OpaqueConstruction, row, ctx, checked=True)
-        elif kind == "glazing":
-            glazings[cid] = _read(GlazingOption, row, ctx, checked=True)
-        elif kind == "hvac":
-            hvac_systems[cid] = _read(HvacSystem, row, ctx, checked=True)
-        elif kind == "lighting":
-            lamp_powers[cid] = number(row, "lamp_power_w", ctx, POSITIVE)
-        else:
-            raise SpecError(f"unknown catalog kind {kind!r}")
+        try:
+            cost_indices[cid] = number(row, "cost_index", "", POSITIVE, default=1.0)
+            if kind == "construction":
+                constructions[cid] = _read(OpaqueConstruction, row, "", row=True)
+            elif kind == "glazing":
+                glazings[cid] = _read(GlazingOption, row, "", row=True)
+            elif kind == "hvac":
+                hvac_systems[cid] = _read(HvacSystem, row, "", row=True)
+            elif kind == "lighting":
+                lamp_powers[cid] = number(row, "lamp_power_w", "", POSITIVE)
+            else:
+                raise SpecError(f"unknown catalog kind {kind!r}")
+        except SpecError as exc:
+            raise SpecError(f"malformed catalog row for {cid!r}: {exc}") from exc
 
     return Catalog(constructions, glazings, hvac_systems, lamp_powers, cost_indices)
 

@@ -1,5 +1,10 @@
 """Retrofit design-space enumeration, code checks and exhaustive search.
 
+One table, :data:`VARIABLES`, names each design variable in code, in the space
+file and in the results reports, and gives the rule or kind of its candidates.
+The space file, validation, enumeration and the reports all walk it, so a bad
+candidate is named by its path in the file (``design space wwr.S item 0``).
+
 The search is an exact grid sweep: every code-legal point of the Cartesian
 product is evaluated through the energy engine and ranked by EUI with the
 annual cost per m2 as tie-break and the enumeration index as the final,
@@ -17,8 +22,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
 
 from . import _kernels
 from .energy import (
@@ -38,7 +44,6 @@ from .model import (
     Catalog,
     ClimateProfile,
     HeatingFuel,
-    LightingSystem,
     LightingTechnology,
     Orientation,
     SpecError,
@@ -58,10 +63,6 @@ DEFAULT_ENUMERATION_CAP = 1_000_000
 
 #: Code-legal designs per kernel call (more only if the last variable has more).
 CHUNK_SIZE = 1 << 16
-
-
-#: Per candidate variable (by name prefix): the rule every value must pass.
-_CANDIDATE_RULES = {"wwr": FRACTION, "overhang": NONNEGATIVE, "infiltration": NONNEGATIVE}
 
 
 class DesignSpaceTooLarge(ValueError):
@@ -98,6 +99,43 @@ class DesignVariables:
         return getattr(self, f"overhang_{Orientation(orientation).value.lower()}")
 
 
+class Variable(NamedTuple):
+    """One design variable under each of its names, and the kind of its values."""
+
+    attr: str  # DesignVariables field
+    column: str  # results.csv column
+    space_attr: str  # DesignSpace field, a mapping by orientation when one is set
+    orientation: str | None
+    key: str  # in the design-space file, and in results.json when per orientation
+    kind: Any  # a value Rule, str, or LightingTechnology
+    limit: str | None = None  # the OrientationLimit bounds ("wwr" or "overhang") it obeys
+
+    def place(self, doc: dict, key: str, value: Any) -> None:
+        """Set ``doc[key]``, or ``doc[key][orientation]`` for a per-orientation variable."""
+        if self.orientation:
+            doc.setdefault(key, {})[self.orientation] = value
+        else:
+            doc[key] = value
+
+
+#: The retrofit design variables in enumeration order, the field order of
+#: :class:`DesignVariables`.
+VARIABLES: tuple[Variable, ...] = (
+    *(Variable(f"wwr_{o.lower()}", f"wwr_{o.lower()}", "wwr", o, "wwr", FRACTION, "wwr")
+      for o in ORIENTATION_ORDER),
+    *(Variable(f"overhang_{o.lower()}", f"overhang_{o.lower()}", "overhang_ratio", o,
+               "overhang_ratio", NONNEGATIVE, "overhang") for o in ORIENTATION_ORDER),
+    Variable("glazing_id", "glazing_id", "glazing_ids", None, "glazing", str),
+    Variable("wall_id", "wall_id", "wall_ids", None, "wall", str),
+    Variable("roof_id", "roof_id", "roof_ids", None, "roof", str),
+    Variable("infiltration", "infiltration_ach", "infiltration", None, "infiltration_ach",
+             NONNEGATIVE),
+    Variable("lighting_technology", "lighting_technology", "lighting_technologies", None,
+             "lighting_technology", LightingTechnology),
+    Variable("hvac_id", "hvac_id", "hvac_ids", None, "hvac", str),
+)
+
+
 @dataclass(frozen=True)
 class DesignSpace:
     """Per-variable candidate lists; the product must be finite and non-empty."""
@@ -113,77 +151,53 @@ class DesignSpace:
 
     def candidate_lists(self) -> list[tuple[str, tuple]]:
         """(variable name, candidates) pairs in enumeration order."""
-        return [
-            ("wwr_n", self.wwr["N"]),
-            ("wwr_s", self.wwr["S"]),
-            ("wwr_e", self.wwr["E"]),
-            ("wwr_w", self.wwr["W"]),
-            ("overhang_n", self.overhang_ratio["N"]),
-            ("overhang_s", self.overhang_ratio["S"]),
-            ("overhang_e", self.overhang_ratio["E"]),
-            ("overhang_w", self.overhang_ratio["W"]),
-            ("glazing_id", self.glazing_ids),
-            ("wall_id", self.wall_ids),
-            ("roof_id", self.roof_ids),
-            ("infiltration", self.infiltration),
-            ("lighting_technology", self.lighting_technologies),
-            ("hvac_id", self.hvac_ids),
-        ]
+        return [(v.attr, getattr(self, v.space_attr)[v.orientation] if v.orientation
+                 else getattr(self, v.space_attr)) for v in VARIABLES]
 
     @property
     def size(self) -> int:
         return math.prod(len(values) for _, values in self.candidate_lists())
 
     def validate(self) -> None:
-        """Raise :class:`SpecError` on an empty candidate list, a wwr outside
-        [0, 1], or an overhang or infiltration that is negative or not finite."""
-        for name, values in self.candidate_lists():
+        """Raise :class:`SpecError` on an empty candidate list or a value that
+        breaks its variable's rule in :data:`VARIABLES`."""
+        for v, (name, values) in zip(VARIABLES, self.candidate_lists()):
             if len(values) == 0:
                 raise SpecError(f"design space variable {name!r} has no candidates")
-            rule = _CANDIDATE_RULES.get(name.split("_")[0])
-            for value in values if rule else ():
-                check(value, f"design space variable {name!r}", rule)
+            for value in values if isinstance(v.kind, tuple) else ():
+                check(value, f"design space variable {name!r}", v.kind)
 
     @staticmethod
     def from_json(text: str) -> tuple["DesignSpace", "CodeLimits"]:
         """Parse a design-space file; returns the space and its code limits.
 
-        Raises :class:`SpecError` on a missing key, a candidate entry that is
-        not a list, a candidate that is not a finite number, not a string id or
-        not a lighting technology, malformed code limits, or a value
-        :meth:`validate` rejects.
-        """
+        Raises :class:`SpecError` on a missing, empty or non-list candidate entry,
+        a candidate that fails its variable's kind (named by its path, e.g.
+        ``wwr.S item 0``), or malformed code limits."""
         doc = read_json(text, "design space")
+        fields: dict = {}
+        for v in VARIABLES:
+            values, path = doc.get(v.key), v.key
+            if v.orientation:
+                values = values.get(v.orientation) if isinstance(values, dict) else None
+                path = f"{v.key}.{v.orientation}"
+            if not (isinstance(values, list) and values):
+                raise SpecError(f"design space is missing {path!r}" if values is None
+                                else f"design space {path!r} must be a non-empty list")
+            read, rule = (number, v.kind) if isinstance(v.kind, tuple) else (
+                string, None if v.kind is str else v.kind)
+            v.place(fields, v.space_attr, tuple(
+                read(values, i, f"design space {path} item ", rule) for i in range(len(values))))
+        return DesignSpace(**fields), CodeLimits.from_doc(doc.get("code_limits", {}))
 
-        def listed(*keys: str) -> list:
-            value = doc
-            for key in keys:
-                if not isinstance(value, dict) or key not in value:
-                    raise SpecError(f"design space is missing {'.'.join(keys)!r}")
-                value = value[key]
-            if not isinstance(value, list):
-                raise SpecError(f"design space {'.'.join(keys)!r} must be a list")
-            return value
 
-        def each(read, rule, *keys: str) -> tuple:
-            values = listed(*keys)
-            return tuple(read(values, i, f"design space {'.'.join(keys)} item ", rule)
-                         for i in range(len(values)))
-
-        space = DesignSpace(
-            wwr={o: each(number, FINITE, "wwr", o) for o in ORIENTATION_ORDER},
-            overhang_ratio={o: each(number, FINITE, "overhang_ratio", o)
-                            for o in ORIENTATION_ORDER},
-            glazing_ids=each(string, None, "glazing"),
-            wall_ids=each(string, None, "wall"),
-            roof_ids=each(string, None, "roof"),
-            infiltration=each(number, FINITE, "infiltration_ach"),
-            lighting_technologies=each(string, LightingTechnology, "lighting_technology"),
-            hvac_ids=each(string, None, "hvac"),
-        )
-        limits = CodeLimits.from_doc(doc.get("code_limits", {}))
-        space.validate()
-        return space, limits
+def design_doc(design: DesignVariables) -> dict:
+    """One design as results.json names it: per-orientation values grouped under
+    their space-file key, the rest under their results column."""
+    doc: dict = {}
+    for v in VARIABLES:
+        v.place(doc, v.key if v.orientation else v.column, getattr(design, v.attr))
+    return doc
 
 
 @dataclass(frozen=True)
@@ -200,35 +214,37 @@ class OrientationLimit:
     max_overhang: float | None = None
     min_overhang: float | None = None
 
+    def bounds(self, var: str) -> list[tuple[str, float]]:
+        """The (operator, bound) pairs a ``var`` value ("wwr" or "overhang") must meet."""
+        upper = "<" if var == "wwr" and self.strict else "<="
+        pairs = ((upper, getattr(self, f"max_{var}")), (">=", getattr(self, f"min_{var}")))
+        return [(op, bound) for op, bound in pairs if bound is not None]
+
+    def ok(self, var: str, value: float) -> bool:
+        return all(_OPERATORS[op](value, bound) for op, bound in self.bounds(var))
+
     def wwr_ok(self, value: float) -> bool:
-        if self.max_wwr is not None:
-            if self.strict and value >= self.max_wwr:
-                return False
-            if not self.strict and value > self.max_wwr:
-                return False
-        if self.min_wwr is not None and value < self.min_wwr:
-            return False
-        return True
+        return self.ok("wwr", value)
 
     def overhang_ok(self, value: float) -> bool:
-        if self.max_overhang is not None and value > self.max_overhang:
-            return False
-        if self.min_overhang is not None and value < self.min_overhang:
-            return False
-        return True
+        return self.ok("overhang", value)
+
+
+_OPERATORS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
 class CodeLimits:
+    """Per-orientation limits; the fields follow :data:`ORIENTATION_ORDER`."""
+
     north: OrientationLimit = OrientationLimit()
     south: OrientationLimit = OrientationLimit()
     east: OrientationLimit = OrientationLimit()
     west: OrientationLimit = OrientationLimit()
 
     def limit(self, orientation: Orientation | str) -> OrientationLimit:
-        key = Orientation(orientation)
-        return {"N": self.north, "S": self.south,
-                "E": self.east, "W": self.west}[key.value]
+        index = ORIENTATION_ORDER.index(Orientation(orientation).value)
+        return getattr(self, dataclasses.fields(self)[index].name)
 
     @staticmethod
     def from_doc(doc: Mapping) -> "CodeLimits":
@@ -253,15 +269,12 @@ class CodeLimits:
             strict = check(block.get("strict", True), f"code_limits.{o}.strict", BOOLEAN)
             return OrientationLimit(strict=strict, **bounds)
 
-        return CodeLimits(north=parse("N"), south=parse("S"),
-                          east=parse("E"), west=parse("W"))
+        return CodeLimits(*map(parse, ORIENTATION_ORDER))
 
 
-def _design_from_digits(space: DesignSpace, digits: Sequence[int]) -> DesignVariables:
-    values = {}
-    for (name, candidates), digit in zip(space.candidate_lists(), digits):
-        values[name] = candidates[digit]
-    return DesignVariables(**values)
+def _design_from_digits(lists: Sequence[tuple], digits: Sequence[int]) -> DesignVariables:
+    """The design at ``digits``, one position per candidate list in enumeration order."""
+    return DesignVariables(*map(operator.getitem, lists, digits))
 
 
 def enumerate_designs(space: DesignSpace,
@@ -273,20 +286,15 @@ def enumerate_designs(space: DesignSpace,
     space.validate()
     if space.size > cap:
         raise DesignSpaceTooLarge(f"{space.size} designs exceed the cap of {cap}")
-    lists = space.candidate_lists()
-    names = [name for name, _ in lists]
-    return [DesignVariables(**dict(zip(names, values)))
-            for values in itertools.product(*(candidates for _, candidates in lists))]
+    return list(itertools.starmap(DesignVariables, itertools.product(
+        *(candidates for _, candidates in space.candidate_lists()))))
 
 
 def legal_positions(space: DesignSpace, limits: CodeLimits) -> list[list[int]]:
     """Per variable, in enumeration order, the positions of its code-legal candidates."""
-    legal = [list(range(len(values))) for _, values in space.candidate_lists()]
-    for i, o in enumerate(ORIENTATION_ORDER):
-        lim = limits.limit(o)
-        legal[i] = [j for j, v in enumerate(space.wwr[o]) if lim.wwr_ok(v)]
-        legal[i + 4] = [j for j, v in enumerate(space.overhang_ratio[o]) if lim.overhang_ok(v)]
-    return legal
+    return [[j for j, value in enumerate(values)
+             if v.limit is None or limits.limit(v.orientation).ok(v.limit, value)]
+            for v, (_, values) in zip(VARIABLES, space.candidate_lists())]
 
 
 def code_check(design: DesignVariables, limits: CodeLimits) -> list[Violation]:
@@ -294,23 +302,11 @@ def code_check(design: DesignVariables, limits: CodeLimits) -> list[Violation]:
     out: list[Violation] = []
     for o in ORIENTATION_ORDER:
         lim = limits.limit(o)
-        wwr = design.wwr(o)
-        if not lim.wwr_ok(wwr):
-            bound = "<" if lim.strict else "<="
-            rule_parts = []
-            if lim.max_wwr is not None:
-                rule_parts.append(f"wwr {bound} {lim.max_wwr}")
-            if lim.min_wwr is not None:
-                rule_parts.append(f"wwr >= {lim.min_wwr}")
-            out.append(Violation(f"wwr[{o}]", wwr, " and ".join(rule_parts)))
-        ov = design.overhang(o)
-        if not lim.overhang_ok(ov):
-            rule_parts = []
-            if lim.max_overhang is not None:
-                rule_parts.append(f"overhang <= {lim.max_overhang}")
-            if lim.min_overhang is not None:
-                rule_parts.append(f"overhang >= {lim.min_overhang}")
-            out.append(Violation(f"overhang[{o}]", ov, " and ".join(rule_parts)))
+        for var in ("wwr", "overhang"):
+            value = getattr(design, var)(o)
+            if not lim.ok(var, value):
+                rule = " and ".join(f"{var} {op} {bound}" for op, bound in lim.bounds(var))
+                out.append(Violation(f"{var}[{o}]", value, rule))
     return out
 
 
@@ -326,28 +322,16 @@ def apply_design(spec: BuildingSpec, design: DesignVariables,
     except KeyError as exc:
         raise SpecError(f"design references unknown catalog id: {exc}") from exc
 
-    groups = []
-    for g in spec.orientations:
-        groups.append(dataclasses.replace(
-            g,
-            wwr=design.wwr(g.orientation),
-            overhang_ratio=design.overhang(g.orientation),
-            wall=wall,
-            glazing=glazing,
-        ))
-    lighting = LightingSystem(
-        technology=design.lighting_technology,
-        lamp_power=lamp_power,
-        lamp_count=spec.lighting.lamp_count,
-        annual_hours=spec.lighting.annual_hours,
-        daylight_offset=spec.lighting.daylight_offset,
-    )
+    groups = tuple(dataclasses.replace(g, wwr=design.wwr(g.orientation),
+                                       overhang_ratio=design.overhang(g.orientation),
+                                       wall=wall, glazing=glazing) for g in spec.orientations)
     return dataclasses.replace(
         spec,
-        orientations=tuple(groups),
+        orientations=groups,
         roof=dataclasses.replace(spec.roof, construction=roof_con),
         infiltration=design.infiltration,
-        lighting=lighting,
+        lighting=dataclasses.replace(spec.lighting, technology=design.lighting_technology,
+                                     lamp_power=lamp_power),
         hvac=hvac,
     )
 
@@ -513,8 +497,9 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     # before it is cheaper. Ranks before a returned one are all returned.
     pareto = cost <= np.minimum.accumulate(cost)
     digits = np.stack([np.take(p, d) for p, d in zip(legal, np.unravel_index(position, dims))], 1)
+    lists = [candidates for _, candidates in space.candidate_lists()]
     return [
-        RankedDesign(rank=rank, design=_design_from_digits(space, d), eui=e,
+        RankedDesign(rank=rank, design=_design_from_digits(lists, d), eui=e,
                      cost_per_m2=c, electricity=el, gas=g, pareto=f)
         for rank, (d, e, c, el, g, f) in enumerate(
             zip(digits.tolist(), eui.tolist(), cost.tolist(), elec.tolist(), gas.tolist(),
@@ -529,20 +514,11 @@ def write_results_csv(ranked: list[RankedDesign]) -> str:
 
     buf = _io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow([
-        "rank", "eui_kwh_m2", "cost_cny_m2", "electricity_kwh", "gas_m3",
-        "wwr_n", "wwr_s", "wwr_e", "wwr_w",
-        "overhang_n", "overhang_s", "overhang_e", "overhang_w",
-        "glazing_id", "wall_id", "roof_id", "infiltration_ach",
-        "lighting_technology", "hvac_id", "violations", "pareto",
-    ])
+    writer.writerow(["rank", "eui_kwh_m2", "cost_cny_m2", "electricity_kwh", "gas_m3",
+                     *(v.column for v in VARIABLES), "violations", "pareto"])
+    # a str Enum writes as its value, so every design cell is the field itself
+    design_cells = operator.attrgetter(*(v.attr for v in VARIABLES))
     for r in ranked:
-        d = r.design
-        writer.writerow([
-            r.rank, repr(r.eui), repr(r.cost_per_m2), repr(r.electricity), repr(r.gas),
-            d.wwr_n, d.wwr_s, d.wwr_e, d.wwr_w,
-            d.overhang_n, d.overhang_s, d.overhang_e, d.overhang_w,
-            d.glazing_id, d.wall_id, d.roof_id, d.infiltration,
-            d.lighting_technology.value, d.hvac_id, 0, int(r.pareto),
-        ])
+        writer.writerow([r.rank, repr(r.eui), repr(r.cost_per_m2), repr(r.electricity),
+                         repr(r.gas), *design_cells(r.design), 0, int(r.pareto)])
     return buf.getvalue()

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import lowcarb
 from lowcarb.cli import _json_dumps, main
-from lowcarb.model import fixture_path
+from lowcarb.model import LightingTechnology, fixture_path
+from lowcarb.optimize import DesignVariables
 
 
 @pytest.fixture()
@@ -193,6 +194,40 @@ def test_optimize_subcommand(fixtures, tmp_path):
     assert results["best"]["eui_kwh_m2"] <= 110.0
     table = (out / "results.csv").read_text().strip().splitlines()
     assert len(table) == 11  # header + k rows
+
+
+def test_optimize_reports_name_the_ranked_designs(fixtures, tmp_path, baseline_spec, climate,
+                                                 catalog, baseline_calibration, tariff,
+                                                 paper_space):
+    """results.csv read back by its header, and results.json's best design, are the
+    designs optimize() ranks, column by column and key by key."""
+    out = tmp_path / "opt"
+    assert main(_argv(fixtures, "optimize") + ["--k", "10", "--out", str(out)]) == 0
+    space, limits = paper_space
+    ranked = lowcarb.optimize(baseline_spec, climate, catalog, space, limits, k=10,
+                              calib=baseline_calibration, tariff=tariff)
+
+    def design(cells):
+        return DesignVariables(
+            **{o: float(cells[o]) for o in ("wwr_n", "wwr_s", "wwr_e", "wwr_w", "overhang_n",
+                                            "overhang_s", "overhang_e", "overhang_w")},
+            glazing_id=cells["glazing_id"], wall_id=cells["wall_id"],
+            roof_id=cells["roof_id"], infiltration=float(cells["infiltration_ach"]),
+            lighting_technology=LightingTechnology(cells["lighting_technology"]),
+            hvac_id=cells["hvac_id"])
+
+    with open(out / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [design(row) for row in rows] == [r.design for r in ranked]
+    assert [(int(row["rank"]), float(row["eui_kwh_m2"]), float(row["cost_cny_m2"]))
+            for row in rows] == [(r.rank, r.eui, r.cost_per_m2) for r in ranked]
+
+    best = json.loads((out / "results.json").read_text())["best"]["design"]
+    assert set(best) == {"wwr", "overhang_ratio", "glazing_id", "wall_id", "roof_id",
+                         "infiltration_ach", "lighting_technology", "hvac_id"}
+    assert design({**{f"wwr_{o.lower()}": v for o, v in best["wwr"].items()},
+                   **{f"overhang_{o.lower()}": v for o, v in best["overhang_ratio"].items()},
+                   **best}) == design(rows[0])
 
 
 def test_optimize_reports_the_code_legal_designs_it_evaluated(fixtures, tmp_path, capsys):
@@ -482,8 +517,16 @@ def _replace(old, new):
     return lambda text: text.replace(old, new, 1)
 
 
-def _probe(command, name, edit, named):
-    return pytest.param(command, name, edit, named, id=f"{command}-{named.split()[0]}")
+def _probe(command, name, edit, named, id=None):
+    return pytest.param(command, name, edit, named, id=id or f"{command}-{named.split()[0]}")
+
+
+def _rename(*path, to):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[to] = doc.pop(path[-1])
+    return edit
 
 
 @pytest.mark.parametrize("command, name, edit, named", [
@@ -541,6 +584,22 @@ def _probe(command, name, edit, named):
            "design space glazing item 0 must be a string, got 1"),
     _probe("optimize", "catalog.csv", _replace(",electric,", ",coal,"),
            "malformed catalog row for 'heat_pump': heating_fuel must be one of"),
+    _probe("audit", "baseline_school.json",
+           _rename("orientations", 1, "overhang_ratio", to="overhang_rato"),
+           "malformed spec: orientations[1].overhang_rato is not a spec field",
+           id="audit-unknown-spec-key"),
+    _probe("audit", "baseline_school.json", _set("storeys_count", value=3),
+           "malformed spec: storeys_count is not a spec field", id="audit-unknown-top-key"),
+    _probe("optimize", "catalog.csv", _replace("dbl_loe,,1.8,", "dbl_loe,,,"),
+           "malformed catalog row for 'dbl_loe': missing required field u_value",
+           id="optimize-catalog-missing-cell"),
+    _probe("optimize", "paper_space.json", _set("wwr", "S", 0, value=1.2),
+           "design space wwr.S item 0 must be within [0, 1], got 1.2", id="optimize-space-wwr"),
+    _probe("optimize", "paper_space.json", _set("infiltration_ach", 3, value=-0.5),
+           "design space infiltration_ach item 3 must be nonnegative and finite, got -0.5",
+           id="optimize-space-infiltration"),
+    _probe("optimize", "paper_space.json", _set("wall", value=[]),
+           "design space 'wall' must be a non-empty list", id="optimize-space-empty"),
 ])
 def test_malformed_input_is_one_line_naming_the_field(fixtures, tmp_path, capsys,
                                                        command, name, edit, named):

@@ -18,7 +18,7 @@ from lowcarb import (
     optimize,
 )
 from lowcarb.model import LightingTechnology
-from lowcarb.optimize import CodeLimits, DesignSpaceTooLarge, DesignVariables, \
+from lowcarb.optimize import VARIABLES, CodeLimits, DesignSpaceTooLarge, DesignVariables, \
     OrientationLimit, write_results_csv
 
 # the package exports the function optimize under the submodule's name
@@ -41,6 +41,11 @@ def _small_space(**overrides) -> DesignSpace:
 
 
 NO_LIMITS = CodeLimits()
+
+
+def test_variables_are_the_design_fields_in_order():
+    """Designs are built positionally from the table, so its order is the field order."""
+    assert [v.attr for v in VARIABLES] == [f.name for f in dataclasses.fields(DesignVariables)]
 
 
 class TestEnumerate:
@@ -80,6 +85,7 @@ class TestCodeCheck:
         violations = code_check(design, limits)
         assert len(violations) == 1
         assert violations[0].field == "wwr[E]"
+        assert str(violations[0]) == "wwr[E]=0.5 violates rule: wwr < 0.35"
 
     def test_north_under_strict_limit_is_clean(self):
         design = enumerate_designs(_small_space(wwr={
@@ -94,6 +100,14 @@ class TestCodeCheck:
                                                    min_wwr=0.40))
         assert code_check(design, limits) == []
 
+    def test_south_inclusive_range_rule_text(self):
+        design = enumerate_designs(_small_space(wwr={
+            "N": (0.30,), "S": (0.75,), "E": (0.25,), "W": (0.25,)}))[0]
+        limits = CodeLimits(south=OrientationLimit(max_wwr=0.70, strict=False,
+                                                   min_wwr=0.40))
+        assert list(map(str, code_check(design, limits))) == [
+            "wwr[S]=0.75 violates rule: wwr <= 0.7 and wwr >= 0.4"]
+
     def test_strict_boundary_violates(self):
         design = enumerate_designs(_small_space(wwr={
             "N": (0.30,), "S": (0.24,), "E": (0.35,), "W": (0.25,)}))[0]
@@ -106,6 +120,21 @@ class TestCodeCheck:
         limits = CodeLimits(south=OrientationLimit(max_overhang=2.0 / 3.0))
         violations = code_check(design, limits)
         assert [v.field for v in violations] == ["overhang[S]"]
+        assert str(violations[0]) == ("overhang[S]=0.8 violates rule: "
+                                      "overhang <= 0.6666666666666666")
+
+    def test_every_exceeded_bound_in_orientation_order(self):
+        design = enumerate_designs(_small_space(
+            wwr={"N": (0.5,), "S": (0.24,), "E": (0.25,), "W": (0.25,)},
+            overhang_ratio={"N": (0.1,), "S": (0.0,), "E": (0.0,), "W": (0.9,)}))[0]
+        limits = CodeLimits(north=OrientationLimit(max_wwr=0.45, min_overhang=0.2),
+                            west=OrientationLimit(min_wwr=0.3, max_overhang=0.5,
+                                                  min_overhang=0.25))
+        assert list(map(str, code_check(design, limits))) == [
+            "wwr[N]=0.5 violates rule: wwr < 0.45",
+            "overhang[N]=0.1 violates rule: overhang >= 0.2",
+            "wwr[W]=0.25 violates rule: wwr >= 0.3",
+            "overhang[W]=0.9 violates rule: overhang <= 0.5 and overhang >= 0.25"]
 
 
 class TestOptimize:
