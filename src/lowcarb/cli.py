@@ -1,8 +1,10 @@
 """Command-line interface: audit, optimize, pv, node-sim and calibrate.
 
-Every run writes machine-readable reports (JSON + CSV) plus a run manifest
-into the output directory. Reports for identical inputs are byte-identical;
-anything time-dependent lives only in the manifest.
+One table, :data:`COMMANDS`, declares each subcommand once (its function, input
+files and other options); the parser and the run manifest's inputs come from it.
+Every run writes machine-readable reports (JSON + CSV) plus a run manifest into
+the output directory. Reports for identical inputs are byte-identical; anything
+time-dependent lives only in the manifest.
 
 Exit codes: 0 success, 1 domain/validation failure, 2 usage error,
 3 I/O error.
@@ -19,6 +21,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from . import __version__
 from . import energy, node, pv
@@ -54,10 +57,9 @@ def _json_dumps(obj) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, inputs: dict[str, str]) -> None:
-    digests = {}
-    for name, path in inputs.items():
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        digests[name] = {"path": str(path), "sha256": digest}
+    digests = {name: {"path": str(path),
+                      "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+               for name, path in inputs.items()}
     manifest = {
         "command": command,
         "tool_version": __version__,
@@ -68,18 +70,17 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict[str, str]) -> None
     _write_text(out_dir / "run_manifest.json", _json_dumps(manifest))
 
 
-def _write_reports(out_dir: Path, reports: dict[str, str], command: str,
-                   inputs: dict[str, str]) -> None:
+def _write_reports(args: argparse.Namespace, reports: dict[str, str]) -> Path:
+    """Write ``reports`` and the run manifest of ``args``' subcommand, which hashes
+    each input file given on this run; returns the output directory: ``--out``,
+    else ``$LOWCARB_OUT``, else ``./lowcarb_out``."""
+    out_dir = Path(args.out or os.environ.get(DEFAULT_OUT_ENV, "lowcarb_out"))
     # callers build every text first, so a run that fails on one writes nothing
     for name, text in reports.items():
         _write_text(out_dir / name, text)
-    _write_manifest(out_dir, command, inputs)
-
-
-def _out_dir(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(os.environ.get(DEFAULT_OUT_ENV, "lowcarb_out"))
+    given = {f: getattr(args, f) for f in COMMANDS[args.command].files}
+    _write_manifest(out_dir, args.command, {f: path for f, path in given.items() if path})
+    return out_dir
 
 
 def _report_csv(report: energy.EnergyReport, heating_fuel) -> str:
@@ -101,19 +102,12 @@ def cmd_audit(args) -> int:
     report = energy.annual_end_use(spec, climate, calib, gas_energy_content=gas_content)
     eui_value = energy.eui(report, spec.floor_area)
 
-    doc = report.to_dict()
-    doc["eui_kwh_m2"] = eui_value
-    doc["building"] = spec.name
+    doc = {**report.to_dict(), "eui_kwh_m2": eui_value, "building": spec.name}
     if tariff:
         doc["annual_cost_cny_m2"] = energy.annual_cost(report, tariff, spec.floor_area)
 
-    out = _out_dir(args)
-    inputs = {"spec": args.spec, "climate": args.climate}
-    if args.tariff:
-        inputs["tariff"] = args.tariff
-    _write_reports(out, {"report.json": _json_dumps(doc),
-                         "report.csv": _report_csv(report, spec.hvac.heating_fuel)},
-                   "audit", inputs)
+    out = _write_reports(args, {"report.json": _json_dumps(doc),
+                                "report.csv": _report_csv(report, spec.hvac.heating_fuel)})
 
     print(f"{spec.name}: total {report.total:.2f} GJ/yr, EUI {eui_value:.2f} kWh/m2/yr")
     if tariff:
@@ -129,11 +123,9 @@ def cmd_calibrate(args) -> int:
     params = energy.calibrate(spec, climate, targets)
     achieved = energy.annual_end_use(spec, climate, params)
 
-    out = _out_dir(args)
     doc = {"calibration": dataclasses.asdict(params), "achieved": achieved.to_dict(),
            "targets": dataclasses.asdict(targets)}
-    _write_reports(out, {"calibration.json": _json_dumps(doc)}, "calibrate",
-                   {"spec": args.spec, "climate": args.climate, "targets": args.targets})
+    out = _write_reports(args, {"calibration.json": _json_dumps(doc)})
     print(f"calibrated: gain x{params.internal_gain_multiplier:.4f}, "
           f"schedule x{params.schedule_multiplier:.6f}, "
           f"equipment x{params.equipment_multiplier:.6f}")
@@ -151,24 +143,15 @@ def cmd_optimize(args) -> int:
     calib = energy.load_calibration(spec_text)
 
     ranked = run_optimize(spec, climate, catalog, space, limits,
-                                   k=args.k, calib=calib, tariff=tariff)
+                          k=args.k, calib=calib, tariff=tariff)
 
-    out = _out_dir(args)
     top = ranked[0]
     evaluated = math.prod(map(len, legal_positions(space, limits)))
-    doc = {
-        "evaluated_space_size": evaluated,
-        "returned": len(ranked),
-        "best": {
-            "eui_kwh_m2": top.eui,
-            "cost_cny_m2": top.cost_per_m2,
-            "design": design_doc(top.design),
-        },
-    }
-    _write_reports(out, {"results.csv": write_results_csv(ranked),
-                         "results.json": _json_dumps(doc)}, "optimize",
-                   {"spec": args.spec, "climate": args.climate, "catalog": args.catalog,
-                    "space": args.space, "tariff": args.tariff})
+    doc = {"evaluated_space_size": evaluated, "returned": len(ranked),
+           "best": {"eui_kwh_m2": top.eui, "cost_cny_m2": top.cost_per_m2,
+                    "design": design_doc(top.design)}}
+    out = _write_reports(args, {"results.csv": write_results_csv(ranked),
+                                "results.json": _json_dumps(doc)})
     print(f"evaluated {evaluated} designs, best EUI {top.eui:.2f} kWh/m2/yr "
           f"at {top.cost_per_m2:.2f} CNY/m2/yr")
     print(f"results written to {out}")
@@ -181,9 +164,7 @@ def cmd_pv(args) -> int:
     tariff = load_tariff(_read_text(args.tariff))
     report = pv.site_economics(site, climate.pv_equivalent_full_sun_hours, tariff)
 
-    out = _out_dir(args)
-    _write_reports(out, {"pv_report.json": _json_dumps(report.to_dict())}, "pv",
-                   {"spec": args.spec, "climate": args.climate, "tariff": args.tariff})
+    out = _write_reports(args, {"pv_report.json": _json_dumps(report.to_dict())})
     payback = "never" if report.payback == float("inf") else f"{report.payback:.2f} yr"
     print(f"panels {report.panel_count}  capacity {report.capacity:.1f} kW  "
           f"yield {report.annual_generation:.0f} kWh/yr")
@@ -198,22 +179,50 @@ def cmd_node_sim(args) -> int:
     trace = node.load_trace(_read_text(args.trace))
     result = node.simulate(config, trace, dt=args.dt)
 
-    out = _out_dir(args)
-    summary = {
-        "steps": len(result.soc),
-        "dt_s": args.dt,
-        "uptime_fraction": result.uptime_fraction,
-        "final_soc": float(result.soc[-1]),
-        "alarm_steps": int((result.alarm == 1).sum()),
-        "ledger_wh": {**dataclasses.asdict(result.ledger), "residual": result.ledger.residual},
-    }
-    _write_reports(out, {"states.csv": node.write_state_log(result),
-                         "summary.json": _json_dumps(summary)}, "node-sim",
-                   {"spec": args.spec, "trace": args.trace})
+    summary = {"steps": len(result.soc), "dt_s": args.dt,
+               "uptime_fraction": result.uptime_fraction, "final_soc": float(result.soc[-1]),
+               "alarm_steps": int((result.alarm == 1).sum()),
+               "ledger_wh": {**dataclasses.asdict(result.ledger),
+                             "residual": result.ledger.residual}}
+    out = _write_reports(args, {"states.csv": node.write_state_log(result),
+                                "summary.json": _json_dumps(summary)})
     print(f"simulated {len(result.soc)} steps: uptime {result.uptime_fraction:.3f}, "
           f"final soc {float(result.soc[-1]):.3f}")
     print(f"logs written to {out}")
     return EXIT_OK
+
+
+class Command(NamedTuple):
+    """One subcommand: the function that runs it, its flags and their help texts."""
+
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    files: dict[str, str]  # input file flag, also its manifest key -> help; --spec first
+    optional: tuple[str, ...] = ()  # the files that may be left out
+    options: tuple[tuple[str, type, Any, str], ...] = ()  # (flag, type, default, help)
+
+
+#: The subcommands by name, in ``--help`` order.
+COMMANDS: dict[str, Command] = {
+    "audit": Command(cmd_audit, "annual end-use audit of one building",
+                     {"spec": "building spec JSON", "climate": "climate CSV",
+                      "tariff": "tariff JSON (adds cost output)"}, optional=("tariff",)),
+    "calibrate": Command(cmd_calibrate, "fit calibration multipliers to end-use targets",
+                         {"spec": "building spec JSON", "climate": "climate CSV",
+                          "targets": "end-use targets JSON (GJ per end use)"}),
+    "optimize": Command(cmd_optimize, "rank retrofit designs by EUI",
+                        {"spec": "building spec JSON", "climate": "climate CSV",
+                         "catalog": "material/system catalog CSV",
+                         "space": "design space JSON (with code limits)",
+                         "tariff": "tariff JSON"},
+                        options=(("k", int, 10, "number of designs to return"),)),
+    "pv": Command(cmd_pv, "rooftop PV sizing and payback",
+                  {"spec": "PV site JSON", "climate": "climate CSV (full-sun hours)",
+                   "tariff": "tariff JSON"}),
+    "node-sim": Command(cmd_node_sim, "simulate the monitoring node over a trace",
+                        {"spec": "node config JSON", "trace": "environment trace CSV"},
+                        options=(("dt", float, 60.0, "step length in seconds"),)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,45 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "monitoring-node simulation.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, spec_help):
-        p.add_argument("--spec", required=True, help=spec_help)
-        p.add_argument("--out", "-o", default=None,
-                       help=f"output directory (default ${DEFAULT_OUT_ENV} or ./lowcarb_out)")
-
-    p = sub.add_parser("audit", help="annual end-use audit of one building")
-    common(p, spec_help="building spec JSON")
-    p.add_argument("--climate", required=True, help="climate CSV")
-    p.add_argument("--tariff", default=None, help="tariff JSON (adds cost output)")
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("calibrate", help="fit calibration multipliers to end-use targets")
-    common(p, spec_help="building spec JSON")
-    p.add_argument("--climate", required=True, help="climate CSV")
-    p.add_argument("--targets", required=True, help="end-use targets JSON (GJ per end use)")
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("optimize", help="rank retrofit designs by EUI")
-    common(p, spec_help="building spec JSON")
-    p.add_argument("--climate", required=True, help="climate CSV")
-    p.add_argument("--catalog", required=True, help="material/system catalog CSV")
-    p.add_argument("--space", required=True, help="design space JSON (with code limits)")
-    p.add_argument("--tariff", required=True, help="tariff JSON")
-    p.add_argument("--k", type=int, default=10, help="number of designs to return")
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("pv", help="rooftop PV sizing and payback")
-    common(p, spec_help="PV site JSON")
-    p.add_argument("--climate", required=True, help="climate CSV (full-sun hours)")
-    p.add_argument("--tariff", required=True, help="tariff JSON")
-    p.set_defaults(func=cmd_pv)
-
-    p = sub.add_parser("node-sim", help="simulate the monitoring node over a trace")
-    common(p, spec_help="node config JSON")
-    p.add_argument("--trace", required=True, help="environment trace CSV")
-    p.add_argument("--dt", type=float, default=60.0, help="step length in seconds")
-    p.set_defaults(func=cmd_node_sim)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for i, (flag, text) in enumerate(command.files.items()):
+            p.add_argument(f"--{flag}", required=flag not in command.optional, help=text)
+            if i == 0:  # --out is second in every --help
+                p.add_argument("--out", "-o", help=f"output directory (default "
+                                                   f"${DEFAULT_OUT_ENV} or ./lowcarb_out)")
+        for flag, kind, default, text in command.options:
+            p.add_argument(f"--{flag}", type=kind, default=default, help=text)
     return parser
 
 
@@ -274,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        return args.func(args)
+        return COMMANDS[args.command].run(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_IO

@@ -23,6 +23,7 @@ from .model import (
     HeatingFuel,
     SpecError,
     Tariff,
+    known_keys,
     number,
     read_json,
     validate_spec,
@@ -369,23 +370,24 @@ def calibrate(spec: BuildingSpec, climate: ClimateProfile, targets: EndUseTarget
 
 
 def load_calibration(text: str) -> CalibrationParams:
-    """Read the ``calibration`` block of a spec (or a bare calibration object).
+    """Read the ``calibration`` block of a spec.
 
-    An absent or ``null`` block gives the default multipliers.
+    An absent or ``null`` block gives the default multipliers, and so does an
+    absent multiplier.
 
     Raises
     ------
     SpecError
-        If the block is not a JSON object or a multiplier is not a finite
-        number >= 0. Zero stays legal: :func:`calibrate` can fit 0 for the
-        internal-gain multiplier.
+        If the block is not a JSON object, holds a key other than the three
+        multipliers, or a multiplier is not a finite number >= 0. Zero stays
+        legal: :func:`calibrate` can fit 0 for the internal-gain multiplier.
     """
-    doc = read_json(text, "calibration")
-    block = doc.get("calibration", doc)
+    block = read_json(text, "calibration").get("calibration")
     if block is None:
         return CalibrationParams()
     if not isinstance(block, dict):
         raise SpecError(f"calibration block must be a JSON object, got {block!r}")
+    names = ("internal_gain_multiplier", "schedule_multiplier", "equipment_multiplier")
+    known_keys(block, names, "calibration.", "calibration")
     return CalibrationParams(*(number(block, name, "calibration.", NONNEGATIVE, default=1.0)
-                               for name in ("internal_gain_multiplier", "schedule_multiplier",
-                                            "equipment_multiplier")))
+                               for name in names))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Collection, Mapping, NamedTuple
 
 SCHEMA_VERSION = 1
 
@@ -240,6 +240,14 @@ def check(value: float, field: str, rule: Rule) -> float:
     return value
 
 
+def known_keys(doc: Any, keys: Collection[str], context: str, what: str) -> None:
+    """Raise :class:`SpecError` naming ``context + key`` for a key of the JSON object
+    ``doc`` that is not in ``keys``; a ``doc`` that is no object passes."""
+    for key in doc if isinstance(doc, dict) else ():
+        if key not in keys:
+            raise SpecError(f"{context}{key} is not a {what} field")
+
+
 def _get(doc: Any, key: Any) -> Any:
     try:
         return doc[key]
@@ -373,10 +381,8 @@ def _read(cls: type, doc: Any, context: str, row: bool = False) -> Any:
     if not isinstance(doc, dict):
         raise SpecError(f"missing required field {where}" if doc is None
                         else f"{where} must be a JSON object, got {doc!r}")
-    keys = [f.key for f in SPEC_FORMAT[cls]]
-    for key in () if row else doc:
-        if key not in keys:
-            raise SpecError(f"{context}{key} is not a spec field")
+    if not row:
+        known_keys(doc, [f.key for f in SPEC_FORMAT[cls]], context, "spec")
     values = {}
     for f in SPEC_FORMAT[cls]:
         name = context + f.key

@@ -5,6 +5,10 @@ sensing load, a rainfall alarm FSM with hysteresis, and a panel harvesting at
 its rated power scaled by the irradiance fraction. When the battery empties
 and harvest cannot cover the demand, the load goes unserved for the step and
 the node counts as down.
+
+:func:`simulate` checks a trace and runs the one trace fold,
+:func:`lowcarb._kernels.node_sim`, over it; :func:`step` is :func:`simulate`
+on one sample.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from . import _kernels
-from .model import (FRACTION, NONNEGATIVE, POSITIVE, SensorFleet, SpecError, check, number,
-                    read_json, string)
+from .model import (FRACTION, NONNEGATIVE, POSITIVE, SensorFleet, SpecError, check,
+                    known_keys, number, read_json, string)
 
 if TYPE_CHECKING:
     import numpy as np  # imported at run time by the functions that use it
@@ -153,33 +157,10 @@ def step(state: NodeState, config: NodeConfig, env: EnvSample, dt: float) -> Nod
     The alarm FSM fires first (the sensor is read at step start), then the
     battery integrates harvest minus load; the state of charge is clamped to
     [0, 1]. When the battery is empty and harvest cannot carry the load, the
-    load goes unserved and the stored energy stays at zero. This is the
-    trace fold of :func:`simulate` run on one sample.
+    load goes unserved and the stored energy stays at zero. This is
+    :func:`simulate` on the one sample ``env``, so it refuses what that refuses.
     """
-    import numpy as np
-
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt must be a finite number > 0, got {dt}")
-    config.validate()
-    soc, alarm, harvest, load, *_ = _fold(config, state, np.array([env.irradiance_fraction]),
-                                          np.array([env.rain_reading]), dt)
-    return NodeState(
-        soc=float(soc[0]),
-        alarm=AlarmState.ALARM if alarm[0] else AlarmState.IDLE,
-        harvest_power=float(harvest[0]),
-        load_power=float(load[0]),
-        clock=state.clock + dt,
-    )
-
-
-def _fold(config: NodeConfig, start: NodeState, irradiance: np.ndarray,
-          rain: np.ndarray, dt: float):
-    return _kernels.node_sim(irradiance, rain, dt, start.soc,
-                             1 if start.alarm is AlarmState.ALARM else 0,
-                             config.panel_rated_power, config.base_load,
-                             config.alarm_power, config.battery_capacity,
-                             config.rain_threshold, config.hysteresis,
-                             config.charge_efficiency)
+    return simulate(config, (env,), dt, initial=state).final_state
 
 
 def initial_state(config: NodeConfig) -> NodeState:
@@ -189,7 +170,7 @@ def initial_state(config: NodeConfig) -> NodeState:
 
 def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
              initial: NodeState | None = None) -> SimResult:
-    """Fold :func:`step` over a trace from a full, idle battery.
+    """Run the node trace fold over a trace, from ``initial`` or a full, idle battery.
 
     The trace timestamps must be strictly increasing; integration always
     uses ``dt`` seconds per sample. ``uptime_fraction`` counts steps whose
@@ -218,8 +199,11 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
     start = initial if initial is not None else initial_state(config)
     irr = np.array([s.irradiance_fraction for s in trace])
     rain = np.array([s.rain_reading for s in trace])
-    soc, alarm, harvest, load, served, harvested, served_total, curtailed = \
-        _fold(config, start, irr, rain, dt)
+    soc, alarm, harvest, load, served, harvested, served_total, curtailed = _kernels.node_sim(
+        irr, rain, dt, start.soc, 1 if start.alarm is AlarmState.ALARM else 0,
+        config.panel_rated_power, config.base_load, config.alarm_power,
+        config.battery_capacity, config.rain_threshold, config.hysteresis,
+        config.charge_efficiency)
 
     clock = start.clock + dt * np.arange(1, len(trace) + 1)
     delta_stored = (float(soc[-1]) - start.soc) * config.battery_capacity
@@ -251,15 +235,23 @@ def fleet_annual_energy(fleet: SensorFleet) -> float:
 # ---------------------------------------------------------------------------
 
 def load_node_config(text: str) -> NodeConfig:
-    """Parse a node config file; the values must pass :meth:`NodeConfig.validate`."""
+    """Parse a node config file; the values must pass :meth:`NodeConfig.validate`,
+    and a key that is not read here, at any level, is refused."""
     doc = read_json(text, "node")
+    known_keys(doc, ("schema_version", "name", "panel", "battery_capacity_wh",
+                     "controller_idle_power_w", "sensor_loads", "rain_threshold",
+                     "alarm_power_w", "hysteresis", "charge_efficiency"), "node.", "node config")
     panel = doc.get("panel")
+    panel_keys = ("rated_power_w", "rated_voltage_v", "rated_current_a")
+    known_keys(panel, panel_keys, "node.panel.", "node config")
     loads = doc.get("sensor_loads", [])
     if not isinstance(loads, list) or not all(isinstance(s, dict) for s in loads):
         raise SpecError("node.sensor_loads must be a list of JSON objects")
+    for i, s in enumerate(loads):
+        known_keys(s, ("name", "power_w", "duty_cycle"), f"node.sensor_loads[{i}].",
+                   "node config")
     config = NodeConfig(
-        *(number(panel, key, "node.panel.", NONNEGATIVE)
-          for key in ("rated_power_w", "rated_voltage_v", "rated_current_a")),
+        *(number(panel, key, "node.panel.", NONNEGATIVE) for key in panel_keys),
         battery_capacity=number(doc, "battery_capacity_wh", "node.", POSITIVE),
         controller_idle_power=number(doc, "controller_idle_power_w", "node.", NONNEGATIVE),
         sensor_loads=tuple(

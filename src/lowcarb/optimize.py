@@ -160,12 +160,16 @@ class DesignSpace:
 
     def validate(self) -> None:
         """Raise :class:`SpecError` on an empty candidate list or a value that
-        breaks its variable's rule in :data:`VARIABLES`."""
+        breaks its variable's rule or is not of its kind in :data:`VARIABLES`."""
         for v, (name, values) in zip(VARIABLES, self.candidate_lists()):
             if len(values) == 0:
                 raise SpecError(f"design space variable {name!r} has no candidates")
-            for value in values if isinstance(v.kind, tuple) else ():
-                check(value, f"design space variable {name!r}", v.kind)
+            for value in values:
+                if isinstance(v.kind, tuple):
+                    check(value, f"design space variable {name!r}", v.kind)
+                elif not isinstance(value, v.kind):
+                    raise SpecError(f"design space variable {name!r} must hold "
+                                    f"{v.kind.__name__} values, got {value!r}")
 
     @staticmethod
     def from_json(text: str) -> tuple["DesignSpace", "CodeLimits"]:

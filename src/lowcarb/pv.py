@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import FRACTION, NONNEGATIVE, POSITIVE, Tariff, check, number, read_json
+from .model import NONNEGATIVE, POSITIVE, Tariff, check, number, read_json
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,15 @@ class PvSite:
 
 def load_pv_site(text: str) -> PvSite:
     """Parse a PV site file: panel dimensions and rating must be > 0, the
-    packing factor within [0, 1] and the other values nonnegative."""
+    packing factor within (0, 1] and the other values nonnegative."""
     doc = read_json(text, "pv_site")
     panel = doc.get("panel")
     return PvSite(
         roof_area=number(doc, "roof_area_m2", "pv_site.", NONNEGATIVE),
         panel=PanelSpec(*(number(panel, key, "pv_site.panel.", POSITIVE)
                           for key in ("length_m", "width_m", "rated_power_w"))),
-        packing_factor=number(doc, "packing_factor", "pv_site.", FRACTION),
+        packing_factor=number(doc, "packing_factor", "pv_site.",
+                              (lambda v: 0 < v <= 1, "must be within (0, 1]")),
         capex_per_watt=number(doc, "capex_per_watt_cny", "pv_site.", NONNEGATIVE),
         annual_consumption=number(doc, "annual_consumption_kwh", "pv_site.", NONNEGATIVE),
     )

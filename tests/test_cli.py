@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -152,9 +153,49 @@ def test_audit_zero_calibration_multiplier_is_legal(fixtures, tmp_path):
     assert (out / "report.json").exists()
 
 
-def test_usage_error_exit_code():
+@pytest.mark.parametrize("command, flag", [
+    ("audit", "--spec"), ("audit", "--climate"),
+    ("calibrate", "--spec"), ("calibrate", "--climate"), ("calibrate", "--targets"),
+    ("optimize", "--spec"), ("optimize", "--climate"), ("optimize", "--catalog"),
+    ("optimize", "--space"), ("optimize", "--tariff"),
+    ("pv", "--spec"), ("pv", "--climate"), ("pv", "--tariff"),
+    ("node-sim", "--spec"), ("node-sim", "--trace"),
+])
+def test_usage_error_exit_code(fixtures, tmp_path, command, flag):
     assert main(["audit"]) == 2          # missing required flags
     assert main(["no-such-command"]) == 2
+    argv = _argv(fixtures, command) + ["--out", str(tmp_path / "o")]
+    i = argv.index(flag)
+    assert main(argv[:i] + argv[i + 2:]) == 2  # only that file flag dropped
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, drop, read", [
+    ("audit", None, {"spec": "baseline_school.json", "climate": "gd_climate.csv",
+                     "tariff": "paper_tariff.json"}),
+    ("audit", "--tariff", {"spec": "baseline_school.json", "climate": "gd_climate.csv"}),
+    ("calibrate", None, {"spec": "baseline_school.json", "climate": "gd_climate.csv",
+                         "targets": "baseline_targets.json"}),
+    ("optimize", None, {"spec": "baseline_school.json", "climate": "gd_climate.csv",
+                        "catalog": "catalog.csv", "space": "paper_space.json",
+                        "tariff": "paper_tariff.json"}),
+    ("pv", None, {"spec": "pv_site.json", "climate": "gd_climate.csv",
+                  "tariff": "paper_tariff.json"}),
+    ("node-sim", None, {"spec": "node_demo.json", "trace": "node_demo_trace.csv"}),
+], ids=["audit-tariff", "audit", "calibrate", "optimize", "pv", "node-sim"])
+def test_manifest_hashes_exactly_the_files_read(fixtures, tmp_path, command, drop, read):
+    argv = _argv(fixtures, command)
+    if drop:
+        i = argv.index(drop)
+        del argv[i:i + 2]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["command"] == command and manifest["output_dir"] == str(out)
+    assert manifest["inputs"] == {
+        key: {"path": str(fixtures / name),
+              "sha256": hashlib.sha256((fixtures / name).read_bytes()).hexdigest()}
+        for key, name in read.items()}
 
 
 def test_reports_are_byte_identical_across_runs(fixtures, tmp_path):
@@ -529,6 +570,31 @@ def _rename(*path, to):
     return edit
 
 
+def _values(node, path=()):
+    """(path, value) of every value below the root of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    return [pair for key, child in items
+            for pair in [(path + (key,), child)] + _values(child, path + (key,))]
+
+
+def _key_paths(name, below=()):
+    """Path of every object key in a bundled JSON fixture, under the path ``below``."""
+    doc = json.loads(fixture_path(name).read_text(encoding="utf-8"))
+    for key in below:
+        doc = doc[key]
+    return [below + path for path, _ in _values(doc) if isinstance(path[-1], str)]
+
+
+def _dotted(path):
+    """A path as the loaders name it, e.g. ``sensor_loads[0].name``."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
 @pytest.mark.parametrize("command, name, edit, named", [
     _probe("pv", "paper_tariff.json", _set("gas_price_cny_m3", value=math.inf),
            "tariff.gas_price_cny_m3 must be > 0 and finite, got inf"),
@@ -600,6 +666,14 @@ def _rename(*path, to):
            id="optimize-space-infiltration"),
     _probe("optimize", "paper_space.json", _set("wall", value=[]),
            "design space 'wall' must be a non-empty list", id="optimize-space-empty"),
+    _probe("pv", "pv_site.json", _set("packing_factor", value=0),
+           "pv_site.packing_factor must be within (0, 1], got 0.0"),
+    *(_probe("node-sim", "node_demo.json", _rename(*path, to=f"{path[-1]}_x"),
+             f"node.{_dotted(path)}_x is not a node config field")
+      for path in _key_paths("node_demo.json")),
+    *(_probe("audit", "baseline_school.json", _rename(*path, to=f"{path[-1]}_x"),
+             f"{_dotted(path)}_x is not a calibration field")
+      for path in _key_paths("baseline_school.json", ("calibration",))),
 ])
 def test_malformed_input_is_one_line_naming_the_field(fixtures, tmp_path, capsys,
                                                        command, name, edit, named):
@@ -619,18 +693,6 @@ def test_malformed_input_is_one_line_naming_the_field(fixtures, tmp_path, capsys
     assert len(err_lines) == 1
     assert err_lines[0].startswith("error: ") and named in err_lines[0]
     assert not out.exists()
-
-
-def _values(node, path=()):
-    """(path, value) of every value below the root of a JSON document."""
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return []
-    return [pair for key, child in items
-            for pair in [(path + (key,), child)] + _values(child, path + (key,))]
 
 
 def _is_number(value):

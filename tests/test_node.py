@@ -63,6 +63,15 @@ class TestStep:
         with pytest.raises(ValueError, match="dt"):
             step(initial_state(config), config, EnvSample(0.0, 0.0, 1.0), dt=0.0)
 
+    @pytest.mark.parametrize("env", [EnvSample(1.4, 0.0, 60.0), EnvSample(0.5, np.nan, 60.0)],
+                             ids=["irradiance-above-1", "nan-rain"])
+    def test_refuses_the_samples_simulate_refuses(self, env):
+        config = make_config()
+        with pytest.raises(TraceError):
+            simulate(config, [env], dt=60.0)
+        with pytest.raises(TraceError):
+            step(initial_state(config), config, env, dt=60.0)
+
 
 class TestAlarmTransition:
     def test_fires_exactly_at_threshold(self):

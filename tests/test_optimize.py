@@ -17,7 +17,7 @@ from lowcarb import (
     eui,
     optimize,
 )
-from lowcarb.model import LightingTechnology
+from lowcarb.model import LightingTechnology, SpecError
 from lowcarb.optimize import VARIABLES, CodeLimits, DesignSpaceTooLarge, DesignVariables, \
     OrientationLimit, write_results_csv
 
@@ -75,6 +75,25 @@ class TestEnumerate:
         space = _small_space(infiltration=tuple(i / 100.0 for i in range(100)))
         with pytest.raises(DesignSpaceTooLarge):
             enumerate_designs(space, cap=50)
+
+
+@pytest.mark.parametrize("field, values, name", [
+    ("lighting_technologies", ("led",), "lighting_technology"),
+    ("glazing_ids", (1,), "glazing_id"),
+])
+def test_validate_refuses_a_candidate_of_the_wrong_kind(field, values, name):
+    space = _small_space(**{field: values})
+    with pytest.raises(SpecError, match=f"design space variable '{name}' must hold"):
+        space.validate()
+
+
+def test_optimize_refuses_a_lighting_technology_given_as_a_string(
+        paper_space, baseline_spec, climate, catalog, baseline_calibration, tariff):
+    space, limits = paper_space
+    space = dataclasses.replace(space, lighting_technologies=("led",))
+    with pytest.raises(SpecError, match="lighting_technology"):
+        optimize(baseline_spec, climate, catalog, space, limits, k=1,
+                 calib=baseline_calibration, tariff=tariff)
 
 
 class TestCodeCheck:
