@@ -153,6 +153,11 @@ def test_audit_zero_calibration_multiplier_is_legal(fixtures, tmp_path):
     assert (out / "report.json").exists()
 
 
+def test_usage_error_exit_code():
+    assert main(["audit"]) == 2          # missing required flags
+    assert main(["no-such-command"]) == 2
+
+
 @pytest.mark.parametrize("command, flag", [
     ("audit", "--spec"), ("audit", "--climate"),
     ("calibrate", "--spec"), ("calibrate", "--climate"), ("calibrate", "--targets"),
@@ -161,9 +166,7 @@ def test_audit_zero_calibration_multiplier_is_legal(fixtures, tmp_path):
     ("pv", "--spec"), ("pv", "--climate"), ("pv", "--tariff"),
     ("node-sim", "--spec"), ("node-sim", "--trace"),
 ])
-def test_usage_error_exit_code(fixtures, tmp_path, command, flag):
-    assert main(["audit"]) == 2          # missing required flags
-    assert main(["no-such-command"]) == 2
+def test_missing_file_flag_is_usage_error(fixtures, tmp_path, command, flag):
     argv = _argv(fixtures, command) + ["--out", str(tmp_path / "o")]
     i = argv.index(flag)
     assert main(argv[:i] + argv[i + 2:]) == 2  # only that file flag dropped
