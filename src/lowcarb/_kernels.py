@@ -10,9 +10,8 @@ runs it on a one-sample trace. Both are timed per layer by ``perfbench/run.py --
 
 from __future__ import annotations
 
-# numpy is imported by the functions that use it, so that `import lowcarb`
-# and the numpy-free subcommands do not pay for it.
-from .energy import thermal_balance
+# numpy and lowcarb.energy are imported by the functions that use them, so that
+# the numpy-free subcommands do not load numpy and node-sim does not load energy.
 
 
 def numba_enabled() -> bool:
@@ -42,6 +41,8 @@ def batch_energy(wwr, shading, glz_u, glz_shgc, wall_u, roof_u, ach,
     Returns per-design (eui, electricity_kwh, gas_m3).
     """
     import numpy as np
+
+    from .energy import thermal_balance
 
     l_cool, l_heat = thermal_balance(
         gross_area, wwr, (wall_u,) * 4, (glz_u,) * 4, (glz_shgc,) * 4, irradiation,

@@ -24,13 +24,11 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from . import __version__
-from . import energy, node, pv
-from .energy import CalibrationError, EndUseTargets
-from .model import SpecError, load_catalog, load_climate_profile, load_tariff, \
-    parse_building_spec
-from .node import TraceError
-from .optimize import DesignSpace, design_doc, legal_positions, optimize as run_optimize, \
-    write_results_csv
+from .model import CalibrationError, SpecError, TraceError, load_catalog, \
+    load_climate_profile, load_tariff, parse_building_spec
+
+# Each subcommand imports the other lowcarb modules it runs, and calls into them
+# through the module, so a run loads only what it uses.
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -83,7 +81,7 @@ def _write_reports(args: argparse.Namespace, reports: dict[str, str]) -> Path:
     return out_dir
 
 
-def _report_csv(report: energy.EnergyReport, heating_fuel) -> str:
+def _report_csv(report, heating_fuel) -> str:
     lines = ["end_use,gj,kwh,fuel"]
     for name, gj, kwh, fuel in report.csv_rows(heating_fuel):
         lines.append(f"{name},{gj!r},{kwh!r},{fuel}")
@@ -91,6 +89,8 @@ def _report_csv(report: energy.EnergyReport, heating_fuel) -> str:
 
 
 def cmd_audit(args) -> int:
+    from . import energy
+
     spec_text = _read_text(args.spec)
     climate_text = _read_text(args.climate)
     spec = parse_building_spec(spec_text)
@@ -117,9 +117,11 @@ def cmd_audit(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from . import energy
+
     spec = parse_building_spec(_read_text(args.spec))
     climate = load_climate_profile(_read_text(args.climate))
-    targets = EndUseTargets.from_json(_read_text(args.targets))
+    targets = energy.EndUseTargets.from_json(_read_text(args.targets))
     params = energy.calibrate(spec, climate, targets)
     achieved = energy.annual_end_use(spec, climate, params)
 
@@ -133,7 +135,22 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def run_optimize(*args, **kwargs):
+    """:func:`lowcarb.optimize.optimize`, imported on first call; perfbench wraps it."""
+    from .optimize import optimize
+    return optimize(*args, **kwargs)
+
+
+def write_results_csv(*args, **kwargs) -> str:
+    """:func:`lowcarb.optimize.write_results_csv`, imported on first call; perfbench wraps it."""
+    from .optimize import write_results_csv
+    return write_results_csv(*args, **kwargs)
+
+
 def cmd_optimize(args) -> int:
+    from . import energy
+    from .optimize import DesignSpace, design_doc, legal_positions
+
     spec_text = _read_text(args.spec)
     spec = parse_building_spec(spec_text)
     climate = load_climate_profile(_read_text(args.climate))
@@ -159,6 +176,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_pv(args) -> int:
+    from . import pv
+
     site = pv.load_pv_site(_read_text(args.spec))
     climate = load_climate_profile(_read_text(args.climate))
     tariff = load_tariff(_read_text(args.tariff))
@@ -175,6 +194,8 @@ def cmd_pv(args) -> int:
 
 
 def cmd_node_sim(args) -> int:
+    from . import node
+
     config = node.load_node_config(_read_text(args.spec))
     trace = node.load_trace(_read_text(args.trace))
     result = node.simulate(config, trace, dt=args.dt)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .model import (
     ORIENTATION_ORDER,
     BuildingSpec,
+    CalibrationError,
     ClimateProfile,
     NONNEGATIVE,
     POSITIVE,
@@ -92,14 +93,6 @@ class EnergyReport:
             ("heating", self.heating, self.heating * KWH_PER_GJ, heating_fuel.value),
             ("equipment", self.equipment, self.equipment * KWH_PER_GJ, "electricity"),
         ]
-
-
-class CalibrationError(RuntimeError):
-    """Calibration could not reach the target tolerance."""
-
-    def __init__(self, message: str, best_residual: float):
-        super().__init__(message)
-        self.best_residual = best_residual
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,18 @@ class SpecError(ValueError):
         self.violations = violations or []
 
 
+class CalibrationError(RuntimeError):
+    """Calibration could not reach the target tolerance."""
+
+    def __init__(self, message: str, best_residual: float):
+        super().__init__(message)
+        self.best_residual = best_residual
+
+
+class TraceError(ValueError):
+    """An environment trace is malformed or cannot be simulated."""
+
+
 @dataclass(frozen=True)
 class Violation:
     """One broken invariant: which field, the offending value, the rule."""

@@ -21,8 +21,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from . import _kernels
-from .model import (FRACTION, NONNEGATIVE, POSITIVE, SensorFleet, SpecError, check,
-                    known_keys, number, read_json, string)
+from .model import (FRACTION, NONNEGATIVE, POSITIVE, SensorFleet, SpecError, TraceError,
+                    check, known_keys, number, read_json, string)
 
 if TYPE_CHECKING:
     import numpy as np  # imported at run time by the functions that use it
@@ -94,10 +94,6 @@ class EnvSample:
     irradiance_fraction: float  # of rated sun, within [0, 1]
     rain_reading: float  # sensor units
     timestamp: float  # s
-
-
-class TraceError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -174,7 +170,8 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
 
     The trace timestamps must be strictly increasing; integration always
     uses ``dt`` seconds per sample. ``uptime_fraction`` counts steps whose
-    demand was fully served.
+    demand was fully served. A ``dt`` so large that the clock or an energy
+    total overflows is refused with :class:`ValueError`.
     """
     import numpy as np
 
@@ -205,8 +202,11 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
         config.battery_capacity, config.rain_threshold, config.hysteresis,
         config.charge_efficiency)
 
-    clock = start.clock + dt * np.arange(1, len(trace) + 1)
     delta_stored = (float(soc[-1]) - start.soc) * config.battery_capacity
+    end = start.clock + dt * len(trace)
+    if not all(map(math.isfinite, (end, harvested, served_total, curtailed, delta_stored))):
+        raise ValueError(f"dt {dt} s overflows the node clock or energy ledger")
+    clock = start.clock + dt * np.arange(1, len(trace) + 1)
     return SimResult(
         clock_s=clock,
         soc=soc,
@@ -268,19 +268,38 @@ def load_node_config(text: str) -> NodeConfig:
     return config
 
 
+TRACE_COLUMNS = ("timestamp_s", "irradiance_fraction", "rain_reading")
+
+
 def load_trace(text: str) -> list[EnvSample]:
-    """Env trace CSV: timestamp_s, irradiance_fraction, rain_reading."""
+    """Env trace CSV with the :data:`TRACE_COLUMNS`; a missing column, or a cell
+    that is not a number, raises :class:`TraceError` naming it (and its line)."""
+    reader = csv.DictReader(io.StringIO(text))
+    for column in TRACE_COLUMNS:
+        if column not in (reader.fieldnames or ()):
+            raise TraceError(f"trace is missing column {column}")
     samples = []
-    for row in csv.DictReader(io.StringIO(text)):
+    for row in reader:
         try:
             samples.append(EnvSample(
                 timestamp=float(row["timestamp_s"]),
                 irradiance_fraction=float(row["irradiance_fraction"]),
                 rain_reading=float(row["rain_reading"]),
             ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceError(f"malformed trace row {row!r}: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise TraceError(_bad_cell(row, reader.line_num)) from exc
     return samples
+
+
+def _bad_cell(row: dict, line: int) -> str:
+    """The message for the first cell of ``row`` that is not a number."""
+    for column in TRACE_COLUMNS:
+        raw = row[column]
+        try:
+            float(raw)
+        except (TypeError, ValueError):
+            return (f"trace line {line}: {column} is missing" if raw in (None, "") else
+                    f"trace line {line}: {column} must be a number, got {raw!r}")
 
 
 def write_state_log(result: SimResult) -> str:

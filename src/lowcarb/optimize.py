@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
@@ -159,17 +160,20 @@ class DesignSpace:
         return math.prod(len(values) for _, values in self.candidate_lists())
 
     def validate(self) -> None:
-        """Raise :class:`SpecError` on an empty candidate list or a value that
-        breaks its variable's rule or is not of its kind in :data:`VARIABLES`."""
+        """Raise :class:`SpecError` on an empty candidate list or a value that is
+        not of its variable's kind in :data:`VARIABLES` (a real number other than
+        a bool, where the kind is a rule) or breaks its rule."""
         for v, (name, values) in zip(VARIABLES, self.candidate_lists()):
             if len(values) == 0:
                 raise SpecError(f"design space variable {name!r} has no candidates")
+            numeric = isinstance(v.kind, tuple)
+            kind, wanted = (numbers.Real, "numeric") if numeric else (v.kind, v.kind.__name__)
             for value in values:
-                if isinstance(v.kind, tuple):
-                    check(value, f"design space variable {name!r}", v.kind)
-                elif not isinstance(value, v.kind):
+                if isinstance(value, bool) or not isinstance(value, kind):
                     raise SpecError(f"design space variable {name!r} must hold "
-                                    f"{v.kind.__name__} values, got {value!r}")
+                                    f"{wanted} values, got {value!r}")
+                if numeric:
+                    check(value, f"design space variable {name!r}", v.kind)
 
     @staticmethod
     def from_json(text: str) -> tuple["DesignSpace", "CodeLimits"]:

@@ -460,6 +460,18 @@ def test_node_sim_nonfinite_or_nonpositive_dt_is_domain_error(fixtures, tmp_path
     assert not (out / "summary.json").exists()
 
 
+def test_node_sim_dt_that_overflows_is_domain_error(fixtures, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["node-sim", "--spec", str(fixtures / "node_demo.json"),
+                 "--trace", str(fixtures / "node_demo_trace.csv"),
+                 "--dt", "1e308", "--out", str(out)])
+    assert code == 1
+    err_lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: dt 1e+308 s overflows")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_reports_refuse_nan_and_infinity(value):
     with pytest.raises(ValueError):
@@ -669,6 +681,13 @@ def _dotted(path):
            id="optimize-space-infiltration"),
     _probe("optimize", "paper_space.json", _set("wall", value=[]),
            "design space 'wall' must be a non-empty list", id="optimize-space-empty"),
+    _probe("node-sim", "node_demo_trace.csv", _replace("60.0,0.000000,0.0", "60.0,x,0.0"),
+           "trace line 3: irradiance_fraction must be a number, got 'x'",
+           id="node-sim-trace-cell"),
+    _probe("node-sim", "node_demo_trace.csv", _replace("60.0,0.000000,0.0", "60.0,0.0"),
+           "trace line 3: rain_reading is missing", id="node-sim-trace-short-row"),
+    _probe("node-sim", "node_demo_trace.csv", _replace("rain_reading", "rain"),
+           "trace is missing column rain_reading", id="node-sim-trace-column"),
     _probe("pv", "pv_site.json", _set("packing_factor", value=0),
            "pv_site.packing_factor must be within (0, 1], got 0.0"),
     *(_probe("node-sim", "node_demo.json", _rename(*path, to=f"{path[-1]}_x"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,8 +141,34 @@ class TestSimulate:
 
     def test_malformed_trace_row_rejected(self):
         text = "timestamp_s,irradiance_fraction,rain_reading\n60,not_a_number,0\n"
-        with pytest.raises(TraceError, match="malformed trace row"):
+        with pytest.raises(TraceError, match="^trace line 2: irradiance_fraction must be a "
+                                             "number, got 'not_a_number'$"):
             load_trace(text)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0.5,0\n60,0.5\n", "trace line 3: rain_reading is missing"),
+        ("0,0.5,0\n60,0.5,\n", "trace line 3: rain_reading is missing"),
+        ("0,0.5,0\n\n60, ,0\n", "trace line 4: irradiance_fraction must be a number, "
+                                 "got ' '"),
+    ])
+    def test_malformed_trace_row_names_line_and_column(self, rows, message):
+        text = "timestamp_s,irradiance_fraction,rain_reading\n" + rows
+        with pytest.raises(TraceError) as err:
+            load_trace(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("header", ["timestamp_s,irradiance_fraction", ""])
+    def test_trace_missing_column_rejected(self, header):
+        with pytest.raises(TraceError, match="^trace is missing column"):
+            load_trace(header + "\n0,0.5\n")
+
+    @pytest.mark.parametrize("hours, irradiance", [(1, 1.0), (3, 0.0)],
+                             ids=["ledger", "clock"])
+    def test_dt_that_overflows_rejected(self, hours, irradiance):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^dt 1e\+308 s overflows"):
+                simulate(make_config(), make_trace(hours, irradiance), dt=1e308)
 
     def test_out_of_range_irradiance_rejected(self):
         samples = [EnvSample(1.4, 0.0, 60.0)]

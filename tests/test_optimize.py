@@ -80,11 +80,19 @@ class TestEnumerate:
 @pytest.mark.parametrize("field, values, name", [
     ("lighting_technologies", ("led",), "lighting_technology"),
     ("glazing_ids", (1,), "glazing_id"),
+    ("infiltration", ("x",), "infiltration"),
+    ("infiltration", (True,), "infiltration"),
+    ("wwr", {"N": (0.3,), "S": (None,), "E": (0.25,), "W": (0.25,)}, "wwr_s"),
 ])
 def test_validate_refuses_a_candidate_of_the_wrong_kind(field, values, name):
     space = _small_space(**{field: values})
     with pytest.raises(SpecError, match=f"design space variable '{name}' must hold"):
         space.validate()
+
+
+def test_validate_accepts_int_candidates_of_a_numeric_variable():
+    _small_space(infiltration=(0, 2), overhang_ratio={"N": (0,), "S": (1,), "E": (0.5,),
+                                                      "W": (0,)}).validate()
 
 
 def test_optimize_refuses_a_lighting_technology_given_as_a_string(
