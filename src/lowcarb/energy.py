@@ -164,7 +164,7 @@ def thermal_balance(gross_area, wwr, wall_u, glz_u, glz_shgc, irradiation,
     The first eight arguments are per-orientation 4-sequences in
     ``ORIENTATION_ORDER``; ``shade_*`` are the seasonal
     :func:`shading_factor` values. Any value may be a float or a float64
-    array of per-design values: only ``+ - * /`` touch them, so the scalar
+    array, arrays broadcasting: only ``+ - * /`` touch them, so the scalar
     engine and the batch sweep run this one function and agree to the bit.
     ``t_*`` and ``w_*`` come from :func:`season_terms`.
     """

@@ -5,16 +5,16 @@ file and in the results reports, and gives the rule or kind of its candidates.
 The space file, validation, enumeration and the reports all walk it, so a bad
 candidate is named by its path in the file (``design space wwr.S item 0``).
 
-The search is an exact grid sweep: every code-legal point of the Cartesian
-product is evaluated through the energy engine and ranked by EUI with the
-annual cost per m2 as tie-break and the enumeration index as the final,
-total tie-break. The ranking is therefore invariant under any evaluation
-order, including parallel evaluation.
+The search is exact: its ranking is the one that scoring every code-legal point
+of the Cartesian product through the energy engine gives, by EUI with the
+annual cost per m2 as tie-break and the enumeration index as the final, total
+tie-break, so it is invariant under any evaluation order.
 
 Code limits act on single candidate values, so the code-legal designs form
-a Cartesian product of their own (:func:`legal_positions`); only it is
-evaluated, in chunks of whole blocks of its trailing variables with a running
-top-k, so memory is bounded by the chunk and ``k``, not by the size of the space.
+a Cartesian product of their own (:func:`legal_positions`). It is scored in
+chunks with a running top-k, group by group in ascending order of a lower bound
+on the group's EUI (:func:`_group_bounds`), until no unscored group can rank, so
+memory is bounded by the chunk and ``k``, not by the size of the space.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .energy import (
     annual_lighting_kwh,
     season_terms,
     shading_factor,
+    thermal_balance,
 )
 from .model import (
     BOOLEAN,
@@ -62,8 +63,8 @@ if TYPE_CHECKING:
 #: Cap on the code-legal designs a sweep evaluates and on :func:`enumerate_designs`.
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
-#: Code-legal designs per kernel call (more only if the last variable has more).
-CHUNK_SIZE = 1 << 16
+#: Code-legal designs per kernel call (more only if the last orientation variable has more).
+CHUNK_SIZE = 1 << 15
 
 
 class DesignSpaceTooLarge(ValueError):
@@ -135,6 +136,9 @@ VARIABLES: tuple[Variable, ...] = (
              "lighting_technology", LightingTechnology),
     Variable("hvac_id", "hvac_id", "hvac_ids", None, "hvac", str),
 )
+
+#: Per-orientation variables lead; one value of each one after them is a design *group*.
+_ORIENTED = sum(v.orientation is not None for v in VARIABLES)
 
 
 @dataclass(frozen=True)
@@ -418,6 +422,41 @@ def _fill(rows: np.ndarray, tables: list[tuple[np.ndarray, ...]], digits) -> Non
             next(rows)[...] = t[d]
 
 
+def _group_bounds(tables: list[tuple[np.ndarray, ...]],
+                  shared: tuple) -> tuple[np.ndarray, float]:
+    """Per group, in enumeration order, a lower bound on its designs' EUI; and a
+    scale that bounds the summed magnitudes of any design's EUI summands.
+
+    In a group each load is a constant plus one term per orientation, set by its
+    wwr and overhang alone; EUI never falls as a load grows, so the summed
+    per-orientation minima bound the group. Negating ``w_heat`` makes every
+    summand >= 0, and the same sum of maxima gives the scale."""
+    import numpy as np
+
+    gross, irr, roof_area, volume, *season, equip, gain_mult, floor_area, gas_kwh_m3 = shared
+
+    def at(table, axis):  # 0: loads, magnitudes; 1-6: the group; 7, 8: wwr, overhang
+        return table.reshape([-1 if i == axis else 1 for i in range(9)])
+
+    def only(o, value):  # per orientation: `value` on o, 0 on the others
+        return [value if i == o else 0.0 for i in range(4)]
+
+    season[3] = at(np.array([season[3], -season[3]]), 0)
+    (glz_u, shgc), (wall_u,), (roof_u,), (ach,), (light,), hvac = (
+        [at(t, axis) for t in ts] for axis, ts in enumerate(tables[_ORIENTED:], start=1))
+    parts = [thermal_balance(only(o, gross[o]), only(o, at(*tables[o], 7)), only(o, wall_u),
+                             only(o, glz_u), only(o, shgc), irr,
+                             *(only(o, at(t, 8)) for t in tables[4 + o]), 0.0, 0.0, 0.0,
+                             volume, 0.0, *season) for o in range(4)]
+    parts.append(thermal_balance(*[(0.0,) * 4] * 8, roof_area, roof_u, ach, volume,
+                                 (light + equip) * gain_mult, *season))
+    l_cool, l_heat = (sum(np.concatenate([x[:1].min((7, 8), keepdims=True),
+                                          x[-1:].max((7, 8), keepdims=True)]) for x in loads)
+                      for loads in zip(*parts))
+    eui = _kernels.end_use(l_cool, l_heat, light, equip, *hvac, floor_area, gas_kwh_m3)[0]
+    return eui[0].ravel(), float(eui[1].max())
+
+
 def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
              space: DesignSpace, limits: CodeLimits, k: int,
              calib: CalibrationParams, tariff: Tariff,
@@ -456,40 +495,57 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
               annual_equipment_kwh(spec) * calib.equipment_multiplier,
               calib.internal_gain_multiplier, spec.floor_area, tariff.gas_energy_content)
 
-    # The longest run of trailing variables whose legal product fits in a chunk
-    # (at least the last) spans blocks of `width` designs. Their rows are filled
-    # once and tiled; a call takes `per_call` whole blocks. Reusing one array
-    # keeps glibc from returning pages that the next chunk would fault in again.
-    suffix = [math.prod(dims[i:]) for i in range(len(dims))]
-    split = next((i for i, n in enumerate(suffix) if n <= CHUNK_SIZE), len(dims) - 1)
+    # Bounds first: computed after the block is allocated, their small arrays
+    # raised the peak RSS of repeated all-k sweeps by ~1 MiB.
+    bound, scale = _group_bounds(tables, shared)
+    # A unit is one group times a block of the longest run of trailing orientation
+    # variables whose legal product fits in a chunk (at least the last); a call
+    # takes `per_call` units. The block's rows are filled once and each unit's
+    # other rows broadcast over it. Reusing one array keeps glibc from returning
+    # pages that the next call would fault in again.
+    groups = math.prod(dims[_ORIENTED:])
+    suffix = [math.prod(dims[i:_ORIENTED]) for i in range(_ORIENTED)]
+    split = next((i for i, n in enumerate(suffix) if n <= CHUNK_SIZE), _ORIENTED - 1)
     width = suffix[split]
-    blocks = feasible // width
-    per_call = min(max(1, CHUNK_SIZE // width), blocks)
-    lead_rows = sum(map(len, tables[:split]))
+    per_call = min(max(1, CHUNK_SIZE // width), feasible // width)
+    lead_rows, oriented_rows = (sum(map(len, tables[:n])) for n in (split, _ORIENTED))
     block = np.empty((sum(map(len, tables)), per_call, width))
-    _fill(block[lead_rows:], tables[split:],
-          np.unravel_index(np.arange(width), dims[split:]))
+    _fill(block[lead_rows:oriented_rows], tables[split:_ORIENTED],
+          np.unravel_index(np.arange(width), dims[split:_ORIENTED]))
 
-    def evaluate(first: int) -> tuple[np.ndarray, ...]:
-        count = min(per_call, blocks - first)
-        if split:
-            _fill(block[:lead_rows, :count], tables[:split],
-                  np.unravel_index(np.arange(first, first + count)[:, None], dims[:split]))
+    def evaluate(units: np.ndarray) -> tuple[np.ndarray, ...]:
+        rows = itertools.chain(block[:lead_rows, :units.size], block[oriented_rows:, :units.size])
+        _fill(rows, tables[:split] + tables[_ORIENTED:],  # a unit: leading digits, group digits
+              np.unravel_index(units[:, None], dims[:split] + dims[_ORIENTED:]))
+        lead, group = np.divmod(units[:, None], groups)
         # A design's position in the legal sub-product orders designs as its
         # enumeration index does, because each variable's legal positions increase.
-        position = np.arange(first * width, (first + count) * width)
+        position = ((lead * width + np.arange(width)) * groups + group).ravel()
         cols = block.reshape(len(block), -1)[:, :position.size]
         eui, elec, gas = _kernels.batch_energy(cols[:4], cols[4:12].reshape(4, 2, -1),
                                                *cols[12:], *shared)
         cost = (elec * tariff.electricity_price + gas * tariff.gas_price) / spec.floor_area
         return eui, cost, elec, gas, position
 
-    chunks = (evaluate(first) for first in range(0, blocks, per_call))
-    if k >= feasible:
-        top = _ranked(tuple(map(np.concatenate, zip(*chunks))))
+    # Units go in ascending order of their group's bound (stable: ties keep
+    # enumeration order); the ranking is total, so the order changes no result.
+    order = np.argsort(np.tile(bound, feasible // width // groups), kind="stable")
+    calls = (order[first:first + per_call] for first in range(0, order.size, per_call))
+    # Rounding (u = 2^-53): a float EUI, and a float bound, lies within ~30u times
+    # its summed summand magnitudes (<= scale) of its real value, and a real bound
+    # is <= the real EUIs of its group; so no EUI is below its group's float bound
+    # by more than ~60u * scale, far inside the margin. The margin follows `scale`,
+    # not the k-th EUI: an EUI near 0, where gains cancel the heating losses,
+    # still carries the rounding of its large summands.
+    margin = 1e-9 * scale
+    if k >= feasible:  # nothing can be pruned
+        top = _ranked(tuple(map(np.concatenate, zip(*map(evaluate, calls)))))
     else:
         top = None
-        for cols in chunks:
+        for units in calls:
+            if top and top[0].size == k and bound[units[0] % groups] > top[0][-1] + margin:
+                break  # no design of this unit's group, or of a later one, can rank
+            cols = evaluate(units)
             if cols[0].size > k:
                 # a row with EUI above the chunk's k-th smallest trails k rows;
                 # rows tied with it stay, since cost and position order them

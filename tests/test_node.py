@@ -60,6 +60,18 @@ class TestStep:
         assert nxt.soc == pytest.approx(0.5 + 5.5 / BATTERY_WH, rel=1e-12)
         assert nxt.soc == pytest.approx(0.8378, abs=5e-5)
 
+    def test_harvest_after_charge_efficiency_serves_the_load(self):
+        """Empty 10 Wh battery, 6 W panel in full sun for 1 h at charge efficiency
+        0.5: 3 Wh stored, of which the 2 W load takes 2 Wh, leaving soc 0.1."""
+        import dataclasses
+        config = dataclasses.replace(make_config(load_w=2.0, capacity=10.0),
+                                     charge_efficiency=0.5)
+        empty = dataclasses.replace(initial_state(config), soc=0.0)
+        result = simulate(config, [EnvSample(1.0, 0.0, 3600.0)], dt=3600.0, initial=empty)
+        assert (result.ledger.harvested, result.ledger.served) == (3.0, 2.0)
+        assert result.served.tolist() == [True]
+        assert result.soc.tolist() == [0.1]
+
     def test_nonpositive_dt_rejected(self):
         config = make_config()
         with pytest.raises(ValueError, match="dt"):

@@ -1,5 +1,7 @@
 import dataclasses
 import importlib
+import itertools
+import math
 import random
 import tracemalloc
 
@@ -17,7 +19,9 @@ from lowcarb import (
     eui,
     optimize,
 )
-from lowcarb.model import LightingTechnology, SpecError
+from lowcarb import _kernels
+from lowcarb.energy import CalibrationParams
+from lowcarb.model import HeatingFuel, LightingTechnology, SpecError
 from lowcarb.optimize import VARIABLES, CodeLimits, DesignSpaceTooLarge, DesignVariables, \
     OrientationLimit, write_results_csv
 
@@ -369,6 +373,138 @@ def test_sweep_memory_is_bounded_by_the_chunk(baseline_spec, climate, catalog,
         tracemalloc.stop()
     assert len(ranked) == 10
     assert peak < 64 * 2**20
+
+
+# A group (one value of each shared variable) is pruned when its EUI bound is
+# above the k-th EUI by more than this share of the bound's scale.
+MARGIN = 1e-9
+
+_CLIMATES = {"bundled": {}, "no cooling": {"cooling_degree_days": (0.0,) * 12},
+             "no heating": {"heating_degree_days": (0.0,) * 12}}
+
+
+@settings(max_examples=40, deadline=None)
+@given(space=_tied_spaces(), climate_kind=st.sampled_from(sorted(_CLIMATES)),
+       gain=st.sampled_from([0.0, 1.0, 30.0, 300.0]), schedule=st.sampled_from([0.0, 1.0]),
+       equipment=st.sampled_from([0.0, 1.0]))
+def test_group_bound_is_at_most_the_group_minimum(space, climate_kind, gain, schedule,
+                                                  equipment, baseline_spec, climate, catalog,
+                                                  tariff):
+    """Every group's bound is at most the least EUI of its designs, within the margin.
+
+    At full lighting and equipment, an internal-gain multiplier of 30 makes the
+    heating clamp bind for some designs and not for others, and 300 for all.
+    """
+    climate = dataclasses.replace(climate, **_CLIMATES[climate_kind])
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        bounds = optimize_module._group_bounds
+        mp.setattr(optimize_module, "_group_bounds",
+                   lambda *a: seen.append(bounds(*a)) or seen[-1])
+        ranked = optimize(baseline_spec, climate, catalog, space, NO_LIMITS, k=space.size,
+                          calib=CalibrationParams(gain, schedule, equipment), tariff=tariff)
+    ((bound, scale),) = seen
+    shared = [v.attr for v in VARIABLES if v.orientation is None]
+    least: dict = {}
+    for r in ranked:  # ascending EUI, so the first design of a group is its least
+        least.setdefault(tuple(getattr(r.design, a) for a in shared), r.eui)
+    lists = [candidates for name, candidates in space.candidate_lists() if name in shared]
+    for b, group in zip(bound, itertools.product(*lists), strict=True):
+        assert b <= least[group] + MARGIN * scale
+    assert ranked[-1].eui <= scale * (1 + MARGIN)  # the scale is exact up to rounding
+
+
+def _fields(ranked):
+    return [(r.rank, r.design, r.pareto, *map(float.hex, (r.eui, r.cost_per_m2, r.electricity,
+                                                           r.gas))) for r in ranked]
+
+
+@st.composite
+def _near_tied_spaces(draw):
+    """Tied spaces whose infiltration candidates may be nudged by 1e-12 ach, so
+    some EUIs differ by far less than the margin."""
+    space = draw(_tied_spaces())
+    return dataclasses.replace(space, infiltration=tuple(
+        v + draw(st.sampled_from([0.0, 1e-12])) for v in space.infiltration))
+
+
+@settings(max_examples=40, deadline=None)
+@given(space=_near_tied_spaces(), limits=st.builds(CodeLimits, _orientation_limits,
+                                                   _orientation_limits, _orientation_limits,
+                                                   _orientation_limits),
+       k_kind=st.sampled_from(["one", "middle", "all but one"]),
+       chunk=st.sampled_from([1, 7, 108]))
+def test_pruned_top_k_equals_a_full_score_and_sort(space, limits, k_kind, chunk,
+                                                   baseline_spec, climate, catalog,
+                                                   baseline_calibration, tariff):
+    """Every field of a pruned top k is bitwise the head of the full ranking."""
+    feasible = math.prod(map(len, optimize_module.legal_positions(space, limits)))
+    if feasible == 0:
+        return
+    k = {"one": 1, "middle": feasible // 2 + 1, "all but one": max(1, feasible - 1)}[k_kind]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize_module, "CHUNK_SIZE", chunk)
+        ranked, full = (optimize(baseline_spec, climate, catalog, space, limits, k=n,
+                                 calib=baseline_calibration, tariff=tariff)
+                        for n in (k, feasible))
+    assert len(full) == feasible
+    assert _fields(ranked) == _fields(full[:k])
+
+
+def _scored_designs(k, space, limits, *context):
+    """The designs optimize hands to the kernel, summed over its calls; the
+    returned designs are not built."""
+    counts = []
+    kernel = _kernels.batch_energy
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "batch_energy", lambda wwr, *a: counts.append(wwr.shape[1])
+                   or kernel(wwr, *a))
+        mp.setattr(optimize_module, "_design_from_digits", lambda lists, digits: None)
+        optimize(*context[:3], space, limits, k, *context[3:])
+    return sum(counts)
+
+
+def test_pruning_scores_fewer_designs_only_when_k_is_below_the_feasible_count(
+        baseline_spec, climate, catalog, baseline_calibration, tariff):
+    """The space of test_sweep_memory_is_bounded_by_the_chunk: 279,936 code-legal designs."""
+    grid = {o: (0.2, 0.3, 0.4, 0.5) for o in "NSEW"}
+    space = DesignSpace(
+        wwr=grid, overhang_ratio={"N": (0.0, 0.25, 0.5), "S": (0.0, 0.25, 0.5),
+                                  "E": (0.0, 0.5), "W": (0.0, 0.5)},
+        glazing_ids=("sgl_clr", "dbl_clr", "dbl_loe"),
+        wall_ids=("wall_uninsulated", "wall_sip_12in"),
+        roof_ids=("roof_concrete", "roof_sip_10in"), infiltration=(0.4, 1.0),
+        lighting_technologies=tuple(LightingTechnology),
+        hvac_ids=("vav_baseline", "heat_pump"))
+    limits = CodeLimits(*[OrientationLimit(max_wwr=0.45, strict=True)] * 4)
+    context = (baseline_spec, climate, catalog, baseline_calibration, tariff)
+    assert _scored_designs(10, space, limits, *context) < 279_936
+    assert _scored_designs(279_936, space, limits, *context) == 279_936
+
+
+def test_a_group_tied_with_the_kth_eui_is_still_scored(baseline_spec, climate, catalog,
+                                                       baseline_calibration, tariff):
+    """Two one-design groups of equal EUI; the second is cheaper (gas heating).
+
+    Its bound lies 4e-16 relative above its EUI, which is the k-th EUI once the
+    first group is scored, so only the margin keeps it from being pruned.
+    """
+    gas_pump = dataclasses.replace(catalog.hvac_systems["heat_pump"], heating_fuel=HeatingFuel.GAS)
+    catalog = dataclasses.replace(catalog,
+                                  hvac_systems={**catalog.hvac_systems, "gas_pump": gas_pump})
+    space = _small_space(
+        wwr={"N": (0.25,), "S": (0.1,), "E": (0.5,), "W": (0.1,)},
+        overhang_ratio={"N": (0.5,), "S": (0.0,), "E": (0.0,), "W": (0.0,)},
+        glazing_ids=("dbl_loe",), infiltration=(0.4,),
+        lighting_technologies=(LightingTechnology.LED,), hvac_ids=("heat_pump", "gas_pump"))
+    context = (baseline_spec, climate, catalog, baseline_calibration, tariff)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize_module, "CHUNK_SIZE", 1)  # one group per kernel call
+        assert _scored_designs(1, space, NO_LIMITS, *context) == 2
+        first, second = optimize(*context[:3], space, NO_LIMITS, 2, *context[3:])
+        (best,) = optimize(*context[:3], space, NO_LIMITS, 1, *context[3:])
+    assert first.eui == second.eui and first.cost_per_m2 < second.cost_per_m2
+    assert best.design.hvac_id == "gas_pump"
 
 
 def _capped_space(max_wwr_n: float) -> tuple[DesignSpace, CodeLimits]:
