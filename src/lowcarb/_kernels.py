@@ -1,9 +1,11 @@
 """The two numeric hot paths: the design-sweep batch evaluator and the node
 trace fold.
 
-``batch_energy`` runs :func:`lowcarb.energy.thermal_balance`, the function the
-scalar engine calls, on per-design arrays of the same inputs (shading included,
-from :func:`lowcarb.energy.shading_factor`), so the two agree to the bit.
+``batch_energy`` is the adapter that ``perfbench`` wraps to time the sweep: it
+runs :func:`lowcarb.energy.thermal_balance` and :func:`lowcarb.energy.end_use`,
+the functions the scalar engine calls, on per-design arrays of the same inputs
+(shading included, from :func:`lowcarb.energy.shading_factor`), so the two agree
+to the bit.
 ``node_sim`` is the only implementation of the node step; :func:`lowcarb.node.step`
 runs it on a one-sample trace. Both are timed per layer by ``perfbench/run.py --trace 1``.
 """
@@ -38,31 +40,17 @@ def batch_energy(wwr, shading, glz_u, glz_shgc, wall_u, roof_u, ach,
     The next nine arguments are length-n arrays, one value per design. The
     rest are shared by the whole sweep: ``gross_area`` and ``irradiation`` per
     orientation, ``t_*`` and ``w_*`` from :func:`lowcarb.energy.season_terms`.
-    Returns per-design (eui, electricity_kwh, gas_m3), from :func:`end_use`.
+    Returns per-design (eui, electricity_kwh, gas_m3), from
+    :func:`lowcarb.energy.end_use`.
     """
-    from .energy import thermal_balance
+    from .energy import end_use, thermal_balance
 
     l_cool, l_heat = thermal_balance(
         gross_area, wwr, (wall_u,) * 4, (glz_u,) * 4, (glz_shgc,) * 4, irradiation,
         shading[:, 0], shading[:, 1], roof_area, roof_u, ach, volume,
         (lighting_kwh + equip_kwh) * gain_mult, t_cool, t_heat, w_cool, w_heat)
     return end_use(l_cool, l_heat, lighting_kwh, equip_kwh, cop, heat_eff, heat_is_gas,
-                   floor_area, gas_energy_content)
-
-
-def end_use(l_cool, l_heat, lighting_kwh, equip_kwh, cop, heat_eff, heat_is_gas,
-            floor_area, gas_energy_content):
-    """(eui, electricity_kwh, gas_m3) from the cooling and unclamped heating loads,
-    broadcast; the EUI never falls as a load grows, as ``cop``, ``heat_eff`` > 0."""
-    import numpy as np
-
-    cooling_kwh = l_cool / cop
-    heating_fuel_kwh = np.maximum(0.0, l_heat) / heat_eff
-    total_kwh = lighting_kwh + equip_kwh + cooling_kwh + heating_fuel_kwh
-    electricity = (lighting_kwh + equip_kwh + cooling_kwh
-                   + np.where(heat_is_gas, 0.0, heating_fuel_kwh))
-    gas_m3 = np.where(heat_is_gas, heating_fuel_kwh / gas_energy_content, 0.0)
-    return total_kwh / floor_area, electricity, gas_m3
+                   floor_area, gas_energy_content)[:3]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ gains (lighting + equipment, scaled by a calibrated multiplier) load the
 cooling system while a small utilization factor credits them against
 heating. Everything is a pure function of its arguments; identical inputs
 give bit-identical reports.
+
+The scalar engine and the design sweep run the same two model functions:
+:func:`thermal_balance` (annual loads) and :func:`end_use` (delivered energy).
 """
 
 from __future__ import annotations
@@ -210,15 +213,32 @@ def _loads(spec: BuildingSpec, climate: ClimateProfile,
     return cooling_load, heating_load, lighting_kwh, equipment_kwh
 
 
+def end_use(l_cool, l_heat, lighting_kwh, equip_kwh, cop, heat_eff, heat_is_gas,
+            floor_area, gas_energy_content):
+    """(EUI kWh/m2, electricity kWh, gas m3, cooling kWh, heating fuel kWh) from the
+    cooling and unclamped heating loads of :func:`thermal_balance`.
+
+    Cooling is electric at ``cop``; the heating load, clamped at zero, is served
+    at ``heat_eff`` by gas where ``heat_is_gas`` (a bool, or 0.0/1.0 per design),
+    else by electricity. Only ``+ - * /`` and ``abs`` touch the arguments, so
+    floats and float64 arrays run the same code. The EUI never falls as a load
+    grows, as ``cop``, ``heat_eff`` > 0.
+    """
+    cooling_kwh = l_cool / cop
+    # max(0, l_heat) to the bit, and +0.0 for a negative load; the sum overflows
+    # only when l_heat >= 2^1023
+    heating_kwh = (l_heat + abs(l_heat)) / 2 / heat_eff
+    electricity = lighting_kwh + equip_kwh + cooling_kwh + heating_kwh * (1 - heat_is_gas)
+    gas_m3 = heating_kwh * heat_is_gas / gas_energy_content
+    eui_kwh_m2 = (lighting_kwh + equip_kwh + cooling_kwh + heating_kwh) / floor_area
+    return eui_kwh_m2, electricity, gas_m3, cooling_kwh, heating_kwh
+
+
 def annual_end_use(spec: BuildingSpec, climate: ClimateProfile,
                    calib: CalibrationParams = CalibrationParams(),
                    gas_energy_content: float = DEFAULT_GAS_ENERGY_CONTENT_KWH_M3,
                    ) -> EnergyReport:
-    """Annual end-use energy for one building under one climate.
-
-    Cooling is always served electrically at ``cooling_cop``; heating fuel
-    follows ``hvac.heating_fuel`` at ``heating_efficiency``. The heating
-    load is clamped at zero after gains are credited.
+    """Annual end-use energy for one building under one climate, from :func:`end_use`.
 
     Raises
     ------
@@ -233,32 +253,18 @@ def annual_end_use(spec: BuildingSpec, climate: ClimateProfile,
         )
 
     cooling_load, heating_load, lighting_kwh, equipment_kwh = _loads(spec, climate, calib)
-    heating_load = max(0.0, heating_load)
+    _, electricity, gas_m3, cooling_kwh, heating_fuel_kwh = end_use(
+        cooling_load, heating_load, lighting_kwh, equipment_kwh, spec.hvac.cooling_cop,
+        spec.hvac.heating_efficiency, spec.hvac.heating_fuel is HeatingFuel.GAS,
+        spec.floor_area, gas_energy_content)
 
-    cooling_kwh = cooling_load / spec.hvac.cooling_cop
-    heating_fuel_kwh = heating_load / spec.hvac.heating_efficiency
-
-    lighting_gj = lighting_kwh * MJ_PER_KWH / 1000.0
-    cooling_gj = cooling_kwh * MJ_PER_KWH / 1000.0
-    heating_gj = heating_fuel_kwh * MJ_PER_KWH / 1000.0
-    equipment_gj = equipment_kwh * MJ_PER_KWH / 1000.0
-
-    electricity = lighting_kwh + equipment_kwh + cooling_kwh
-    gas_m3 = 0.0
-    if spec.hvac.heating_fuel is HeatingFuel.GAS:
-        gas_m3 = heating_fuel_kwh / gas_energy_content
-    else:
-        electricity += heating_fuel_kwh
-
+    lighting_gj, cooling_gj, heating_gj, equipment_gj = (
+        kwh * MJ_PER_KWH / 1000.0
+        for kwh in (lighting_kwh, cooling_kwh, heating_fuel_kwh, equipment_kwh))
     return EnergyReport(
-        lighting=lighting_gj,
-        cooling=cooling_gj,
-        heating=heating_gj,
-        equipment=equipment_gj,
+        lighting=lighting_gj, cooling=cooling_gj, heating=heating_gj, equipment=equipment_gj,
         total=lighting_gj + cooling_gj + heating_gj + equipment_gj,
-        electricity=electricity,
-        gas=gas_m3,
-    )
+        electricity=electricity, gas=gas_m3)
 
 
 def eui(report: EnergyReport, floor_area: float) -> float:

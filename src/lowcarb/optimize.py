@@ -12,9 +12,11 @@ tie-break, so it is invariant under any evaluation order.
 
 Code limits act on single candidate values, so the code-legal designs form
 a Cartesian product of their own (:func:`legal_positions`). It is scored in
-chunks with a running top-k, group by group in ascending order of a lower bound
-on the group's EUI (:func:`_group_bounds`), until no unscored group can rank, so
-memory is bounded by the chunk and ``k``, not by the size of the space.
+chunks, group by group in ascending order of a lower bound on the group's EUI
+(:func:`_group_bounds`). Rows above the k-th least EUI held are dropped and
+groups whose bound lies above it (plus a rounding margin) are skipped, so memory
+is bounded by the chunk and ``k``, not by the size of the space; the kept rows
+are ranked once.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .energy import (
     CalibrationParams,
     annual_equipment_kwh,
     annual_lighting_kwh,
+    end_use,
     season_terms,
     shading_factor,
     thermal_balance,
@@ -405,7 +408,7 @@ def _candidate_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
     ]
 
 
-def _ranked(cols: tuple[np.ndarray, ...], k: int | None = None) -> tuple[np.ndarray, ...]:
+def _ranked(cols: tuple[np.ndarray, ...], k: int) -> tuple[np.ndarray, ...]:
     """Rows of (eui, cost, electricity, gas, position) in rank order, first ``k`` kept."""
     import numpy as np
 
@@ -453,7 +456,7 @@ def _group_bounds(tables: list[tuple[np.ndarray, ...]],
     l_cool, l_heat = (sum(np.concatenate([x[:1].min((7, 8), keepdims=True),
                                           x[-1:].max((7, 8), keepdims=True)]) for x in loads)
                       for loads in zip(*parts))
-    eui = _kernels.end_use(l_cool, l_heat, light, equip, *hvac, floor_area, gas_kwh_m3)[0]
+    eui = end_use(l_cool, l_heat, light, equip, *hvac, floor_area, gas_kwh_m3)[0]
     return eui[0].ravel(), float(eui[1].max())
 
 
@@ -528,9 +531,11 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
         return eui, cost, elec, gas, position
 
     # Units go in ascending order of their group's bound (stable: ties keep
-    # enumeration order); the ranking is total, so the order changes no result.
-    order = np.argsort(np.tile(bound, feasible // width // groups), kind="stable")
-    calls = (order[first:first + per_call] for first in range(0, order.size, per_call))
+    # enumeration order), `limit` holding those bounds; the ranking is total, so
+    # the order changes no result.
+    unit_bound = np.tile(bound, feasible // width // groups)
+    order = np.argsort(unit_bound, kind="stable")
+    limit = unit_bound[order]
     # Rounding (u = 2^-53): a float EUI, and a float bound, lies within ~30u times
     # its summed summand magnitudes (<= scale) of its real value, and a real bound
     # is <= the real EUIs of its group; so no EUI is below its group's float bound
@@ -538,25 +543,22 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     # not the k-th EUI: an EUI near 0, where gains cancel the heating losses,
     # still carries the rounding of its large summands.
     margin = 1e-9 * scale
-    if k >= feasible:  # nothing can be pruned
-        top = _ranked(tuple(map(np.concatenate, zip(*map(evaluate, calls)))))
-    else:
-        top = None
-        for units in calls:
-            if top and top[0].size == k and bound[units[0] % groups] > top[0][-1] + margin:
-                break  # no design of this unit's group, or of a later one, can rank
-            cols = evaluate(units)
-            if cols[0].size > k:
-                # a row with EUI above the chunk's k-th smallest trails k rows;
-                # rows tied with it stay, since cost and position order them
-                keep = cols[0] <= np.partition(cols[0], k - 1)[k - 1]
-                cols = tuple(c[keep] for c in cols)
-            if top is not None:
-                cols = tuple(map(np.concatenate, zip(top, cols)))
-            top = _ranked(cols, k)
+    held, first, stop = [], 0, order.size
+    while first < stop:
+        held.append(evaluate(order[first:min(first + per_call, stop)]))
+        first += per_call
+        if sum(part[0].size for part in held) >= k:
+            # a row with EUI above the k-th least held trails k rows; rows tied
+            # with it stay, since cost and position order them
+            cut = np.partition(np.concatenate([part[0] for part in held]), k - 1)[k - 1]
+            held = [tuple(c[keep] for c in part) for part in held for keep in [part[0] <= cut]]
+            # no design of a unit whose group bound exceeds the cut by the margin can rank
+            stop = np.searchsorted(limit, cut + margin, "right")
 
-    del block  # free the chunk's inputs before the designs are built
-    eui, cost, elec, gas, position = top
+    # free the chunk's inputs, then the held rows, before the designs are built
+    del block
+    eui, cost, elec, gas, position = _ranked(tuple(map(np.concatenate, zip(*held))), k)
+    del held
     # Pareto frontier on (EUI, cost): a design is on it when no design ranked
     # before it is cheaper. Ranks before a returned one are all returned.
     pareto = cost <= np.minimum.accumulate(cost)

@@ -217,6 +217,60 @@ def test_reports_are_byte_identical_across_runs(fixtures, tmp_path):
     assert manifests[0]["inputs"] == manifests[1]["inputs"]
 
 
+#: Per run on the bundled fixtures: the subcommand, its extra arguments, the
+#: internal-gain multiplier (None keeps the baseline's; at 300 the heating clamp
+#: binds for every design) and the sha256 of every report but run_manifest.json.
+PINNED_REPORTS = {
+    "audit": ("audit", [], None, {
+        "report.csv": "8fc6cbd83f9bd0a45ff11d9131334f2d3a575ab942fadbf3a504aefd3deb4d5f",
+        "report.json": "139a45f45672dceeb9edd120cd9bda8f5ee435fe204de2292f4b778c4d0e4501",
+    }),
+    "audit-gain-300": ("audit", [], 300.0, {
+        "report.csv": "3f39b81bebd2b603d6cf54182d3ab4d9297e06d7819660b9bc15019511a1ba89",
+        "report.json": "9752408ca3f04947d042a5f0d2bfadbb43e0157b2b2266dc519fb5e1257a3f96",
+    }),
+    "calibrate": ("calibrate", [], None, {
+        "calibration.json": "ef9c0bcdfbbdc51a3e111920d8506f76c5632ecc8619e9657576117a5d83f9a5",
+    }),
+    "optimize": ("optimize", [], None, {
+        "results.csv": "21ff7ba68c0027480281e02b5142fc01d01fe94ca15e9f44f7128a27e5b2e80c",
+        "results.json": "60a904e28dabc2c87b731c447e379d1094d070a7728c0c08e8e727618b858fa7",
+    }),
+    "optimize-all": ("optimize", ["--k", "20736"], None, {
+        "results.csv": "36a236092b13eacdcb5564804b33861f2eb659b4bc6554dba57143c695e18c43",
+        "results.json": "ccb7fa6ab338557be6c33884a934ab0341c9c70d913dbaa61d42cf5b8b77f546",
+    }),
+    "optimize-all-gain-300": ("optimize", ["--k", "20736"], 300.0, {
+        "results.csv": "a817053a0c2f877bfbbe88773acfad1df89638dac736c1bb849bbaf3a7ab1335",
+        "results.json": "d6b013ab089c14915afb654d1ea1a69280c2af531c53ad691ea2969cd966900d",
+    }),
+    "pv": ("pv", [], None, {
+        "pv_report.json": "757d47cf803840b9698f0398abbecdf7d43c7ea1dae7f41d97d557df722ebb2d",
+    }),
+    "node-sim": ("node-sim", [], None, {
+        "states.csv": "cd3a463d7d5c03ef0097258ebd17658a4045ad5a5a9421bc8a18cd67f20a9058",
+        "summary.json": "9622be36f4390c5e91ff18106dd894b650dbba7798db08e069697cbe9165ed7c",
+    }),
+}
+
+
+@pytest.mark.parametrize("run", PINNED_REPORTS)
+def test_reports_match_their_pinned_digests(fixtures, tmp_path, run):
+    """A refactor of the model or the search leaves every report byte unchanged."""
+    command, extra, gain, digests = PINNED_REPORTS[run]
+    spec = {}
+    if gain is not None:
+        doc = json.loads((fixtures / "baseline_school.json").read_text())
+        doc["calibration"]["internal_gain_multiplier"] = gain
+        spec["baseline_school.json"] = tmp_path / "gain.json"
+        spec["baseline_school.json"].write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(_argv(fixtures, command, **spec) + extra + ["--out", str(out)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.name != "run_manifest.json"} == digests
+
+
 def test_out_dir_from_environment(fixtures, tmp_path, monkeypatch):
     target = tmp_path / "from_env"
     monkeypatch.setenv("LOWCARB_OUT", str(target))

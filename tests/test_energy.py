@@ -1,8 +1,9 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lowcarb import (
     CalibrationError,
@@ -15,7 +16,7 @@ from lowcarb import (
     eui,
     shading_factor,
 )
-from lowcarb.energy import EndUseTargets
+from lowcarb.energy import EndUseTargets, end_use
 from lowcarb.model import ClimateProfile
 
 from test_model import _make_spec
@@ -59,6 +60,41 @@ class TestShadingFactor:
         assert shading_factor(ratio + d_ratio, alt) <= base + 1e-12
         if alt + d_alt < 90:
             assert shading_factor(ratio, alt + d_alt) <= base + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# end_use
+# ---------------------------------------------------------------------------
+
+# -0.0, the least subnormals, and loads of either sign up to 2^1000
+_heating_loads = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324]),
+                           st.floats(-2.0 ** 1000, 2.0 ** 1000, exclude_min=True,
+                                     exclude_max=True))
+
+
+@settings(max_examples=500)
+@given(l_cool=st.floats(0.0, 1e12), l_heat=_heating_loads, lighting=st.floats(0.0, 1e9),
+       equipment=st.floats(0.0, 1e9), cop=st.floats(0.1, 10.0), heat_eff=st.floats(0.1, 10.0),
+       gas=st.booleans(), floor_area=st.floats(1.0, 1e6), gas_content=st.floats(1.0, 20.0))
+def test_end_use_gives_the_same_bits_for_floats_and_arrays(
+        l_cool, l_heat, lighting, equipment, cop, heat_eff, gas, floor_area, gas_content):
+    """Scalar and one-element float64 inputs agree to the bit; the clamp is
+    ``max(0.0, l_heat)`` and never gives -0.0; the fuel split is the if/else one."""
+    args = (l_cool, l_heat, lighting, equipment, cop, heat_eff, gas, floor_area, gas_content)
+    scalar = end_use(*args)
+    array = end_use(*(np.array([float(a)]) for a in args))
+    assert [x.hex() for x in scalar] == [float(x[0]).hex() for x in array]
+
+    heating = max(0.0, l_heat) / heat_eff
+    electricity = lighting + equipment + l_cool / cop
+    gas_m3 = 0.0
+    if gas:
+        gas_m3 = heating / gas_content
+    else:
+        electricity += heating
+    assert scalar[4].hex() == heating.hex()
+    assert math.copysign(1.0, scalar[4]) == 1.0
+    assert (scalar[1].hex(), scalar[2].hex()) == (electricity.hex(), gas_m3.hex())
 
 
 # ---------------------------------------------------------------------------

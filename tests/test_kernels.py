@@ -1,5 +1,7 @@
 """The batch sweep and the node trace fold agree with their scalar references."""
 
+import dataclasses
+
 import pytest
 from conftest import building_specs
 from hypothesis import given, settings, strategies as st
@@ -24,9 +26,11 @@ from lowcarb.optimize import CodeLimits
 
 
 def assert_sweep_matches_scalar_engine(space, spec, climate, catalog, calib, tariff):
+    """Returns the scalar engine's reports, one per design."""
     ranked = optimize(spec, climate, catalog, space, CodeLimits(),
                       k=space.size, calib=calib, tariff=tariff)
     assert len(ranked) == space.size
+    reports = []
     for r in ranked:
         applied = apply_design(spec, r.design, catalog)
         report = annual_end_use(applied, climate, calib,
@@ -36,11 +40,20 @@ def assert_sweep_matches_scalar_engine(space, spec, climate, catalog, calib, tar
         assert r.electricity == report.electricity
         assert r.gas == report.gas
         assert r.cost_per_m2 == annual_cost(report, tariff, spec.floor_area)
+        reports.append(report)
+    return reports
 
 
+@pytest.mark.parametrize("gain, clamped", [(None, 0), (30.0, 184), (300.0, 256)],
+                         ids=["baseline", "gain-30", "gain-300"])
 def test_batch_energy_matches_scalar_engine(baseline_spec, climate, catalog,
-                                            baseline_calibration, tariff):
-    """The vectorized sweep and the reference engine are the same model."""
+                                            baseline_calibration, tariff, gain, clamped):
+    """The vectorized sweep and the reference engine are the same model, also
+    where the heating clamp binds: for ``clamped`` of the 256 designs at an
+    internal-gain multiplier of 30, and for all at 300. Both fuels are in the space.
+    """
+    calib = baseline_calibration if gain is None else dataclasses.replace(
+        baseline_calibration, internal_gain_multiplier=gain)
     space = DesignSpace(
         wwr={"N": (0.30, 0.2), "S": (0.24, 0.5), "E": (0.25,), "W": (0.25,)},
         overhang_ratio={"N": (0.0,), "S": (0.0, 1.0 / 3.0), "E": (0.0,), "W": (0.25,)},
@@ -51,8 +64,9 @@ def test_batch_energy_matches_scalar_engine(baseline_spec, climate, catalog,
         lighting_technologies=(LightingTechnology.INCANDESCENT, LightingTechnology.LED),
         hvac_ids=("vav_baseline", "heat_pump"),
     )
-    assert_sweep_matches_scalar_engine(space, baseline_spec, climate, catalog,
-                                       baseline_calibration, tariff)
+    reports = assert_sweep_matches_scalar_engine(space, baseline_spec, climate, catalog,
+                                                 calib, tariff)
+    assert sum(r.heating == 0.0 for r in reports) == clamped
 
 
 def _candidates(elements):

@@ -324,8 +324,9 @@ def test_streamed_top_k_matches_a_full_sort(space, limits, k_kind, chunk, baseli
                                             climate, catalog, baseline_calibration, tariff):
     """Chunked top-k equals enumerate, score, sort by (EUI, cost, index), running min.
 
-    A chunk of 1 makes each block the last variable alone, 7 part of the
-    product, and 2^16 the whole space.
+    A call holds whole units (one group times a run of trailing orientation
+    variables): a chunk of 1 makes each call one group times the last orientation
+    variable, 7 part of the product, and 2^16 the whole space.
     """
     legal = [(i, d) for i, d in enumerate(enumerate_designs(space))
              if not code_check(d, limits)]
@@ -466,7 +467,9 @@ def _scored_designs(k, space, limits, *context):
 
 def test_pruning_scores_fewer_designs_only_when_k_is_below_the_feasible_count(
         baseline_spec, climate, catalog, baseline_calibration, tariff):
-    """The space of test_sweep_memory_is_bounded_by_the_chunk: 279,936 code-legal designs."""
+    """The space of test_sweep_memory_is_bounded_by_the_chunk: 279,936 code-legal
+    designs, 32,076 per kernel call. At k = 20,000 the calls after the first stop
+    at the last unit that can rank, so fewer than two whole calls are scored."""
     grid = {o: (0.2, 0.3, 0.4, 0.5) for o in "NSEW"}
     space = DesignSpace(
         wwr=grid, overhang_ratio={"N": (0.0, 0.25, 0.5), "S": (0.0, 0.25, 0.5),
@@ -479,6 +482,7 @@ def test_pruning_scores_fewer_designs_only_when_k_is_below_the_feasible_count(
     limits = CodeLimits(*[OrientationLimit(max_wwr=0.45, strict=True)] * 4)
     context = (baseline_spec, climate, catalog, baseline_calibration, tariff)
     assert _scored_designs(10, space, limits, *context) < 279_936
+    assert _scored_designs(20_000, space, limits, *context) < 2 * 32_076
     assert _scored_designs(279_936, space, limits, *context) == 279_936
 
 
@@ -487,7 +491,9 @@ def test_a_group_tied_with_the_kth_eui_is_still_scored(baseline_spec, climate, c
     """Two one-design groups of equal EUI; the second is cheaper (gas heating).
 
     Its bound lies 4e-16 relative above its EUI, which is the k-th EUI once the
-    first group is scored, so only the margin keeps it from being pruned.
+    first group is scored, so only the margin keeps it from being pruned. A
+    second group of clearly higher EUI (the VAV system) is pruned as soon as the
+    first call holds k rows.
     """
     gas_pump = dataclasses.replace(catalog.hvac_systems["heat_pump"], heating_fuel=HeatingFuel.GAS)
     catalog = dataclasses.replace(catalog,
@@ -501,6 +507,8 @@ def test_a_group_tied_with_the_kth_eui_is_still_scored(baseline_spec, climate, c
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize_module, "CHUNK_SIZE", 1)  # one group per kernel call
         assert _scored_designs(1, space, NO_LIMITS, *context) == 2
+        worse = dataclasses.replace(space, hvac_ids=("heat_pump", "vav_baseline"))
+        assert _scored_designs(1, worse, NO_LIMITS, *context) == 1
         first, second = optimize(*context[:3], space, NO_LIMITS, 2, *context[3:])
         (best,) = optimize(*context[:3], space, NO_LIMITS, 1, *context[3:])
     assert first.eui == second.eui and first.cost_per_m2 < second.cost_per_m2
