@@ -3,9 +3,8 @@ trace fold.
 
 ``batch_energy`` is the adapter that ``perfbench`` wraps to time the sweep: it
 runs :func:`lowcarb.energy.thermal_balance` and :func:`lowcarb.energy.end_use`,
-the functions the scalar engine calls, on per-design arrays of the same inputs
-(shading included, from :func:`lowcarb.energy.shading_factor`), so the two agree
-to the bit.
+the functions the scalar engine calls, on per-design arrays of the inputs that the
+:mod:`lowcarb.energy` input functions give, so the two agree to the bit.
 ``node_sim`` is the only implementation of the node step; :func:`lowcarb.node.step`
 runs it on a one-sample trace. Both are timed per layer by ``perfbench/run.py --trace 1``.
 """
@@ -48,7 +47,7 @@ def batch_energy(wwr, shading, glz_u, glz_shgc, wall_u, roof_u, ach,
     l_cool, l_heat = thermal_balance(
         gross_area, wwr, (wall_u,) * 4, (glz_u,) * 4, (glz_shgc,) * 4, irradiation,
         shading[:, 0], shading[:, 1], roof_area, roof_u, ach, volume,
-        (lighting_kwh + equip_kwh) * gain_mult, t_cool, t_heat, w_cool, w_heat)
+        lighting_kwh, equip_kwh, gain_mult, t_cool, t_heat, w_cool, w_heat)
     return end_use(l_cool, l_heat, lighting_kwh, equip_kwh, cop, heat_eff, heat_is_gas,
                    floor_area, gas_energy_content)[:3]
 

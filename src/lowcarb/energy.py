@@ -8,8 +8,8 @@ cooling system while a small utilization factor credits them against
 heating. Everything is a pure function of its arguments; identical inputs
 give bit-identical reports.
 
-The scalar engine and the design sweep run the same two model functions:
-:func:`thermal_balance` (annual loads) and :func:`end_use` (delivered energy).
+The scalar engine and the design sweep share every model formula, written only here:
+the input functions, :func:`thermal_balance`, :func:`end_use` and :func:`cost_per_m2`.
 """
 
 from __future__ import annotations
@@ -148,29 +148,44 @@ def season_terms(climate: ClimateProfile) -> tuple[float, float, float, float]:
     return cdd * 24.0 / 1000.0, hdd * 24.0 / 1000.0, w_cool, w_heat
 
 
+def seasonal_shading(overhang_ratio: float, climate: ClimateProfile) -> tuple[float, float]:
+    """(summer, winter) :func:`shading_factor` at the climate's design sun altitudes."""
+    return (shading_factor(overhang_ratio, climate.summer_design_sun_altitude),
+            shading_factor(overhang_ratio, climate.winter_design_sun_altitude))
+
+
 def annual_lighting_kwh(count: float, lamp_power: float, hours: float,
                         daylight_offset: float) -> float:
     """Annual lighting energy in kWh, before the schedule multiplier."""
     return count * lamp_power * hours * (1.0 - daylight_offset) / 1000.0
 
 
-def annual_equipment_kwh(spec: BuildingSpec) -> float:
-    """Annual equipment energy in kWh, before the equipment multiplier."""
-    return spec.equipment_power_density * spec.floor_area * spec.occupancy_hours / 1000.0
+def scheduled_lighting_kwh(spec: BuildingSpec, lamp_power: float,
+                           calib: CalibrationParams) -> float:
+    """Annual lighting kWh of the spec's lamps at ``lamp_power``, after the schedule multiplier."""
+    return annual_lighting_kwh(spec.lighting.lamp_count, lamp_power, spec.lighting.annual_hours,
+                               spec.lighting.daylight_offset) * calib.schedule_multiplier
+
+
+def annual_equipment_kwh(spec: BuildingSpec, calib: CalibrationParams) -> float:
+    """Annual equipment energy in kWh, after the equipment multiplier."""
+    return (spec.equipment_power_density * spec.floor_area * spec.occupancy_hours / 1000.0
+            * calib.equipment_multiplier)
 
 
 def thermal_balance(gross_area, wwr, wall_u, glz_u, glz_shgc, irradiation,
                     shade_summer, shade_winter, roof_area, roof_u, ach, volume,
-                    gains, t_cool, t_heat, w_cool, w_heat):
+                    lighting_kwh, equip_kwh, gain_mult, t_cool, t_heat, w_cool, w_heat):
     """Annual (cooling load kWh, unclamped heating load kWh).
 
-    The first eight arguments are per-orientation 4-sequences in
-    ``ORIENTATION_ORDER``; ``shade_*`` are the seasonal
-    :func:`shading_factor` values. Any value may be a float or a float64
-    array, arrays broadcasting: only ``+ - * /`` touch them, so the scalar
-    engine and the batch sweep run this one function and agree to the bit.
-    ``t_*`` and ``w_*`` come from :func:`season_terms`.
+    The first eight arguments are per-orientation 4-sequences in ``ORIENTATION_ORDER``;
+    ``shade_*`` are the :func:`seasonal_shading` values. Internal gains are
+    ``(lighting_kwh + equip_kwh) * gain_mult``. Any value may be a float or a float64
+    array, arrays broadcasting: only ``+ - * /`` touch them, so the scalar engine and
+    the batch sweep run this one function and agree to the bit. ``t_*`` and ``w_*``
+    come from :func:`season_terms`.
     """
+    gains = (lighting_kwh + equip_kwh) * gain_mult
     h = roof_area * roof_u
     solar_cool = 0.0
     solar_heat = 0.0
@@ -190,10 +205,8 @@ def _loads(spec: BuildingSpec, climate: ClimateProfile,
            calib: CalibrationParams) -> tuple[float, float, float, float]:
     """Thermal balance: (cooling load kWh, unclamped heating load kWh,
     lighting kWh, equipment kWh)."""
-    lighting_kwh = annual_lighting_kwh(
-        spec.lighting.lamp_count, spec.lighting.lamp_power, spec.lighting.annual_hours,
-        spec.lighting.daylight_offset) * calib.schedule_multiplier
-    equipment_kwh = annual_equipment_kwh(spec) * calib.equipment_multiplier
+    lighting_kwh = scheduled_lighting_kwh(spec, spec.lighting.lamp_power, calib)
+    equipment_kwh = annual_equipment_kwh(spec, calib)
     groups = [spec.envelope(o) for o in ORIENTATION_ORDER]
     cooling_load, heating_load = thermal_balance(
         [g.gross_wall_area for g in groups],
@@ -202,13 +215,10 @@ def _loads(spec: BuildingSpec, climate: ClimateProfile,
         [g.glazing.u_value for g in groups],
         [g.glazing.shgc for g in groups],
         [climate.irradiation[o] for o in ORIENTATION_ORDER],
-        [shading_factor(g.overhang_ratio, climate.summer_design_sun_altitude)
-         for g in groups],
-        [shading_factor(g.overhang_ratio, climate.winter_design_sun_altitude)
-         for g in groups],
+        *zip(*(seasonal_shading(g.overhang_ratio, climate) for g in groups)),
         spec.roof.area, 1.0 / spec.roof.construction.r_value,
         spec.infiltration, spec.conditioned_volume,
-        (lighting_kwh + equipment_kwh) * calib.internal_gain_multiplier,
+        lighting_kwh, equipment_kwh, calib.internal_gain_multiplier,
         *season_terms(climate))
     return cooling_load, heating_load, lighting_kwh, equipment_kwh
 
@@ -274,12 +284,16 @@ def eui(report: EnergyReport, floor_area: float) -> float:
     return report.total * KWH_PER_GJ / floor_area
 
 
+def cost_per_m2(electricity, gas, tariff: Tariff, floor_area):
+    """Annual energy cost per floor area, CNY/(m2.yr); floats or float64 arrays."""
+    return (electricity * tariff.electricity_price + gas * tariff.gas_price) / floor_area
+
+
 def annual_cost(report: EnergyReport, tariff: Tariff, floor_area: float) -> float:
-    """Annual energy cost per floor area, CNY/(m2.yr)."""
+    """Annual energy cost per floor area, CNY/(m2.yr), from :func:`cost_per_m2`."""
     if floor_area <= 0:
         raise ValueError(f"floor_area must be > 0, got {floor_area}")
-    return (report.electricity * tariff.electricity_price
-            + report.gas * tariff.gas_price) / floor_area
+    return cost_per_m2(report.electricity, report.gas, tariff, floor_area)
 
 
 def calibrate(spec: BuildingSpec, climate: ClimateProfile, targets: EndUseTargets,

@@ -594,10 +594,10 @@ def load_sensor_fleet(text: str) -> SensorFleet:
         raise SpecError("fleet.entries must be a list of JSON objects")
     return SensorFleet(tuple(
         SensorEntry(
-            kind=string(edoc, "kind", f"entries[{i}]."),
-            count=int(number(edoc, "count", f"entries[{i}].", INTEGER)),
-            unit_power=number(edoc, "unit_power_w", f"entries[{i}].", NONNEGATIVE),
-            duty_cycle=number(edoc, "duty_cycle", f"entries[{i}].", FRACTION),
+            kind=string(edoc, "kind", f"fleet.entries[{i}]."),
+            count=int(number(edoc, "count", f"fleet.entries[{i}].", INTEGER)),
+            unit_power=number(edoc, "unit_power_w", f"fleet.entries[{i}].", NONNEGATIVE),
+            duty_cycle=number(edoc, "duty_cycle", f"fleet.entries[{i}].", FRACTION),
         )
         for i, edoc in enumerate(entries)))
 

@@ -303,16 +303,8 @@ def _bad_cell(row: dict, line: int) -> str:
 
 
 def write_state_log(result: SimResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["clock_s", "soc", "alarm", "harvest_w", "load_w", "served"])
-    for i in range(len(result.soc)):
-        writer.writerow([
-            repr(float(result.clock_s[i])),
-            repr(float(result.soc[i])),
-            "alarm" if result.alarm[i] else "idle",
-            repr(float(result.harvest_w[i])),
-            repr(float(result.load_w[i])),
-            int(result.served[i]),
-        ])
-    return buf.getvalue()
+    columns = (result.clock_s, result.soc, result.alarm, result.harvest_w, result.load_w,
+               result.served)
+    return "clock_s,soc,alarm,harvest_w,load_w,served\n" + "".join(
+        f"{t!r},{soc!r},{'alarm' if alarm else 'idle'},{harvest!r},{load!r},{served:d}\n"
+        for t, soc, alarm, harvest, load, served in zip(*(c.tolist() for c in columns)))

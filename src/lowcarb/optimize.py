@@ -33,10 +33,11 @@ from . import _kernels
 from .energy import (
     CalibrationParams,
     annual_equipment_kwh,
-    annual_lighting_kwh,
+    cost_per_m2,
     end_use,
+    scheduled_lighting_kwh,
     season_terms,
-    shading_factor,
+    seasonal_shading,
     thermal_balance,
 )
 from .model import (
@@ -55,6 +56,7 @@ from .model import (
     Tariff,
     Violation,
     check,
+    known_keys,
     number,
     read_json,
     string,
@@ -186,14 +188,17 @@ class DesignSpace:
     def from_json(text: str) -> tuple["DesignSpace", "CodeLimits"]:
         """Parse a design-space file; returns the space and its code limits.
 
-        Raises :class:`SpecError` on a missing, empty or non-list candidate entry,
-        a candidate that fails its variable's kind (named by its path, e.g.
-        ``wwr.S item 0``), or malformed code limits."""
+        Raises :class:`SpecError` on a key it does not read, a missing, empty or
+        non-list candidate entry, a candidate that fails its variable's kind (named
+        by its path, e.g. ``wwr.S item 0``), or malformed code limits."""
         doc = read_json(text, "design space")
+        known_keys(doc, ["schema_version", "name", "code_limits", *(v.key for v in VARIABLES)],
+                   "", "design space")
         fields: dict = {}
         for v in VARIABLES:
             values, path = doc.get(v.key), v.key
             if v.orientation:
+                known_keys(values, ORIENTATION_ORDER, f"{v.key}.", "design space")
                 values = values.get(v.orientation) if isinstance(values, dict) else None
                 path = f"{v.key}.{v.orientation}"
             if not (isinstance(values, list) and values):
@@ -374,8 +379,8 @@ def _candidate_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
                       climate: ClimateProfile, calib: CalibrationParams) -> list[tuple]:
     """Per variable, in enumeration order, the kernel inputs of each candidate.
 
-    An overhang's are its summer and winter :func:`shading_factor`. All are
-    float64 (the gas flag as 0/1), so one block holds them.
+    An overhang's are its :func:`seasonal_shading` pair. All are float64 (the
+    gas flag as 0/1), so one block holds them.
 
     Raises :class:`SpecError` when the space names an id the catalog lacks.
     """
@@ -387,21 +392,15 @@ def _candidate_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
     lamp_w = _resolve(catalog.lamp_powers,
                       [t.value for t in space.lighting_technologies], "lighting")
     hvacs = _resolve(catalog.hvac_systems, space.hvac_ids, "hvac")
-    light_kwh = [
-        annual_lighting_kwh(spec.lighting.lamp_count, w, spec.lighting.annual_hours,
-                            spec.lighting.daylight_offset) * calib.schedule_multiplier
-        for w in lamp_w
-    ]
-    altitudes = (climate.summer_design_sun_altitude, climate.winter_design_sun_altitude)
     return [
         *((np.array(space.wwr[o], dtype=float),) for o in ORIENTATION_ORDER),
-        *(tuple(np.array([shading_factor(v, a) for v in space.overhang_ratio[o]], dtype=float)
-                for a in altitudes) for o in ORIENTATION_ORDER),
+        *(tuple(np.array([seasonal_shading(v, climate) for v in space.overhang_ratio[o]],
+                         dtype=float).T) for o in ORIENTATION_ORDER),
         (np.array([g.u_value for g in glz]), np.array([g.shgc for g in glz])),
         (np.array([1.0 / w.r_value for w in walls]),),
         (np.array([1.0 / r.r_value for r in roofs]),),
         (np.array(space.infiltration, dtype=float),),
-        (np.array(light_kwh),),
+        (np.array([scheduled_lighting_kwh(spec, w, calib) for w in lamp_w]),),
         (np.array([h.cooling_cop for h in hvacs]),
          np.array([h.heating_efficiency for h in hvacs]),
          np.array([h.heating_fuel is HeatingFuel.GAS for h in hvacs], dtype=float)),
@@ -450,9 +449,9 @@ def _group_bounds(tables: list[tuple[np.ndarray, ...]],
     parts = [thermal_balance(only(o, gross[o]), only(o, at(*tables[o], 7)), only(o, wall_u),
                              only(o, glz_u), only(o, shgc), irr,
                              *(only(o, at(t, 8)) for t in tables[4 + o]), 0.0, 0.0, 0.0,
-                             volume, 0.0, *season) for o in range(4)]
+                             volume, 0.0, 0.0, 0.0, *season) for o in range(4)]
     parts.append(thermal_balance(*[(0.0,) * 4] * 8, roof_area, roof_u, ach, volume,
-                                 (light + equip) * gain_mult, *season))
+                                 light, equip, gain_mult, *season))
     l_cool, l_heat = (sum(np.concatenate([x[:1].min((7, 8), keepdims=True),
                                           x[-1:].max((7, 8), keepdims=True)]) for x in loads)
                       for loads in zip(*parts))
@@ -495,8 +494,8 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     shared = (np.array([spec.envelope(o).gross_wall_area for o in ORIENTATION_ORDER]),
               np.array([climate.irradiation[o] for o in ORIENTATION_ORDER]),
               spec.roof.area, spec.conditioned_volume, *season_terms(climate),
-              annual_equipment_kwh(spec) * calib.equipment_multiplier,
-              calib.internal_gain_multiplier, spec.floor_area, tariff.gas_energy_content)
+              annual_equipment_kwh(spec, calib), calib.internal_gain_multiplier,
+              spec.floor_area, tariff.gas_energy_content)
 
     # Bounds first: computed after the block is allocated, their small arrays
     # raised the peak RSS of repeated all-k sweeps by ~1 MiB.
@@ -527,8 +526,7 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
         cols = block.reshape(len(block), -1)[:, :position.size]
         eui, elec, gas = _kernels.batch_energy(cols[:4], cols[4:12].reshape(4, 2, -1),
                                                *cols[12:], *shared)
-        cost = (elec * tariff.electricity_price + gas * tariff.gas_price) / spec.floor_area
-        return eui, cost, elec, gas, position
+        return eui, cost_per_m2(elec, gas, tariff, spec.floor_area), elec, gas, position
 
     # Units go in ascending order of their group's bound (stable: ties keep
     # enumeration order), `limit` holding those bounds; the ranking is total, so

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import NONNEGATIVE, POSITIVE, Tariff, check, number, read_json
+from .model import NONNEGATIVE, POSITIVE, SpecError, Tariff, check, number, read_json
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,8 @@ def load_pv_site(text: str) -> PvSite:
     packing factor within (0, 1] and the other values nonnegative."""
     doc = read_json(text, "pv_site")
     panel = doc.get("panel")
+    if panel is not None and not isinstance(panel, dict):
+        raise SpecError(f"pv_site.panel must be a JSON object, got {panel!r}")
     return PvSite(
         roof_area=number(doc, "roof_area_m2", "pv_site.", NONNEGATIVE),
         panel=PanelSpec(*(number(panel, key, "pv_site.panel.", POSITIVE)

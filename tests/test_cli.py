@@ -440,6 +440,8 @@ def test_optimize_catalog_fraction_or_cost_index_out_of_range_is_domain_error(
     pytest.param(lambda d: d["overhang_ratio"].update(N=0.0), id="overhang-not-a-list"),
     pytest.param(lambda d: d["infiltration_ach"].append(None), id="null-infiltration"),
     pytest.param(lambda d: d.update(code_limits=5), id="code-limits-not-an-object"),
+    pytest.param(lambda d: d.update(code_limit=d.pop("code_limits")), id="misspelt-code-limits"),
+    pytest.param(lambda d: d["overhang_ratio"].update(SW=[0.0]), id="unknown-orientation"),
 ])
 def test_optimize_bad_design_space_is_domain_error(fixtures, tmp_path, capsys, edit):
     doc = json.loads((fixtures / "paper_space.json").read_text())
@@ -744,6 +746,12 @@ def _dotted(path):
            "trace is missing column rain_reading", id="node-sim-trace-column"),
     _probe("pv", "pv_site.json", _set("packing_factor", value=0),
            "pv_site.packing_factor must be within (0, 1], got 0.0"),
+    _probe("pv", "pv_site.json", _set("panel", value=[1, 2]),
+           "pv_site.panel must be a JSON object, got [1, 2]", id="pv-panel-not-an-object"),
+    _probe("optimize", "paper_space.json", _rename("code_limits", to="code_limit"),
+           "code_limit is not a design space field", id="optimize-space-unknown-key"),
+    _probe("optimize", "paper_space.json", _set("wwr", "SW", value=[0.3]),
+           "wwr.SW is not a design space field", id="optimize-space-unknown-orientation"),
     *(_probe("node-sim", "node_demo.json", _rename(*path, to=f"{path[-1]}_x"),
              f"node.{_dotted(path)}_x is not a node config field")
       for path in _key_paths("node_demo.json")),

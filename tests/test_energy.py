@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from lowcarb import (
     eui,
     shading_factor,
 )
-from lowcarb.energy import EndUseTargets, end_use
+from lowcarb.energy import EndUseTargets, end_use, season_terms
 from lowcarb.model import ClimateProfile
 
 from test_model import _make_spec
@@ -171,6 +173,15 @@ class TestAnnualEndUse:
         assert report.heating == 0.0
         assert report.gas == 0.0
 
+    def test_climate_without_degree_days(self, baseline_spec, baseline_calibration, climate):
+        # season_terms' guard: no degree-day mass gives no season shares, not 0/0
+        mild = dataclasses.replace(climate, cooling_degree_days=(0.0,) * 12,
+                                   heating_degree_days=(0.0,) * 12)
+        assert season_terms(mild) == (0.0, 0.0, 0.0, 0.0)
+        report = annual_end_use(baseline_spec, mild, baseline_calibration)
+        assert all(map(math.isfinite, dataclasses.astuple(report)))
+        assert (report.cooling, report.heating) == (0.0, 0.0)
+
     def test_fuel_attribution_gas_baseline(self, baseline_spec, climate,
                                            baseline_calibration, tariff):
         r = annual_end_use(baseline_spec, climate, baseline_calibration,
@@ -284,6 +295,32 @@ class TestAnnualCost:
         expected = (100_000 * 0.66 + 5_000 * 3.41) / 2612.7  # 31.787...
         assert annual_cost(report, tariff, 2612.7) == pytest.approx(expected, rel=1e-12)
         assert annual_cost(report, tariff, 2612.7) == pytest.approx(31.79, abs=0.005)
+
+    def test_nonpositive_area_rejected(self, tariff):
+        with pytest.raises(ValueError, match="floor_area must be > 0"):
+            annual_cost(_report_from_kwh(electricity_kwh=1.0), tariff, 0.0)
+
+
+def test_model_formulas_are_applied_only_in_energy():
+    # the sweep and the group bound pass candidate values to lowcarb.energy, which
+    # applies the calibration multipliers, the design sun altitudes, the prices and
+    # the internal-gain product; a second copy in optimize or _kernels fails here
+    import lowcarb
+
+    read = {"schedule_multiplier", "equipment_multiplier", "summer_design_sun_altitude",
+            "winter_design_sun_altitude", "electricity_price", "gas_price"}
+    multiplied = {"gain_mult", "internal_gain_multiplier"}
+    sites = []
+    for module in ("optimize", "_kernels"):
+        path = Path(lowcarb.__file__).parent / f"{module}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in read:
+                sites.append((module, node.lineno, node.attr))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                sites += [(module, node.lineno, ast.unparse(node))
+                          for operand in (node.left, node.right)
+                          if getattr(operand, "id", getattr(operand, "attr", None)) in multiplied]
+    assert sites == []
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,14 @@ class TestTariffAndFleetFiles:
                 "entries": [{"kind": "x", "count": 1, "unit_power_w": 1.0,
                              "duty_cycle": 1.5}]}))
 
+    @pytest.mark.parametrize("field, value", [("kind", 5), ("count", 1.5),
+                                              ("unit_power_w", -1.0), ("duty_cycle", 1.5)])
+    def test_fleet_entry_errors_name_the_fleet(self, field, value):
+        from lowcarb import load_sensor_fleet
+        entry = {"kind": "x", "count": 1, "unit_power_w": 1.0, "duty_cycle": 0.5, field: value}
+        with pytest.raises(SpecError, match=rf"^fleet\.entries\[0\]\.{field}"):
+            load_sensor_fleet(json.dumps({"entries": [entry]}))
+
 
 # ---------------------------------------------------------------------------
 class TestInputBoundary:
