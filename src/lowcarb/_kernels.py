@@ -6,13 +6,15 @@ runs :func:`lowcarb.energy.thermal_balance` and :func:`lowcarb.energy.end_use`,
 the functions the scalar engine calls, on per-design arrays of the inputs that the
 :mod:`lowcarb.energy` input functions give, so the two agree to the bit.
 ``node_sim`` is the only implementation of the node step; :func:`lowcarb.node.step`
-runs it on a one-sample trace. Both are timed per layer by ``perfbench/run.py --trace 1``.
+runs it on a one-sample trace. It runs on stdlib ``array.array`` columns, so node-sim
+never loads numpy. Both are timed per layer by ``perfbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
 
-# numpy and lowcarb.energy are imported by the functions that use them, so that
-# the numpy-free subcommands do not load numpy and node-sim does not load energy.
+# Each function imports what it uses when called: node-sim does not load energy,
+# and optimize does not load array. This module never imports numpy
+# (batch_energy's callers pass numpy arrays).
 
 
 def numba_enabled() -> bool:
@@ -62,20 +64,32 @@ def batch_energy(wwr, shading, glz_u, glz_shgc, wall_u, roof_u, ach,
 def node_sim(irradiance, rain, dt_s, soc0, alarm0,
              panel_w, base_load_w, alarm_w, capacity_wh,
              threshold, hysteresis, charge_eff):
-    """Run the node trace fold; returns per-step arrays plus ledger totals."""
-    import numpy as np
+    """Run the node trace fold over two float64 buffers (``array('d')`` or numpy).
 
-    n = irradiance.shape[0]
-    outputs = (np.empty(n), np.empty(n, dtype=np.int8), np.empty(n), np.empty(n),
-               np.empty(n, dtype=np.bool_))
-    # Reads and writes go through memoryviews as Python numbers: boxing a numpy
-    # scalar per element cost ~40% of the fold.
+    Returns the per-step ``array`` columns soc (``'d'``), alarm (``'b'``, 0 idle,
+    1 alarm), harvest and load power (``'d'``) and served (``'B'``, 0 or 1), then
+    the ledger totals harvested, served and curtailed in Wh.
+    """
+    from array import array
+
+    n = len(irradiance)
+    outputs = (array("d", bytes(8 * n)), array("b", bytes(n)), array("d", bytes(8 * n)),
+               array("d", bytes(8 * n)), array("B", bytes(n)))
+    # Reads and writes go through memoryviews: in a 200k-step loop a memoryview
+    # store took ~30% less time than array.__setitem__. served takes bools
+    # through a '?' cast of its bytes.
     soc_out, alarm_out, harvest_out, load_out, served_out = map(memoryview, outputs)
+    served_out = served_out.cast("?")
     dt_s, panel_w, base_load_w, alarm_w, capacity_wh, threshold, hysteresis, charge_eff = (
         float(v) for v in (dt_s, panel_w, base_load_w, alarm_w, capacity_wh,
                            threshold, hysteresis, charge_eff))
+    release = threshold - hysteresis
+    # the demand in W and its Wh per step, in each alarm state
+    idle_load = (base_load_w, base_load_w * dt_s / 3600.0)
+    alarm_load = (base_load_w + alarm_w, (base_load_w + alarm_w) * dt_s / 3600.0)
     soc = float(soc0)
     alarm = int(alarm0)
+    load_w, load_e = alarm_load if alarm == 1 else idle_load
     harvested = 0.0
     served_total = 0.0
     curtailed = 0.0
@@ -84,13 +98,12 @@ def node_sim(irradiance, rain, dt_s, soc0, alarm0,
         if alarm == 0:
             if reading >= threshold:
                 alarm = 1
-        else:
-            if reading < threshold - hysteresis:
-                alarm = 0
+                load_w, load_e = alarm_load
+        elif reading < release:
+            alarm = 0
+            load_w, load_e = idle_load
         harvest_w = panel_w * irr
-        load_w = base_load_w + (alarm_w if alarm == 1 else 0.0)
         harvest_e = harvest_w * dt_s / 3600.0 * charge_eff
-        load_e = load_w * dt_s / 3600.0
         stored = soc * capacity_wh
         available = stored + harvest_e
         served_e = load_e if available >= load_e else available

@@ -200,15 +200,16 @@ def cmd_node_sim(args) -> int:
     trace = node.load_trace(_read_text(args.trace))
     result = node.simulate(config, trace, dt=args.dt)
 
-    summary = {"steps": len(result.soc), "dt_s": args.dt,
-               "uptime_fraction": result.uptime_fraction, "final_soc": float(result.soc[-1]),
-               "alarm_steps": int((result.alarm == 1).sum()),
+    steps, final_soc = len(result.soc_col), result.soc_col[-1]
+    summary = {"steps": steps, "dt_s": args.dt,
+               "uptime_fraction": result.uptime_fraction, "final_soc": final_soc,
+               "alarm_steps": result.alarm_col.count(1),
                "ledger_wh": {**dataclasses.asdict(result.ledger),
                              "residual": result.ledger.residual}}
     out = _write_reports(args, {"states.csv": node.write_state_log(result),
                                 "summary.json": _json_dumps(summary)})
-    print(f"simulated {len(result.soc)} steps: uptime {result.uptime_fraction:.3f}, "
-          f"final soc {float(result.soc[-1]):.3f}")
+    print(f"simulated {steps} steps: uptime {result.uptime_fraction:.3f}, "
+          f"final soc {final_soc:.3f}")
     print(f"logs written to {out}")
     return EXIT_OK
 

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .energy import annual_lighting_kwh
+from .energy import MJ_PER_KWH, annual_lighting_kwh
 from .model import FRACTION, NONNEGATIVE, POSITIVE, ClimateProfile, SpecError, number
 
 #: Flat-rate constant of the average daylight-factor formula
@@ -83,11 +83,17 @@ def annual_lighting_energy(count: int, lamp_power: float, hours: float,
     ``count * lamp_power * hours`` watt-hours, reduced by the fraction of
     hours daylight covers.
     """
+    return _checked_lighting_kwh(count, lamp_power, hours, daylight_offset) * MJ_PER_KWH / 1000.0
+
+
+def _checked_lighting_kwh(count: int, lamp_power: float, hours: float,
+                          daylight_offset: float) -> float:
+    """:func:`lowcarb.energy.annual_lighting_kwh` of arguments checked to be in range."""
     if count < 0 or lamp_power < 0 or hours < 0:
         raise ValueError("count, lamp_power and hours must be nonnegative")
     if not 0 <= daylight_offset <= 1:
         raise ValueError(f"daylight_offset must be within [0, 1], got {daylight_offset}")
-    return annual_lighting_kwh(count, lamp_power, hours, daylight_offset) * 3.6 / 1000.0
+    return annual_lighting_kwh(count, lamp_power, hours, daylight_offset)
 
 
 def load_rooms(text: str) -> list[Room]:
@@ -143,7 +149,7 @@ def write_lighting_report(rooms: list[Room], lamp: Lamp, annual_hours: float,
     for room in rooms:
         n = luminaire_count(room, lamp)
         installed = n * lamp.power
-        kwh = annual_lighting_energy(n, lamp.power, annual_hours, daylight_offset) * 1000.0 / 3.6
+        kwh = _checked_lighting_kwh(n, lamp.power, annual_hours, daylight_offset)
         writer.writerow([room.id, daylight_class(room).value, n,
                          f"{installed:.1f}", f"{kwh:.1f}"])
         total_n += n

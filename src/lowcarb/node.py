@@ -8,7 +8,9 @@ the node counts as down.
 
 :func:`simulate` checks a trace and runs the one trace fold,
 :func:`lowcarb._kernels.node_sim`, over it; :func:`step` is :func:`simulate`
-on one sample.
+on one sample. Both keep the per-step columns in stdlib ``array.array``s and run
+without numpy; :class:`SimResult` shows the columns to library callers as numpy
+arrays, importing numpy only when one is read.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from . import _kernels
@@ -25,7 +29,7 @@ from .model import (FRACTION, NONNEGATIVE, POSITIVE, SensorFleet, SpecError, Tra
                     check, known_keys, number, read_json, string)
 
 if TYPE_CHECKING:
-    import numpy as np  # imported at run time by the functions that use it
+    import numpy as np  # imported at run time by the SimResult views, on first read
 
 HOURS_PER_YEAR = 8760.0
 
@@ -110,26 +114,57 @@ class EnergyLedger:
         return self.harvested - self.served - self.curtailed - self.delta_stored
 
 
+def _numpy_view(column: str, dtype: str) -> cached_property:
+    """A zero-copy numpy view of the ``array`` attribute ``column``, made (and
+    numpy imported) on first read."""
+    def view(result) -> np.ndarray:
+        import numpy as np
+
+        return np.frombuffer(getattr(result, column), dtype=dtype)
+    return cached_property(view)
+
+
 @dataclass(frozen=True)
 class SimResult:
-    clock_s: np.ndarray
-    soc: np.ndarray
-    alarm: np.ndarray  # int8: 0 idle, 1 alarm
-    harvest_w: np.ndarray
-    load_w: np.ndarray
-    served: np.ndarray  # bool per step
+    """A node run: one row per step in each ``*_col`` column, then the totals.
+
+    ``clock_s``, ``soc``, ``alarm``, ``harvest_w``, ``load_w`` and ``served`` are
+    zero-copy numpy views of the columns, made (and numpy imported) on first read.
+    """
+
+    start_clock: float  # s, before the first step
+    dt: float  # s per step
+    # repr=False: the repr of a long run would print every step
+    soc_col: array = field(repr=False)  # 'd', fraction of capacity at step end
+    alarm_col: array = field(repr=False)  # 'b', 0 idle, 1 alarm
+    harvest_col: array = field(repr=False)  # 'd', W
+    load_col: array = field(repr=False)  # 'd', W demanded
+    served_col: array = field(repr=False)  # 'B', 1 where the demand was fully served
     uptime_fraction: float
     ledger: EnergyLedger
 
+    @cached_property
+    def clock_col(self) -> array:
+        """'d', s at step end: ``start_clock + dt * i`` at step i = 1..n, built on
+        first read (the same IEEE operations as ``dt * np.arange(1, n + 1)``)."""
+        c0, dt = self.start_clock, self.dt
+        return array("d", [c0 + dt * i for i in range(1, len(self.soc_col) + 1)])
+
+    clock_s = _numpy_view("clock_col", "float64")
+    soc = _numpy_view("soc_col", "float64")
+    alarm = _numpy_view("alarm_col", "int8")
+    harvest_w = _numpy_view("harvest_col", "float64")
+    load_w = _numpy_view("load_col", "float64")
+    served = _numpy_view("served_col", "bool")
+
     @property
     def final_state(self) -> NodeState:
-        i = len(self.soc) - 1
         return NodeState(
-            soc=float(self.soc[i]),
-            alarm=AlarmState.ALARM if self.alarm[i] else AlarmState.IDLE,
-            harvest_power=float(self.harvest_w[i]),
-            load_power=float(self.load_w[i]),
-            clock=float(self.clock_s[i]),
+            soc=self.soc_col[-1],
+            alarm=AlarmState.ALARM if self.alarm_col[-1] else AlarmState.IDLE,
+            harvest_power=self.harvest_col[-1],
+            load_power=self.load_col[-1],
+            clock=self.clock_col[-1],
         )
 
 
@@ -173,48 +208,49 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
     demand was fully served. A ``dt`` so large that the clock or an energy
     total overflows is refused with :class:`ValueError`.
     """
-    import numpy as np
-
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be a finite number > 0, got {dt}")
-    if len(trace) == 0:
+    n = len(trace)
+    if n == 0:
         raise TraceError("trace must not be empty")
     config.validate()
+    # one pass checks the trace and fills the two input columns
+    irr, rain = array("d", bytes(8 * n)), array("d", bytes(8 * n))
+    irr_in, rain_in = memoryview(irr), memoryview(rain)
     last = -math.inf
-    for sample in trace:
-        if not last < sample.timestamp < math.inf:  # False for NaN
+    for i, sample in enumerate(trace):
+        t = sample.timestamp
+        if not last < t < math.inf:  # False for NaN
             raise TraceError(
-                f"trace timestamps must be finite and strictly increasing at t={sample.timestamp}")
-        last = sample.timestamp
-        if not 0.0 <= sample.irradiance_fraction <= 1.0:
-            raise TraceError(
-                f"irradiance_fraction must be within [0, 1], got {sample.irradiance_fraction}")
-        if not -math.inf < sample.rain_reading < math.inf:
-            raise TraceError(
-                f"rain_reading must be finite, got {sample.rain_reading} at t={sample.timestamp}")
+                f"trace timestamps must be finite and strictly increasing at t={t}")
+        last = t
+        fraction, reading = sample.irradiance_fraction, sample.rain_reading
+        if not 0.0 <= fraction <= 1.0:
+            raise TraceError(f"irradiance_fraction must be within [0, 1], got {fraction}")
+        if not -math.inf < reading < math.inf:
+            raise TraceError(f"rain_reading must be finite, got {reading} at t={t}")
+        irr_in[i], rain_in[i] = fraction, reading
 
     start = initial if initial is not None else initial_state(config)
-    irr = np.array([s.irradiance_fraction for s in trace])
-    rain = np.array([s.rain_reading for s in trace])
     soc, alarm, harvest, load, served, harvested, served_total, curtailed = _kernels.node_sim(
         irr, rain, dt, start.soc, 1 if start.alarm is AlarmState.ALARM else 0,
         config.panel_rated_power, config.base_load, config.alarm_power,
         config.battery_capacity, config.rain_threshold, config.hysteresis,
         config.charge_efficiency)
 
-    delta_stored = (float(soc[-1]) - start.soc) * config.battery_capacity
-    end = start.clock + dt * len(trace)
+    delta_stored = (soc[-1] - start.soc) * config.battery_capacity
+    end = start.clock + dt * n
     if not all(map(math.isfinite, (end, harvested, served_total, curtailed, delta_stored))):
         raise ValueError(f"dt {dt} s overflows the node clock or energy ledger")
-    clock = start.clock + dt * np.arange(1, len(trace) + 1)
     return SimResult(
-        clock_s=clock,
-        soc=soc,
-        alarm=alarm,
-        harvest_w=harvest,
-        load_w=load,
-        served=served,
-        uptime_fraction=float(np.count_nonzero(served)) / len(trace),
+        start_clock=start.clock,
+        dt=dt,
+        soc_col=soc,
+        alarm_col=alarm,
+        harvest_col=harvest,
+        load_col=load,
+        served_col=served,
+        uptime_fraction=served.count(1) / n,
         ledger=EnergyLedger(
             harvested=harvested,
             served=served_total,
@@ -303,8 +339,8 @@ def _bad_cell(row: dict, line: int) -> str:
 
 
 def write_state_log(result: SimResult) -> str:
-    columns = (result.clock_s, result.soc, result.alarm, result.harvest_w, result.load_w,
-               result.served)
+    columns = (result.clock_col, result.soc_col, result.alarm_col, result.harvest_col,
+               result.load_col, result.served_col)
     return "clock_s,soc,alarm,harvest_w,load_w,served\n" + "".join(
         f"{t!r},{soc!r},{'alarm' if alarm else 'idle'},{harvest!r},{load!r},{served:d}\n"
-        for t, soc, alarm, harvest, load, served in zip(*(c.tolist() for c in columns)))
+        for t, soc, alarm, harvest, load, served in zip(*columns))

@@ -534,7 +534,7 @@ def test_reports_refuse_nan_and_infinity(value):
         _json_dumps({"x": value})
 
 
-def test_audit_calibrate_and_pv_never_load_numpy(fixtures, tmp_path):
+def test_audit_calibrate_pv_and_node_sim_never_load_numpy(fixtures, tmp_path):
     # a fresh interpreter, since this one has numpy loaded by other tests
     runs = [
         ["audit", "--spec", str(fixtures / "baseline_school.json"),
@@ -546,14 +546,21 @@ def test_audit_calibrate_and_pv_never_load_numpy(fixtures, tmp_path):
         ["pv", "--spec", str(fixtures / "pv_site.json"),
          "--climate", str(fixtures / "gd_climate.csv"),
          "--tariff", str(fixtures / "paper_tariff.json"), "--out", str(tmp_path / "pv")],
+        ["node-sim", "--spec", str(fixtures / "node_demo.json"),
+         "--trace", str(fixtures / "node_demo_trace.csv"), "--dt", "60",
+         "--out", str(tmp_path / "node")],
     ]
     script = ("import json, sys\n"
               "import lowcarb\n"
               "loaded = ['numpy' in sys.modules]\n"
               "from lowcarb.cli import main\n"
               "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "from lowcarb import node\n"
+              "config = node.load_node_config(lowcarb.read_fixture('node_demo.json'))\n"
+              "state = node.step(node.initial_state(config), config,\n"
+              "                  node.EnvSample(0.5, 0.0, 60.0), 60.0)\n"
               "loaded.append('numpy' in sys.modules)\n"
-              "print(json.dumps({'codes': codes, 'numpy_loaded': loaded}))\n")
+              "print(json.dumps({'codes': codes, 'soc': state.soc, 'numpy_loaded': loaded}))\n")
     src = str(Path(lowcarb.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -561,7 +568,8 @@ def test_audit_calibrate_and_pv_never_load_numpy(fixtures, tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0], "numpy_loaded": [False, False]}
+    # the step's 3 W harvest covers the demo node's load, so the battery stays full
+    assert result == {"codes": [0, 0, 0, 0], "soc": 1.0, "numpy_loaded": [False, False]}
 
 
 def test_version_flag(capsys):

@@ -10,6 +10,7 @@ from lowcarb import (
     luminaire_count,
     read_fixture,
 )
+from lowcarb.energy import annual_lighting_kwh
 from lowcarb.lighting import load_lamps, load_rooms, write_lighting_report
 
 LED = Lamp("led_linear_3600", 3600.0, 30.0, 0.52, 0.8)
@@ -98,6 +99,14 @@ class TestAnnualLightingEnergy:
         assert annual_lighting_energy(500, 30.0, 2000.2, 0.5) \
             == pytest.approx(54.0, abs=0.01)
 
+    def test_quarter_daylight_offset(self):
+        # 500 lamps x 30 W x 2000.2 h x (1 - 0.25) = 22,502.25 kWh = 81.0081 GJ;
+        # an offset read as 1 - offset would give 7,500.75 kWh
+        assert annual_lighting_kwh(500, 30.0, 2000.2, 0.25) \
+            == pytest.approx(22502.25, rel=1e-12)
+        assert annual_lighting_energy(500, 30.0, 2000.2, 0.25) \
+            == pytest.approx(81.0081, rel=1e-12)
+
     def test_baseline_incandescent_total(self):
         assert annual_lighting_energy(500, 47.31, 2000.2, 0.0) \
             == pytest.approx(170.33, rel=1e-3)
@@ -125,3 +134,23 @@ def test_lighting_report_csv(rooms, lamps):
     assert total_row[0] == "total"
     assert int(total_row[2]) == sum(luminaire_count(r, lamps["led_linear_3600"])
                                     for r in rooms)
+
+
+def test_lighting_report_bytes_on_a_small_room_set():
+    # 21 lamps x 30 W x 2000.2 h x 0.75 = 945.0945 kWh for class_1; the bytes are
+    # those the report gave when it still converted kWh to GJ and back
+    rooms = [Room("class_1", 60.0, 7.2, 9.0, 0.7, 500.0),
+             Room("atrium", 120.0, 4.0, 40.0, 0.8, 300.0),
+             Room("store", 12.5, 0.0, 0.0, 0.0, 150.0)]
+    assert write_lighting_report(rooms, LED, 2000.2, 0.25) == (
+        "room_id,daylight,lamps,installed_w,annual_kwh\n"
+        "class_1,insufficient,21,630.0,945.1\n"
+        "atrium,sufficient,25,750.0,1125.1\n"
+        "store,insufficient,2,60.0,90.0\n"
+        "total,,48,1440.0,2160.2\n")
+
+
+@pytest.mark.parametrize("hours, offset", [(-1.0, 0.0), (2000.2, 1.2), (2000.2, -0.1)])
+def test_lighting_report_refuses_out_of_range_arguments(hours, offset):
+    with pytest.raises(ValueError):
+        write_lighting_report([Room("r", 60.0, 7.2, 9.0, 0.7, 500.0)], LED, hours, offset)

@@ -210,6 +210,32 @@ class TestSimulate:
         stitched_alarm = np.concatenate([first.alarm, second.alarm])
         assert np.array_equal(stitched_alarm, full.alarm)
 
+    def test_resumed_clock_matches_the_numpy_formula_bit_for_bit(self):
+        import dataclasses
+        config = make_config(load_w=0.4, alarm_w=0.3, threshold=500.0, hysteresis=50.0)
+        dt = 0.1 + 1.0 / 3.0  # not a dyadic fraction, so every product rounds
+        samples = [EnvSample(0.5, 800.0 * (i % 3 == 0), 60.0 * (i + 1)) for i in range(2000)]
+        start = dataclasses.replace(initial_state(config), clock=1234.5678)
+        first = simulate(config, samples[:1000], dt=dt, initial=start)
+        second = simulate(config, samples[1000:], dt=dt, initial=first.final_state)
+        for state, result in ((start, first), (first.final_state, second)):
+            expected = state.clock + dt * np.arange(1, 1001)
+            assert result.clock_s.tobytes() == expected.tobytes()
+        assert second.clock_s[0] == first.clock_s[-1] + dt
+
+    def test_numpy_views_share_the_stdlib_columns(self):
+        samples = [EnvSample(0.5, 800.0 * (i % 2), 60.0 * (i + 1)) for i in range(7)]
+        result = simulate(make_config(alarm_w=0.5, threshold=500.0), samples, dt=60.0)
+        views = {"clock_s": ("clock_col", np.float64), "soc": ("soc_col", np.float64),
+                 "alarm": ("alarm_col", np.int8), "harvest_w": ("harvest_col", np.float64),
+                 "load_w": ("load_col", np.float64), "served": ("served_col", np.bool_)}
+        for view_name, (column_name, dtype) in views.items():
+            view, column = getattr(result, view_name), getattr(result, column_name)
+            assert view.dtype == dtype and len(view) == len(column) == 7
+            assert view.tolist() == column.tolist()
+            assert view.ctypes.data == column.buffer_info()[0]  # zero-copy
+        assert result.alarm.tolist() == [0, 1, 0, 1, 0, 1, 0]
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), load=st.floats(0, 3, allow_nan=False),
            capacity=st.floats(0.5, 50, allow_nan=False))

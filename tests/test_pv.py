@@ -44,6 +44,15 @@ class TestAnnualGeneration:
         # the 6 W monitoring-node panel over the same sun resource
         assert annual_generation(0.006, 1200.0) == pytest.approx(7.2, rel=1e-12)
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["capacity", "equivalent_hours"])
+    def test_guard_boundary_is_zero(self, which):
+        args = [105.0, 1200.0]
+        args[which] = 0.0
+        assert annual_generation(*args) == 0.0
+        args[which] = -1e-12
+        with pytest.raises(ValueError):
+            annual_generation(*args)
+
 
 class TestEconomics:
     def test_case_study_chain(self, tariff):
@@ -61,6 +70,16 @@ class TestEconomics:
         assert report.feed_in_revenue == 0.0
         assert report.total_benefit == 0.0
         assert math.isinf(report.payback)
+
+    @pytest.mark.parametrize("which", [0, 1, 3, 4],
+                             ids=["generation", "consumption", "capex_per_watt", "capacity"])
+    def test_guard_boundary_is_zero(self, which, tariff):
+        args = [126_000.0, 30_283.0, tariff, 3.8, 105.0]
+        args[which] = 0.0
+        economics(*args)
+        args[which] = -1e-12
+        with pytest.raises(ValueError):
+            economics(*args)
 
     def test_undersized_array_has_no_surplus(self, tariff):
         report = economics(20_000.0, 30_283.0, tariff, 3.8, 105.0)
