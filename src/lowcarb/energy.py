@@ -225,14 +225,17 @@ def _loads(spec: BuildingSpec, climate: ClimateProfile,
 
 def end_use(l_cool, l_heat, lighting_kwh, equip_kwh, cop, heat_eff, heat_is_gas,
             floor_area, gas_energy_content):
-    """(EUI kWh/m2, electricity kWh, gas m3, cooling kWh, heating fuel kWh) from the
-    cooling and unclamped heating loads of :func:`thermal_balance`.
+    """(0) EUI kWh/m2, (1) electricity kWh, (2) gas m3, (3) cooling kWh, (4) heating fuel
+    kWh, then in GJ (5) lighting, (6) cooling, (7) heating, (8) equipment, (9) their sum,
+    from the cooling and unclamped heating loads of :func:`thermal_balance`.
 
     Cooling is electric at ``cop``; the heating load, clamped at zero, is served
     at ``heat_eff`` by gas where ``heat_is_gas`` (a bool, or 0.0/1.0 per design),
-    else by electricity. Only ``+ - * /`` and ``abs`` touch the arguments, so
-    floats and float64 arrays run the same code. The EUI never falls as a load
-    grows, as ``cop``, ``heat_eff`` > 0.
+    else by electricity. The engine converts kWh to GJ (``kwh * MJ_PER_KWH / 1000``,
+    summed in the order above) and forms an EUI (``total_gj * KWH_PER_GJ /
+    floor_area``, as :func:`eui` does) only here. Only ``+ - * /`` and ``abs`` touch
+    the arguments, so floats and float64 arrays run the same code. The EUI never
+    falls as a load grows, as ``cop``, ``heat_eff`` > 0.
     """
     cooling_kwh = l_cool / cop
     # max(0, l_heat) to the bit, and +0.0 for a negative load; the sum overflows
@@ -240,8 +243,10 @@ def end_use(l_cool, l_heat, lighting_kwh, equip_kwh, cop, heat_eff, heat_is_gas,
     heating_kwh = (l_heat + abs(l_heat)) / 2 / heat_eff
     electricity = lighting_kwh + equip_kwh + cooling_kwh + heating_kwh * (1 - heat_is_gas)
     gas_m3 = heating_kwh * heat_is_gas / gas_energy_content
-    eui_kwh_m2 = (lighting_kwh + equip_kwh + cooling_kwh + heating_kwh) / floor_area
-    return eui_kwh_m2, electricity, gas_m3, cooling_kwh, heating_kwh
+    gj = [kwh * MJ_PER_KWH / 1000.0 for kwh in (lighting_kwh, cooling_kwh, heating_kwh, equip_kwh)]
+    total_gj = gj[0] + gj[1] + gj[2] + gj[3]  # not sum(): from 3.12 it compensates rounding
+    return (total_gj * KWH_PER_GJ / floor_area, electricity, gas_m3, cooling_kwh, heating_kwh,
+            *gj, total_gj)
 
 
 def annual_end_use(spec: BuildingSpec, climate: ClimateProfile,
@@ -263,22 +268,15 @@ def annual_end_use(spec: BuildingSpec, climate: ClimateProfile,
         )
 
     cooling_load, heating_load, lighting_kwh, equipment_kwh = _loads(spec, climate, calib)
-    _, electricity, gas_m3, cooling_kwh, heating_fuel_kwh = end_use(
+    _, electricity, gas_m3, _, _, *gj = end_use(
         cooling_load, heating_load, lighting_kwh, equipment_kwh, spec.hvac.cooling_cop,
         spec.hvac.heating_efficiency, spec.hvac.heating_fuel is HeatingFuel.GAS,
         spec.floor_area, gas_energy_content)
-
-    lighting_gj, cooling_gj, heating_gj, equipment_gj = (
-        kwh * MJ_PER_KWH / 1000.0
-        for kwh in (lighting_kwh, cooling_kwh, heating_fuel_kwh, equipment_kwh))
-    return EnergyReport(
-        lighting=lighting_gj, cooling=cooling_gj, heating=heating_gj, equipment=equipment_gj,
-        total=lighting_gj + cooling_gj + heating_gj + equipment_gj,
-        electricity=electricity, gas=gas_m3)
+    return EnergyReport(*gj, electricity=electricity, gas=gas_m3)
 
 
 def eui(report: EnergyReport, floor_area: float) -> float:
-    """Energy use intensity, kWh/(m2.yr), with 1 kWh = 3.6 MJ."""
+    """Energy use intensity, kWh/(m2.yr), with 1 kWh = 3.6 MJ: :func:`end_use`'s formula."""
     if floor_area <= 0:
         raise ValueError(f"floor_area must be > 0, got {floor_area}")
     return report.total * KWH_PER_GJ / floor_area

@@ -206,7 +206,6 @@ class Catalog:
     glazings: Mapping[str, GlazingOption]
     hvac_systems: Mapping[str, HvacSystem]
     lamp_powers: Mapping[str, float]  # lighting technology id -> W per lamp
-    cost_indices: Mapping[str, float]
 
 
 # ---------------------------------------------------------------------------
@@ -541,38 +540,36 @@ def load_catalog(text: str) -> Catalog:
     Raises
     ------
     SpecError
-        On a malformed row; an ``r_value``, ``u_value``, ``cooling_cop``,
-        ``heating_efficiency``, ``lamp_power_w`` or ``cost_index`` that is
-        not a finite number > 0; or an ``shgc`` or ``visible_transmittance``
-        outside [0, 1]. An empty ``cost_index`` reads as 1.
+        On a malformed row; a second row of the same kind and id; an ``r_value``,
+        ``u_value``, ``cooling_cop``, ``heating_efficiency``, ``lamp_power_w`` or
+        ``cost_index`` that is not a finite number > 0; or an ``shgc`` or
+        ``visible_transmittance`` outside [0, 1]. An empty ``cost_index`` reads as 1.
     """
-    constructions: dict[str, OpaqueConstruction] = {}
-    glazings: dict[str, GlazingOption] = {}
-    hvac_systems: dict[str, HvacSystem] = {}
-    lamp_powers: dict[str, float] = {}
-    cost_indices: dict[str, float] = {}
+    readers = {
+        "construction": lambda row: _read(OpaqueConstruction, row, "", row=True),
+        "glazing": lambda row: _read(GlazingOption, row, "", row=True),
+        "hvac": lambda row: _read(HvacSystem, row, "", row=True),
+        "lighting": lambda row: number(row, "lamp_power_w", "", POSITIVE),
+    }
+    tables: dict[str, dict] = {kind: {} for kind in readers}
 
     for row in csv.DictReader(io.StringIO(text)):
         row = {key: cell.strip() if isinstance(cell, str) else cell for key, cell in row.items()}
         kind, cid = row.get("kind"), row.get("id")
         if not kind or not cid:
             raise SpecError(f"catalog row missing kind or id: {row!r}")
+        if cid in tables.get(kind, ()):
+            raise SpecError(f"catalog repeats {kind} id {cid!r}")
         try:
-            cost_indices[cid] = number(row, "cost_index", "", POSITIVE, default=1.0)
-            if kind == "construction":
-                constructions[cid] = _read(OpaqueConstruction, row, "", row=True)
-            elif kind == "glazing":
-                glazings[cid] = _read(GlazingOption, row, "", row=True)
-            elif kind == "hvac":
-                hvac_systems[cid] = _read(HvacSystem, row, "", row=True)
-            elif kind == "lighting":
-                lamp_powers[cid] = number(row, "lamp_power_w", "", POSITIVE)
-            else:
+            # hvac and lighting rows keep no cost index, but theirs must be valid too
+            number(row, "cost_index", "", POSITIVE, default=1.0)
+            if kind not in readers:
                 raise SpecError(f"unknown catalog kind {kind!r}")
+            tables[kind][cid] = readers[kind](row)
         except SpecError as exc:
             raise SpecError(f"malformed catalog row for {cid!r}: {exc}") from exc
 
-    return Catalog(constructions, glazings, hvac_systems, lamp_powers, cost_indices)
+    return Catalog(*tables.values())
 
 
 # ---------------------------------------------------------------------------

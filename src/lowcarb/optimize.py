@@ -188,8 +188,8 @@ class DesignSpace:
     def from_json(text: str) -> tuple["DesignSpace", "CodeLimits"]:
         """Parse a design-space file; returns the space and its code limits.
 
-        Raises :class:`SpecError` on a key it does not read, a missing, empty or
-        non-list candidate entry, a candidate that fails its variable's kind (named
+        Raises :class:`SpecError` on a key it does not read, a missing, empty or non-list
+        candidate entry, a candidate that fails its variable's kind or repeats one (named
         by its path, e.g. ``wwr.S item 0``), or malformed code limits."""
         doc = read_json(text, "design space")
         known_keys(doc, ["schema_version", "name", "code_limits", *(v.key for v in VARIABLES)],
@@ -208,6 +208,9 @@ class DesignSpace:
                 string, None if v.kind is str else v.kind)
             v.place(fields, v.space_attr, tuple(
                 read(values, i, f"design space {path} item ", rule) for i in range(len(values))))
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise SpecError(f"design space {path} item {i} repeats {value!r}")
         return DesignSpace(**fields), CodeLimits.from_doc(doc.get("code_limits", {}))
 
 
@@ -407,15 +410,6 @@ def _candidate_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
     ]
 
 
-def _ranked(cols: tuple[np.ndarray, ...], k: int) -> tuple[np.ndarray, ...]:
-    """Rows of (eui, cost, electricity, gas, position) in rank order, first ``k`` kept."""
-    import numpy as np
-
-    eui, cost, _, _, position = cols
-    order = np.lexsort((position, cost, eui))[:k]
-    return tuple(c[order] for c in cols)
-
-
 def _fill(rows: np.ndarray, tables: list[tuple[np.ndarray, ...]], digits) -> None:
     """Per variable, write each table ``t`` at its digits ``d`` into the next row, broadcast."""
     rows = iter(rows)
@@ -524,9 +518,8 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
         # enumeration index does, because each variable's legal positions increase.
         position = ((lead * width + np.arange(width)) * groups + group).ravel()
         cols = block.reshape(len(block), -1)[:, :position.size]
-        eui, elec, gas = _kernels.batch_energy(cols[:4], cols[4:12].reshape(4, 2, -1),
-                                               *cols[12:], *shared)
-        return eui, cost_per_m2(elec, gas, tariff, spec.floor_area), elec, gas, position
+        return (*_kernels.batch_energy(cols[:4], cols[4:12].reshape(4, 2, -1), *cols[12:],
+                                       *shared), position)
 
     # Units go in ascending order of their group's bound (stable: ties keep
     # enumeration order), `limit` holding those bounds; the ranking is total, so
@@ -534,10 +527,10 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     unit_bound = np.tile(bound, feasible // width // groups)
     order = np.argsort(unit_bound, kind="stable")
     limit = unit_bound[order]
-    # Rounding (u = 2^-53): a float EUI, and a float bound, lies within ~30u times
+    # Rounding (u = 2^-53): a float EUI, and a float bound, lies within ~35u times
     # its summed summand magnitudes (<= scale) of its real value, and a real bound
     # is <= the real EUIs of its group; so no EUI is below its group's float bound
-    # by more than ~60u * scale, far inside the margin. The margin follows `scale`,
+    # by more than ~70u * scale, far inside the margin. The margin follows `scale`,
     # not the k-th EUI: an EUI near 0, where gains cancel the heating losses,
     # still carries the rounding of its large summands.
     margin = 1e-9 * scale
@@ -555,8 +548,12 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
 
     # free the chunk's inputs, then the held rows, before the designs are built
     del block
-    eui, cost, elec, gas, position = _ranked(tuple(map(np.concatenate, zip(*held))), k)
+    eui, elec, gas, position = map(np.concatenate, zip(*held))
     del held
+    # the cost of the kept rows only, then their first k in rank order
+    cost = cost_per_m2(elec, gas, tariff, spec.floor_area)
+    order = np.lexsort((position, cost, eui))[:k]
+    eui, cost, elec, gas, position = (c[order] for c in (eui, cost, elec, gas, position))
     # Pareto frontier on (EUI, cost): a design is on it when no design ranked
     # before it is cheaper. Ranks before a returned one are all returned.
     pareto = cost <= np.minimum.accumulate(cost)

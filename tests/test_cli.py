@@ -233,15 +233,15 @@ PINNED_REPORTS = {
         "calibration.json": "ef9c0bcdfbbdc51a3e111920d8506f76c5632ecc8619e9657576117a5d83f9a5",
     }),
     "optimize": ("optimize", [], None, {
-        "results.csv": "21ff7ba68c0027480281e02b5142fc01d01fe94ca15e9f44f7128a27e5b2e80c",
-        "results.json": "60a904e28dabc2c87b731c447e379d1094d070a7728c0c08e8e727618b858fa7",
+        "results.csv": "5e897c2fd231323d80c472e3f9193626a2f9aac6ac2ceee5f6afa6d826115b32",
+        "results.json": "b7d7fbd679c5f8df2c199cac245a7665ff0675f74f21b0f2261e7190d007ac2e",
     }),
     "optimize-all": ("optimize", ["--k", "20736"], None, {
-        "results.csv": "36a236092b13eacdcb5564804b33861f2eb659b4bc6554dba57143c695e18c43",
-        "results.json": "ccb7fa6ab338557be6c33884a934ab0341c9c70d913dbaa61d42cf5b8b77f546",
+        "results.csv": "8d626a98ebe1864c6ca1ca7e38c4cd4e32b0a4bb259aaac1aa24c0f45f4cfb5e",
+        "results.json": "ae99526d3e76f2268d9d6fad44e1f5f7c1c77f5b778cb118b3088359703ffbd1",
     }),
     "optimize-all-gain-300": ("optimize", ["--k", "20736"], 300.0, {
-        "results.csv": "a817053a0c2f877bfbbe88773acfad1df89638dac736c1bb849bbaf3a7ab1335",
+        "results.csv": "a4f085db452289c66e8fde8a10465cb6b6989d0fcd3a4c030887f22aefbf7b17",
         "results.json": "d6b013ab089c14915afb654d1ea1a69280c2af531c53ad691ea2969cd966900d",
     }),
     "pv": ("pv", [], None, {
@@ -442,6 +442,8 @@ def test_optimize_catalog_fraction_or_cost_index_out_of_range_is_domain_error(
     pytest.param(lambda d: d.update(code_limits=5), id="code-limits-not-an-object"),
     pytest.param(lambda d: d.update(code_limit=d.pop("code_limits")), id="misspelt-code-limits"),
     pytest.param(lambda d: d["overhang_ratio"].update(SW=[0.0]), id="unknown-orientation"),
+    pytest.param(lambda d: d["hvac"].append("vav_baseline"), id="repeated-hvac"),
+    pytest.param(lambda d: d["wwr"]["S"].append(d["wwr"]["S"][0]), id="repeated-wwr"),
 ])
 def test_optimize_bad_design_space_is_domain_error(fixtures, tmp_path, capsys, edit):
     doc = json.loads((fixtures / "paper_space.json").read_text())
@@ -745,6 +747,11 @@ def _dotted(path):
            id="optimize-space-infiltration"),
     _probe("optimize", "paper_space.json", _set("wall", value=[]),
            "design space 'wall' must be a non-empty list", id="optimize-space-empty"),
+    _probe("optimize", "paper_space.json", lambda doc: doc["lighting_technology"].append("led"),
+           "design space lighting_technology item 2 repeats 'led'", id="optimize-space-repeat"),
+    _probe("optimize", "catalog.csv",
+           lambda text: text + "construction,wall_sip_12in,0.10,,,,,,,,1.0\n",
+           "catalog repeats construction id 'wall_sip_12in'", id="optimize-catalog-repeat"),
     _probe("node-sim", "node_demo_trace.csv", _replace("60.0,0.000000,0.0", "60.0,x,0.0"),
            "trace line 3: irradiance_fraction must be a number, got 'x'",
            id="node-sim-trace-cell"),
