@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -149,7 +148,7 @@ def write_results_csv(*args, **kwargs) -> str:
 
 def cmd_optimize(args) -> int:
     from . import energy
-    from .optimize import DesignSpace, design_doc, legal_positions
+    from .optimize import DesignSpace, design_doc, legal_space
 
     spec_text = _read_text(args.spec)
     spec = parse_building_spec(spec_text)
@@ -163,7 +162,7 @@ def cmd_optimize(args) -> int:
                           k=args.k, calib=calib, tariff=tariff)
 
     top = ranked[0]
-    evaluated = math.prod(map(len, legal_positions(space, limits)))
+    evaluated = legal_space(space, limits).size
     doc = {"evaluated_space_size": evaluated, "returned": len(ranked),
            "best": {"eui_kwh_m2": top.eui, "cost_cny_m2": top.cost_per_m2,
                     "design": design_doc(top.design)}}

@@ -45,6 +45,9 @@ HEATING_GAIN_UTILIZATION = 0.05
 #: when no tariff is at hand; the bundled tariff carries the same value.
 DEFAULT_GAS_ENERGY_CONTENT_KWH_M3 = 10.0
 
+#: Largest relative end-use residual :func:`calibrate` accepts.
+CALIBRATION_TOLERANCE = 0.005
+
 MJ_PER_KWH = 3.6
 KWH_PER_GJ = 1000.0 / MJ_PER_KWH
 
@@ -211,12 +214,12 @@ def _loads(spec: BuildingSpec, climate: ClimateProfile,
     cooling_load, heating_load = thermal_balance(
         [g.gross_wall_area for g in groups],
         [g.wwr for g in groups],
-        [1.0 / g.wall.r_value for g in groups],
+        [g.wall.u_value for g in groups],
         [g.glazing.u_value for g in groups],
         [g.glazing.shgc for g in groups],
         [climate.irradiation[o] for o in ORIENTATION_ORDER],
         *zip(*(seasonal_shading(g.overhang_ratio, climate) for g in groups)),
-        spec.roof.area, 1.0 / spec.roof.construction.r_value,
+        spec.roof.area, spec.roof.construction.u_value,
         spec.infiltration, spec.conditioned_volume,
         lighting_kwh, equipment_kwh, calib.internal_gain_multiplier,
         *season_terms(climate))
@@ -225,9 +228,9 @@ def _loads(spec: BuildingSpec, climate: ClimateProfile,
 
 def end_use(l_cool, l_heat, lighting_kwh, equip_kwh, cop, heat_eff, heat_is_gas,
             floor_area, gas_energy_content):
-    """(0) EUI kWh/m2, (1) electricity kWh, (2) gas m3, (3) cooling kWh, (4) heating fuel
-    kWh, then in GJ (5) lighting, (6) cooling, (7) heating, (8) equipment, (9) their sum,
-    from the cooling and unclamped heating loads of :func:`thermal_balance`.
+    """(0) EUI kWh/m2, (1) electricity kWh, (2) gas m3, then in GJ (3) lighting, (4) cooling,
+    (5) heating, (6) equipment, (7) their sum, from the cooling and unclamped heating
+    loads of :func:`thermal_balance`.
 
     Cooling is electric at ``cop``; the heating load, clamped at zero, is served
     at ``heat_eff`` by gas where ``heat_is_gas`` (a bool, or 0.0/1.0 per design),
@@ -245,8 +248,7 @@ def end_use(l_cool, l_heat, lighting_kwh, equip_kwh, cop, heat_eff, heat_is_gas,
     gas_m3 = heating_kwh * heat_is_gas / gas_energy_content
     gj = [kwh * MJ_PER_KWH / 1000.0 for kwh in (lighting_kwh, cooling_kwh, heating_kwh, equip_kwh)]
     total_gj = gj[0] + gj[1] + gj[2] + gj[3]  # not sum(): from 3.12 it compensates rounding
-    return (total_gj * KWH_PER_GJ / floor_area, electricity, gas_m3, cooling_kwh, heating_kwh,
-            *gj, total_gj)
+    return total_gj * KWH_PER_GJ / floor_area, electricity, gas_m3, *gj, total_gj
 
 
 def annual_end_use(spec: BuildingSpec, climate: ClimateProfile,
@@ -268,7 +270,7 @@ def annual_end_use(spec: BuildingSpec, climate: ClimateProfile,
         )
 
     cooling_load, heating_load, lighting_kwh, equipment_kwh = _loads(spec, climate, calib)
-    _, electricity, gas_m3, _, _, *gj = end_use(
+    _, electricity, gas_m3, *gj = end_use(
         cooling_load, heating_load, lighting_kwh, equipment_kwh, spec.hvac.cooling_cop,
         spec.hvac.heating_efficiency, spec.hvac.heating_fuel is HeatingFuel.GAS,
         spec.floor_area, gas_energy_content)
@@ -294,8 +296,8 @@ def annual_cost(report: EnergyReport, tariff: Tariff, floor_area: float) -> floa
     return cost_per_m2(report.electricity, report.gas, tariff, floor_area)
 
 
-def calibrate(spec: BuildingSpec, climate: ClimateProfile, targets: EndUseTargets,
-              tolerance: float = 0.005) -> CalibrationParams:
+def calibrate(spec: BuildingSpec, climate: ClimateProfile,
+              targets: EndUseTargets) -> CalibrationParams:
     """Find multipliers reproducing the target end-use split.
 
     Deterministic coordinate descent: the lighting and equipment targets fix
@@ -308,7 +310,7 @@ def calibrate(spec: BuildingSpec, climate: ClimateProfile, targets: EndUseTarget
     ValueError
         If any target is not positive.
     CalibrationError
-        If the best residual exceeds ``tolerance`` (default 0.5% relative).
+        If the best residual exceeds :data:`CALIBRATION_TOLERANCE`.
     """
     for name in ("lighting_gj", "cooling_gj", "heating_gj", "equipment_gj"):
         if not POSITIVE[0](getattr(targets, name)):
@@ -373,9 +375,9 @@ def calibrate(spec: BuildingSpec, climate: ClimateProfile, targets: EndUseTarget
         abs(achieved.heating - targets.heating_gj) / targets.heating_gj,
         abs(achieved.equipment - targets.equipment_gj) / targets.equipment_gj,
     )
-    if worst > tolerance:
+    if worst > CALIBRATION_TOLERANCE:
         raise CalibrationError(
-            f"calibration residual {worst:.4%} exceeds tolerance {tolerance:.2%}",
+            f"calibration residual {worst:.4%} exceeds tolerance {CALIBRATION_TOLERANCE:.2%}",
             best_residual=worst)
     return params
 

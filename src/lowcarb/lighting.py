@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .energy import MJ_PER_KWH, annual_lighting_kwh
-from .model import FRACTION, NONNEGATIVE, POSITIVE, ClimateProfile, SpecError, number
+from .model import FRACTION, NONNEGATIVE, POSITIVE, SpecError, number
 
 #: Flat-rate constant of the average daylight-factor formula
 #: DF = window_area * VT * 45 / total_room_surface_area (in percent).
@@ -45,13 +45,12 @@ class Lamp:
     maintenance_factor: float
 
 
-def daylight_class(room: Room, climate: ClimateProfile | None = None) -> DaylightClass:
+def daylight_class(room: Room) -> DaylightClass:
     """Classify a room as daylit or needing artificial light.
 
     Overcast-sky average daylight factor, so the classification is
-    climate-independent; the climate argument is accepted for interface
-    symmetry with the energy operations. A room counts as sufficient when
-    DF >= 2% and no point lies deeper than twice the window head height.
+    climate-independent. A room counts as sufficient when DF >= 2% and no
+    point lies deeper than twice the window head height.
     """
     if room.floor_area <= 0:
         raise ValueError(f"room {room.id!r}: floor_area must be > 0")

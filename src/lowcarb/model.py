@@ -14,20 +14,28 @@ path; ``name``, ids and enums are required strings (:func:`string`).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Collection, Mapping, NamedTuple
+from typing import Any, Callable, Collection, Iterable, Mapping, NamedTuple
 
 SCHEMA_VERSION = 1
 
 #: Canonical orientation order used everywhere loads are accumulated, so that
 #: results do not depend on the order envelope groups appear in a spec file.
 ORIENTATION_ORDER = ("N", "S", "E", "W")
+
+
+def total(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0: the same bits on every Python, where
+    the builtin ``sum()`` compensates float rounding from 3.12 on."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 class Orientation(str, Enum):
@@ -88,6 +96,10 @@ class OpaqueConstruction:
     id: str
     r_value: float  # (m2.K)/W
     cost_index: float = 1.0
+
+    @property
+    def u_value(self) -> float:  # W/(m2.K)
+        return 1.0 / self.r_value
 
 
 @dataclass(frozen=True)
@@ -170,11 +182,11 @@ class ClimateProfile:
 
     @property
     def annual_cdd(self) -> float:
-        return sum(self.cooling_degree_days)
+        return total(self.cooling_degree_days)
 
     @property
     def annual_hdd(self) -> float:
-        return sum(self.heating_degree_days)
+        return total(self.heating_degree_days)
 
 
 @dataclass(frozen=True)

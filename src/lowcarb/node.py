@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import _kernels
 from .model import (FRACTION, NONNEGATIVE, POSITIVE, SensorFleet, SpecError, TraceError,
-                    check, known_keys, number, read_json, string)
+                    check, known_keys, number, read_json, string, total)
 
 if TYPE_CHECKING:
     import numpy as np  # imported at run time by the SimResult views, on first read
@@ -65,7 +65,7 @@ class NodeConfig:
     @property
     def base_load(self) -> float:
         """Steady demand without the alarm: controller plus duty-cycled sensors."""
-        return self.controller_idle_power + sum(
+        return self.controller_idle_power + total(
             s.power * s.duty_cycle for s in self.sensor_loads)
 
     def validate(self) -> None:
@@ -262,8 +262,8 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
 
 def fleet_annual_energy(fleet: SensorFleet) -> float:
     """Annual energy of a sensor fleet, kWh/yr (8760 h, duty-cycled power)."""
-    return sum(e.count * e.unit_power * e.duty_cycle * HOURS_PER_YEAR / 1000.0
-               for e in fleet.entries)
+    return total(e.count * e.unit_power * e.duty_cycle * HOURS_PER_YEAR / 1000.0
+                 for e in fleet.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ annual cost per m2 as tie-break and the enumeration index as the final, total
 tie-break, so it is invariant under any evaluation order.
 
 Code limits act on single candidate values, so the code-legal designs form
-a Cartesian product of their own (:func:`legal_positions`). It is scored in
+a Cartesian product of their own (:func:`legal_space`). It is scored in
 chunks, group by group in ascending order of a lower bound on the group's EUI
 (:func:`_group_bounds`). Rows above the k-th least EUI held are dropped and
 groups whose bound lies above it (plus a rounding margin) are skipped, so memory
@@ -300,24 +300,24 @@ def _design_from_digits(lists: Sequence[tuple], digits: Sequence[int]) -> Design
     return DesignVariables(*map(operator.getitem, lists, digits))
 
 
-def enumerate_designs(space: DesignSpace,
-                      cap: int = DEFAULT_ENUMERATION_CAP) -> list[DesignVariables]:
-    """Full Cartesian product in lexicographic order of the variable order.
-
-    Raises :class:`DesignSpaceTooLarge` when the product exceeds ``cap``.
-    """
+def enumerate_designs(space: DesignSpace) -> list[DesignVariables]:
+    """Full Cartesian product in lexicographic order of the variable order; raises
+    :class:`DesignSpaceTooLarge` when it exceeds :data:`DEFAULT_ENUMERATION_CAP` designs."""
     space.validate()
-    if space.size > cap:
-        raise DesignSpaceTooLarge(f"{space.size} designs exceed the cap of {cap}")
+    if space.size > DEFAULT_ENUMERATION_CAP:
+        raise DesignSpaceTooLarge(
+            f"{space.size} designs exceed the cap of {DEFAULT_ENUMERATION_CAP}")
     return list(itertools.starmap(DesignVariables, itertools.product(
         *(candidates for _, candidates in space.candidate_lists()))))
 
 
-def legal_positions(space: DesignSpace, limits: CodeLimits) -> list[list[int]]:
-    """Per variable, in enumeration order, the positions of its code-legal candidates."""
-    return [[j for j, value in enumerate(values)
-             if v.limit is None or limits.limit(v.orientation).ok(v.limit, value)]
-            for v, (_, values) in zip(VARIABLES, space.candidate_lists())]
+def legal_space(space: DesignSpace, limits: CodeLimits) -> DesignSpace:
+    """``space`` holding only its code-legal candidates, in their order."""
+    fields: dict = {}
+    for v, (_, values) in zip(VARIABLES, space.candidate_lists()):
+        v.place(fields, v.space_attr, tuple(value for value in values if v.limit is None
+                                            or limits.limit(v.orientation).ok(v.limit, value)))
+    return DesignSpace(**fields)
 
 
 def code_check(design: DesignVariables, limits: CodeLimits) -> list[Violation]:
@@ -400,8 +400,7 @@ def _candidate_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
         *(tuple(np.array([seasonal_shading(v, climate) for v in space.overhang_ratio[o]],
                          dtype=float).T) for o in ORIENTATION_ORDER),
         (np.array([g.u_value for g in glz]), np.array([g.shgc for g in glz])),
-        (np.array([1.0 / w.r_value for w in walls]),),
-        (np.array([1.0 / r.r_value for r in roofs]),),
+        *((np.array([c.u_value for c in constructions]),) for constructions in (walls, roofs)),
         (np.array(space.infiltration, dtype=float),),
         (np.array([scheduled_lighting_kwh(spec, w, calib) for w in lamp_w]),),
         (np.array([h.cooling_cop for h in hvacs]),
@@ -455,8 +454,7 @@ def _group_bounds(tables: list[tuple[np.ndarray, ...]],
 
 def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
              space: DesignSpace, limits: CodeLimits, k: int,
-             calib: CalibrationParams, tariff: Tariff,
-             cap: int = DEFAULT_ENUMERATION_CAP) -> list[RankedDesign]:
+             calib: CalibrationParams, tariff: Tariff) -> list[RankedDesign]:
     """Rank every code-legal design by EUI, ascending.
 
     Ties break by ascending annual cost per m2, then by enumeration order.
@@ -467,24 +465,27 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     NoFeasibleDesignError
         When no design passes :func:`code_check`.
     DesignSpaceTooLarge
-        When the code-legal designs number more than ``cap``.
+        When the code-legal designs number more than :data:`DEFAULT_ENUMERATION_CAP`.
     SpecError
         When the space names an id the catalog lacks.
+    ValueError
+        When the spec's loads or the tariff's prices overflow a design's EUI or cost.
     """
     import numpy as np
 
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     space.validate()
-    legal = legal_positions(space, limits)
-    dims = [len(p) for p in legal]
+    legal = legal_space(space, limits)
+    lists = [candidates for _, candidates in legal.candidate_lists()]
+    dims = list(map(len, lists))
     feasible = math.prod(dims)
     if feasible == 0:
         raise NoFeasibleDesignError("no design in the space passes the code limits")
-    if feasible > cap:
-        raise DesignSpaceTooLarge(f"{feasible} code-legal designs exceed the cap of {cap}")
-    tables = [tuple(t[p] for t in ts)
-              for ts, p in zip(_candidate_tables(space, catalog, spec, climate, calib), legal)]
+    if feasible > DEFAULT_ENUMERATION_CAP:
+        raise DesignSpaceTooLarge(
+            f"{feasible} code-legal designs exceed the cap of {DEFAULT_ENUMERATION_CAP}")
+    tables = _candidate_tables(legal, catalog, spec, climate, calib)
     shared = (np.array([spec.envelope(o).gross_wall_area for o in ORIENTATION_ORDER]),
               np.array([climate.irradiation[o] for o in ORIENTATION_ORDER]),
               spec.roof.area, spec.conditioned_volume, *season_terms(climate),
@@ -493,7 +494,10 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
 
     # Bounds first: computed after the block is allocated, their small arrays
     # raised the peak RSS of repeated all-k sweeps by ~1 MiB.
-    bound, scale = _group_bounds(tables, shared)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        bound, scale = _group_bounds(tables, shared)
+    if not math.isfinite(scale):  # then every design's EUI is finite
+        raise ValueError("the spec's areas, volume or loads overflow the designs' EUI")
     # A unit is one group times a block of the longest run of trailing orientation
     # variables whose legal product fits in a chunk (at least the last); a call
     # takes `per_call` units. The block's rows are filled once and each unit's
@@ -514,8 +518,8 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
         _fill(rows, tables[:split] + tables[_ORIENTED:],  # a unit: leading digits, group digits
               np.unravel_index(units[:, None], dims[:split] + dims[_ORIENTED:]))
         lead, group = np.divmod(units[:, None], groups)
-        # A design's position in the legal sub-product orders designs as its
-        # enumeration index does, because each variable's legal positions increase.
+        # A design's position in the legal space orders designs as its enumeration
+        # index does, because legal_space keeps each variable's candidates in order.
         position = ((lead * width + np.arange(width)) * groups + group).ravel()
         cols = block.reshape(len(block), -1)[:, :position.size]
         return (*_kernels.batch_energy(cols[:4], cols[4:12].reshape(4, 2, -1), *cols[12:],
@@ -551,21 +555,18 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     eui, elec, gas, position = map(np.concatenate, zip(*held))
     del held
     # the cost of the kept rows only, then their first k in rank order
-    cost = cost_per_m2(elec, gas, tariff, spec.floor_area)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = cost_per_m2(elec, gas, tariff, spec.floor_area)
+    if not np.isfinite(cost).all():
+        raise ValueError("the tariff's prices overflow the designs' annual cost")
     order = np.lexsort((position, cost, eui))[:k]
     eui, cost, elec, gas, position = (c[order] for c in (eui, cost, elec, gas, position))
     # Pareto frontier on (EUI, cost): a design is on it when no design ranked
     # before it is cheaper. Ranks before a returned one are all returned.
     pareto = cost <= np.minimum.accumulate(cost)
-    digits = np.stack([np.take(p, d) for p, d in zip(legal, np.unravel_index(position, dims))], 1)
-    lists = [candidates for _, candidates in space.candidate_lists()]
-    return [
-        RankedDesign(rank=rank, design=_design_from_digits(lists, d), eui=e,
-                     cost_per_m2=c, electricity=el, gas=g, pareto=f)
-        for rank, (d, e, c, el, g, f) in enumerate(
-            zip(digits.tolist(), eui.tolist(), cost.tolist(), elec.tolist(), gas.tolist(),
-                pareto.tolist()), start=1)
-    ]
+    digits = np.stack(np.unravel_index(position, dims), 1).tolist()
+    return [RankedDesign(rank, _design_from_digits(lists, d), *row) for rank, (d, *row) in
+            enumerate(zip(digits, *(c.tolist() for c in (eui, cost, elec, gas, pareto))), 1)]
 
 
 def write_results_csv(ranked: list[RankedDesign]) -> str:

@@ -794,6 +794,42 @@ def test_malformed_input_is_one_line_naming_the_field(fixtures, tmp_path, capsys
     assert not out.exists()
 
 
+def _every_wall_area(value):
+    def edit(doc):
+        for group in doc["orientations"]:
+            group["gross_wall_area_m2"] = value
+    return edit
+
+
+# A numpy RuntimeWarning would print a line before the error: the warning filter fails it.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, edit, k, named", [
+    pytest.param("baseline_school.json", _every_wall_area(1e308), "10",
+                 "overflow the designs' EUI", id="wall-area"),
+    pytest.param("baseline_school.json",
+                 lambda d: d.update(conditioned_volume_m3=1e308, infiltration_ach=10), "20736",
+                 "overflow the designs' EUI", id="volume"),
+    pytest.param("paper_tariff.json", _set("electricity_price_cny_kwh", value=1e306), "10",
+                 "overflow the designs' annual cost", id="electricity-price"),
+])
+def test_optimize_overflow_is_one_line_and_writes_nothing(fixtures, tmp_path, capsys,
+                                                          name, edit, k, named):
+    """Inputs each finite, whose loads or costs overflow a float, are refused before a
+    report is built: before, these gave an IndexError traceback, exit 0 with inf and nan
+    cells, and a RuntimeWarning before the error line."""
+    doc = json.loads((fixtures / name).read_text())
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    code = main(_argv(fixtures, "optimize", **{name: path}) + ["--k", k, "--out", str(out)])
+    assert code == 1
+    err_lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: ") and named in err_lines[0]
+    assert not out.exists()
+
+
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 

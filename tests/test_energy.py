@@ -18,7 +18,7 @@ from lowcarb import (
     eui,
     shading_factor,
 )
-from lowcarb.energy import EndUseTargets, end_use, season_terms
+from lowcarb.energy import MJ_PER_KWH, EndUseTargets, end_use, season_terms
 from lowcarb.model import ClimateProfile
 
 from test_model import _make_spec
@@ -94,8 +94,8 @@ def test_end_use_gives_the_same_bits_for_floats_and_arrays(
         gas_m3 = heating / gas_content
     else:
         electricity += heating
-    assert scalar[4].hex() == heating.hex()
-    assert math.copysign(1.0, scalar[4]) == 1.0
+    assert scalar[5].hex() == (heating * MJ_PER_KWH / 1000.0).hex()
+    assert math.copysign(1.0, scalar[5]) == 1.0
     assert (scalar[1].hex(), scalar[2].hex()) == (electricity.hex(), gas_m3.hex())
 
 

@@ -189,6 +189,11 @@ class TestClimateFile:
         assert climate.winter_design_sun_altitude == pytest.approx(43.0)
         assert climate.pv_equivalent_full_sun_hours == pytest.approx(1200.0)
 
+    def test_degree_days_add_left_to_right(self, climate):
+        """The same bits on every Python: from 3.12 the builtin sum() would give
+        1.2000000000000002."""
+        assert dataclasses.replace(climate, cooling_degree_days=(0.1,) * 12).annual_cdd == 1.2
+
     def test_missing_month_rejected(self):
         text = read_fixture("gd_climate.csv")
         lines = [ln for ln in text.splitlines() if not ln.startswith("12,")]
@@ -212,6 +217,7 @@ class TestCatalogFile:
     def test_bundled_entries(self, catalog):
         assert catalog.glazings["dbl_loe"].u_value == pytest.approx(1.8)
         assert catalog.constructions["wall_sip_12in"].r_value == pytest.approx(2.0)
+        assert catalog.constructions["wall_sip_12in"].u_value == 1.0 / 2.0
         assert catalog.hvac_systems["heat_pump"].heating_fuel is HeatingFuel.ELECTRIC
         assert catalog.lamp_powers["led"] == pytest.approx(30.0)
 

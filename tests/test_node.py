@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from lowcarb import (
     step,
 )
 from lowcarb.model import SensorEntry, SensorFleet, SpecError
-from lowcarb.node import TraceError, initial_state, load_node_config, load_trace
+from lowcarb.node import SensorLoad, TraceError, initial_state, load_node_config, load_trace
 
 BATTERY_WH = 16.28  # 2.2 Ah x 7.4 V
 
@@ -275,6 +276,13 @@ class TestFleetAnnualEnergy:
     def test_single_always_on_sensor(self):
         fleet = SensorFleet((SensorEntry("cam", 1, 10.0, 1.0),))
         assert fleet_annual_energy(fleet) == pytest.approx(87.6, rel=1e-12)
+
+
+def test_base_load_adds_the_sensors_left_to_right():
+    """The same bits on every Python: from 3.12 the builtin sum() would give 0.6."""
+    config = dataclasses.replace(make_config(load_w=0.0), sensor_loads=tuple(
+        SensorLoad(f"s{i}", power, 1.0) for i, power in enumerate((0.1, 0.2, 0.3))))
+    assert config.base_load == 0.6000000000000001
 
 
 class TestNodeFiles:

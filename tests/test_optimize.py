@@ -1,7 +1,6 @@
 import dataclasses
 import importlib
 import itertools
-import math
 import random
 import tracemalloc
 
@@ -23,7 +22,7 @@ from lowcarb import _kernels
 from lowcarb.energy import CalibrationParams
 from lowcarb.model import HeatingFuel, LightingTechnology, SpecError
 from lowcarb.optimize import VARIABLES, CodeLimits, DesignSpaceTooLarge, DesignVariables, \
-    OrientationLimit, write_results_csv
+    OrientationLimit, legal_space, write_results_csv
 
 # the package exports the function optimize under the submodule's name
 optimize_module = importlib.import_module("lowcarb.optimize")
@@ -76,9 +75,11 @@ class TestEnumerate:
         assert len(enumerate_designs(space)) == expected
 
     def test_size_guard(self):
-        space = _small_space(infiltration=tuple(i / 100.0 for i in range(100)))
-        with pytest.raises(DesignSpaceTooLarge):
-            enumerate_designs(space, cap=50)
+        """1,001,000 designs are refused before any is built."""
+        space = _small_space(glazing_ids=tuple(f"g{i}" for i in range(1000)),
+                             infiltration=tuple(i / 100.0 for i in range(1001)))
+        with pytest.raises(DesignSpaceTooLarge, match="1001000 designs exceed the cap of 1000000"):
+            enumerate_designs(space)
 
 
 @pytest.mark.parametrize("field, values, name", [
@@ -313,11 +314,22 @@ _orientation_limits = st.builds(
     max_overhang=st.sampled_from([None, None, 0.5]),
     min_overhang=st.sampled_from([None, None, 0.25]))
 
+_code_limits = st.builds(CodeLimits, _orientation_limits, _orientation_limits,
+                         _orientation_limits, _orientation_limits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=_tied_spaces(), limits=_code_limits)
+def test_legal_space_enumerates_the_code_legal_designs_in_order(space, limits):
+    """The legal space's designs are the space's designs that pass code_check, in
+    enumeration order; an empty legal space means no design passes."""
+    legal = legal_space(space, limits)
+    passing = [d for d in enumerate_designs(space) if not code_check(d, limits)]
+    assert (enumerate_designs(legal) if legal.size else []) == passing
+
 
 @settings(max_examples=40, deadline=None)
-@given(space=_tied_spaces(), limits=st.builds(CodeLimits, _orientation_limits,
-                                              _orientation_limits, _orientation_limits,
-                                              _orientation_limits),
+@given(space=_tied_spaces(), limits=_code_limits,
        k_kind=st.sampled_from(["one", "middle", "beyond"]),
        chunk=st.sampled_from([1, 7, 1 << 16]))
 def test_streamed_top_k_matches_a_full_sort(space, limits, k_kind, chunk, baseline_spec,
@@ -430,16 +442,14 @@ def _near_tied_spaces(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(space=_near_tied_spaces(), limits=st.builds(CodeLimits, _orientation_limits,
-                                                   _orientation_limits, _orientation_limits,
-                                                   _orientation_limits),
+@given(space=_near_tied_spaces(), limits=_code_limits,
        k_kind=st.sampled_from(["one", "middle", "all but one"]),
        chunk=st.sampled_from([1, 7, 108]))
 def test_pruned_top_k_equals_a_full_score_and_sort(space, limits, k_kind, chunk,
                                                    baseline_spec, climate, catalog,
                                                    baseline_calibration, tariff):
     """Every field of a pruned top k is bitwise the head of the full ranking."""
-    feasible = math.prod(map(len, optimize_module.legal_positions(space, limits)))
+    feasible = legal_space(space, limits).size
     if feasible == 0:
         return
     k = {"one": 1, "middle": feasible // 2 + 1, "all but one": max(1, feasible - 1)}[k_kind]
