@@ -27,9 +27,12 @@ from .model import (
     HeatingFuel,
     SpecError,
     Tariff,
+    _read,
     known_keys,
     number,
     read_json,
+    record_format,
+    spec,
     validate_spec,
 )
 
@@ -105,17 +108,15 @@ class EnergyReport:
 class EndUseTargets:
     """Calibration targets, annual GJ per end use."""
 
-    lighting_gj: float
-    cooling_gj: float
-    heating_gj: float
-    equipment_gj: float
+    lighting_gj: float = spec("lighting_gj", POSITIVE)
+    cooling_gj: float = spec("cooling_gj", POSITIVE)
+    heating_gj: float = spec("heating_gj", POSITIVE)
+    equipment_gj: float = spec("equipment_gj", POSITIVE)
 
     @staticmethod
     def from_json(text: str) -> "EndUseTargets":
         """Parse a targets file; every target must be a finite number > 0."""
-        doc = read_json(text, "targets")
-        return EndUseTargets(*(number(doc, f"{use}_gj", "targets.", POSITIVE)
-                               for use in ("lighting", "cooling", "heating", "equipment")))
+        return _read(EndUseTargets, read_json(text, "targets"), "targets.", row=True)
 
 
 def shading_factor(overhang_ratio: float, sun_altitude: float) -> float:
@@ -261,6 +262,8 @@ def annual_end_use(spec: BuildingSpec, climate: ClimateProfile,
     ------
     SpecError
         If the spec fails :func:`lowcarb.model.validate_spec`.
+    ValueError
+        If the spec's values or ``gas_energy_content``, each finite, overflow an end use.
     """
     violations = validate_spec(spec)
     if violations:
@@ -274,6 +277,9 @@ def annual_end_use(spec: BuildingSpec, climate: ClimateProfile,
         cooling_load, heating_load, lighting_kwh, equipment_kwh, spec.hvac.cooling_cop,
         spec.hvac.heating_efficiency, spec.hvac.heating_fuel is HeatingFuel.GAS,
         spec.floor_area, gas_energy_content)
+    if not all(map(math.isfinite, (electricity, gas_m3, *gj))):
+        raise ValueError("the spec's areas, volume or loads, or the gas energy content, "
+                         "overflow its annual end use")
     return EnergyReport(*gj, electricity=electricity, gas=gas_m3)
 
 
@@ -281,7 +287,10 @@ def eui(report: EnergyReport, floor_area: float) -> float:
     """Energy use intensity, kWh/(m2.yr), with 1 kWh = 3.6 MJ: :func:`end_use`'s formula."""
     if floor_area <= 0:
         raise ValueError(f"floor_area must be > 0, got {floor_area}")
-    return report.total * KWH_PER_GJ / floor_area
+    value = report.total * KWH_PER_GJ / floor_area
+    if not math.isfinite(value):
+        raise ValueError("the spec's end use over its floor area overflows the EUI")
+    return value
 
 
 def cost_per_m2(electricity, gas, tariff: Tariff, floor_area):
@@ -293,7 +302,10 @@ def annual_cost(report: EnergyReport, tariff: Tariff, floor_area: float) -> floa
     """Annual energy cost per floor area, CNY/(m2.yr), from :func:`cost_per_m2`."""
     if floor_area <= 0:
         raise ValueError(f"floor_area must be > 0, got {floor_area}")
-    return cost_per_m2(report.electricity, report.gas, tariff, floor_area)
+    value = cost_per_m2(report.electricity, report.gas, tariff, floor_area)
+    if not math.isfinite(value):
+        raise ValueError("the tariff's prices or the spec's floor area overflow the annual cost")
+    return value
 
 
 def calibrate(spec: BuildingSpec, climate: ClimateProfile,
@@ -312,9 +324,9 @@ def calibrate(spec: BuildingSpec, climate: ClimateProfile,
     CalibrationError
         If the best residual exceeds :data:`CALIBRATION_TOLERANCE`.
     """
-    for name in ("lighting_gj", "cooling_gj", "heating_gj", "equipment_gj"):
-        if not POSITIVE[0](getattr(targets, name)):
-            raise ValueError(f"calibration target {name} must be positive and finite")
+    for f in record_format(EndUseTargets):
+        if not f.rule[0](getattr(targets, f.attr)):
+            raise ValueError(f"calibration target {f.attr} must be positive and finite")
     violations = validate_spec(spec)
     if violations:
         raise SpecError("cannot calibrate an invalid spec", violations)

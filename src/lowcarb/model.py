@@ -1,14 +1,17 @@
 """Domain model: buildings, climates, construction catalogs, tariffs, sensor fleets.
 
 All types are frozen dataclasses and safe to share between threads. Parsing
-is strict. One table, :data:`SPEC_FORMAT`, declares the building-spec format,
-and parse, validate and serialize all walk it; a key it does not list (besides
-the top-level ``schema_version`` and ``calibration``) is refused by its path.
-Spec files carry every thermal coefficient explicitly: the only defaulted
-fields are ``daylight_offset``, ``overhang_ratio`` and ``cost_index``, and a
-null or absent one takes its default. Spec numbers pass the same boundary as
-every other input (:func:`number`), so a malformed one is named by its JSON
-path; ``name``, ids and enums are required strings (:func:`string`).
+is strict. Each field of a record read from a file declares its key, rule and
+default once, on its class, through :func:`spec`; :func:`record_format` collects
+them. The building spec's parse, validate and serialize all walk that format,
+and a key it does not list (besides the top-level ``schema_version`` and
+``calibration``) is refused by its path; the tariff, targets and PV site files
+and the catalog's rows are read through it too. Spec files carry every thermal
+coefficient explicitly: the only defaulted fields are ``daylight_offset``,
+``overhang_ratio`` and ``cost_index``, and a null or absent one takes its
+default. Spec numbers pass the same boundary as every other input
+(:func:`number`), so a malformed one is named by its JSON path; ``name``, ids
+and enums are required strings (:func:`string`).
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import io
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterable, Mapping, NamedTuple
+from typing import (Any, Callable, Collection, Iterable, Mapping, NamedTuple, get_args,
+                    get_origin, get_type_hints)
 
 SCHEMA_VERSION = 1
 
@@ -91,11 +95,61 @@ class Violation:
         return f"{self.field}={self.value!r} violates rule: {self.rule}"
 
 
+# ---------------------------------------------------------------------------
+# record formats: each field of a record read from a file declares its key and rule
+# ---------------------------------------------------------------------------
+
+Rule = tuple[Callable[[float], bool], str]
+
+#: Value rules as (test, text) pairs. Every test is False for NaN and +-inf.
+FINITE: Rule = (math.isfinite, "must be finite")
+POSITIVE: Rule = (lambda v: 0 < v < math.inf, "must be > 0 and finite")
+NONNEGATIVE: Rule = (lambda v: 0 <= v < math.inf, "must be nonnegative and finite")
+FRACTION: Rule = (lambda v: 0 <= v <= 1, "must be within [0, 1]")
+INTEGER: Rule = (lambda v: v >= 0 and float(v).is_integer(), "must be a whole number >= 0")
+BOOLEAN: Rule = (lambda v: isinstance(v, bool), "must be true or false")
+SCHEMA: Rule = (lambda v: v == SCHEMA_VERSION, f"must be {SCHEMA_VERSION}")
+
+
+def spec(key: str, rule: Rule | None = None, **default: Any) -> Any:
+    """A record field stored under ``key`` in its file, whose value must pass ``rule``;
+    ``default=`` lets the key be absent or null."""
+    return field(metadata={"key": key, "rule": rule}, **default)
+
+
+class Field(NamedTuple):
+    """One field of a record. Only a field with a ``default`` may be absent or null."""
+
+    attr: str
+    key: str  # in the JSON document or CSV row
+    kind: Any  # float, int, str, an Enum, a record type, or (record type,) for a tuple
+    rule: Rule | None
+    default: Any
+    record: bool  # kind is a record type
+
+
+@functools.cache
+def record_format(cls: type) -> tuple[Field, ...]:
+    """The fields of the record type ``cls`` in class order, as its :func:`spec` calls
+    declare them. The records of a tuple field are named by their first field (an
+    Enum), and the field's rule tests those names."""
+    hints = get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        kind = hints[f.name]
+        if get_origin(kind) is tuple:  # tuple[X, ...] -> (X,)
+            kind = get_args(kind)[:1]
+        default = None if f.default is MISSING else f.default
+        out.append(Field(f.name, f.metadata["key"], kind, f.metadata["rule"], default,
+                         is_dataclass(kind)))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class OpaqueConstruction:
-    id: str
-    r_value: float  # (m2.K)/W
-    cost_index: float = 1.0
+    id: str = spec("id")
+    r_value: float = spec("r_value", POSITIVE)  # (m2.K)/W
+    cost_index: float = spec("cost_index", POSITIVE, default=1.0)
 
     @property
     def u_value(self) -> float:  # W/(m2.K)
@@ -104,58 +158,61 @@ class OpaqueConstruction:
 
 @dataclass(frozen=True)
 class GlazingOption:
-    id: str
-    u_value: float  # W/(m2.K)
-    shgc: float
-    visible_transmittance: float
-    cost_index: float = 1.0
+    id: str = spec("id")
+    u_value: float = spec("u_value", POSITIVE)  # W/(m2.K)
+    shgc: float = spec("shgc", FRACTION)
+    visible_transmittance: float = spec("visible_transmittance", FRACTION)
+    cost_index: float = spec("cost_index", POSITIVE, default=1.0)
 
 
 @dataclass(frozen=True)
 class EnvelopeGroup:
-    orientation: Orientation
-    gross_wall_area: float  # m2
-    wwr: float
-    wall: OpaqueConstruction
-    glazing: GlazingOption
-    overhang_ratio: float = 0.0  # overhang depth / window height
+    orientation: Orientation = spec("orientation")
+    gross_wall_area: float = spec("gross_wall_area_m2", NONNEGATIVE)  # m2
+    wwr: float = spec("wwr", FRACTION)
+    wall: OpaqueConstruction = spec("wall")
+    glazing: GlazingOption = spec("glazing")
+    overhang_ratio: float = spec("overhang_ratio", NONNEGATIVE, default=0.0)  # depth/height
 
 
 @dataclass(frozen=True)
 class Roof:
-    construction: OpaqueConstruction
-    area: float  # m2
+    construction: OpaqueConstruction = spec("construction")
+    area: float = spec("area_m2", NONNEGATIVE)  # m2
 
 
 @dataclass(frozen=True)
 class LightingSystem:
-    technology: LightingTechnology
-    lamp_power: float  # W per lamp
-    lamp_count: int
-    annual_hours: float  # h/yr
-    daylight_offset: float = 0.0  # fraction of hours covered by daylight
+    technology: LightingTechnology = spec("technology")
+    lamp_power: float = spec("lamp_power_w", NONNEGATIVE)  # W per lamp
+    lamp_count: int = spec("lamp_count", NONNEGATIVE)
+    annual_hours: float = spec("annual_hours", NONNEGATIVE)  # h/yr
+    daylight_offset: float = spec("daylight_offset", FRACTION, default=0.0)  # daylit share
 
 
 @dataclass(frozen=True)
 class HvacSystem:
-    cooling_cop: float
-    heating_efficiency: float
-    heating_fuel: HeatingFuel
+    cooling_cop: float = spec("cooling_cop", POSITIVE)
+    heating_efficiency: float = spec("heating_efficiency", POSITIVE)
+    heating_fuel: HeatingFuel = spec("heating_fuel")
 
 
 @dataclass(frozen=True)
 class BuildingSpec:
-    name: str
-    floor_area: float  # m2
-    conditioned_volume: float  # m3
-    storeys: int
-    orientations: tuple[EnvelopeGroup, ...]
-    roof: Roof
-    infiltration: float  # air changes per hour
-    occupancy_hours: float  # h/yr
-    equipment_power_density: float  # W/m2
-    lighting: LightingSystem
-    hvac: HvacSystem
+    name: str = spec("name")
+    floor_area: float = spec("floor_area_m2", POSITIVE)  # m2
+    conditioned_volume: float = spec("conditioned_volume_m3", POSITIVE)  # m3
+    storeys: int = spec("storeys", (lambda v: v >= 1, "must be >= 1"))
+    orientations: tuple[EnvelopeGroup, ...] = spec(
+        "orientations", (lambda v: sorted(v) == sorted(ORIENTATION_ORDER),
+                         "exactly one envelope group per cardinal orientation"))
+    roof: Roof = spec("roof")
+    infiltration: float = spec("infiltration_ach", NONNEGATIVE)  # air changes per hour
+    occupancy_hours: float = spec(  # h/yr
+        "occupancy_hours", (lambda v: 0 <= v <= 8760, "must be within [0, 8760]"))
+    equipment_power_density: float = spec("equipment_power_density_w_m2", NONNEGATIVE)  # W/m2
+    lighting: LightingSystem = spec("lighting")
+    hvac: HvacSystem = spec("hvac")
 
     def envelope(self, orientation: Orientation | str) -> EnvelopeGroup:
         key = Orientation(orientation)
@@ -191,10 +248,10 @@ class ClimateProfile:
 
 @dataclass(frozen=True)
 class Tariff:
-    electricity_price: float  # CNY/kWh
-    gas_price: float  # CNY/m3
-    gas_energy_content: float  # kWh/m3
-    feed_in_price: float  # CNY/kWh
+    electricity_price: float = spec("electricity_price_cny_kwh", POSITIVE)  # CNY/kWh
+    gas_price: float = spec("gas_price_cny_m3", POSITIVE)  # CNY/m3
+    gas_energy_content: float = spec("gas_energy_content_kwh_m3", POSITIVE)  # kWh/m3
+    feed_in_price: float = spec("feed_in_price_cny_kwh", POSITIVE)  # CNY/kWh
 
 
 @dataclass(frozen=True)
@@ -223,18 +280,6 @@ class Catalog:
 # ---------------------------------------------------------------------------
 # input boundary: every loader reads through read_json, number and string
 # ---------------------------------------------------------------------------
-
-Rule = tuple[Callable[[float], bool], str]
-
-#: Value rules as (test, text) pairs. Every test is False for NaN and +-inf.
-FINITE: Rule = (math.isfinite, "must be finite")
-POSITIVE: Rule = (lambda v: 0 < v < math.inf, "must be > 0 and finite")
-NONNEGATIVE: Rule = (lambda v: 0 <= v < math.inf, "must be nonnegative and finite")
-FRACTION: Rule = (lambda v: 0 <= v <= 1, "must be within [0, 1]")
-INTEGER: Rule = (lambda v: v >= 0 and float(v).is_integer(), "must be a whole number >= 0")
-BOOLEAN: Rule = (lambda v: isinstance(v, bool), "must be true or false")
-SCHEMA: Rule = (lambda v: v == SCHEMA_VERSION, f"must be {SCHEMA_VERSION}")
-
 
 def read_json(text: str, what: str) -> dict:
     """Parse one input file that must hold a JSON object.
@@ -324,100 +369,32 @@ def glazed_area(spec: BuildingSpec, orientation: Orientation | str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# building spec file (JSON): one format table drives parse, validate, serialize
+# records read through record_format, and the building spec file (JSON)
 # ---------------------------------------------------------------------------
-
-class Field(NamedTuple):
-    """One field of a spec record. Only a field with a ``default`` may be absent or null."""
-
-    attr: str
-    key: str  # in the JSON document
-    kind: Any  # float, int, str, an Enum, a record type, or [record type] for a list
-    rule: Rule | None = None
-    default: Any = None
-
-
-#: The building-spec format: the fields of each record type, in file order. The
-#: records of a list are named by their first field (an Enum), and the list's
-#: rule tests those names.
-SPEC_FORMAT: dict[type, tuple[Field, ...]] = {
-    OpaqueConstruction: (
-        Field("id", "id", str),
-        Field("r_value", "r_value", float, POSITIVE),
-        Field("cost_index", "cost_index", float, POSITIVE, 1.0),
-    ),
-    GlazingOption: (
-        Field("id", "id", str),
-        Field("u_value", "u_value", float, POSITIVE),
-        Field("shgc", "shgc", float, FRACTION),
-        Field("visible_transmittance", "visible_transmittance", float, FRACTION),
-        Field("cost_index", "cost_index", float, POSITIVE, 1.0),
-    ),
-    EnvelopeGroup: (
-        Field("orientation", "orientation", Orientation),
-        Field("gross_wall_area", "gross_wall_area_m2", float, NONNEGATIVE),
-        Field("wwr", "wwr", float, FRACTION),
-        Field("overhang_ratio", "overhang_ratio", float, NONNEGATIVE, 0.0),
-        Field("wall", "wall", OpaqueConstruction),
-        Field("glazing", "glazing", GlazingOption),
-    ),
-    Roof: (
-        Field("construction", "construction", OpaqueConstruction),
-        Field("area", "area_m2", float, NONNEGATIVE),
-    ),
-    LightingSystem: (
-        Field("technology", "technology", LightingTechnology),
-        Field("lamp_power", "lamp_power_w", float, NONNEGATIVE),
-        Field("lamp_count", "lamp_count", int, NONNEGATIVE),
-        Field("annual_hours", "annual_hours", float, NONNEGATIVE),
-        Field("daylight_offset", "daylight_offset", float, FRACTION, 0.0),
-    ),
-    HvacSystem: (
-        Field("cooling_cop", "cooling_cop", float, POSITIVE),
-        Field("heating_efficiency", "heating_efficiency", float, POSITIVE),
-        Field("heating_fuel", "heating_fuel", HeatingFuel),
-    ),
-    BuildingSpec: (
-        Field("name", "name", str),
-        Field("floor_area", "floor_area_m2", float, POSITIVE),
-        Field("conditioned_volume", "conditioned_volume_m3", float, POSITIVE),
-        Field("storeys", "storeys", int, (lambda v: v >= 1, "must be >= 1")),
-        Field("infiltration", "infiltration_ach", float, NONNEGATIVE),
-        Field("occupancy_hours", "occupancy_hours", float,
-              (lambda v: 0 <= v <= 8760, "must be within [0, 8760]")),
-        Field("equipment_power_density", "equipment_power_density_w_m2", float, NONNEGATIVE),
-        Field("orientations", "orientations", [EnvelopeGroup],
-              (lambda v: sorted(v) == sorted(ORIENTATION_ORDER),
-               "exactly one envelope group per cardinal orientation")),
-        Field("roof", "roof", Roof),
-        Field("lighting", "lighting", LightingSystem),
-        Field("hvac", "hvac", HvacSystem),
-    ),
-}
-
 
 def _read(cls: type, doc: Any, context: str, row: bool = False) -> Any:
     """A ``cls`` record from ``doc``, whose fields are named ``context + key``: a spec's
     JSON object, which may hold no other key and whose rules :func:`validate_spec`
-    checks, or if ``row`` a catalog CSV row, whose rules are checked here."""
+    checks, or if ``row`` a flat input file or a catalog CSV row, which may hold other
+    keys and whose rules are checked here. A nested record is read in the same mode."""
     where = context.removesuffix(".")
     if not isinstance(doc, dict):
         raise SpecError(f"missing required field {where}" if doc is None
                         else f"{where} must be a JSON object, got {doc!r}")
     if not row:
-        known_keys(doc, [f.key for f in SPEC_FORMAT[cls]], context, "spec")
+        known_keys(doc, [f.key for f in record_format(cls)], context, "spec")
     values = {}
-    for f in SPEC_FORMAT[cls]:
+    for f in record_format(cls):
         name = context + f.key
-        if isinstance(f.kind, list):
+        if isinstance(f.kind, tuple):
             items = doc.get(f.key)
             if not isinstance(items, list):
                 raise SpecError(f"missing required field {name}" if items is None
                                 else f"{name} must be a JSON list, got {items!r}")
-            value = tuple(_read(f.kind[0], item, f"{name}[{i}].")
+            value = tuple(_read(f.kind[0], item, f"{name}[{i}].", row)
                           for i, item in enumerate(items))
-        elif f.kind in SPEC_FORMAT:
-            value = _read(f.kind, doc.get(f.key), name + ".")
+        elif f.record:
+            value = _read(f.kind, doc.get(f.key), name + ".", row)
         elif f.kind is float or f.kind is int:
             value = f.kind(number(doc, f.key, context, INTEGER if f.kind is int else None,
                                   f.default))
@@ -429,21 +406,22 @@ def _read(cls: type, doc: Any, context: str, row: bool = False) -> Any:
 
 
 def validate_spec(spec: BuildingSpec) -> list[Violation]:
-    """Check every rule of :data:`SPEC_FORMAT`; returns an empty list iff all hold."""
+    """Check every rule of the spec's :func:`record_format`; returns an empty list iff
+    all hold."""
     out: list[Violation] = []
 
     def walk(record: Any, prefix: str) -> None:
-        for f in SPEC_FORMAT[type(record)]:
+        for f in record_format(type(record)):
             value, name = getattr(record, f.attr), prefix + f.attr
-            if isinstance(f.kind, list):
-                first = SPEC_FORMAT[f.kind[0]][0].attr
+            if isinstance(f.kind, tuple):
+                first = record_format(f.kind[0])[0].attr
                 items, value = value, [getattr(item, first).value for item in value]
             if f.rule is not None and not f.rule[0](value):
                 out.append(Violation(name, value, f.rule[1]))
-            if isinstance(f.kind, list):
+            if isinstance(f.kind, tuple):
                 for key, item in zip(value, items):
                     walk(item, f"{name}[{key}].")
-            elif f.kind in SPEC_FORMAT:
+            elif f.record:
                 walk(value, name + ".")
 
     walk(spec, "")
@@ -480,9 +458,9 @@ def serialize_building_spec(spec: BuildingSpec) -> str:
     def dump(record: Any) -> Any:
         if isinstance(record, tuple):
             return [dump(item) for item in record]
-        if type(record) not in SPEC_FORMAT:
+        if not is_dataclass(record):
             return record.value if isinstance(record, Enum) else record
-        return {f.key: dump(getattr(record, f.attr)) for f in SPEC_FORMAT[type(record)]}
+        return {f.key: dump(getattr(record, f.attr)) for f in record_format(type(record))}
 
     return json.dumps({"schema_version": SCHEMA_VERSION, **dump(spec)}, indent=2) + "\n"
 
@@ -590,10 +568,7 @@ def load_catalog(text: str) -> Catalog:
 
 def load_tariff(text: str) -> Tariff:
     """Parse a tariff file; every price and the gas energy content must be > 0."""
-    doc = read_json(text, "tariff")
-    return Tariff(*(number(doc, key, "tariff.", POSITIVE) for key in (
-        "electricity_price_cny_kwh", "gas_price_cny_m3", "gas_energy_content_kwh_m3",
-        "feed_in_price_cny_kwh")))
+    return _read(Tariff, read_json(text, "tariff"), "tariff.", row=True)
 
 
 def load_sensor_fleet(text: str) -> SensorFleet:

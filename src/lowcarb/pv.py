@@ -5,20 +5,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import NONNEGATIVE, POSITIVE, SpecError, Tariff, check, number, read_json
+from .model import NONNEGATIVE, POSITIVE, Tariff, _read, check, read_json, record_format, spec
 
 
 @dataclass(frozen=True)
 class PanelSpec:
     """One physical module."""
 
-    length: float  # m
-    width: float  # m
-    rated_power: float  # W
+    length: float = spec("length_m", POSITIVE)  # m
+    width: float = spec("width_m", POSITIVE)  # m
+    rated_power: float = spec("rated_power_w", POSITIVE)  # W
 
     def __post_init__(self):
-        for name in ("length", "width", "rated_power"):
-            check(getattr(self, name), f"panel.{name}", POSITIVE)
+        for f in record_format(PanelSpec):
+            check(getattr(self, f.attr), f"panel.{f.attr}", f.rule)
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,12 @@ def panel_count(roof_area: float, panel: PanelSpec, packing_factor: float) -> in
         raise ValueError(f"packing_factor must lie in (0, 1], got {packing_factor}")
     if roof_area < 0:
         raise ValueError(f"roof_area must be nonnegative, got {roof_area}")
-    return math.floor(roof_area * packing_factor / (panel.length * panel.width))
+    footprint = panel.length * panel.width
+    count = roof_area * packing_factor / footprint if footprint > 0 else math.inf
+    if not math.isfinite(count):
+        raise ValueError("the roof area over the panel's length and width overflows "
+                         "the panel count")
+    return math.floor(count)
 
 
 def annual_generation(capacity: float, equivalent_hours: float) -> float:
@@ -103,38 +108,32 @@ def economics(generation: float, consumption: float, tariff: Tariff,
 
 @dataclass(frozen=True)
 class PvSite:
-    """Inputs of the full rooftop chain, as read from a site file."""
+    """Inputs of the full rooftop chain, as read from a site file; the annual
+    consumption is what the array offsets."""
 
-    roof_area: float
-    panel: PanelSpec
-    packing_factor: float
-    capex_per_watt: float
-    annual_consumption: float  # kWh/yr offset by the array
+    roof_area: float = spec("roof_area_m2", NONNEGATIVE)  # m2
+    panel: PanelSpec = spec("panel")
+    packing_factor: float = spec("packing_factor", (lambda v: 0 < v <= 1, "must be within (0, 1]"))
+    capex_per_watt: float = spec("capex_per_watt_cny", NONNEGATIVE)  # CNY/W
+    annual_consumption: float = spec("annual_consumption_kwh", NONNEGATIVE)  # kWh/yr
 
 
 def load_pv_site(text: str) -> PvSite:
     """Parse a PV site file: panel dimensions and rating must be > 0, the
     packing factor within (0, 1] and the other values nonnegative."""
-    doc = read_json(text, "pv_site")
-    panel = doc.get("panel")
-    if panel is not None and not isinstance(panel, dict):
-        raise SpecError(f"pv_site.panel must be a JSON object, got {panel!r}")
-    return PvSite(
-        roof_area=number(doc, "roof_area_m2", "pv_site.", NONNEGATIVE),
-        panel=PanelSpec(*(number(panel, key, "pv_site.panel.", POSITIVE)
-                          for key in ("length_m", "width_m", "rated_power_w"))),
-        packing_factor=number(doc, "packing_factor", "pv_site.",
-                              (lambda v: 0 < v <= 1, "must be within (0, 1]")),
-        capex_per_watt=number(doc, "capex_per_watt_cny", "pv_site.", NONNEGATIVE),
-        annual_consumption=number(doc, "annual_consumption_kwh", "pv_site.", NONNEGATIVE),
-    )
+    return _read(PvSite, read_json(text, "pv_site"), "pv_site.", row=True)
 
 
 def site_economics(site: PvSite, equivalent_hours: float,
                    tariff: Tariff) -> PvEconomicsReport:
-    """Chain sizing, yield and economics for one site."""
+    """Chain sizing, yield and economics for one site; :class:`ValueError` if the
+    site's or the tariff's values, each finite, overflow a reported quantity."""
     count = panel_count(site.roof_area, site.panel, site.packing_factor)
     capacity_kw = count * site.panel.rated_power / 1000.0
     generation = annual_generation(capacity_kw, equivalent_hours)
-    return economics(generation, site.annual_consumption, tariff,
-                     site.capex_per_watt, capacity_kw, panel_count=count)
+    report = economics(generation, site.annual_consumption, tariff,
+                       site.capex_per_watt, capacity_kw, panel_count=count)
+    if not all(math.isfinite(v) for v in report.to_dict().values() if v is not None):
+        raise ValueError("the site's roof area, panel, capex or consumption, or the "
+                         "tariff's prices, overflow its PV economics")
+    return report

@@ -763,6 +763,8 @@ def _dotted(path):
            "pv_site.packing_factor must be within (0, 1], got 0.0"),
     _probe("pv", "pv_site.json", _set("panel", value=[1, 2]),
            "pv_site.panel must be a JSON object, got [1, 2]", id="pv-panel-not-an-object"),
+    _probe("pv", "pv_site.json", _set("panel", drop=True),
+           "missing required field pv_site.panel", id="pv-panel-missing"),
     _probe("optimize", "paper_space.json", _rename("code_limits", to="code_limit"),
            "code_limit is not a design space field", id="optimize-space-unknown-key"),
     _probe("optimize", "paper_space.json", _set("wwr", "SW", value=[0.3]),
@@ -794,17 +796,18 @@ def test_malformed_input_is_one_line_naming_the_field(fixtures, tmp_path, capsys
     assert not out.exists()
 
 
-def _every_wall_area(value):
+def _every_group(*path, value):
+    """Set ``path`` in every envelope group of a spec to ``value``."""
     def edit(doc):
         for group in doc["orientations"]:
-            group["gross_wall_area_m2"] = value
+            _set(*path, value=value)(group)
     return edit
 
 
-# A numpy RuntimeWarning would print a line before the error: the warning filter fails it.
-@pytest.mark.filterwarnings("error")
+# A numpy RuntimeWarning would print a line before the error: pytest's warning filter
+# (pyproject.toml) fails it.
 @pytest.mark.parametrize("name, edit, k, named", [
-    pytest.param("baseline_school.json", _every_wall_area(1e308), "10",
+    pytest.param("baseline_school.json", _every_group("gross_wall_area_m2", value=1e308), "10",
                  "overflow the designs' EUI", id="wall-area"),
     pytest.param("baseline_school.json",
                  lambda d: d.update(conditioned_volume_m3=1e308, infiltration_ach=10), "20736",
@@ -823,6 +826,51 @@ def test_optimize_overflow_is_one_line_and_writes_nothing(fixtures, tmp_path, ca
     path.write_text(json.dumps(doc))
     out = tmp_path / "o"
     code = main(_argv(fixtures, "optimize", **{name: path}) + ["--k", k, "--out", str(out)])
+    assert code == 1
+    err_lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: ") and named in err_lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, name, edit, named", [
+    pytest.param("pv", "pv_site.json", _set("roof_area_m2", value=1e308),
+                 "the site's roof area, panel, capex or consumption, or the tariff's prices, "
+                 "overflow its PV economics", id="pv-roof-area"),
+    pytest.param("pv", "pv_site.json", _set("capex_per_watt_cny", value=1e308),
+                 "overflow its PV economics", id="pv-capex"),
+    pytest.param("pv", "pv_site.json", _set("panel", "length_m", value=5e-324),
+                 "the roof area over the panel's length and width overflows the panel count",
+                 id="pv-panel-length"),
+    pytest.param("pv", "pv_site.json",
+                 lambda doc: doc["panel"].update(length_m=5e-324, width_m=0.5),
+                 "overflows the panel count", id="pv-panel-footprint-zero"),
+    pytest.param("audit", "paper_tariff.json", _set("electricity_price_cny_kwh", value=1e306),
+                 "the tariff's prices or the spec's floor area overflow the annual cost",
+                 id="audit-electricity-price"),
+    pytest.param("audit", "baseline_school.json", _set("conditioned_volume_m3", value=1e308),
+                 "the spec's areas, volume or loads, or the gas energy content, overflow its "
+                 "annual end use", id="audit-volume"),
+    pytest.param("audit", "baseline_school.json", _every_group("wall", "r_value", value=5e-324),
+                 "overflow its annual end use", id="audit-wall-r-value"),
+    pytest.param("audit", "baseline_school.json", _set("floor_area_m2", value=1e-320),
+                 "the spec's end use over its floor area overflows the EUI", id="audit-floor-area"),
+    pytest.param("calibrate", "baseline_school.json",
+                 _set("lighting", "lamp_power_w", value=1e308),
+                 "overflow its annual end use", id="calibrate-lamp-power"),
+])
+def test_overflow_is_one_line_naming_the_inputs_and_writes_nothing(fixtures, tmp_path, capsys,
+                                                                   command, name, edit, named):
+    """Inputs each finite, whose end use, EUI, cost or PV economics overflow a float, are
+    refused where that value is computed: before, the report writer refused the inf or
+    nan with a line naming no input, and a zero or subnormal panel footprint escaped as
+    a ZeroDivisionError or OverflowError traceback."""
+    doc = json.loads((fixtures / name).read_text())
+    edit(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    code = main(_argv(fixtures, command, **{name: path}) + ["--out", str(out)])
     assert code == 1
     err_lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
     assert len(err_lines) == 1

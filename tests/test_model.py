@@ -22,17 +22,22 @@ from lowcarb import (
     serialize_building_spec,
     validate_spec,
 )
+from lowcarb.energy import EndUseTargets
 from lowcarb.model import (
     FRACTION,
     POSITIVE,
     HeatingFuel,
     LightingTechnology,
     Roof,
+    Tariff,
     load_climate_profile,
+    load_tariff,
     number,
     read_fixture,
     read_json,
+    record_format,
 )
+from lowcarb.pv import PvSite, load_pv_site
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +260,42 @@ class TestTariffAndFleetFiles:
         entry = {"kind": "x", "count": 1, "unit_power_w": 1.0, "duty_cycle": 0.5, field: value}
         with pytest.raises(SpecError, match=rf"^fleet\.entries\[0\]\.{field}"):
             load_sensor_fleet(json.dumps({"entries": [entry]}))
+
+
+def _field_paths(cls, path=()):
+    """The key path of every field of the record type ``cls`` and of its nested records."""
+    for f in record_format(cls):
+        yield path + (f.key,)
+        if f.record:
+            yield from _field_paths(f.kind, path + (f.key,))
+
+
+#: (bundled file, field context, loader, record type) of each flat input file.
+_FLAT_FILES = [("paper_tariff.json", "tariff.", load_tariff, Tariff),
+               ("baseline_targets.json", "targets.", EndUseTargets.from_json, EndUseTargets),
+               ("pv_site.json", "pv_site.", load_pv_site, PvSite)]
+
+
+@pytest.mark.parametrize("name, context, load, path", [
+    pytest.param(name, context, load, path, id=context + ".".join(path))
+    for name, context, load, cls in _FLAT_FILES for path in _field_paths(cls)])
+@pytest.mark.parametrize("value", [None, math.nan], ids=["drop", "nan"])
+def test_flat_file_errors_name_the_field(name, context, load, path, value):
+    doc = json.loads(read_fixture(name))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    field = context + ".".join(path)
+    with pytest.raises(SpecError) as err:
+        load(json.dumps(doc))
+    if value is None:
+        assert str(err.value) == f"missing required field {field}"
+    else:
+        assert str(err.value).startswith(f"{field} must be ")
 
 
 # ---------------------------------------------------------------------------
