@@ -27,7 +27,7 @@ _EXPORTS = {
                  "apply_design", "code_check", "enumerate_designs", "optimize"),
     "pv": ("PanelSpec", "PvEconomicsReport", "annual_generation", "economics",
            "panel_count"),
-    "node": ("AlarmState", "EnvSample", "NodeConfig", "NodeState", "SimResult",
+    "node": ("AlarmState", "EnvSample", "NodeConfig", "NodePanel", "NodeState", "SimResult",
              "alarm_transition", "fleet_annual_energy", "simulate", "step"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

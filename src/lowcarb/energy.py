@@ -28,8 +28,6 @@ from .model import (
     SpecError,
     Tariff,
     _read,
-    known_keys,
-    number,
     read_json,
     record_format,
     spec,
@@ -66,9 +64,9 @@ class CalibrationParams:
     ``equipment_multiplier`` rescales equipment energy.
     """
 
-    internal_gain_multiplier: float = 1.0
-    schedule_multiplier: float = 1.0
-    equipment_multiplier: float = 1.0
+    internal_gain_multiplier: float = spec("internal_gain_multiplier", NONNEGATIVE, default=1.0)
+    schedule_multiplier: float = spec("schedule_multiplier", NONNEGATIVE, default=1.0)
+    equipment_multiplier: float = spec("equipment_multiplier", NONNEGATIVE, default=1.0)
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ class EndUseTargets:
     @staticmethod
     def from_json(text: str) -> "EndUseTargets":
         """Parse a targets file; every target must be a finite number > 0."""
-        return _read(EndUseTargets, read_json(text, "targets"), "targets.", row=True)
+        return _read(EndUseTargets, read_json(text, "targets"), "targets.")
 
 
 def shading_factor(overhang_ratio: float, sun_altitude: float) -> float:
@@ -320,7 +318,8 @@ def calibrate(spec: BuildingSpec, climate: ClimateProfile,
     Raises
     ------
     ValueError
-        If any target is not positive.
+        If any target is not positive, or the cooling or heating one is so small
+        or so large that the least squares overflows.
     CalibrationError
         If the best residual exceeds :data:`CALIBRATION_TOLERANCE`.
     """
@@ -365,12 +364,16 @@ def calibrate(spec: BuildingSpec, climate: ClimateProfile,
         return rc * rc + rh * rh
 
     candidates = [0.0]
-    # unclamped least squares
-    denom = (cool_slope / target_cool_kwh) ** 2 + (heat_slope / target_heat_kwh) ** 2
-    if denom > 0:
-        num = ((target_cool_kwh - cool0) * cool_slope / target_cool_kwh ** 2
-               + (heat0 - target_heat_kwh) * heat_slope / target_heat_kwh ** 2)
-        candidates.append(max(0.0, num / denom))
+    # unclamped least squares, whose float squares a tiny or huge target overflows or zeroes
+    try:
+        denom = (cool_slope / target_cool_kwh) ** 2 + (heat_slope / target_heat_kwh) ** 2
+        if denom > 0:
+            num = ((target_cool_kwh - cool0) * cool_slope / target_cool_kwh ** 2
+                   + (heat0 - target_heat_kwh) * heat_slope / target_heat_kwh ** 2)
+            candidates.append(max(0.0, num / denom))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("the targets' cooling_gj or heating_gj overflows the least squares "
+                         "of the internal-gain multiplier") from None
     # clamp boundary and the cooling-only optimum in the clamped region
     if heat_slope > 0:
         candidates.append(max(0.0, heat0 / heat_slope))
@@ -408,11 +411,5 @@ def load_calibration(text: str) -> CalibrationParams:
         legal: :func:`calibrate` can fit 0 for the internal-gain multiplier.
     """
     block = read_json(text, "calibration").get("calibration")
-    if block is None:
-        return CalibrationParams()
-    if not isinstance(block, dict):
-        raise SpecError(f"calibration block must be a JSON object, got {block!r}")
-    names = ("internal_gain_multiplier", "schedule_multiplier", "equipment_multiplier")
-    known_keys(block, names, "calibration.", "calibration")
-    return CalibrationParams(*(number(block, name, "calibration.", NONNEGATIVE, default=1.0)
-                               for name in names))
+    return _read(CalibrationParams, {} if block is None else block, "calibration.",
+                 "calibration")

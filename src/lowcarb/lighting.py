@@ -1,4 +1,9 @@
-"""Daylight sufficiency classification and lumen-method luminaire sizing."""
+"""Daylight sufficiency classification and lumen-method luminaire sizing.
+
+The rooms and lamps files are CSVs with a header row, read through the field
+declarations (:func:`lowcarb.model.spec`) of :class:`Room` and :class:`Lamp`; each
+row is named by its ``id``, which must not repeat.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .energy import MJ_PER_KWH, annual_lighting_kwh
-from .model import FRACTION, NONNEGATIVE, POSITIVE, SpecError, number
+from .model import FRACTION, NONNEGATIVE, POSITIVE, SpecError, _read, spec
 
 #: Flat-rate constant of the average daylight-factor formula
 #: DF = window_area * VT * 45 / total_room_surface_area (in percent).
@@ -26,23 +31,23 @@ class DaylightClass(str, Enum):
 
 @dataclass(frozen=True)
 class Room:
-    id: str
-    floor_area: float  # m2
-    depth_from_window: float  # m
-    window_area: float  # m2
-    glazing_vt: float
-    target_illuminance: float  # lux
-    window_head_height: float = 2.4  # m
-    ceiling_height: float = 3.0  # m
+    id: str = spec("id")
+    floor_area: float = spec("floor_area_m2", POSITIVE)  # m2
+    depth_from_window: float = spec("depth_from_window_m", NONNEGATIVE)  # m
+    window_area: float = spec("window_area_m2", NONNEGATIVE)  # m2
+    glazing_vt: float = spec("glazing_vt", FRACTION)
+    target_illuminance: float = spec("target_illuminance_lux", NONNEGATIVE)  # lux
+    window_head_height: float = spec("window_head_height_m", POSITIVE, default=2.4)  # m
+    ceiling_height: float = spec("ceiling_height_m", POSITIVE, default=3.0)  # m
 
 
 @dataclass(frozen=True)
 class Lamp:
-    id: str
-    luminous_flux: float  # lumen
-    power: float  # W
-    utilization_factor: float
-    maintenance_factor: float
+    id: str = spec("id")
+    luminous_flux: float = spec("luminous_flux_lm", POSITIVE)  # lumen
+    power: float = spec("power_w", NONNEGATIVE)  # W
+    utilization_factor: float = spec("utilization_factor", POSITIVE)
+    maintenance_factor: float = spec("maintenance_factor", POSITIVE)
 
 
 def daylight_class(room: Room) -> DaylightClass:
@@ -97,43 +102,26 @@ def _checked_lighting_kwh(count: int, lamp_power: float, hours: float,
 
 def load_rooms(text: str) -> list[Room]:
     """Rooms fixture CSV -> Room list (column order free, header required)."""
-    rooms = []
-    for row in csv.DictReader(io.StringIO(text)):
-        rid = _row_id(row, "room")
-        ctx = f"room {rid!r}: "
-        rooms.append(Room(
-            id=rid,
-            floor_area=number(row, "floor_area_m2", ctx, POSITIVE),
-            depth_from_window=number(row, "depth_from_window_m", ctx, NONNEGATIVE),
-            window_area=number(row, "window_area_m2", ctx, NONNEGATIVE),
-            glazing_vt=number(row, "glazing_vt", ctx, FRACTION),
-            target_illuminance=number(row, "target_illuminance_lux", ctx, NONNEGATIVE),
-            window_head_height=number(row, "window_head_height_m", ctx, POSITIVE, default=2.4),
-            ceiling_height=number(row, "ceiling_height_m", ctx, POSITIVE, default=3.0),
-        ))
-    return rooms
+    return list(_read_rows(Room, text, "room").values())
 
 
 def load_lamps(text: str) -> dict[str, Lamp]:
-    lamps = {}
+    """Lamps CSV -> Lamp by id (column order free, header required)."""
+    return _read_rows(Lamp, text, "lamp")
+
+
+def _read_rows(cls: type, text: str, kind: str) -> dict:
+    """Each CSV row's ``cls`` record by its stripped id, in file order; a bad cell is
+    named after the ``kind`` and id of its row."""
+    records = {}
     for row in csv.DictReader(io.StringIO(text)):
-        lid = _row_id(row, "lamp")
-        ctx = f"lamp {lid!r}: "
-        lamps[lid] = Lamp(
-            id=lid,
-            luminous_flux=number(row, "luminous_flux_lm", ctx, POSITIVE),
-            power=number(row, "power_w", ctx, NONNEGATIVE),
-            utilization_factor=number(row, "utilization_factor", ctx, POSITIVE),
-            maintenance_factor=number(row, "maintenance_factor", ctx, POSITIVE),
-        )
-    return lamps
-
-
-def _row_id(row: dict, kind: str) -> str:
-    rid = (row.get("id") or "").strip()
-    if not rid:
-        raise SpecError(f"{kind} row missing id: {row!r}")
-    return rid
+        rid = (row.get("id") or "").strip()
+        if not rid:
+            raise SpecError(f"{kind} row missing id: {row!r}")
+        if rid in records:
+            raise SpecError(f"{kind} id {rid!r} repeats an earlier row")
+        records[rid] = _read(cls, {**row, "id": rid}, f"{kind} {rid!r}: ")
+    return records
 
 
 def write_lighting_report(rooms: list[Room], lamp: Lamp, annual_hours: float,

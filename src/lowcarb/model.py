@@ -3,13 +3,16 @@
 All types are frozen dataclasses and safe to share between threads. Parsing
 is strict. Each field of a record read from a file declares its key, rule and
 default once, on its class, through :func:`spec`; :func:`record_format` collects
-them. The building spec's parse, validate and serialize all walk that format,
-and a key it does not list (besides the top-level ``schema_version`` and
-``calibration``) is refused by its path; the tariff, targets and PV site files
-and the catalog's rows are read through it too. Spec files carry every thermal
-coefficient explicitly: the only defaulted fields are ``daylight_offset``,
-``overhang_ratio`` and ``cost_index``, and a null or absent one takes its
-default. Spec numbers pass the same boundary as every other input
+them. Every file that maps one key to one field is read through that format by
+:func:`_read`: the building spec, the tariff, targets, PV site, sensor fleet and
+node config files, the spec's ``calibration`` block, and the catalog, rooms and
+lamps rows. :func:`validate_spec` checks the rules of any such record built in
+code, and :func:`check_record` raises its first broken one. The building spec's
+serialize walks the format too, and a key it does not list (besides the
+top-level ``schema_version`` and ``calibration``) is refused by its path. Spec
+files carry every thermal coefficient explicitly: the only defaulted fields are
+``daylight_offset``, ``overhang_ratio`` and ``cost_index``, and a null or absent
+one takes its default. Spec numbers pass the same boundary as every other input
 (:func:`number`), so a malformed one is named by its JSON path; ``name``, ids
 and enums are required strings (:func:`string`).
 """
@@ -256,15 +259,15 @@ class Tariff:
 
 @dataclass(frozen=True)
 class SensorEntry:
-    kind: str
-    count: int
-    unit_power: float  # W
-    duty_cycle: float
+    kind: str = spec("kind")
+    count: int = spec("count", INTEGER)
+    unit_power: float = spec("unit_power_w", NONNEGATIVE)  # W
+    duty_cycle: float = spec("duty_cycle", FRACTION)
 
 
 @dataclass(frozen=True)
 class SensorFleet:
-    entries: tuple[SensorEntry, ...]
+    entries: tuple[SensorEntry, ...] = spec("entries")
 
 
 @dataclass(frozen=True)
@@ -372,17 +375,18 @@ def glazed_area(spec: BuildingSpec, orientation: Orientation | str) -> float:
 # records read through record_format, and the building spec file (JSON)
 # ---------------------------------------------------------------------------
 
-def _read(cls: type, doc: Any, context: str, row: bool = False) -> Any:
-    """A ``cls`` record from ``doc``, whose fields are named ``context + key``: a spec's
-    JSON object, which may hold no other key and whose rules :func:`validate_spec`
-    checks, or if ``row`` a flat input file or a catalog CSV row, which may hold other
-    keys and whose rules are checked here. A nested record is read in the same mode."""
+def _read(cls: type, doc: Any, context: str, what: str | None = None,
+          rules: bool = True) -> Any:
+    """A ``cls`` record from the JSON object or CSV row ``doc``, whose fields are named
+    ``context + key``. If ``what`` is set, a key that no field declares is refused as
+    not a ``what`` field; if ``rules``, each value must pass its field's rule (the
+    building spec leaves them to :func:`validate_spec`). Nested records read alike."""
     where = context.removesuffix(".")
     if not isinstance(doc, dict):
         raise SpecError(f"missing required field {where}" if doc is None
                         else f"{where} must be a JSON object, got {doc!r}")
-    if not row:
-        known_keys(doc, [f.key for f in record_format(cls)], context, "spec")
+    if what:
+        known_keys(doc, [f.key for f in record_format(cls)], context, what)
     values = {}
     for f in record_format(cls):
         name = context + f.key
@@ -391,23 +395,24 @@ def _read(cls: type, doc: Any, context: str, row: bool = False) -> Any:
             if not isinstance(items, list):
                 raise SpecError(f"missing required field {name}" if items is None
                                 else f"{name} must be a JSON list, got {items!r}")
-            value = tuple(_read(f.kind[0], item, f"{name}[{i}].", row)
+            value = tuple(_read(f.kind[0], item, f"{name}[{i}].", what, rules)
                           for i, item in enumerate(items))
         elif f.record:
-            value = _read(f.kind, doc.get(f.key), name + ".", row)
+            value = _read(f.kind, doc.get(f.key), name + ".", what, rules)
         elif f.kind is float or f.kind is int:
             value = f.kind(number(doc, f.key, context, INTEGER if f.kind is int else None,
                                   f.default))
-            value = check(value, name, f.rule) if row else value
+            value = check(value, name, f.rule) if rules else value
         else:
             value = string(doc, f.key, context, None if f.kind is str else f.kind)
         values[f.attr] = value
     return cls(**values)
 
 
-def validate_spec(spec: BuildingSpec) -> list[Violation]:
-    """Check every rule of the spec's :func:`record_format`; returns an empty list iff
-    all hold."""
+def validate_spec(record: Any, prefix: str = "") -> list[Violation]:
+    """Check every rule of ``record``'s :func:`record_format`, naming each field
+    ``prefix + attr`` and a tuple's items by their first field; returns an empty list
+    iff all hold."""
     out: list[Violation] = []
 
     def walk(record: Any, prefix: str) -> None:
@@ -415,7 +420,8 @@ def validate_spec(spec: BuildingSpec) -> list[Violation]:
             value, name = getattr(record, f.attr), prefix + f.attr
             if isinstance(f.kind, tuple):
                 first = record_format(f.kind[0])[0].attr
-                items, value = value, [getattr(item, first).value for item in value]
+                items, value = value, [getattr(key, "value", key) for key in
+                                       (getattr(item, first) for item in value)]
             if f.rule is not None and not f.rule[0](value):
                 out.append(Violation(name, value, f.rule[1]))
             if isinstance(f.kind, tuple):
@@ -424,8 +430,15 @@ def validate_spec(spec: BuildingSpec) -> list[Violation]:
             elif f.record:
                 walk(value, name + ".")
 
-    walk(spec, "")
+    walk(record, prefix)
     return out
+
+
+def check_record(record: Any, prefix: str = "") -> None:
+    """Raise :class:`SpecError` for the first rule of ``record`` that
+    :func:`validate_spec` finds broken."""
+    for v in validate_spec(record, prefix):
+        raise SpecError(f"{v.field} {v.rule}, got {v.value!r}")
 
 
 def parse_building_spec(text: str) -> BuildingSpec:
@@ -442,7 +455,8 @@ def parse_building_spec(text: str) -> BuildingSpec:
         number(doc, "schema_version", "", SCHEMA)  # read_json lets an absent one pass
         # the other top-level keys: the version, checked above, and load_calibration's block
         spec = _read(BuildingSpec, {key: value for key, value in doc.items()
-                                    if key not in ("schema_version", "calibration")}, "")
+                                    if key not in ("schema_version", "calibration")},
+                     "", "spec", rules=False)
     except SpecError as exc:
         raise SpecError(f"malformed spec: {exc}") from exc
 
@@ -536,9 +550,9 @@ def load_catalog(text: str) -> Catalog:
         ``visible_transmittance`` outside [0, 1]. An empty ``cost_index`` reads as 1.
     """
     readers = {
-        "construction": lambda row: _read(OpaqueConstruction, row, "", row=True),
-        "glazing": lambda row: _read(GlazingOption, row, "", row=True),
-        "hvac": lambda row: _read(HvacSystem, row, "", row=True),
+        "construction": lambda row: _read(OpaqueConstruction, row, ""),
+        "glazing": lambda row: _read(GlazingOption, row, ""),
+        "hvac": lambda row: _read(HvacSystem, row, ""),
         "lighting": lambda row: number(row, "lamp_power_w", "", POSITIVE),
     }
     tables: dict[str, dict] = {kind: {} for kind in readers}
@@ -568,22 +582,12 @@ def load_catalog(text: str) -> Catalog:
 
 def load_tariff(text: str) -> Tariff:
     """Parse a tariff file; every price and the gas energy content must be > 0."""
-    return _read(Tariff, read_json(text, "tariff"), "tariff.", row=True)
+    return _read(Tariff, read_json(text, "tariff"), "tariff.")
 
 
 def load_sensor_fleet(text: str) -> SensorFleet:
     """Parse a sensor-fleet file: a list of entries with kind, count, power and duty."""
-    entries = read_json(text, "fleet").get("entries")
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise SpecError("fleet.entries must be a list of JSON objects")
-    return SensorFleet(tuple(
-        SensorEntry(
-            kind=string(edoc, "kind", f"fleet.entries[{i}]."),
-            count=int(number(edoc, "count", f"fleet.entries[{i}].", INTEGER)),
-            unit_power=number(edoc, "unit_power_w", f"fleet.entries[{i}].", NONNEGATIVE),
-            duty_cycle=number(edoc, "duty_cycle", f"fleet.entries[{i}].", FRACTION),
-        )
-        for i, edoc in enumerate(entries)))
+    return _read(SensorFleet, read_json(text, "fleet"), "fleet.")
 
 
 # ---------------------------------------------------------------------------

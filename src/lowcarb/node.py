@@ -11,6 +11,11 @@ the node counts as down.
 on one sample. Both keep the per-step columns in stdlib ``array.array``s and run
 without numpy; :class:`SimResult` shows the columns to library callers as numpy
 arrays, importing numpy only when one is read.
+
+:func:`load_node_config` reads a node config file through the field declarations
+(:func:`lowcarb.model.spec`) of :class:`NodeConfig`, :class:`NodePanel` and
+:class:`SensorLoad`; :meth:`NodeConfig.validate` checks the same rules on a config
+built in code.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from . import _kernels
-from .model import (FRACTION, NONNEGATIVE, POSITIVE, SensorFleet, SpecError, TraceError,
-                    check, known_keys, number, read_json, string, total)
+from .model import (FRACTION, NONNEGATIVE, POSITIVE, SensorFleet, SpecError, TraceError, _read,
+                    check_record, read_json, spec, total)
 
 if TYPE_CHECKING:
     import numpy as np  # imported at run time by the SimResult views, on first read
@@ -43,24 +48,29 @@ class AlarmState(str, Enum):
 
 
 @dataclass(frozen=True)
+class NodePanel:
+    rated_power: float = spec("rated_power_w", NONNEGATIVE)  # W
+    rated_voltage: float = spec("rated_voltage_v", NONNEGATIVE)  # V
+    rated_current: float = spec("rated_current_a", NONNEGATIVE)  # A
+
+
+@dataclass(frozen=True)
 class SensorLoad:
-    name: str
-    power: float  # W
-    duty_cycle: float
+    name: str = spec("name")
+    power: float = spec("power_w", NONNEGATIVE)  # W
+    duty_cycle: float = spec("duty_cycle", FRACTION)
 
 
 @dataclass(frozen=True)
 class NodeConfig:
-    panel_rated_power: float  # W
-    panel_rated_voltage: float  # V
-    panel_rated_current: float  # A
-    battery_capacity: float  # Wh
-    controller_idle_power: float  # W
-    sensor_loads: tuple[SensorLoad, ...]
-    rain_threshold: float  # sensor units
-    alarm_power: float  # W
-    hysteresis: float = 0.0  # sensor units
-    charge_efficiency: float = 1.0
+    panel: NodePanel = spec("panel")
+    battery_capacity: float = spec("battery_capacity_wh", POSITIVE)  # Wh
+    controller_idle_power: float = spec("controller_idle_power_w", NONNEGATIVE)  # W
+    sensor_loads: tuple[SensorLoad, ...] = spec("sensor_loads")
+    rain_threshold: float = spec("rain_threshold", NONNEGATIVE)  # sensor units
+    alarm_power: float = spec("alarm_power_w", NONNEGATIVE)  # W
+    hysteresis: float = spec("hysteresis", NONNEGATIVE, default=0.0)  # sensor units
+    charge_efficiency: float = spec("charge_efficiency", FRACTION, default=1.0)
 
     @property
     def base_load(self) -> float:
@@ -69,19 +79,15 @@ class NodeConfig:
             s.power * s.duty_cycle for s in self.sensor_loads)
 
     def validate(self) -> None:
-        for name in ("panel_rated_power", "panel_rated_voltage", "panel_rated_current",
-                     "controller_idle_power", "rain_threshold", "alarm_power", "hysteresis"):
-            check(getattr(self, name), name, NONNEGATIVE)
-        check(self.battery_capacity, "battery_capacity", POSITIVE)
-        check(self.charge_efficiency, "charge_efficiency", FRACTION)
-        for s in self.sensor_loads:
-            check(s.power, f"sensor {s.name!r} power", NONNEGATIVE)
-            check(s.duty_cycle, f"sensor {s.name!r} duty_cycle", FRACTION)
-        rated = self.panel_rated_voltage * self.panel_rated_current
-        if rated > 0 and abs(self.panel_rated_power - rated) > PANEL_RATING_TOLERANCE * rated:
+        """Raise :class:`SpecError` for the first broken field rule, or for a rated
+        power that disagrees with rated voltage x current."""
+        check_record(self)
+        panel = self.panel
+        rated = panel.rated_voltage * panel.rated_current
+        if rated > 0 and abs(panel.rated_power - rated) > PANEL_RATING_TOLERANCE * rated:
             raise SpecError(
-                f"panel rating inconsistent: {self.panel_rated_power} W vs "
-                f"{self.panel_rated_voltage} V x {self.panel_rated_current} A = {rated} W")
+                f"panel rating inconsistent: {panel.rated_power} W vs "
+                f"{panel.rated_voltage} V x {panel.rated_current} A = {rated} W")
 
 
 @dataclass(frozen=True)
@@ -234,7 +240,7 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
     start = initial if initial is not None else initial_state(config)
     soc, alarm, harvest, load, served, harvested, served_total, curtailed = _kernels.node_sim(
         irr, rain, dt, start.soc, 1 if start.alarm is AlarmState.ALARM else 0,
-        config.panel_rated_power, config.base_load, config.alarm_power,
+        config.panel.rated_power, config.base_load, config.alarm_power,
         config.battery_capacity, config.rain_threshold, config.hysteresis,
         config.charge_efficiency)
 
@@ -272,34 +278,11 @@ def fleet_annual_energy(fleet: SensorFleet) -> float:
 
 def load_node_config(text: str) -> NodeConfig:
     """Parse a node config file; the values must pass :meth:`NodeConfig.validate`,
-    and a key that is not read here, at any level, is refused."""
+    and a key that no field declares, at any level, is refused. The top level may
+    also hold ``schema_version`` and ``name``."""
     doc = read_json(text, "node")
-    known_keys(doc, ("schema_version", "name", "panel", "battery_capacity_wh",
-                     "controller_idle_power_w", "sensor_loads", "rain_threshold",
-                     "alarm_power_w", "hysteresis", "charge_efficiency"), "node.", "node config")
-    panel = doc.get("panel")
-    panel_keys = ("rated_power_w", "rated_voltage_v", "rated_current_a")
-    known_keys(panel, panel_keys, "node.panel.", "node config")
-    loads = doc.get("sensor_loads", [])
-    if not isinstance(loads, list) or not all(isinstance(s, dict) for s in loads):
-        raise SpecError("node.sensor_loads must be a list of JSON objects")
-    for i, s in enumerate(loads):
-        known_keys(s, ("name", "power_w", "duty_cycle"), f"node.sensor_loads[{i}].",
-                   "node config")
-    config = NodeConfig(
-        *(number(panel, key, "node.panel.", NONNEGATIVE) for key in panel_keys),
-        battery_capacity=number(doc, "battery_capacity_wh", "node.", POSITIVE),
-        controller_idle_power=number(doc, "controller_idle_power_w", "node.", NONNEGATIVE),
-        sensor_loads=tuple(
-            SensorLoad(string(s, "name", f"node.sensor_loads[{i}]."),
-                       number(s, "power_w", f"node.sensor_loads[{i}].", NONNEGATIVE),
-                       number(s, "duty_cycle", f"node.sensor_loads[{i}].", FRACTION))
-            for i, s in enumerate(loads)),
-        rain_threshold=number(doc, "rain_threshold", "node.", NONNEGATIVE),
-        alarm_power=number(doc, "alarm_power_w", "node.", NONNEGATIVE),
-        hysteresis=number(doc, "hysteresis", "node.", NONNEGATIVE, default=0.0),
-        charge_efficiency=number(doc, "charge_efficiency", "node.", FRACTION, default=1.0),
-    )
+    config = _read(NodeConfig, {key: value for key, value in doc.items()
+                                if key not in ("schema_version", "name")}, "node.", "node config")
     config.validate()
     return config
 

@@ -469,7 +469,8 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     SpecError
         When the space names an id the catalog lacks.
     ValueError
-        When the spec's loads or the tariff's prices overflow a design's EUI or cost.
+        When the spec's loads, or the tariff's prices or gas energy content, overflow a
+        design's EUI or cost.
     """
     import numpy as np
 
@@ -539,26 +540,28 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     # still carries the rounding of its large summands.
     margin = 1e-9 * scale
     held, first, stop = [], 0, order.size
-    while first < stop:
-        held.append(evaluate(order[first:min(first + per_call, stop)]))
-        first += per_call
-        if sum(part[0].size for part in held) >= k:
-            # a row with EUI above the k-th least held trails k rows; rows tied
-            # with it stay, since cost and position order them
-            cut = np.partition(np.concatenate([part[0] for part in held]), k - 1)[k - 1]
-            held = [tuple(c[keep] for c in part) for part in held for keep in [part[0] <= cut]]
-            # no design of a unit whose group bound exceeds the cut by the margin can rank
-            stop = np.searchsorted(limit, cut + margin, "right")
-
-    # free the chunk's inputs, then the held rows, before the designs are built
-    del block
-    eui, elec, gas, position = map(np.concatenate, zip(*held))
-    del held
-    # the cost of the kept rows only, then their first k in rank order
+    # a tiny gas energy content overflows a gas design's volume: refused below if kept
     with np.errstate(over="ignore", invalid="ignore"):
+        while first < stop:
+            held.append(evaluate(order[first:min(first + per_call, stop)]))
+            first += per_call
+            if sum(part[0].size for part in held) >= k:
+                # a row with EUI above the k-th least held trails k rows; rows tied
+                # with it stay, since cost and position order them
+                cut = np.partition(np.concatenate([part[0] for part in held]), k - 1)[k - 1]
+                held = [tuple(c[keep] for c in part) for part in held for keep in [part[0] <= cut]]
+                # no design of a unit whose group bound exceeds the cut by the margin can rank
+                stop = np.searchsorted(limit, cut + margin, "right")
+
+        # free the chunk's inputs, then the held rows, before the designs are built
+        del block
+        eui, elec, gas, position = map(np.concatenate, zip(*held))
+        del held
+        # the cost of the kept rows only, then their first k in rank order
         cost = cost_per_m2(elec, gas, tariff, spec.floor_area)
     if not np.isfinite(cost).all():
-        raise ValueError("the tariff's prices overflow the designs' annual cost")
+        raise ValueError("the tariff's prices or gas energy content overflow the designs' "
+                         "annual cost")
     order = np.lexsort((position, cost, eui))[:k]
     eui, cost, elec, gas, position = (c[order] for c in (eui, cost, elec, gas, position))
     # Pareto frontier on (EUI, cost): a design is on it when no design ranked

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import NONNEGATIVE, POSITIVE, Tariff, _read, check, read_json, record_format, spec
+from .model import NONNEGATIVE, POSITIVE, Tariff, _read, check_record, read_json, spec
 
 
 @dataclass(frozen=True)
@@ -17,8 +17,7 @@ class PanelSpec:
     rated_power: float = spec("rated_power_w", POSITIVE)  # W
 
     def __post_init__(self):
-        for f in record_format(PanelSpec):
-            check(getattr(self, f.attr), f"panel.{f.attr}", f.rule)
+        check_record(self, "panel.")
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ class PvSite:
 def load_pv_site(text: str) -> PvSite:
     """Parse a PV site file: panel dimensions and rating must be > 0, the
     packing factor within (0, 1] and the other values nonnegative."""
-    return _read(PvSite, read_json(text, "pv_site"), "pv_site.", row=True)
+    return _read(PvSite, read_json(text, "pv_site"), "pv_site.")
 
 
 def site_economics(site: PvSite, equivalent_hours: float,

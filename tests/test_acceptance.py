@@ -35,7 +35,7 @@ from lowcarb import (
     simulate,
 )
 from lowcarb.lighting import load_lamps, load_rooms
-from lowcarb.node import AlarmState, NodeConfig
+from lowcarb.node import AlarmState, NodeConfig, NodePanel
 from lowcarb.optimize import DesignVariables
 
 KWH_PER_GJ = 1000.0 / 3.6
@@ -251,7 +251,7 @@ class TestCriterion7Properties:
         samples = [EnvSample(float(v), float(r), float(i + 1) * 60.0)
                    for i, (v, r) in enumerate(zip(rng.random(2000),
                                                   rng.uniform(0, 1000, 2000)))]
-        config = NodeConfig(6.0, 12.0, 0.5, 16.28, 0.8, (), 500.0, 0.5, 50.0)
+        config = NodeConfig(NodePanel(6.0, 12.0, 0.5), 16.28, 0.8, (), 500.0, 0.5, 50.0)
         result = simulate(config, samples, dt=60.0)
         assert float(result.soc.min()) >= 0.0
         assert float(result.soc.max()) <= 1.0
@@ -261,12 +261,12 @@ class TestCriterion7Properties:
         samples = [EnvSample(float(v), float(r), float(i + 1) * 60.0)
                    for i, (v, r) in enumerate(zip(rng.random(1440),
                                                   rng.uniform(0, 1000, 1440)))]
-        config = NodeConfig(6.0, 12.0, 0.5, 16.28, 0.6, (), 500.0, 0.4, 25.0)
+        config = NodeConfig(NodePanel(6.0, 12.0, 0.5), 16.28, 0.6, (), 500.0, 0.4, 25.0)
         result = simulate(config, samples, dt=60.0)
         assert abs(result.ledger.residual) < 1e-9
 
     def test_battery_only_runtime(self):
-        config = NodeConfig(6.0, 12.0, 0.5, 16.28, 0.5, (), 1e9, 0.0)
+        config = NodeConfig(NodePanel(6.0, 12.0, 0.5), 16.28, 0.5, (), 1e9, 0.0)
         samples = [EnvSample(0.0, 0.0, float(i + 1) * 60.0) for i in range(2400)]
         result = simulate(config, samples, dt=60.0)
         first_down = int(np.nonzero(~result.served)[0][0])

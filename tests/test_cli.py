@@ -833,6 +833,35 @@ def test_optimize_overflow_is_one_line_and_writes_nothing(fixtures, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("hvac, code, named", [
+    pytest.param(None, 0, None, id="paper-space"),
+    pytest.param(["vav_baseline"], 1, "the tariff's prices or gas energy content overflow the "
+                 "designs' annual cost", id="gas-hvac-only"),
+])
+def test_optimize_tiny_gas_energy_content(fixtures, tmp_path, capsys, hvac, code, named):
+    """A gas energy content of 5e-324 kWh/m3 overflows every gas design's volume. On the
+    paper space the top designs are electric, so the run succeeds with nothing on stderr
+    (before, a numpy RuntimeWarning was printed); where every design burns gas, the kept
+    rows' cost is refused with one line."""
+    tariff = json.loads((fixtures / "paper_tariff.json").read_text())
+    tariff["gas_energy_content_kwh_m3"] = 5e-324
+    (tmp_path / "tariff.json").write_text(json.dumps(tariff))
+    space = json.loads((fixtures / "paper_space.json").read_text())
+    space["hvac"] = hvac or space["hvac"]
+    (tmp_path / "space.json").write_text(json.dumps(space))
+    out = tmp_path / "o"
+    argv = _argv(fixtures, "optimize", **{"paper_tariff.json": tmp_path / "tariff.json",
+                                          "paper_space.json": tmp_path / "space.json"})
+    assert main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if named is None:
+        assert err == ""
+        assert (out / "results.json").exists()
+    else:
+        assert err.splitlines() == [f"error: {named}"]
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command, name, edit, named", [
     pytest.param("pv", "pv_site.json", _set("roof_area_m2", value=1e308),
                  "the site's roof area, panel, capex or consumption, or the tariff's prices, "
@@ -858,13 +887,23 @@ def test_optimize_overflow_is_one_line_and_writes_nothing(fixtures, tmp_path, ca
     pytest.param("calibrate", "baseline_school.json",
                  _set("lighting", "lamp_power_w", value=1e308),
                  "overflow its annual end use", id="calibrate-lamp-power"),
+    pytest.param("calibrate", "baseline_targets.json", _set("heating_gj", value=5e-324),
+                 "the targets' cooling_gj or heating_gj overflows the least squares of the "
+                 "internal-gain multiplier", id="calibrate-heating-target"),
+    pytest.param("calibrate", "baseline_targets.json", _set("cooling_gj", value=5e-324),
+                 "overflows the least squares", id="calibrate-cooling-target"),
+    pytest.param("calibrate", "baseline_targets.json", _set("heating_gj", value=1e-160),
+                 "overflows the least squares", id="calibrate-heating-target-square"),
+    pytest.param("calibrate", "baseline_targets.json", _set("cooling_gj", value=1e300),
+                 "overflows the least squares", id="calibrate-cooling-target-huge"),
 ])
 def test_overflow_is_one_line_naming_the_inputs_and_writes_nothing(fixtures, tmp_path, capsys,
                                                                    command, name, edit, named):
-    """Inputs each finite, whose end use, EUI, cost or PV economics overflow a float, are
-    refused where that value is computed: before, the report writer refused the inf or
-    nan with a line naming no input, and a zero or subnormal panel footprint escaped as
-    a ZeroDivisionError or OverflowError traceback."""
+    """Inputs each finite, whose end use, EUI, cost, PV economics or calibration least
+    squares overflow a float, are refused where that value is computed: before, the
+    report writer refused the inf or nan with a line naming no input, and a zero or
+    subnormal panel footprint, or a tiny or huge cooling or heating target, escaped as a
+    ZeroDivisionError or OverflowError traceback."""
     doc = json.loads((fixtures / name).read_text())
     edit(doc)
     path = tmp_path / name

@@ -21,7 +21,7 @@ from lowcarb import (
 )
 from lowcarb.energy import CalibrationParams
 from lowcarb.model import LightingTechnology
-from lowcarb.node import NodeConfig, initial_state
+from lowcarb.node import NodeConfig, NodePanel, initial_state
 from lowcarb.optimize import CodeLimits
 
 
@@ -113,7 +113,7 @@ def test_batch_energy_matches_scalar_engine_on_random_spaces(
     dt=st.floats(1.0, 7200.0),
 )
 def test_step_fold_reproduces_simulate(samples, threshold, hysteresis, load_w, alarm_w, dt):
-    config = NodeConfig(6.0, 12.0, 0.5, 16.28, load_w, (), threshold, alarm_w,
+    config = NodeConfig(NodePanel(6.0, 12.0, 0.5), 16.28, load_w, (), threshold, alarm_w,
                         hysteresis=hysteresis, charge_efficiency=0.9)
     trace = [EnvSample(irr, rain, (i + 1) * dt) for i, (irr, rain) in enumerate(samples)]
     result = simulate(config, trace, dt=dt)

@@ -12,6 +12,7 @@ from lowcarb import (
 )
 from lowcarb.energy import annual_lighting_kwh
 from lowcarb.lighting import load_lamps, load_rooms, write_lighting_report
+from lowcarb.model import SpecError
 
 LED = Lamp("led_linear_3600", 3600.0, 30.0, 0.52, 0.8)
 
@@ -154,3 +155,15 @@ def test_lighting_report_bytes_on_a_small_room_set():
 def test_lighting_report_refuses_out_of_range_arguments(hours, offset):
     with pytest.raises(ValueError):
         write_lighting_report([Room("r", 60.0, 7.2, 9.0, 0.7, 500.0)], LED, hours, offset)
+
+
+@pytest.mark.parametrize("name, load, kind", [("rooms.csv", load_rooms, "room"),
+                                              ("lamps.csv", load_lamps, "lamp")])
+def test_a_repeated_id_is_refused(name, load, kind):
+    """Before, a second lamp row of an id replaced the first and a second room row
+    was kept beside it; the id is compared after stripping, as it is stored."""
+    text = read_fixture(name)
+    rid, rest = text.splitlines()[1].split(",", 1)
+    with pytest.raises(SpecError) as err:
+        load(f"{text}{rid} ,{rest}\n")
+    assert str(err.value) == f"{kind} id {rid!r} repeats an earlier row"

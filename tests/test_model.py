@@ -1,5 +1,7 @@
 import ast
+import csv
 import dataclasses
+import io
 import json
 import math
 from pathlib import Path
@@ -22,21 +24,26 @@ from lowcarb import (
     serialize_building_spec,
     validate_spec,
 )
-from lowcarb.energy import EndUseTargets
+from lowcarb.energy import CalibrationParams, EndUseTargets, load_calibration
+from lowcarb.lighting import Lamp, Room, load_lamps, load_rooms
 from lowcarb.model import (
     FRACTION,
     POSITIVE,
     HeatingFuel,
     LightingTechnology,
     Roof,
+    SensorFleet,
     Tariff,
+    check_record,
     load_climate_profile,
+    load_sensor_fleet,
     load_tariff,
     number,
     read_fixture,
     read_json,
     record_format,
 )
+from lowcarb.node import NodeConfig, NodePanel, SensorLoad, load_node_config
 from lowcarb.pv import PvSite, load_pv_site
 
 
@@ -262,40 +269,89 @@ class TestTariffAndFleetFiles:
             load_sensor_fleet(json.dumps({"entries": [entry]}))
 
 
-def _field_paths(cls, path=()):
-    """The key path of every field of the record type ``cls`` and of its nested records."""
+def _field_paths(cls, keys=(), attrs=()):
+    """(key path, attribute path, default) of every field of the record type ``cls`` and
+    of its nested records; a tuple field's records through its first item."""
     for f in record_format(cls):
-        yield path + (f.key,)
-        if f.record:
-            yield from _field_paths(f.kind, path + (f.key,))
+        yield keys + (f.key,), attrs + (f.attr,), f.default
+        if f.record or isinstance(f.kind, tuple):
+            item = (0,) if isinstance(f.kind, tuple) else ()
+            yield from _field_paths(f.kind[0] if item else f.kind, keys + (f.key, *item),
+                                    attrs + (f.attr, *item))
 
 
-#: (bundled file, field context, loader, record type) of each flat input file.
-_FLAT_FILES = [("paper_tariff.json", "tariff.", load_tariff, Tariff),
-               ("baseline_targets.json", "targets.", EndUseTargets.from_json, EndUseTargets),
-               ("pv_site.json", "pv_site.", load_pv_site, PvSite)]
+def _dotted(path):
+    """A key path as the loaders name it, e.g. ``sensor_loads[0].name``."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
 
 
-@pytest.mark.parametrize("name, context, load, path", [
-    pytest.param(name, context, load, path, id=context + ".".join(path))
-    for name, context, load, cls in _FLAT_FILES for path in _field_paths(cls)])
+#: (bundled file, field context, loader, record type, path of the record in the file) of
+#: each file that maps one key to one field. A CSV stands for its first row alone, whose
+#: id names it: the id itself is checked by the row reader (see tests/test_lighting.py).
+_FLAT_FILES = [("paper_tariff.json", "tariff.", load_tariff, Tariff, ()),
+               ("baseline_targets.json", "targets.", EndUseTargets.from_json, EndUseTargets, ()),
+               ("pv_site.json", "pv_site.", load_pv_site, PvSite, ()),
+               ("sensor_fleet.json", "fleet.", load_sensor_fleet, SensorFleet, ()),
+               ("node_demo.json", "node.", load_node_config, NodeConfig, ()),
+               ("baseline_school.json", "", load_calibration, CalibrationParams, ("calibration",)),
+               ("rooms.csv", "room 'classroom_01': ", lambda text: load_rooms(text)[0], Room, ()),
+               ("lamps.csv", "lamp 'led_linear_3600': ",
+                lambda text: load_lamps(text)["led_linear_3600"], Lamp, ())]
+
+
+@pytest.mark.parametrize("name, context, load, keys, attrs, default", [
+    pytest.param(name, context, load, below + keys, attrs, default,
+                 id=context + _dotted(below + keys))
+    for name, context, load, cls, below in _FLAT_FILES
+    for keys, attrs, default in _field_paths(cls)
+    if not (name.endswith(".csv") and keys == ("id",))])
 @pytest.mark.parametrize("value", [None, math.nan], ids=["drop", "nan"])
-def test_flat_file_errors_name_the_field(name, context, load, path, value):
-    doc = json.loads(read_fixture(name))
+def test_flat_file_errors_name_the_field(name, context, load, keys, attrs, default, value):
+    if name.endswith(".csv"):
+        doc = next(csv.DictReader(io.StringIO(read_fixture(name))))
+    else:
+        doc = json.loads(read_fixture(name))
     parent = doc
-    for key in path[:-1]:
+    for key in keys[:-1]:
         parent = parent[key]
     if value is None:
-        del parent[path[-1]]
+        del parent[keys[-1]]
     else:
-        parent[path[-1]] = value
-    field = context + ".".join(path)
+        parent[keys[-1]] = value
+    if name.endswith(".csv"):
+        out = io.StringIO()
+        writer = csv.DictWriter(out, list(doc))
+        writer.writeheader()
+        writer.writerow(doc)
+        text = out.getvalue()
+    else:
+        text = json.dumps(doc)
+    field = context + _dotted(keys)
+    if value is None and default is not None:  # a dropped defaulted key reads as its default
+        record = load(text)
+        for attr in attrs:
+            record = record[attr] if isinstance(attr, int) else getattr(record, attr)
+        assert record == default
+        return
     with pytest.raises(SpecError) as err:
-        load(json.dumps(doc))
+        load(text)
     if value is None:
         assert str(err.value) == f"missing required field {field}"
     else:
         assert str(err.value).startswith(f"{field} must be ")
+
+
+def test_check_record_names_a_library_built_field():
+    config = load_node_config(read_fixture("node_demo.json"))
+    bad = dataclasses.replace(config, sensor_loads=(SensorLoad("rainfall", -1.0, 1.0),))
+    with pytest.raises(SpecError) as err:
+        bad.validate()
+    assert str(err.value) == ("sensor_loads[rainfall].power must be nonnegative and finite, "
+                              "got -1.0")
+    bad = dataclasses.replace(config, panel=NodePanel(6.0, 12.0, math.nan))
+    with pytest.raises(SpecError) as err:
+        check_record(bad, "node.")
+    assert str(err.value) == "node.panel.rated_current must be nonnegative and finite, got nan"
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from lowcarb import (
     AlarmState,
     EnvSample,
     NodeConfig,
+    NodePanel,
     alarm_transition,
     fleet_annual_energy,
     read_fixture,
@@ -24,7 +25,7 @@ BATTERY_WH = 16.28  # 2.2 Ah x 7.4 V
 def make_config(load_w=0.5, alarm_w=0.0, threshold=1e9, hysteresis=0.0,
                 capacity=BATTERY_WH) -> NodeConfig:
     return NodeConfig(
-        panel_rated_power=6.0, panel_rated_voltage=12.0, panel_rated_current=0.5,
+        panel=NodePanel(6.0, 12.0, 0.5),
         battery_capacity=capacity, controller_idle_power=load_w, sensor_loads=(),
         rain_threshold=threshold, alarm_power=alarm_w, hysteresis=hysteresis)
 
@@ -288,7 +289,7 @@ def test_base_load_adds_the_sensors_left_to_right():
 class TestNodeFiles:
     def test_demo_config_loads(self):
         config = load_node_config(read_fixture("node_demo.json"))
-        assert config.panel_rated_power == pytest.approx(6.0)
+        assert config.panel.rated_power == pytest.approx(6.0)
         assert config.battery_capacity == pytest.approx(16.28)
         assert config.base_load == pytest.approx(0.25 + 0.10 + 0.05 + 0.075)
 

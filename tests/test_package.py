@@ -34,7 +34,7 @@ PUBLIC = {
                  "apply_design", "code_check", "enumerate_designs", "optimize"],
     "pv": ["PanelSpec", "PvEconomicsReport", "annual_generation", "economics",
            "panel_count"],
-    "node": ["AlarmState", "EnvSample", "NodeConfig", "NodeState", "SimResult",
+    "node": ["AlarmState", "EnvSample", "NodeConfig", "NodePanel", "NodeState", "SimResult",
              "alarm_transition", "fleet_annual_energy", "simulate", "step"],
 }
 NAMES = sorted(name for names in PUBLIC.values() for name in names)
