@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -246,6 +247,7 @@ COMMANDS: dict[str, Command] = {
 }
 
 
+@functools.cache  # parsing keeps no state in the parser, so calls can share it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lowcarb",

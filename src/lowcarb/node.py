@@ -79,9 +79,12 @@ class NodeConfig:
             s.power * s.duty_cycle for s in self.sensor_loads)
 
     def validate(self) -> None:
-        """Raise :class:`SpecError` for the first broken field rule, or for a rated
-        power that disagrees with rated voltage x current."""
+        """Raise :class:`SpecError` for the first broken field rule, for loads whose sum
+        overflows, or for a rated power that disagrees with rated voltage x current."""
         check_record(self)
+        if not math.isfinite(self.base_load + self.alarm_power):
+            raise SpecError("node loads controller_idle_power_w, sensor_loads power_w x "
+                            "duty_cycle and alarm_power_w add up to an infinite demand")
         panel = self.panel
         rated = panel.rated_voltage * panel.rated_current
         if rated > 0 and abs(panel.rated_power - rated) > PANEL_RATING_TOLERANCE * rated:

@@ -315,8 +315,9 @@ def legal_space(space: DesignSpace, limits: CodeLimits) -> DesignSpace:
     """``space`` holding only its code-legal candidates, in their order."""
     fields: dict = {}
     for v, (_, values) in zip(VARIABLES, space.candidate_lists()):
-        v.place(fields, v.space_attr, tuple(value for value in values if v.limit is None
-                                            or limits.limit(v.orientation).ok(v.limit, value)))
+        ok = v.limit and limits.limit(v.orientation).ok
+        v.place(fields, v.space_attr, tuple(value for value in values
+                                            if not ok or ok(v.limit, value)))
     return DesignSpace(**fields)
 
 
@@ -514,17 +515,14 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     _fill(block[lead_rows:oriented_rows], tables[split:_ORIENTED],
           np.unravel_index(np.arange(width), dims[split:_ORIENTED]))
 
-    def evaluate(units: np.ndarray) -> tuple[np.ndarray, ...]:
+    def evaluate(first: int, units: np.ndarray) -> tuple[np.ndarray, ...]:
         rows = itertools.chain(block[:lead_rows, :units.size], block[oriented_rows:, :units.size])
         _fill(rows, tables[:split] + tables[_ORIENTED:],  # a unit: leading digits, group digits
               np.unravel_index(units[:, None], dims[:split] + dims[_ORIENTED:]))
-        lead, group = np.divmod(units[:, None], groups)
-        # A design's position in the legal space orders designs as its enumeration
-        # index does, because legal_space keeps each variable's candidates in order.
-        position = ((lead * width + np.arange(width)) * groups + group).ravel()
-        cols = block.reshape(len(block), -1)[:, :position.size]
+        index = np.arange(first * width, (first + units.size) * width)
+        cols = block.reshape(len(block), -1)[:, :index.size]
         return (*_kernels.batch_energy(cols[:4], cols[4:12].reshape(4, 2, -1), *cols[12:],
-                                       *shared), position)
+                                       *shared), index)
 
     # Units go in ascending order of their group's bound (stable: ties keep
     # enumeration order), `limit` holding those bounds; the ranking is total, so
@@ -543,7 +541,7 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     # a tiny gas energy content overflows a gas design's volume: refused below if kept
     with np.errstate(over="ignore", invalid="ignore"):
         while first < stop:
-            held.append(evaluate(order[first:min(first + per_call, stop)]))
+            held.append(evaluate(first, order[first:min(first + per_call, stop)]))
             first += per_call
             if sum(part[0].size for part in held) >= k:
                 # a row with EUI above the k-th least held trails k rows; rows tied
@@ -555,8 +553,13 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
 
         # free the chunk's inputs, then the held rows, before the designs are built
         del block
-        eui, elec, gas, position = map(np.concatenate, zip(*held))
+        eui, elec, gas, position = map(np.concatenate, zip(*held))  # kept rows' indices so far
         del held
+        # A design's position in the legal space orders designs as its enumeration index
+        # does (legal_space keeps candidates in order). Row i is offset i % width of unit
+        # order[i // width], so its position is shift[i // width] + i * groups, where:
+        shift = (order // groups - np.arange(order.size)) * (width * groups) + order % groups
+        position = shift[position // width] + position * groups
         # the cost of the kept rows only, then their first k in rank order
         cost = cost_per_m2(elec, gas, tariff, spec.floor_area)
     if not np.isfinite(cost).all():

@@ -579,6 +579,33 @@ def test_version_flag(capsys):
     assert "lowcarb" in capsys.readouterr().out
 
 
+def test_one_process_reuses_the_parser_and_keeps_each_call_independent(fixtures, tmp_path):
+    """``main`` builds its parser once per process; no option of one call reaches
+    the next, whatever the earlier call ended in."""
+    from lowcarb.cli import build_parser
+
+    def rows(out):
+        return len((out / "results.csv").read_text().splitlines()) - 1
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(_argv(fixtures, "optimize") + ["--k", "3", "--out", str(tmp_path / "k3")]) == 0
+        assert main(_argv(fixtures, "optimize") + ["--out", str(tmp_path / "k10")]) == 0
+        assert main(_argv(fixtures, "optimize") + ["--k", "three"]) == 2
+        assert main(["--version"]) == 0
+        assert main(_argv(fixtures, "audit") + ["--out", str(tmp_path / "audit")]) == 0
+    assert build_parser() is build_parser()
+    assert (rows(tmp_path / "k3"), rows(tmp_path / "k10")) == (3, 10)
+    fresh = tmp_path / "fresh"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(lowcarb.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "lowcarb", *_argv(fixtures, "audit"),
+                           "--out", str(fresh)], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("report.json", "report.csv"):
+        assert (tmp_path / "audit" / name).read_bytes() == (fresh / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # the input boundary, end to end
 # ---------------------------------------------------------------------------
@@ -896,14 +923,20 @@ def test_optimize_tiny_gas_energy_content(fixtures, tmp_path, capsys, hvac, code
                  "overflows the least squares", id="calibrate-heating-target-square"),
     pytest.param("calibrate", "baseline_targets.json", _set("cooling_gj", value=1e300),
                  "overflows the least squares", id="calibrate-cooling-target-huge"),
+    pytest.param("node-sim", "node_demo.json",
+                 lambda doc: (doc.update(controller_idle_power_w=1e308), doc["sensor_loads"]
+                              .append({"name": "x", "power_w": 1e308, "duty_cycle": 1})),
+                 "node loads controller_idle_power_w, sensor_loads power_w x duty_cycle and "
+                 "alarm_power_w add up to an infinite demand", id="node-sim-loads"),
 ])
 def test_overflow_is_one_line_naming_the_inputs_and_writes_nothing(fixtures, tmp_path, capsys,
                                                                    command, name, edit, named):
-    """Inputs each finite, whose end use, EUI, cost, PV economics or calibration least
-    squares overflow a float, are refused where that value is computed: before, the
-    report writer refused the inf or nan with a line naming no input, and a zero or
-    subnormal panel footprint, or a tiny or huge cooling or heating target, escaped as a
-    ZeroDivisionError or OverflowError traceback."""
+    """Inputs each finite, whose end use, EUI, cost, PV economics, calibration least
+    squares or node demand overflow a float, are refused where that value is computed:
+    before, the report writer refused the inf or nan with a line naming no input, a node
+    demand overflow was written as inf, and a zero or subnormal panel footprint, or a tiny
+    or huge cooling or heating target, escaped as a ZeroDivisionError or OverflowError
+    traceback."""
     doc = json.loads((fixtures / name).read_text())
     edit(doc)
     path = tmp_path / name

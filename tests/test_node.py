@@ -286,6 +286,18 @@ def test_base_load_adds_the_sensors_left_to_right():
     assert config.base_load == 0.6000000000000001
 
 
+@pytest.mark.parametrize("idle, sensor_w, alarm_w", [
+    (1e308, 1e308, 0.0),  # the steady load overflows
+    (1e308, 0.0, 1e308),  # each is finite; the alarm demand overflows
+])
+def test_loads_adding_up_to_an_infinite_demand_rejected(idle, sensor_w, alarm_w):
+    config = dataclasses.replace(make_config(load_w=idle, alarm_w=alarm_w),
+                                 sensor_loads=(SensorLoad("rain", sensor_w, 1.0),))
+    with pytest.raises(SpecError, match="controller_idle_power_w, sensor_loads power_w x "
+                                        "duty_cycle and alarm_power_w add up to an infinite"):
+        config.validate()
+
+
 class TestNodeFiles:
     def test_demo_config_loads(self):
         config = load_node_config(read_fixture("node_demo.json"))
