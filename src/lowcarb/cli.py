@@ -25,7 +25,7 @@ from typing import Any, Callable, NamedTuple
 
 from . import __version__
 from .model import CalibrationError, SpecError, TraceError, load_catalog, \
-    load_climate_profile, load_tariff, parse_building_spec
+    load_climate_profile, load_tariff, parse_building_spec, to_doc
 
 # Each subcommand imports the other lowcarb modules it runs, and calls into them
 # through the module, so a run loads only what it uses.
@@ -82,9 +82,14 @@ def _write_reports(args: argparse.Namespace, reports: dict[str, str]) -> Path:
 
 
 def _report_csv(report, heating_fuel) -> str:
+    """One row per end use: its GJ, their kWh equivalent and the fuel that serves it."""
+    from .energy import KWH_PER_GJ
+
     lines = ["end_use,gj,kwh,fuel"]
-    for name, gj, kwh, fuel in report.csv_rows(heating_fuel):
-        lines.append(f"{name},{gj!r},{kwh!r},{fuel}")
+    for use in ("lighting", "cooling", "heating", "equipment"):
+        gj = getattr(report, use)
+        fuel = heating_fuel.value if use == "heating" else "electricity"
+        lines.append(f"{use},{gj!r},{gj * KWH_PER_GJ!r},{fuel}")
     return "\n".join(lines) + "\n"
 
 
@@ -102,7 +107,7 @@ def cmd_audit(args) -> int:
     report = energy.annual_end_use(spec, climate, calib, gas_energy_content=gas_content)
     eui_value = energy.eui(report, spec.floor_area)
 
-    doc = {**report.to_dict(), "eui_kwh_m2": eui_value, "building": spec.name}
+    doc = {**to_doc(report), "eui_kwh_m2": eui_value, "building": spec.name}
     if tariff:
         doc["annual_cost_cny_m2"] = energy.annual_cost(report, tariff, spec.floor_area)
 
@@ -125,8 +130,8 @@ def cmd_calibrate(args) -> int:
     params = energy.calibrate(spec, climate, targets)
     achieved = energy.annual_end_use(spec, climate, params)
 
-    doc = {"calibration": dataclasses.asdict(params), "achieved": achieved.to_dict(),
-           "targets": dataclasses.asdict(targets)}
+    doc = {"calibration": to_doc(params), "achieved": to_doc(achieved),
+           "targets": to_doc(targets)}
     out = _write_reports(args, {"calibration.json": _json_dumps(doc)})
     print(f"calibrated: gain x{params.internal_gain_multiplier:.4f}, "
           f"schedule x{params.schedule_multiplier:.6f}, "
@@ -183,8 +188,12 @@ def cmd_pv(args) -> int:
     tariff = load_tariff(_read_text(args.tariff))
     report = pv.site_economics(site, climate.pv_equivalent_full_sun_hours, tariff)
 
-    out = _write_reports(args, {"pv_report.json": _json_dumps(report.to_dict())})
-    payback = "never" if report.payback == float("inf") else f"{report.payback:.2f} yr"
+    doc = to_doc(report)
+    never = report.payback == float("inf")  # no benefit
+    if never:
+        doc["payback_years"] = None
+    out = _write_reports(args, {"pv_report.json": _json_dumps(doc)})
+    payback = "never" if never else f"{report.payback:.2f} yr"
     print(f"panels {report.panel_count}  capacity {report.capacity:.1f} kW  "
           f"yield {report.annual_generation:.0f} kWh/yr")
     print(f"benefit {report.total_benefit:.2f} CNY/yr  capex {report.capex:.0f} CNY  "

@@ -71,35 +71,15 @@ class CalibrationParams:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Annual end-use energy in GJ with fuel attribution."""
+    """Annual end-use energy in GJ with fuel attribution, under its report keys."""
 
-    lighting: float  # GJ/yr
-    cooling: float  # GJ/yr
-    heating: float  # GJ/yr
-    equipment: float  # GJ/yr
-    total: float  # GJ/yr, exact sum of the four components
-    electricity: float  # kWh/yr
-    gas: float  # m3/yr
-
-    def to_dict(self) -> dict:
-        return {
-            "lighting_gj": self.lighting,
-            "cooling_gj": self.cooling,
-            "heating_gj": self.heating,
-            "equipment_gj": self.equipment,
-            "total_gj": self.total,
-            "electricity_kwh": self.electricity,
-            "gas_m3": self.gas,
-        }
-
-    def csv_rows(self, heating_fuel: HeatingFuel) -> list[tuple[str, float, float, str]]:
-        """One row per end use: (name, GJ, kWh equivalent, fuel)."""
-        return [
-            ("lighting", self.lighting, self.lighting * KWH_PER_GJ, "electricity"),
-            ("cooling", self.cooling, self.cooling * KWH_PER_GJ, "electricity"),
-            ("heating", self.heating, self.heating * KWH_PER_GJ, heating_fuel.value),
-            ("equipment", self.equipment, self.equipment * KWH_PER_GJ, "electricity"),
-        ]
+    lighting: float = spec("lighting_gj")  # GJ/yr
+    cooling: float = spec("cooling_gj")  # GJ/yr
+    heating: float = spec("heating_gj")  # GJ/yr
+    equipment: float = spec("equipment_gj")  # GJ/yr
+    total: float = spec("total_gj")  # GJ/yr, exact sum of the four components
+    electricity: float = spec("electricity_kwh")  # kWh/yr
+    gas: float = spec("gas_m3")  # m3/yr
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,17 @@ is strict. Each field of a record read from a file declares its key, rule and
 default once, on its class, through :func:`spec`; :func:`record_format` collects
 them. Every file that maps one key to one field is read through that format by
 :func:`_read`: the building spec, the tariff, targets, PV site, sensor fleet and
-node config files, the spec's ``calibration`` block, and the catalog, rooms and
-lamps rows. :func:`validate_spec` checks the rules of any such record built in
-code, and :func:`check_record` raises its first broken one. The building spec's
-serialize walks the format too, and a key it does not list (besides the
-top-level ``schema_version`` and ``calibration``) is refused by its path. Spec
-files carry every thermal coefficient explicitly: the only defaulted fields are
-``daylight_offset``, ``overhang_ratio`` and ``cost_index``, and a null or absent
-one takes its default. Spec numbers pass the same boundary as every other input
-(:func:`number`), so a malformed one is named by its JSON path; ``name``, ids
-and enums are required strings (:func:`string`).
+node config files, the spec's ``calibration`` block, the design space's code
+limits, and the catalog, rooms and lamps rows. :func:`validate_spec` checks the
+rules of any such record built in code, and :func:`check_record` raises its first
+broken one. :func:`to_doc` writes a record under the same keys: the building
+spec's serialize and the reports use it. A spec key the format does not list
+(besides the top-level ``schema_version`` and ``calibration``) is refused by its
+path. Spec files carry every thermal coefficient explicitly: the only defaulted
+fields are ``daylight_offset``, ``overhang_ratio`` and ``cost_index``, and a null
+or absent one takes its default. Spec numbers pass the same boundary as every
+other input (:func:`number`), so a malformed one is named by its JSON path;
+``name``, ids and enums are required strings (:func:`string`).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import io
 import json
 import math
 import operator
+import types
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from importlib import resources
@@ -116,16 +118,17 @@ SCHEMA: Rule = (lambda v: v == SCHEMA_VERSION, f"must be {SCHEMA_VERSION}")
 
 def spec(key: str, rule: Rule | None = None, **default: Any) -> Any:
     """A record field stored under ``key`` in its file, whose value must pass ``rule``;
-    ``default=`` lets the key be absent or null."""
+    ``default=`` lets the key be absent, and null unless the field is a bool."""
     return field(metadata={"key": key, "rule": rule}, **default)
 
 
 class Field(NamedTuple):
-    """One field of a record. Only a field with a ``default`` may be absent or null."""
+    """One field of a record. Only a field with a ``default`` may be absent or null (a bool
+    only absent); an absent or null ``float | None`` field reads as None."""
 
     attr: str
     key: str  # in the JSON document or CSV row
-    kind: Any  # float, int, str, an Enum, a record type, or (record type,) for a tuple
+    kind: Any  # float, float | None, int, bool, str, an Enum, a record type, or (record type,)
     rule: Rule | None
     default: Any
     record: bool  # kind is a record type
@@ -399,9 +402,12 @@ def _read(cls: type, doc: Any, context: str, what: str | None = None,
                           for i, item in enumerate(items))
         elif f.record:
             value = _read(f.kind, doc.get(f.key), name + ".", what, rules)
-        elif f.kind is float or f.kind is int:
-            value = f.kind(number(doc, f.key, context, INTEGER if f.kind is int else None,
-                                  f.default))
+        elif isinstance(f.kind, types.UnionType):  # float | None: absent or null is None
+            value = None if _get(doc, f.key) is None else number(
+                doc, f.key, context, f.rule if rules else None)
+        elif f.kind in (bool, float, int):  # a bool: absent is the default, null breaks the rule
+            value = doc.get(f.key, f.default) if f.kind is bool else f.kind(
+                number(doc, f.key, context, INTEGER if f.kind is int else None, f.default))
             value = check(value, name, f.rule) if rules else value
         else:
             value = string(doc, f.key, context, None if f.kind is str else f.kind)
@@ -422,7 +428,8 @@ def validate_spec(record: Any, prefix: str = "") -> list[Violation]:
                 first = record_format(f.kind[0])[0].attr
                 items, value = value, [getattr(key, "value", key) for key in
                                        (getattr(item, first) for item in value)]
-            if f.rule is not None and not f.rule[0](value):
+            unset = value is None and isinstance(f.kind, types.UnionType)
+            if f.rule is not None and not unset and not f.rule[0](value):
                 out.append(Violation(name, value, f.rule[1]))
             if isinstance(f.kind, tuple):
                 for key, item in zip(value, items):
@@ -467,16 +474,19 @@ def parse_building_spec(text: str) -> BuildingSpec:
     return spec
 
 
+def to_doc(record: Any) -> Any:
+    """``record`` as a JSON value: a record becomes a dict keyed by its fields' declared
+    keys in class order, a tuple a list and an Enum its value; :func:`_read` inverts it."""
+    if isinstance(record, tuple):
+        return [to_doc(item) for item in record]
+    if not is_dataclass(record):
+        return record.value if isinstance(record, Enum) else record
+    return {f.key: to_doc(getattr(record, f.attr)) for f in record_format(type(record))}
+
+
 def serialize_building_spec(spec: BuildingSpec) -> str:
     """Inverse of :func:`parse_building_spec`; round-trips every valid spec."""
-    def dump(record: Any) -> Any:
-        if isinstance(record, tuple):
-            return [dump(item) for item in record]
-        if not is_dataclass(record):
-            return record.value if isinstance(record, Enum) else record
-        return {f.key: dump(getattr(record, f.attr)) for f in record_format(type(record))}
-
-    return json.dumps({"schema_version": SCHEMA_VERSION, **dump(spec)}, indent=2) + "\n"
+    return json.dumps({"schema_version": SCHEMA_VERSION, **to_doc(spec)}, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

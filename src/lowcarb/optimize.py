@@ -55,10 +55,13 @@ from .model import (
     SpecError,
     Tariff,
     Violation,
+    _read,
     check,
+    check_record,
     known_keys,
     number,
     read_json,
+    spec,
     string,
 )
 
@@ -225,17 +228,18 @@ def design_doc(design: DesignVariables) -> dict:
 
 @dataclass(frozen=True)
 class OrientationLimit:
-    """Code limits for one orientation.
+    """Code limits for one orientation, each under its key in a ``code_limits`` block;
+    an unset bound sets no limit.
 
     ``strict`` upper bounds exclude the bound itself (the "< 0.35" style);
     non-strict bounds are inclusive ranges. Overhang bounds are inclusive.
     """
 
-    max_wwr: float | None = None
-    strict: bool = True
-    min_wwr: float | None = None
-    max_overhang: float | None = None
-    min_overhang: float | None = None
+    max_wwr: float | None = spec("max_wwr", FINITE, default=None)
+    strict: bool = spec("strict", BOOLEAN, default=True)
+    min_wwr: float | None = spec("min_wwr", FINITE, default=None)
+    max_overhang: float | None = spec("max_overhang", FINITE, default=None)
+    min_overhang: float | None = spec("min_overhang", FINITE, default=None)
 
     def bounds(self, var: str) -> list[tuple[str, float]]:
         """The (operator, bound) pairs a ``var`` value ("wwr" or "overhang") must meet."""
@@ -271,28 +275,16 @@ class CodeLimits:
 
     @staticmethod
     def from_doc(doc: Mapping) -> "CodeLimits":
-        """Per-orientation bounds; an absent or null bound sets no limit, and an
-        unknown orientation or bound raises :class:`SpecError` naming it."""
-        if not (isinstance(doc, dict) and all(isinstance(b, dict) for b in doc.values())):
+        """Per-orientation blocks read through :class:`OrientationLimit`'s fields; an
+        absent orientation or bound sets no limit, and an unknown orientation or bound,
+        or a block that is not a JSON object, raises :class:`SpecError` naming it."""
+        if not isinstance(doc, dict):
             raise SpecError("code_limits must map orientations to JSON objects")
-        keys = [f.name for f in dataclasses.fields(OrientationLimit)]
-        for o, block in doc.items():
+        for o in doc:
             if o not in ORIENTATION_ORDER:
                 raise SpecError(f"code_limits.{o} is not an orientation: use N, S, E or W")
-            for key in block:
-                if key not in keys:
-                    raise SpecError(f"code_limits.{o}.{key} is not a code limit: use "
-                                    + ", ".join(keys))
-
-        def parse(o: str) -> OrientationLimit:
-            block = doc.get(o, {})
-            bounds = {key: None if block.get(key) is None
-                      else number(block, key, f"code_limits.{o}.", FINITE)
-                      for key in keys if key != "strict"}
-            strict = check(block.get("strict", True), f"code_limits.{o}.strict", BOOLEAN)
-            return OrientationLimit(strict=strict, **bounds)
-
-        return CodeLimits(*map(parse, ORIENTATION_ORDER))
+        return CodeLimits(*(_read(OrientationLimit, doc.get(o, {}), f"code_limits.{o}.",
+                                  "code limit") for o in ORIENTATION_ORDER))
 
 
 def _design_from_digits(lists: Sequence[tuple], digits: Sequence[int]) -> DesignVariables:
@@ -468,7 +460,7 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     DesignSpaceTooLarge
         When the code-legal designs number more than :data:`DEFAULT_ENUMERATION_CAP`.
     SpecError
-        When the space names an id the catalog lacks.
+        When the space names an id the catalog lacks, or a code limit breaks its rule.
     ValueError
         When the spec's loads, or the tariff's prices or gas energy content, overflow a
         design's EUI or cost.
@@ -478,6 +470,8 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     space.validate()
+    for o in ORIENTATION_ORDER:
+        check_record(limits.limit(o), f"code_limits.{o}.")
     legal = legal_space(space, limits)
     lists = [candidates for _, candidates in legal.candidate_lists()]
     dims = list(map(len, lists))

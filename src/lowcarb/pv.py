@@ -22,31 +22,18 @@ class PanelSpec:
 
 @dataclass(frozen=True)
 class PvEconomicsReport:
-    panel_count: int
-    capacity: float  # kW
-    annual_generation: float  # kWh/yr
-    self_consumed: float  # kWh/yr
-    surplus: float  # kWh/yr
-    bill_savings: float  # CNY/yr
-    feed_in_revenue: float  # CNY/yr
-    total_benefit: float  # CNY/yr
-    capex: float  # CNY
-    payback: float  # years; math.inf when there is no benefit
+    """Sizing, yield and simple-payback economics of one array, under its report keys."""
 
-    def to_dict(self) -> dict:
-        d = {
-            "panel_count": self.panel_count,
-            "capacity_kw": self.capacity,
-            "annual_generation_kwh": self.annual_generation,
-            "self_consumed_kwh": self.self_consumed,
-            "surplus_kwh": self.surplus,
-            "bill_savings_cny": self.bill_savings,
-            "feed_in_revenue_cny": self.feed_in_revenue,
-            "total_benefit_cny": self.total_benefit,
-            "capex_cny": self.capex,
-            "payback_years": None if math.isinf(self.payback) else self.payback,
-        }
-        return d
+    panel_count: int = spec("panel_count")
+    capacity: float = spec("capacity_kw")  # kW
+    annual_generation: float = spec("annual_generation_kwh")  # kWh/yr
+    self_consumed: float = spec("self_consumed_kwh")  # kWh/yr
+    surplus: float = spec("surplus_kwh")  # kWh/yr
+    bill_savings: float = spec("bill_savings_cny")  # CNY/yr
+    feed_in_revenue: float = spec("feed_in_revenue_cny")  # CNY/yr
+    total_benefit: float = spec("total_benefit_cny")  # CNY/yr
+    capex: float = spec("capex_cny")  # CNY
+    payback: float = spec("payback_years")  # years; math.inf when there is no benefit
 
 
 def panel_count(roof_area: float, panel: PanelSpec, packing_factor: float) -> int:
@@ -132,7 +119,7 @@ def site_economics(site: PvSite, equivalent_hours: float,
     generation = annual_generation(capacity_kw, equivalent_hours)
     report = economics(generation, site.annual_consumption, tariff,
                        site.capex_per_watt, capacity_kw, panel_count=count)
-    if not all(math.isfinite(v) for v in report.to_dict().values() if v is not None):
+    if not all(math.isfinite(v) for name, v in vars(report).items() if name != "payback"):
         raise ValueError("the site's roof area, panel, capex or consumption, or the "
                          "tariff's prices, overflow its PV economics")
     return report

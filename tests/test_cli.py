@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import lowcarb
 from lowcarb.cli import _json_dumps, main
-from lowcarb.model import LightingTechnology, fixture_path
+from lowcarb.model import LightingTechnology, fixture_path, to_doc
 from lowcarb.optimize import DesignVariables
 
 
@@ -482,6 +482,36 @@ def test_pv_subcommand(fixtures, tmp_path, capsys):
     assert "payback 7.46 yr" in capsys.readouterr().out
 
 
+def test_pv_without_benefit_reports_a_null_payback(fixtures, tmp_path, capsys):
+    site = json.loads((fixtures / "pv_site.json").read_text())
+    site["roof_area_m2"] = 0
+    (tmp_path / "site.json").write_text(json.dumps(site))
+    out = tmp_path / "pv"
+    argv = _argv(fixtures, "pv", **{"pv_site.json": tmp_path / "site.json"})
+    assert main(argv + ["--out", str(out)]) == 0
+    doc = json.loads((out / "pv_report.json").read_text())
+    assert doc["payback_years"] is None and doc["total_benefit_cny"] == 0
+    assert "payback never" in capsys.readouterr().out
+
+
+def test_reports_are_keyed_by_the_records_declared_keys(fixtures, tmp_path, baseline_spec,
+                                                        climate, baseline_calibration, tariff):
+    """report.json and pv_report.json hold to_doc's keys of EnergyReport and
+    PvEconomicsReport; audit adds the EUI, the building name and the cost."""
+    from lowcarb.energy import annual_end_use
+    from lowcarb.pv import load_pv_site, site_economics
+
+    for command in ("audit", "pv"):
+        assert main(_argv(fixtures, command) + ["--out", str(tmp_path / command)]) == 0
+    audit = json.loads((tmp_path / "audit" / "report.json").read_text())
+    pv = json.loads((tmp_path / "pv" / "pv_report.json").read_text())
+    energy = to_doc(annual_end_use(baseline_spec, climate, baseline_calibration))
+    site = load_pv_site(fixture_path("pv_site.json").read_text())
+    economics = to_doc(site_economics(site, climate.pv_equivalent_full_sun_hours, tariff))
+    assert set(energy) == set(audit) - {"eui_kwh_m2", "building", "annual_cost_cny_m2"}
+    assert set(economics) == set(pv)
+
+
 def test_node_sim_subcommand(fixtures, tmp_path):
     out = tmp_path / "node"
     code = main(["node-sim", "--spec", str(fixtures / "node_demo.json"),
@@ -741,6 +771,11 @@ def _dotted(path):
            "code_limits.S.max_overhang_ratio is not a code limit"),
     _probe("optimize", "paper_space.json", _set("code_limits", "SW", value={"max_wwr": 0.3}),
            "code_limits.SW is not an orientation"),
+    _probe("optimize", "paper_space.json", _set("code_limits", "N", value=None),
+           "missing required field code_limits.N", id="optimize-code-limits-null-block"),
+    _probe("optimize", "paper_space.json", _set("code_limits", "N", value=5),
+           "code_limits.N must be a JSON object, got 5",
+           id="optimize-code-limits-block-not-an-object"),
     _probe("audit", "baseline_school.json", _set("floor_area_m2", value="x"),
            "floor_area_m2 must be a number, got 'x'"),
     _probe("audit", "baseline_school.json",

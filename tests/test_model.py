@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import types
 from pathlib import Path
 
 import pytest
@@ -27,13 +28,18 @@ from lowcarb import (
 from lowcarb.energy import CalibrationParams, EndUseTargets, load_calibration
 from lowcarb.lighting import Lamp, Room, load_lamps, load_rooms
 from lowcarb.model import (
+    BOOLEAN,
+    FINITE,
     FRACTION,
+    INTEGER,
+    NONNEGATIVE,
     POSITIVE,
     HeatingFuel,
     LightingTechnology,
     Roof,
     SensorFleet,
     Tariff,
+    _read,
     check_record,
     load_climate_profile,
     load_sensor_fleet,
@@ -42,8 +48,10 @@ from lowcarb.model import (
     read_fixture,
     read_json,
     record_format,
+    to_doc,
 )
 from lowcarb.node import NodeConfig, NodePanel, SensorLoad, load_node_config
+from lowcarb.optimize import OrientationLimit
 from lowcarb.pv import PvSite, load_pv_site
 
 
@@ -352,6 +360,63 @@ def test_check_record_names_a_library_built_field():
     with pytest.raises(SpecError) as err:
         check_record(bad, "node.")
     assert str(err.value) == "node.panel.rated_current must be nonnegative and finite, got nan"
+
+
+def test_unset_optional_field_passes_its_rule():
+    """A ``float | None`` field left None passes its rule; before, the rule's test
+    raised TypeError on the None."""
+    assert validate_spec(OrientationLimit()) == []
+    (violation,) = validate_spec(OrientationLimit(min_wwr=math.nan))
+    assert (violation.field, violation.rule) == ("min_wwr", "must be finite")
+
+
+@pytest.mark.parametrize("name, context, load, cls", [
+    pytest.param(name, context, load, cls, id=cls.__name__) for name, context, load, cls, _
+    in [*_FLAT_FILES, ("baseline_school.json", "", parse_building_spec, BuildingSpec, ())]
+    if name.endswith(".json")])
+def test_bundled_records_round_trip_through_their_keys(name, context, load, cls):
+    """Each JSON record the CLI reads is written back by to_doc under the keys it
+    was read from."""
+    record = load(read_fixture(name))
+    assert _read(cls, to_doc(record), context) == record
+
+
+#: Drawn values that pass each value rule.
+_RULE_VALUES = {FINITE: st.floats(allow_nan=False, allow_infinity=False),
+                POSITIVE: st.floats(0, exclude_min=True, allow_infinity=False),
+                NONNEGATIVE: st.floats(0, allow_infinity=False),
+                FRACTION: st.floats(0, 1),
+                INTEGER: st.integers(0, 2 ** 53),
+                BOOLEAN: st.booleans()}
+
+
+def _records(cls):
+    """Records of type ``cls`` whose every field passes its rule, drawn from its
+    record_format; a rule not in _RULE_VALUES is met by a filtered fraction."""
+    def values(f):
+        if isinstance(f.kind, tuple):
+            return st.lists(_records(f.kind[0]), max_size=3).map(tuple)
+        if f.record:
+            return _records(f.kind)
+        if f.kind is str:
+            return st.text(max_size=8)
+        drawn = (_RULE_VALUES[f.rule] if f.rule in _RULE_VALUES
+                 else st.floats(0, 1).filter(f.rule[0]))
+        return st.none() | drawn if isinstance(f.kind, types.UnionType) else drawn
+
+    return st.builds(cls, **{f.attr: values(f) for f in record_format(cls)})
+
+
+@pytest.mark.parametrize("cls", [Tariff, EndUseTargets, PvSite, SensorFleet, NodeConfig,
+                                 CalibrationParams, OrientationLimit, BuildingSpec],
+                         ids=lambda cls: cls.__name__)
+@given(data=st.data())
+def test_drawn_records_round_trip_through_their_keys(cls, data):
+    """Records within every field's rule (specs as conftest's building_specs draws
+    them) read back from to_doc's dict as themselves."""
+    record = data.draw(building_specs() if cls is BuildingSpec else _records(cls))
+    assert validate_spec(record) == []
+    assert _read(cls, to_doc(record), "") == record
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -558,3 +559,32 @@ def test_the_cap_counts_code_legal_designs(max_wwr_n, legal, baseline_spec, clim
     else:
         with pytest.raises(DesignSpaceTooLarge, match=f"{legal} code-legal designs"):
             sweep()
+
+
+@pytest.mark.parametrize("doc, limits", [
+    pytest.param({"S": {"max_wwr": None, "min_wwr": 0.2, "max_overhang": None}},
+                 CodeLimits(south=OrientationLimit(min_wwr=0.2)), id="null-bound-sets-no-limit"),
+    pytest.param({"E": {"max_wwr": 0.35}},
+                 CodeLimits(east=OrientationLimit(max_wwr=0.35, strict=True)),
+                 id="absent-strict-is-true"),
+    pytest.param({"N": {"max_wwr": 0.45, "strict": False}},
+                 CodeLimits(north=OrientationLimit(max_wwr=0.45, strict=False)),
+                 id="absent-orientation-sets-no-limits"),
+])
+def test_code_limits_read_their_defaults(doc, limits):
+    assert CodeLimits.from_doc(doc) == limits
+
+
+@pytest.mark.parametrize("limit, message", [
+    (OrientationLimit(max_wwr=math.nan), "code_limits.N.max_wwr must be finite, got nan"),
+    (OrientationLimit(min_overhang=math.inf),
+     "code_limits.N.min_overhang must be finite, got inf"),
+])
+def test_optimize_names_a_code_limit_built_in_code_that_breaks_its_rule(
+        limit, message, baseline_spec, climate, catalog, baseline_calibration, tariff):
+    """A bound that is not a finite number is named as a file's bound is; before, it
+    rejected every candidate and was reported as an empty feasible set."""
+    with pytest.raises(SpecError) as err:
+        optimize(baseline_spec, climate, catalog, _small_space(), CodeLimits(north=limit),
+                 k=1, calib=baseline_calibration, tariff=tariff)
+    assert str(err.value) == message
