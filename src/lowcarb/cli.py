@@ -2,9 +2,11 @@
 
 One table, :data:`COMMANDS`, declares each subcommand once (its function, input
 files and other options); the parser and the run manifest's inputs come from it.
-Every run writes machine-readable reports (JSON + CSV) plus a run manifest into
-the output directory. Reports for identical inputs are byte-identical; anything
-time-dependent lives only in the manifest.
+:func:`main` alone touches files: it reads each given input once, then runs the
+subcommand, which turns the input texts into report texts and summary lines, then
+writes the machine-readable reports (JSON + CSV) plus a run manifest holding the
+sha256 of each input's bytes into the output directory. Reports for identical
+inputs are byte-identical; anything time-dependent lives only in the manifest.
 
 Exit codes: 0 success, 1 domain/validation failure, 2 usage error,
 3 I/O error.
@@ -38,9 +40,13 @@ EXIT_IO = 3
 DEFAULT_OUT_ENV = "LOWCARB_OUT"
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _read_input(path: str) -> tuple[str, dict[str, str]]:
+    """The file's text, decoded as text mode does (UTF-8, universal newlines), and its
+    manifest entry: the path and the sha256 of the bytes that text came from."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    entry = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"), entry
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -54,31 +60,15 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_manifest(out_dir: Path, command: str, inputs: dict[str, str]) -> None:
-    digests = {name: {"path": str(path),
-                      "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
-               for name, path in inputs.items()}
+def _write_manifest(out_dir: Path, command: str, inputs: dict[str, dict[str, str]]) -> None:
     manifest = {
         "command": command,
         "tool_version": __version__,
         "created_at_utc": datetime.now(timezone.utc).isoformat(),
-        "inputs": digests,
+        "inputs": inputs,
         "output_dir": str(out_dir),
     }
     _write_text(out_dir / "run_manifest.json", _json_dumps(manifest))
-
-
-def _write_reports(args: argparse.Namespace, reports: dict[str, str]) -> Path:
-    """Write ``reports`` and the run manifest of ``args``' subcommand, which hashes
-    each input file given on this run; returns the output directory: ``--out``,
-    else ``$LOWCARB_OUT``, else ``./lowcarb_out``."""
-    out_dir = Path(args.out or os.environ.get(DEFAULT_OUT_ENV, "lowcarb_out"))
-    # callers build every text first, so a run that fails on one writes nothing
-    for name, text in reports.items():
-        _write_text(out_dir / name, text)
-    given = {f: getattr(args, f) for f in COMMANDS[args.command].files}
-    _write_manifest(out_dir, args.command, {f: path for f, path in given.items() if path})
-    return out_dir
 
 
 def _report_csv(report, heating_fuel) -> str:
@@ -93,51 +83,48 @@ def _report_csv(report, heating_fuel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_audit(args) -> int:
+#: What a subcommand returns: its report texts by file name, then its summary lines. It
+#: takes each input text out of ``texts`` as it parses it, so the text can be freed.
+Output = tuple[dict[str, str], list[str]]
+
+
+def cmd_audit(args, texts: dict[str, str]) -> Output:
     from . import energy
 
-    spec_text = _read_text(args.spec)
-    climate_text = _read_text(args.climate)
+    spec_text = texts.pop("spec")
     spec = parse_building_spec(spec_text)
-    climate = load_climate_profile(climate_text)
+    climate = load_climate_profile(texts.pop("climate"))
     calib = energy.load_calibration(spec_text)
-    tariff = load_tariff(_read_text(args.tariff)) if args.tariff else None
+    tariff = load_tariff(texts.pop("tariff")) if "tariff" in texts else None
 
     gas_content = tariff.gas_energy_content if tariff else energy.DEFAULT_GAS_ENERGY_CONTENT_KWH_M3
     report = energy.annual_end_use(spec, climate, calib, gas_energy_content=gas_content)
     eui_value = energy.eui(report, spec.floor_area)
 
     doc = {**to_doc(report), "eui_kwh_m2": eui_value, "building": spec.name}
+    lines = [f"{spec.name}: total {report.total:.2f} GJ/yr, EUI {eui_value:.2f} kWh/m2/yr"]
     if tariff:
         doc["annual_cost_cny_m2"] = energy.annual_cost(report, tariff, spec.floor_area)
-
-    out = _write_reports(args, {"report.json": _json_dumps(doc),
-                                "report.csv": _report_csv(report, spec.hvac.heating_fuel)})
-
-    print(f"{spec.name}: total {report.total:.2f} GJ/yr, EUI {eui_value:.2f} kWh/m2/yr")
-    if tariff:
-        print(f"annual cost {doc['annual_cost_cny_m2']:.2f} CNY/m2/yr")
-    print(f"reports written to {out}")
-    return EXIT_OK
+        lines.append(f"annual cost {doc['annual_cost_cny_m2']:.2f} CNY/m2/yr")
+    return {"report.json": _json_dumps(doc),
+            "report.csv": _report_csv(report, spec.hvac.heating_fuel)}, lines
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args, texts: dict[str, str]) -> Output:
     from . import energy
 
-    spec = parse_building_spec(_read_text(args.spec))
-    climate = load_climate_profile(_read_text(args.climate))
-    targets = energy.EndUseTargets.from_json(_read_text(args.targets))
+    spec = parse_building_spec(texts.pop("spec"))
+    climate = load_climate_profile(texts.pop("climate"))
+    targets = energy.EndUseTargets.from_json(texts.pop("targets"))
     params = energy.calibrate(spec, climate, targets)
     achieved = energy.annual_end_use(spec, climate, params)
 
     doc = {"calibration": to_doc(params), "achieved": to_doc(achieved),
            "targets": to_doc(targets)}
-    out = _write_reports(args, {"calibration.json": _json_dumps(doc)})
-    print(f"calibrated: gain x{params.internal_gain_multiplier:.4f}, "
-          f"schedule x{params.schedule_multiplier:.6f}, "
-          f"equipment x{params.equipment_multiplier:.6f}")
-    print(f"calibration written to {out}")
-    return EXIT_OK
+    return {"calibration.json": _json_dumps(doc)}, [
+        f"calibrated: gain x{params.internal_gain_multiplier:.4f}, "
+        f"schedule x{params.schedule_multiplier:.6f}, "
+        f"equipment x{params.equipment_multiplier:.6f}"]
 
 
 def run_optimize(*args, **kwargs):
@@ -152,16 +139,16 @@ def write_results_csv(*args, **kwargs) -> str:
     return write_results_csv(*args, **kwargs)
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args, texts: dict[str, str]) -> Output:
     from . import energy
     from .optimize import DesignSpace, design_doc, legal_space
 
-    spec_text = _read_text(args.spec)
+    spec_text = texts.pop("spec")
     spec = parse_building_spec(spec_text)
-    climate = load_climate_profile(_read_text(args.climate))
-    catalog = load_catalog(_read_text(args.catalog))
-    space, limits = DesignSpace.from_json(_read_text(args.space))
-    tariff = load_tariff(_read_text(args.tariff))
+    climate = load_climate_profile(texts.pop("climate"))
+    catalog = load_catalog(texts.pop("catalog"))
+    space, limits = DesignSpace.from_json(texts.pop("space"))
+    tariff = load_tariff(texts.pop("tariff"))
     calib = energy.load_calibration(spec_text)
 
     ranked = run_optimize(spec, climate, catalog, space, limits,
@@ -172,42 +159,37 @@ def cmd_optimize(args) -> int:
     doc = {"evaluated_space_size": evaluated, "returned": len(ranked),
            "best": {"eui_kwh_m2": top.eui, "cost_cny_m2": top.cost_per_m2,
                     "design": design_doc(top.design)}}
-    out = _write_reports(args, {"results.csv": write_results_csv(ranked),
-                                "results.json": _json_dumps(doc)})
-    print(f"evaluated {evaluated} designs, best EUI {top.eui:.2f} kWh/m2/yr "
-          f"at {top.cost_per_m2:.2f} CNY/m2/yr")
-    print(f"results written to {out}")
-    return EXIT_OK
+    return {"results.csv": write_results_csv(ranked), "results.json": _json_dumps(doc)}, [
+        f"evaluated {evaluated} designs, best EUI {top.eui:.2f} kWh/m2/yr "
+        f"at {top.cost_per_m2:.2f} CNY/m2/yr"]
 
 
-def cmd_pv(args) -> int:
+def cmd_pv(args, texts: dict[str, str]) -> Output:
     from . import pv
 
-    site = pv.load_pv_site(_read_text(args.spec))
-    climate = load_climate_profile(_read_text(args.climate))
-    tariff = load_tariff(_read_text(args.tariff))
+    site = pv.load_pv_site(texts.pop("spec"))
+    climate = load_climate_profile(texts.pop("climate"))
+    tariff = load_tariff(texts.pop("tariff"))
     report = pv.site_economics(site, climate.pv_equivalent_full_sun_hours, tariff)
 
     doc = to_doc(report)
     never = report.payback == float("inf")  # no benefit
     if never:
         doc["payback_years"] = None
-    out = _write_reports(args, {"pv_report.json": _json_dumps(doc)})
     payback = "never" if never else f"{report.payback:.2f} yr"
-    print(f"panels {report.panel_count}  capacity {report.capacity:.1f} kW  "
-          f"yield {report.annual_generation:.0f} kWh/yr")
-    print(f"benefit {report.total_benefit:.2f} CNY/yr  capex {report.capex:.0f} CNY  "
-          f"payback {payback}")
-    print(f"report written to {out}")
-    return EXIT_OK
+    return {"pv_report.json": _json_dumps(doc)}, [
+        f"panels {report.panel_count}  capacity {report.capacity:.1f} kW  "
+        f"yield {report.annual_generation:.0f} kWh/yr",
+        f"benefit {report.total_benefit:.2f} CNY/yr  capex {report.capex:.0f} CNY  "
+        f"payback {payback}"]
 
 
-def cmd_node_sim(args) -> int:
+def cmd_node_sim(args, texts: dict[str, str]) -> Output:
     from . import node
 
-    config = node.load_node_config(_read_text(args.spec))
-    trace = node.load_trace(_read_text(args.trace))
-    result = node.simulate(config, trace, dt=args.dt)
+    config = node.load_node_config(texts.pop("spec"))
+    # the samples are freed once the fold has run, before the state log is built
+    result = node.simulate(config, node.load_trace(texts.pop("trace")), dt=args.dt)
 
     steps, final_soc = len(result.soc_col), result.soc_col[-1]
     summary = {"steps": steps, "dt_s": args.dt,
@@ -215,18 +197,15 @@ def cmd_node_sim(args) -> int:
                "alarm_steps": result.alarm_col.count(1),
                "ledger_wh": {**dataclasses.asdict(result.ledger),
                              "residual": result.ledger.residual}}
-    out = _write_reports(args, {"states.csv": node.write_state_log(result),
-                                "summary.json": _json_dumps(summary)})
-    print(f"simulated {steps} steps: uptime {result.uptime_fraction:.3f}, "
-          f"final soc {final_soc:.3f}")
-    print(f"logs written to {out}")
-    return EXIT_OK
+    return {"states.csv": node.write_state_log(result), "summary.json": _json_dumps(summary)}, [
+        f"simulated {steps} steps: uptime {result.uptime_fraction:.3f}, "
+        f"final soc {final_soc:.3f}"]
 
 
 class Command(NamedTuple):
     """One subcommand: the function that runs it, its flags and their help texts."""
 
-    run: Callable[[argparse.Namespace], int]
+    run: Callable[[argparse.Namespace, dict[str, str]], Output]  # the texts by file flag
     help: str
     files: dict[str, str]  # input file flag, also its manifest key -> help; --spec first
     optional: tuple[str, ...] = ()  # the files that may be left out
@@ -284,8 +263,18 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
 
+    command = COMMANDS[args.command]
     try:
-        return COMMANDS[args.command].run(args)
+        texts, inputs = {}, {}
+        for flag in command.files:  # every input is read, once, before any is parsed
+            if path := getattr(args, flag):
+                texts[flag], inputs[flag] = _read_input(path)
+        # the command builds every report first, so a run that fails writes nothing
+        reports, lines = command.run(args, texts)
+        out_dir = Path(args.out or os.environ.get(DEFAULT_OUT_ENV, "lowcarb_out"))
+        for name, text in reports.items():
+            _write_text(out_dir / name, text)
+        _write_manifest(out_dir, args.command, inputs)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_IO
@@ -302,6 +291,8 @@ def main(argv: list[str] | None = None) -> int:
     except (CalibrationError, TraceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    print(*lines, f"reports written to {out_dir}", sep="\n")
+    return EXIT_OK
 
 
 def entry_point() -> None:

@@ -28,8 +28,8 @@ from .model import (
     SpecError,
     Tariff,
     _read,
+    check,
     read_json,
-    record_format,
     spec,
     validate_spec,
 )
@@ -110,8 +110,7 @@ def shading_factor(overhang_ratio: float, sun_altitude: float) -> float:
     sun_altitude : float
         Design sun altitude in degrees, within (0, 90).
     """
-    if overhang_ratio < 0:
-        raise ValueError(f"overhang_ratio must be nonnegative, got {overhang_ratio}")
+    check(overhang_ratio, "overhang_ratio", NONNEGATIVE)
     if not 0.0 < sun_altitude < 90.0:
         raise ValueError(f"sun_altitude must lie in (0, 90) degrees, got {sun_altitude}")
     return 1.0 - min(1.0, overhang_ratio * math.tan(math.radians(sun_altitude)))
@@ -303,9 +302,9 @@ def calibrate(spec: BuildingSpec, climate: ClimateProfile,
     CalibrationError
         If the best residual exceeds :data:`CALIBRATION_TOLERANCE`.
     """
-    for f in record_format(EndUseTargets):
-        if not f.rule[0](getattr(targets, f.attr)):
-            raise ValueError(f"calibration target {f.attr} must be positive and finite")
+    for v in validate_spec(targets):
+        raise ValueError(f"calibration target {v.field} must be positive and finite, "
+                         f"got {v.value!r}")
     violations = validate_spec(spec)
     if violations:
         raise SpecError("cannot calibrate an invalid spec", violations)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .energy import MJ_PER_KWH, annual_lighting_kwh
-from .model import FRACTION, NONNEGATIVE, POSITIVE, SpecError, _read, spec
+from .model import FRACTION, NONNEGATIVE, POSITIVE, SpecError, _read, check, spec
 
 #: Flat-rate constant of the average daylight-factor formula
 #: DF = window_area * VT * 45 / total_room_surface_area (in percent).
@@ -57,8 +57,7 @@ def daylight_class(room: Room) -> DaylightClass:
     climate-independent. A room counts as sufficient when DF >= 2% and no
     point lies deeper than twice the window head height.
     """
-    if room.floor_area <= 0:
-        raise ValueError(f"room {room.id!r}: floor_area must be > 0")
+    check(room.floor_area, f"room {room.id!r}: floor_area", POSITIVE)
     width = room.floor_area / room.depth_from_window if room.depth_from_window > 0 else 0.0
     surface_area = (2.0 * room.floor_area
                     + 2.0 * (room.depth_from_window + width) * room.ceiling_height)
@@ -74,8 +73,7 @@ def daylight_class(room: Room) -> DaylightClass:
 
 def luminaire_count(room: Room, lamp: Lamp) -> int:
     """Lumen-method lamp count: ceil(E * A / (flux * UF * MF))."""
-    if lamp.luminous_flux <= 0:
-        raise ValueError(f"lamp {lamp.id!r}: luminous_flux must be > 0")
+    check(lamp.luminous_flux, f"lamp {lamp.id!r}: luminous_flux", POSITIVE)
     delivered = lamp.luminous_flux * lamp.utilization_factor * lamp.maintenance_factor
     return math.ceil(room.target_illuminance * room.floor_area / delivered)
 

@@ -113,13 +113,15 @@ def load_pv_site(text: str) -> PvSite:
 def site_economics(site: PvSite, equivalent_hours: float,
                    tariff: Tariff) -> PvEconomicsReport:
     """Chain sizing, yield and economics for one site; :class:`ValueError` if the
-    site's or the tariff's values, each finite, overflow a reported quantity."""
+    site's or the tariff's values, each finite, overflow a reported quantity. The
+    payback is infinite only when there is no benefit."""
     count = panel_count(site.roof_area, site.panel, site.packing_factor)
     capacity_kw = count * site.panel.rated_power / 1000.0
     generation = annual_generation(capacity_kw, equivalent_hours)
     report = economics(generation, site.annual_consumption, tariff,
                        site.capex_per_watt, capacity_kw, panel_count=count)
-    if not all(math.isfinite(v) for name, v in vars(report).items() if name != "payback"):
+    if not all(math.isfinite(v) or (name == "payback" and report.total_benefit == 0)
+               for name, v in vars(report).items()):
         raise ValueError("the site's roof area, panel, capex or consumption, or the "
                          "tariff's prices, overflow its PV economics")
     return report

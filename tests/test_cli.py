@@ -201,6 +201,66 @@ def test_manifest_hashes_exactly_the_files_read(fixtures, tmp_path, command, dro
         for key, name in read.items()}
 
 
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_manifest_hashes_the_bytes_of_an_input_given_as_a_pipe(fixtures, tmp_path):
+    """``--spec <(cat baseline_school.json)``: a pipe can be read once, so the manifest
+    holds the digest of the bytes the run parsed, not that of empty bytes."""
+    data = (fixtures / "baseline_school.json").read_bytes()
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, data)  # the fixture fits in the pipe's buffer
+        os.close(write_fd)
+        out = tmp_path / "o"
+        argv = _argv(fixtures, "audit", **{"baseline_school.json": f"/dev/fd/{read_fd}"})
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--out", str(out)]) == 0
+    finally:
+        os.close(read_fd)
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["inputs"]["spec"] == {"path": f"/dev/fd/{read_fd}",
+                                          "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def test_crlf_inputs_give_byte_identical_reports(fixtures, tmp_path):
+    """Inputs are decoded as text mode decodes them, so CRLF line ends change no report;
+    the manifest hashes the CRLF bytes."""
+    crlf = {}
+    for name in ("baseline_school.json", "gd_climate.csv", "paper_tariff.json"):
+        crlf[name] = tmp_path / name
+        crlf[name].write_bytes((fixtures / name).read_bytes().replace(b"\n", b"\r\n"))
+    outs = {"lf": tmp_path / "lf", "crlf": tmp_path / "crlf"}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(_argv(fixtures, "audit") + ["--out", str(outs["lf"])]) == 0
+        assert main(_argv(fixtures, "audit", **crlf) + ["--out", str(outs["crlf"])]) == 0
+    for name in ("report.json", "report.csv"):
+        assert (outs["lf"] / name).read_bytes() == (outs["crlf"] / name).read_bytes()
+    manifest = json.loads((outs["crlf"] / "run_manifest.json").read_text())
+    assert manifest["inputs"]["climate"]["sha256"] == hashlib.sha256(
+        crlf["gd_climate.csv"].read_bytes()).hexdigest()
+
+
+def test_every_input_is_read_before_any_is_parsed(fixtures, tmp_path, capsys):
+    """A malformed spec and a missing tariff: the missing file is found first (exit 3),
+    and nothing is written."""
+    spec = tmp_path / "spec.json"
+    spec.write_text("{")
+    missing = tmp_path / "missing_tariff.json"
+    out = tmp_path / "o"
+    argv = _argv(fixtures, "audit", **{"baseline_school.json": spec,
+                                       "paper_tariff.json": missing})
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: file not found: {missing}"]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["audit", "calibrate", "optimize", "pv", "node-sim"])
+def test_last_stdout_line_names_the_output_directory(fixtures, tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main(_argv(fixtures, command) + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"reports written to {out}"
+
+
 def test_reports_are_byte_identical_across_runs(fixtures, tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -936,6 +996,11 @@ def test_optimize_tiny_gas_energy_content(fixtures, tmp_path, capsys, hvac, code
     pytest.param("pv", "pv_site.json",
                  lambda doc: doc["panel"].update(length_m=5e-324, width_m=0.5),
                  "overflows the panel count", id="pv-panel-footprint-zero"),
+    # a benefit > 0 whose payback overflows was reported as a null payback, "never"
+    pytest.param("pv", "pv_site.json",
+                 lambda doc: (doc.update(capex_per_watt_cny=1.7e308),
+                              doc["panel"].update(rated_power_w=1e-3)),
+                 "overflow its PV economics", id="pv-payback"),
     pytest.param("audit", "paper_tariff.json", _set("electricity_price_cny_kwh", value=1e306),
                  "the tariff's prices or the spec's floor area overflow the annual cost",
                  id="audit-electricity-price"),

@@ -52,6 +52,12 @@ class TestShadingFactor:
         with pytest.raises(ValueError):
             shading_factor(-0.1, 45.0)
 
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -1.0])
+    def test_nonfinite_or_negative_ratio_rejected(self, ratio):
+        """A NaN or infinite overhang used to give 0.0, full shade."""
+        with pytest.raises(ValueError, match="overhang_ratio must be nonnegative and finite"):
+            shading_factor(ratio, 45.0)
+
     @given(ratio=st.floats(0, 3, allow_nan=False),
            alt=st.floats(1, 89, allow_nan=False),
            d_ratio=st.floats(0, 1, allow_nan=False),
@@ -359,6 +365,15 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="must be positive"):
             calibrate(baseline_spec, climate,
                       EndUseTargets(170.0, 1000.0, -5.0, 200.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_target_built_in_code_is_named_with_its_value(self, baseline_spec, climate,
+                                                          value):
+        targets = EndUseTargets(170.0, value, 300.0, 200.0)
+        with pytest.raises(ValueError) as err:
+            calibrate(baseline_spec, climate, targets)
+        assert str(err.value) == ("calibration target cooling_gj must be positive and "
+                                  f"finite, got {value!r}")
 
     def test_unreachable_targets_raise_with_residual(self, baseline_spec, climate):
         # gains cannot push heating up, so a huge heating target cannot be met

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -42,6 +44,12 @@ class TestDaylightClass:
         assert classroom.depth_from_window == 8.0
         assert daylight_class(classroom) is DaylightClass.INSUFFICIENT
 
+    @pytest.mark.parametrize("area", [math.nan, math.inf, -1.0])
+    def test_nonfinite_or_negative_floor_area_rejected(self, area):
+        """A NaN or infinite floor area used to classify the room INSUFFICIENT."""
+        with pytest.raises(ValueError, match="room 'r': floor_area must be > 0 and finite"):
+            daylight_class(Room("r", area, 5.0, 5.0, 0.7, 300.0))
+
 
 class TestLuminaireCount:
     def test_hand_evaluated_lumen_method(self):
@@ -57,6 +65,14 @@ class TestLuminaireCount:
         room = Room("r", 60.0, 6.0, 10.0, 0.7, 500.0)
         with pytest.raises(ValueError, match="luminous_flux"):
             luminaire_count(room, Lamp("dead", 0.0, 30.0, 0.5, 0.8))
+
+    @pytest.mark.parametrize("flux", [math.nan, math.inf, -1.0])
+    def test_nonfinite_or_negative_flux_rejected(self, flux):
+        """An infinite flux used to need 0 lamps, and a NaN one raised "cannot convert
+        float NaN to integer"."""
+        room = Room("r", 60.0, 6.0, 10.0, 0.7, 500.0)
+        with pytest.raises(ValueError, match="lamp 'x': luminous_flux must be > 0 and finite"):
+            luminaire_count(room, Lamp("x", flux, 30.0, 0.5, 0.8))
 
     def test_whole_building_total_near_500(self, rooms, lamps):
         total = sum(luminaire_count(room, lamps["led_linear_3600"]) for room in rooms)
