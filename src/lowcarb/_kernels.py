@@ -6,7 +6,7 @@ runs :func:`lowcarb.energy.thermal_balance` and :func:`lowcarb.energy.end_use`,
 the functions the scalar engine calls, on per-design arrays of the inputs that the
 :mod:`lowcarb.energy` input functions give, so the two agree to the bit.
 ``node_sim`` is the only implementation of the node step; :func:`lowcarb.node.step`
-runs it on a one-sample trace. It runs on stdlib ``array.array`` columns, so node-sim
+runs it on a one-sample trace. It writes stdlib ``array.array`` columns, so node-sim
 never loads numpy. Both are timed per layer by ``perfbench/run.py --trace 1``.
 """
 
@@ -61,10 +61,11 @@ def batch_energy(wwr, shading, glz_u, glz_shgc, wall_u, roof_u, ach,
 # Sequential coulomb-counting fold; cannot be vectorized because each step's
 # state of charge depends on the previous one.
 
-def node_sim(irradiance, rain, dt_s, soc0, alarm0,
+def node_sim(trace, dt_s, soc0, alarm0,
              panel_w, base_load_w, alarm_w, capacity_wh,
              threshold, hysteresis, charge_eff):
-    """Run the node trace fold over two float64 buffers (``array('d')`` or numpy).
+    """Run the node trace fold over a sequence of samples, reading each one's
+    ``irradiance_fraction`` and ``rain_reading`` (:class:`lowcarb.node.EnvSample`).
 
     Returns the per-step ``array`` columns soc (``'d'``), alarm (``'b'``, 0 idle,
     1 alarm), harvest and load power (``'d'``) and served (``'B'``, 0 or 1), then
@@ -72,10 +73,10 @@ def node_sim(irradiance, rain, dt_s, soc0, alarm0,
     """
     from array import array
 
-    n = len(irradiance)
+    n = len(trace)
     outputs = (array("d", bytes(8 * n)), array("b", bytes(n)), array("d", bytes(8 * n)),
                array("d", bytes(8 * n)), array("B", bytes(n)))
-    # Reads and writes go through memoryviews: in a 200k-step loop a memoryview
+    # Writes go through memoryviews: in a 200k-step loop a memoryview
     # store took ~30% less time than array.__setitem__. served takes bools
     # through a '?' cast of its bytes.
     soc_out, alarm_out, harvest_out, load_out, served_out = map(memoryview, outputs)
@@ -93,7 +94,8 @@ def node_sim(irradiance, rain, dt_s, soc0, alarm0,
     harvested = 0.0
     served_total = 0.0
     curtailed = 0.0
-    for i, (irr, reading) in enumerate(zip(memoryview(irradiance), memoryview(rain))):
+    for i, sample in enumerate(trace):
+        irr, reading = sample.irradiance_fraction, sample.rain_reading
         # sensor sampled at step start; the alarm draws power the same step
         if alarm == 0:
             if reading >= threshold:

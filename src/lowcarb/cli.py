@@ -26,8 +26,8 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from . import __version__
-from .model import CalibrationError, SpecError, TraceError, load_catalog, \
-    load_climate_profile, load_tariff, parse_building_spec, to_doc
+from .model import CalibrationError, load_catalog, load_climate_profile, load_tariff, \
+    parse_building_spec, to_doc
 
 # Each subcommand imports the other lowcarb modules it runs, and calls into them
 # through the module, so a run loads only what it uses.
@@ -281,15 +281,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except SpecError as exc:
-        if exc.violations:
-            for violation in exc.violations:
-                print(str(violation), file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (CalibrationError, TraceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CalibrationError, ValueError) as exc:  # SpecError and TraceError are ValueErrors
+        print(*getattr(exc, "violations", None) or [f"error: {exc}"], sep="\n", file=sys.stderr)
         return EXIT_DOMAIN
     print(*lines, f"reports written to {out_dir}", sep="\n")
     return EXIT_OK

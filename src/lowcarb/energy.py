@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .model import (
+    ALTITUDE,
     ORIENTATION_ORDER,
     BuildingSpec,
     CalibrationError,
@@ -111,8 +112,7 @@ def shading_factor(overhang_ratio: float, sun_altitude: float) -> float:
         Design sun altitude in degrees, within (0, 90).
     """
     check(overhang_ratio, "overhang_ratio", NONNEGATIVE)
-    if not 0.0 < sun_altitude < 90.0:
-        raise ValueError(f"sun_altitude must lie in (0, 90) degrees, got {sun_altitude}")
+    check(sun_altitude, "sun_altitude", ALTITUDE)
     return 1.0 - min(1.0, overhang_ratio * math.tan(math.radians(sun_altitude)))
 
 
@@ -262,8 +262,7 @@ def annual_end_use(spec: BuildingSpec, climate: ClimateProfile,
 
 def eui(report: EnergyReport, floor_area: float) -> float:
     """Energy use intensity, kWh/(m2.yr), with 1 kWh = 3.6 MJ: :func:`end_use`'s formula."""
-    if floor_area <= 0:
-        raise ValueError(f"floor_area must be > 0, got {floor_area}")
+    check(floor_area, "floor_area", POSITIVE)
     value = report.total * KWH_PER_GJ / floor_area
     if not math.isfinite(value):
         raise ValueError("the spec's end use over its floor area overflows the EUI")
@@ -277,8 +276,7 @@ def cost_per_m2(electricity, gas, tariff: Tariff, floor_area):
 
 def annual_cost(report: EnergyReport, tariff: Tariff, floor_area: float) -> float:
     """Annual energy cost per floor area, CNY/(m2.yr), from :func:`cost_per_m2`."""
-    if floor_area <= 0:
-        raise ValueError(f"floor_area must be > 0, got {floor_area}")
+    check(floor_area, "floor_area", POSITIVE)
     value = cost_per_m2(report.electricity, report.gas, tariff, floor_area)
     if not math.isfinite(value):
         raise ValueError("the tariff's prices or the spec's floor area overflow the annual cost")

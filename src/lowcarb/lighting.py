@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .energy import MJ_PER_KWH, annual_lighting_kwh
-from .model import FRACTION, NONNEGATIVE, POSITIVE, SpecError, _read, check, spec
+from .model import FRACTION, NONNEGATIVE, POSITIVE, SpecError, _read, check, check_record, spec
 
 #: Flat-rate constant of the average daylight-factor formula
 #: DF = window_area * VT * 45 / total_room_surface_area (in percent).
@@ -57,7 +57,7 @@ def daylight_class(room: Room) -> DaylightClass:
     climate-independent. A room counts as sufficient when DF >= 2% and no
     point lies deeper than twice the window head height.
     """
-    check(room.floor_area, f"room {room.id!r}: floor_area", POSITIVE)
+    check_record(room, f"room {room.id!r}: ")
     width = room.floor_area / room.depth_from_window if room.depth_from_window > 0 else 0.0
     surface_area = (2.0 * room.floor_area
                     + 2.0 * (room.depth_from_window + width) * room.ceiling_height)
@@ -73,7 +73,8 @@ def daylight_class(room: Room) -> DaylightClass:
 
 def luminaire_count(room: Room, lamp: Lamp) -> int:
     """Lumen-method lamp count: ceil(E * A / (flux * UF * MF))."""
-    check(lamp.luminous_flux, f"lamp {lamp.id!r}: luminous_flux", POSITIVE)
+    check_record(room, f"room {room.id!r}: ")
+    check_record(lamp, f"lamp {lamp.id!r}: ")
     delivered = lamp.luminous_flux * lamp.utilization_factor * lamp.maintenance_factor
     return math.ceil(room.target_illuminance * room.floor_area / delivered)
 
@@ -91,10 +92,9 @@ def annual_lighting_energy(count: int, lamp_power: float, hours: float,
 def _checked_lighting_kwh(count: int, lamp_power: float, hours: float,
                           daylight_offset: float) -> float:
     """:func:`lowcarb.energy.annual_lighting_kwh` of arguments checked to be in range."""
-    if count < 0 or lamp_power < 0 or hours < 0:
-        raise ValueError("count, lamp_power and hours must be nonnegative")
-    if not 0 <= daylight_offset <= 1:
-        raise ValueError(f"daylight_offset must be within [0, 1], got {daylight_offset}")
+    for name, value in (("count", count), ("lamp_power", lamp_power), ("hours", hours)):
+        check(value, name, NONNEGATIVE)
+    check(daylight_offset, "daylight_offset", FRACTION)
     return annual_lighting_kwh(count, lamp_power, hours, daylight_offset)
 
 

@@ -111,6 +111,7 @@ FINITE: Rule = (math.isfinite, "must be finite")
 POSITIVE: Rule = (lambda v: 0 < v < math.inf, "must be > 0 and finite")
 NONNEGATIVE: Rule = (lambda v: 0 <= v < math.inf, "must be nonnegative and finite")
 FRACTION: Rule = (lambda v: 0 <= v <= 1, "must be within [0, 1]")
+ALTITUDE: Rule = (lambda v: 0 < v < 90, "must lie in (0, 90) degrees")
 INTEGER: Rule = (lambda v: v >= 0 and float(v).is_integer(), "must be a whole number >= 0")
 BOOLEAN: Rule = (lambda v: isinstance(v, bool), "must be true or false")
 SCHEMA: Rule = (lambda v: v == SCHEMA_VERSION, f"must be {SCHEMA_VERSION}")
@@ -526,9 +527,8 @@ def load_climate_profile(text: str) -> ClimateProfile:
 
     irradiation = {o: number(header, f"irradiation_kwh_m2_{o}", "climate.", NONNEGATIVE)
                    for o in ORIENTATION_ORDER}
-    altitude = (lambda v: 0 < v < 90, "must lie in (0, 90) degrees")
-    alt_summer = number(header, "summer_sun_altitude_deg", "climate.", altitude)
-    alt_winter = number(header, "winter_sun_altitude_deg", "climate.", altitude)
+    alt_summer = number(header, "summer_sun_altitude_deg", "climate.", ALTITUDE)
+    alt_winter = number(header, "winter_sun_altitude_deg", "climate.", ALTITUDE)
     sun_hours = number(header, "pv_full_sun_hours", "climate.", NONNEGATIVE)
 
     return ClimateProfile(

@@ -7,10 +7,10 @@ and harvest cannot cover the demand, the load goes unserved for the step and
 the node counts as down.
 
 :func:`simulate` checks a trace and runs the one trace fold,
-:func:`lowcarb._kernels.node_sim`, over it; :func:`step` is :func:`simulate`
-on one sample. Both keep the per-step columns in stdlib ``array.array``s and run
-without numpy; :class:`SimResult` shows the columns to library callers as numpy
-arrays, importing numpy only when one is read.
+:func:`lowcarb._kernels.node_sim`, over the checked samples; :func:`step` is
+:func:`simulate` on one sample. Both keep the per-step columns in stdlib
+``array.array``s and run without numpy; :class:`SimResult` shows the columns to
+library callers as numpy arrays, importing numpy only when one is read.
 
 :func:`load_node_config` reads a node config file through the field declarations
 (:func:`lowcarb.model.spec`) of :class:`NodeConfig`, :class:`NodePanel` and
@@ -223,11 +223,8 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
     if n == 0:
         raise TraceError("trace must not be empty")
     config.validate()
-    # one pass checks the trace and fills the two input columns
-    irr, rain = array("d", bytes(8 * n)), array("d", bytes(8 * n))
-    irr_in, rain_in = memoryview(irr), memoryview(rain)
     last = -math.inf
-    for i, sample in enumerate(trace):
+    for sample in trace:
         t = sample.timestamp
         if not last < t < math.inf:  # False for NaN
             raise TraceError(
@@ -238,11 +235,10 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
             raise TraceError(f"irradiance_fraction must be within [0, 1], got {fraction}")
         if not -math.inf < reading < math.inf:
             raise TraceError(f"rain_reading must be finite, got {reading} at t={t}")
-        irr_in[i], rain_in[i] = fraction, reading
 
     start = initial if initial is not None else initial_state(config)
     soc, alarm, harvest, load, served, harvested, served_total, curtailed = _kernels.node_sim(
-        irr, rain, dt, start.soc, 1 if start.alarm is AlarmState.ALARM else 0,
+        trace, dt, start.soc, 1 if start.alarm is AlarmState.ALARM else 0,
         config.panel.rated_power, config.base_load, config.alarm_power,
         config.battery_capacity, config.rain_threshold, config.hysteresis,
         config.charge_efficiency)

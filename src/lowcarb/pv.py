@@ -5,7 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import NONNEGATIVE, POSITIVE, Tariff, _read, check_record, read_json, spec
+from .model import NONNEGATIVE, POSITIVE, Rule, Tariff, _read, check, check_record, read_json, spec
+
+#: The share of the roof that modules may cover.
+PACKING: Rule = (lambda v: 0 < v <= 1, "must be within (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -41,10 +44,8 @@ def panel_count(roof_area: float, panel: PanelSpec, packing_factor: float) -> in
 
     ``packing_factor`` reserves maintenance passages and safety distances.
     """
-    if not 0 < packing_factor <= 1:
-        raise ValueError(f"packing_factor must lie in (0, 1], got {packing_factor}")
-    if roof_area < 0:
-        raise ValueError(f"roof_area must be nonnegative, got {roof_area}")
+    check(packing_factor, "packing_factor", PACKING)
+    check(roof_area, "roof_area", NONNEGATIVE)
     footprint = panel.length * panel.width
     count = roof_area * packing_factor / footprint if footprint > 0 else math.inf
     if not math.isfinite(count):
@@ -55,7 +56,8 @@ def panel_count(roof_area: float, panel: PanelSpec, packing_factor: float) -> in
 
 def annual_generation(capacity: float, equivalent_hours: float) -> float:
     """Annual yield in kWh from capacity (kW) and equivalent full-sun hours."""
-    if capacity < 0 or equivalent_hours < 0:
+    # NaN fails; +inf passes on, for site_economics to name what overflowed
+    if not (capacity >= 0 and equivalent_hours >= 0):
         raise ValueError("capacity and equivalent_hours must be nonnegative")
     return capacity * equivalent_hours
 
@@ -69,8 +71,9 @@ def economics(generation: float, consumption: float, tariff: Tariff,
     sells at the feed-in price. No degradation, discounting or O&M: payback
     is capex over first-year benefit, infinite when there is no benefit.
     """
-    if generation < 0 or consumption < 0 or capex_per_watt < 0 or capacity < 0:
-        raise ValueError("economics inputs must be nonnegative")
+    if not all(v >= 0 for v in (generation, consumption, capex_per_watt, capacity)):  # NaN fails
+        raise ValueError("generation, consumption, capex_per_watt and capacity must be "
+                         "nonnegative")
     self_consumed = min(generation, consumption)
     surplus = max(0.0, generation - consumption)
     bill_savings = self_consumed * tariff.electricity_price
@@ -99,7 +102,7 @@ class PvSite:
 
     roof_area: float = spec("roof_area_m2", NONNEGATIVE)  # m2
     panel: PanelSpec = spec("panel")
-    packing_factor: float = spec("packing_factor", (lambda v: 0 < v <= 1, "must be within (0, 1]"))
+    packing_factor: float = spec("packing_factor", PACKING)
     capex_per_watt: float = spec("capex_per_watt_cny", NONNEGATIVE)  # CNY/W
     annual_consumption: float = spec("annual_consumption_kwh", NONNEGATIVE)  # kWh/yr
 

@@ -1055,7 +1055,8 @@ def _is_number(value):
 
 
 _DROP = object()
-_MUTATIONS = [math.nan, math.inf, -math.inf, -1, "x", None, _DROP]
+_MUTATIONS = [math.nan, math.inf, -math.inf, -1, "x", None, _DROP,
+              0, 5e-324, 1e-300, 1e300, 1e308]
 #: what replaces a string, a boolean, or a whole object or list
 _SHAPE_MUTATIONS = [None, 1, [], {}]
 

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import types
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from conftest import building_specs
 from hypothesis import given, strategies as st
 
+import lowcarb
 from lowcarb import (
     BuildingSpec,
     EnvelopeGroup,
@@ -360,6 +362,46 @@ def test_check_record_names_a_library_built_field():
     with pytest.raises(SpecError) as err:
         check_record(bad, "node.")
     assert str(err.value) == "node.panel.rated_current must be nonnegative and finite, got nan"
+
+
+_ROOM = Room("r", 60.0, 6.0, 10.0, 0.7, 500.0)
+_LAMP = Lamp("l", 3600.0, 30.0, 0.5, 0.8)
+_REPORT = lowcarb.EnergyReport(1.0, 1.0, 1.0, 1.0, 4.0, 1000.0, 10.0)
+
+
+@pytest.mark.parametrize("call, named", [
+    pytest.param(lambda tariff: lowcarb.annual_lighting_energy(math.nan, 30.0, 2000.2, 0.0),
+                 "count", id="lighting-count-nan"),
+    pytest.param(lambda tariff: lowcarb.annual_lighting_energy(10, math.inf, 2000.2, 0.0),
+                 "lamp_power", id="lighting-lamp-power-inf"),
+    pytest.param(lambda tariff: lowcarb.eui(_REPORT, math.inf), "floor_area", id="eui-inf"),
+    pytest.param(lambda tariff: lowcarb.annual_cost(_REPORT, tariff, math.inf), "floor_area",
+                 id="annual-cost-inf"),
+    pytest.param(lambda tariff: lowcarb.eui(_REPORT, math.nan), "floor_area", id="eui-nan"),
+    pytest.param(lambda tariff: lowcarb.annual_generation(math.nan, 1200.0), "capacity",
+                 id="generation-nan"),
+    pytest.param(lambda tariff: lowcarb.economics(math.nan, 1.0, tariff, 3.8, 1.0),
+                 "generation", id="economics-nan"),
+    pytest.param(lambda tariff: lowcarb.panel_count(
+        math.nan, lowcarb.PanelSpec(1.6, 1.0, 300.0), 0.8), "roof_area", id="panel-count-nan"),
+    pytest.param(lambda tariff: lowcarb.luminaire_count(
+        dataclasses.replace(_ROOM, target_illuminance=math.inf), _LAMP),
+        "room 'r': target_illuminance", id="luminaire-count-target-inf"),
+    pytest.param(lambda tariff: lowcarb.luminaire_count(
+        dataclasses.replace(_ROOM, floor_area=math.nan), _LAMP),
+        "room 'r': floor_area", id="luminaire-count-area-nan"),
+    pytest.param(lambda tariff: lowcarb.daylight_class(
+        dataclasses.replace(_ROOM, glazing_vt=math.nan)), "room 'r': glazing_vt",
+        id="daylight-class-vt-nan"),
+])
+def test_library_functions_refuse_nan_and_infinity_naming_the_argument(call, named, tariff):
+    """Library functions check their arguments through the rules of the fields that hold
+    those quantities. Before, these calls returned nan, inf or 0.0 (the lighting energy,
+    EUI, annual cost, yield, benefit and daylight class), or raised an error that named
+    no argument: "overflows the EUI", "overflows the panel count", OverflowError and
+    "cannot convert float NaN to integer"."""
+    with pytest.raises(ValueError, match=rf"^{re.escape(named)}\b"):
+        call(tariff)
 
 
 def test_unset_optional_field_passes_its_rule():
