@@ -3,8 +3,9 @@ trace fold.
 
 ``batch_energy`` is the adapter that ``perfbench`` wraps to time the sweep: it
 runs :func:`lowcarb.energy.thermal_balance` and :func:`lowcarb.energy.end_use`,
-the functions the scalar engine calls, on per-design arrays of the inputs that the
-:mod:`lowcarb.energy` input functions give, so the two agree to the bit.
+the functions the scalar engine calls, on per-design arrays of the load terms that
+:func:`lowcarb.energy.facade_loads` and :func:`lowcarb.energy.core_loads` give, so the
+two agree to the bit.
 ``node_sim`` is the only implementation of the node step; :func:`lowcarb.node.step`
 runs it on a one-sample trace. It writes stdlib ``array.array`` columns, so node-sim
 never loads numpy. Both are timed per layer by ``perfbench/run.py --trace 1``.
@@ -12,9 +13,8 @@ never loads numpy. Both are timed per layer by ``perfbench/run.py --trace 1``.
 
 from __future__ import annotations
 
-# Each function imports what it uses when called: node-sim does not load energy,
-# and optimize does not load array. This module never imports numpy
-# (batch_energy's callers pass numpy arrays).
+# Each function imports what it uses when called: node-sim does not load energy
+# or numpy, and optimize does not load array.
 
 
 def numba_enabled() -> bool:
@@ -29,29 +29,37 @@ def numba_enabled() -> bool:
 # batch design evaluation (one row per candidate design)
 # ---------------------------------------------------------------------------
 
-def batch_energy(wwr, shading, glz_u, glz_shgc, wall_u, roof_u, ach,
-                 lighting_kwh, cop, heat_eff, heat_is_gas,
-                 gross_area, irradiation, roof_area, volume,
-                 t_cool, t_heat, w_cool, w_heat,
-                 equip_kwh, gain_mult, floor_area, gas_energy_content):
+#: Designs per pass through the kernel's arithmetic. Its ~30 transient arrays of
+#: 64 KiB stay below glibc's 128 KiB mmap threshold and are reused from the heap:
+#: at 2^14 (128 KiB arrays) a sweep_large op took ~1,800 minor page faults, at 2^13 0.6.
+_SLICE = 1 << 13
+
+
+def batch_energy(facade_cool, facade_heat, core_cool, core_heat, lighting_kwh, cop, heat_eff,
+                 heat_is_gas, equip_kwh, floor_area, gas_energy_content):
     """Evaluate the annual energy balance for a whole batch of designs.
 
-    ``wwr`` is a (4, n) array in N, S, E, W order and ``shading`` (4, 2, n):
-    per orientation, the summer and winter :func:`lowcarb.energy.shading_factor`.
-    The next nine arguments are length-n arrays, one value per design. The
-    rest are shared by the whole sweep: ``gross_area`` and ``irradiation`` per
-    orientation, ``t_*`` and ``w_*`` from :func:`lowcarb.energy.season_terms`.
+    ``facade_cool`` and ``facade_heat`` are (4, n) arrays of each design's
+    :func:`lowcarb.energy.facade_loads` terms in N, S, E, W order, and ``core_cool``
+    and ``core_heat`` its :func:`lowcarb.energy.core_loads` terms. The next four
+    arguments are length-n arrays too; the last three are shared by the whole sweep.
     Returns per-design (eui, electricity_kwh, gas_m3), from
-    :func:`lowcarb.energy.end_use`.
+    :func:`lowcarb.energy.thermal_balance` and :func:`lowcarb.energy.end_use`.
     """
+    import numpy as np
+
     from .energy import end_use, thermal_balance
 
-    l_cool, l_heat = thermal_balance(
-        gross_area, wwr, (wall_u,) * 4, (glz_u,) * 4, (glz_shgc,) * 4, irradiation,
-        shading[:, 0], shading[:, 1], roof_area, roof_u, ach, volume,
-        lighting_kwh, equip_kwh, gain_mult, t_cool, t_heat, w_cool, w_heat)
-    return end_use(l_cool, l_heat, lighting_kwh, equip_kwh, cop, heat_eff, heat_is_gas,
-                   floor_area, gas_energy_content)[:3]
+    out = np.empty((3, len(core_cool)))
+    for start in range(0, len(core_cool), _SLICE):
+        part = slice(start, start + _SLICE)
+        loads = thermal_balance((core_cool[part], core_heat[part]),
+                                zip(facade_cool[:, part], facade_heat[:, part]))
+        values = end_use(*loads, lighting_kwh[part], equip_kwh, cop[part], heat_eff[part],
+                         heat_is_gas[part], floor_area, gas_energy_content)
+        for row, value in zip(out, values[:3]):
+            row[part] = value
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

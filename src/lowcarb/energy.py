@@ -9,7 +9,9 @@ heating. Everything is a pure function of its arguments; identical inputs
 give bit-identical reports.
 
 The scalar engine and the design sweep share every model formula, written only here:
-the input functions, :func:`thermal_balance`, :func:`end_use` and :func:`cost_per_m2`.
+the input functions, :func:`facade_loads`, :func:`core_loads`, :func:`thermal_balance`,
+:func:`end_use` and :func:`cost_per_m2`. The thermal balance is a core term plus one
+term per facade, a sum over building elements as in ISO 13790.
 """
 
 from __future__ import annotations
@@ -154,32 +156,48 @@ def annual_equipment_kwh(spec: BuildingSpec, calib: CalibrationParams) -> float:
             * calib.equipment_multiplier)
 
 
-def thermal_balance(gross_area, wwr, wall_u, glz_u, glz_shgc, irradiation,
-                    shade_summer, shade_winter, roof_area, roof_u, ach, volume,
-                    lighting_kwh, equip_kwh, gain_mult, t_cool, t_heat, w_cool, w_heat):
-    """Annual (cooling load kWh, unclamped heating load kWh).
+def facade_loads(gross_area, wwr, wall_u, glz_u, glz_shgc, irradiation, shade_summer,
+                 shade_winter, t_cool, t_heat, w_cool, w_heat):
+    """One facade's annual (cooling, heating) load terms in kWh.
 
-    The first eight arguments are per-orientation 4-sequences in ``ORIENTATION_ORDER``;
-    ``shade_*`` are the :func:`seasonal_shading` values. Internal gains are
-    ``(lighting_kwh + equip_kwh) * gain_mult``. Any value may be a float or a float64
-    array, arrays broadcasting: only ``+ - * /`` touch them, so the scalar engine and
-    the batch sweep run this one function and agree to the bit. ``t_*`` and ``w_*``
-    come from :func:`season_terms`.
+    Transmission through its opaque wall and its glazing (the ``wwr`` share of
+    ``gross_area``) over the season's degree hours, plus the glazing's solar gains
+    under the :func:`seasonal_shading` factors ``shade_*``, which load cooling whole
+    and offset heating at :data:`HEATING_GAIN_UTILIZATION`. ``t_*`` and ``w_*`` come
+    from :func:`season_terms`. Any value may be a float or a float64 array, arrays
+    broadcasting: only ``+ - *`` touch them, so a float and an array give the same bits.
     """
+    a_glz = gross_area * wwr
+    h = (gross_area - a_glz) * wall_u + a_glz * glz_u
+    solar = glz_shgc * a_glz * irradiation
+    return (h * t_cool + w_cool * (solar * shade_summer),
+            h * t_heat - HEATING_GAIN_UTILIZATION * w_heat * (solar * shade_winter))
+
+
+def core_loads(roof_area, roof_u, ach, volume, lighting_kwh, equip_kwh, gain_mult,
+               t_cool, t_heat, w_cool, w_heat):
+    """The (cooling, heating) load terms in kWh of roof conduction, infiltration and the
+    internal gains ``(lighting_kwh + equip_kwh) * gain_mult``, which load cooling whole
+    and offset heating at :data:`HEATING_GAIN_UTILIZATION`; floats or float64 arrays,
+    as in :func:`facade_loads`."""
     gains = (lighting_kwh + equip_kwh) * gain_mult
-    h = roof_area * roof_u
-    solar_cool = 0.0
-    solar_heat = 0.0
-    for o in range(4):
-        a_glz = gross_area[o] * wwr[o]
-        a_wall = gross_area[o] - a_glz
-        h = h + a_wall * wall_u[o] + a_glz * glz_u[o]
-        solar_cool = solar_cool + glz_shgc[o] * a_glz * irradiation[o] * shade_summer[o]
-        solar_heat = solar_heat + glz_shgc[o] * a_glz * irradiation[o] * shade_winter[o]
-    h = h + AIR_HEAT_CAPACITY_WH_M3K * ach * volume
-    cooling_load = h * t_cool + w_cool * (solar_cool + gains)
-    heating_load = h * t_heat - HEATING_GAIN_UTILIZATION * w_heat * (solar_heat + gains)
-    return cooling_load, heating_load
+    h = roof_area * roof_u + AIR_HEAT_CAPACITY_WH_M3K * ach * volume
+    return h * t_cool + w_cool * gains, h * t_heat - HEATING_GAIN_UTILIZATION * w_heat * gains
+
+
+def thermal_balance(core, facades):
+    """Annual (cooling load kWh, unclamped heating load kWh): the :func:`core_loads`
+    pair plus each :func:`facade_loads` pair, added left to right in ``ORIENTATION_ORDER``.
+
+    A rounded sum never grows when one of its terms shrinks, so lowering any term
+    never raises either load, to the bit. The scalar engine, the sweep kernel and the
+    sweep's group bounds all add these terms here, in this order.
+    """
+    cool, heat = core
+    for f_cool, f_heat in facades:
+        cool = cool + f_cool
+        heat = heat + f_heat
+    return cool, heat
 
 
 def _loads(spec: BuildingSpec, climate: ClimateProfile,
@@ -188,20 +206,15 @@ def _loads(spec: BuildingSpec, climate: ClimateProfile,
     lighting kWh, equipment kWh)."""
     lighting_kwh = scheduled_lighting_kwh(spec, spec.lighting.lamp_power, calib)
     equipment_kwh = annual_equipment_kwh(spec, calib)
-    groups = [spec.envelope(o) for o in ORIENTATION_ORDER]
-    cooling_load, heating_load = thermal_balance(
-        [g.gross_wall_area for g in groups],
-        [g.wwr for g in groups],
-        [g.wall.u_value for g in groups],
-        [g.glazing.u_value for g in groups],
-        [g.glazing.shgc for g in groups],
-        [climate.irradiation[o] for o in ORIENTATION_ORDER],
-        *zip(*(seasonal_shading(g.overhang_ratio, climate) for g in groups)),
-        spec.roof.area, spec.roof.construction.u_value,
-        spec.infiltration, spec.conditioned_volume,
-        lighting_kwh, equipment_kwh, calib.internal_gain_multiplier,
-        *season_terms(climate))
-    return cooling_load, heating_load, lighting_kwh, equipment_kwh
+    season = season_terms(climate)
+    facades = [facade_loads(g.gross_wall_area, g.wwr, g.wall.u_value, g.glazing.u_value,
+                            g.glazing.shgc, climate.irradiation[o],
+                            *seasonal_shading(g.overhang_ratio, climate), *season)
+               for o in ORIENTATION_ORDER for g in [spec.envelope(o)]]
+    core = core_loads(spec.roof.area, spec.roof.construction.u_value, spec.infiltration,
+                      spec.conditioned_volume, lighting_kwh, equipment_kwh,
+                      calib.internal_gain_multiplier, *season)
+    return (*thermal_balance(core, facades), lighting_kwh, equipment_kwh)
 
 
 def end_use(l_cool, l_heat, lighting_kwh, equip_kwh, cop, heat_eff, heat_is_gas,

@@ -65,6 +65,9 @@ def daylight_class(room: Room) -> DaylightClass:
     if surface_area > 0:
         df_percent = (room.window_area * room.glazing_vt
                       * DAYLIGHT_FACTOR_CONSTANT / surface_area)
+    if not (math.isfinite(surface_area) and math.isfinite(df_percent)):
+        raise ValueError(f"room {room.id!r}: the floor_area, depth_from_window, ceiling_height, "
+                         "window_area and glazing_vt overflow the daylight factor")
     deep = room.depth_from_window > 2.0 * room.window_head_height
     if df_percent >= SUFFICIENT_DF_PERCENT and not deep:
         return DaylightClass.SUFFICIENT
@@ -76,7 +79,12 @@ def luminaire_count(room: Room, lamp: Lamp) -> int:
     check_record(room, f"room {room.id!r}: ")
     check_record(lamp, f"lamp {lamp.id!r}: ")
     delivered = lamp.luminous_flux * lamp.utilization_factor * lamp.maintenance_factor
-    return math.ceil(room.target_illuminance * room.floor_area / delivered)
+    count = room.target_illuminance * room.floor_area / delivered if delivered > 0 else math.inf
+    if not math.isfinite(count):
+        raise ValueError(f"room {room.id!r} and lamp {lamp.id!r}: the target_illuminance and "
+                         "floor_area over the luminous_flux, utilization_factor and "
+                         "maintenance_factor overflow the luminaire count")
+    return math.ceil(count)
 
 
 def annual_lighting_energy(count: int, lamp_power: float, hours: float,
@@ -95,7 +103,10 @@ def _checked_lighting_kwh(count: int, lamp_power: float, hours: float,
     for name, value in (("count", count), ("lamp_power", lamp_power), ("hours", hours)):
         check(value, name, NONNEGATIVE)
     check(daylight_offset, "daylight_offset", FRACTION)
-    return annual_lighting_kwh(count, lamp_power, hours, daylight_offset)
+    kwh = annual_lighting_kwh(count, lamp_power, hours, daylight_offset)
+    if not math.isfinite(kwh * MJ_PER_KWH):
+        raise ValueError("count, lamp_power and hours overflow the annual lighting energy")
+    return kwh
 
 
 def load_rooms(text: str) -> list[Room]:

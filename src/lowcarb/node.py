@@ -30,8 +30,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from . import _kernels
-from .model import (FRACTION, NONNEGATIVE, POSITIVE, SensorFleet, SpecError, TraceError, _read,
-                    check_record, read_json, spec, total)
+from .model import (FINITE, FRACTION, NONNEGATIVE, POSITIVE, SensorFleet, SpecError, TraceError,
+                    _read, check_record, read_json, spec, total)
 
 if TYPE_CHECKING:
     import numpy as np  # imported at run time by the SimResult views, on first read
@@ -223,6 +223,7 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
     if n == 0:
         raise TraceError("trace must not be empty")
     config.validate()
+    (in_range, in_range_text), (finite, finite_text) = FRACTION, FINITE
     last = -math.inf
     for sample in trace:
         t = sample.timestamp
@@ -231,10 +232,10 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
                 f"trace timestamps must be finite and strictly increasing at t={t}")
         last = t
         fraction, reading = sample.irradiance_fraction, sample.rain_reading
-        if not 0.0 <= fraction <= 1.0:
-            raise TraceError(f"irradiance_fraction must be within [0, 1], got {fraction}")
-        if not -math.inf < reading < math.inf:
-            raise TraceError(f"rain_reading must be finite, got {reading} at t={t}")
+        if not in_range(fraction):
+            raise TraceError(f"irradiance_fraction {in_range_text}, got {fraction}")
+        if not finite(reading):
+            raise TraceError(f"rain_reading {finite_text}, got {reading} at t={t}")
 
     start = initial if initial is not None else initial_state(config)
     soc, alarm, harvest, load, served, harvested, served_total, curtailed = _kernels.node_sim(

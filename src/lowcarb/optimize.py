@@ -14,9 +14,10 @@ Code limits act on single candidate values, so the code-legal designs form
 a Cartesian product of their own (:func:`legal_space`). It is scored in
 chunks, group by group in ascending order of a lower bound on the group's EUI
 (:func:`_group_bounds`). Rows above the k-th least EUI held are dropped and
-groups whose bound lies above it (plus a rounding margin) are skipped, so memory
-is bounded by the chunk and ``k``, not by the size of the space; the kept rows
-are ranked once.
+groups whose bound lies above it are skipped, so memory is bounded by the chunk,
+``k`` and the facade terms spread over the orientation designs (8 floats per
+(glazing, wall) pair and orientation design), not by the size of the space; the
+kept rows are ranked once.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ from . import _kernels
 from .energy import (
     CalibrationParams,
     annual_equipment_kwh,
+    core_loads,
     cost_per_m2,
     end_use,
+    facade_loads,
     scheduled_lighting_kwh,
     season_terms,
     seasonal_shading,
@@ -371,78 +374,67 @@ def _resolve(table: Mapping, ids, kind: str) -> list:
     return [table[i] for i in ids]
 
 
-def _candidate_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
-                      climate: ClimateProfile, calib: CalibrationParams) -> list[tuple]:
-    """Per variable, in enumeration order, the kernel inputs of each candidate.
+def _column(values, trailing: int):
+    """``values`` as a float64 column followed by ``trailing`` axes of length 1."""
+    import numpy as np
 
-    An overhang's are its :func:`seasonal_shading` pair. All are float64 (the
-    gas flag as 0/1), so one block holds them.
+    return np.array(values, dtype=float).reshape(-1, *(1,) * trailing)
+
+
+def _load_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
+                 climate: ClimateProfile, calib: CalibrationParams) -> tuple:
+    """The kernel inputs of each candidate: per orientation a (cooling, heating) pair of
+    :func:`facade_loads` on axes (glazing, wall, wwr, overhang, _), then a :func:`core_loads`
+    pair, the lighting kWh and the HVAC (COP, heating efficiency, gas flag as 0/1) on the
+    trailing axes of a group's (glazing, wall, roof, infiltration, lighting, hvac, _).
+    The second entry on a heating table's last axis negates ``w_heat``, so that each
+    summand counts at its magnitude.
 
     Raises :class:`SpecError` when the space names an id the catalog lacks.
     """
-    import numpy as np
-
     glz = _resolve(catalog.glazings, space.glazing_ids, "glazing")
     walls = _resolve(catalog.constructions, space.wall_ids, "wall")
     roofs = _resolve(catalog.constructions, space.roof_ids, "roof")
     lamp_w = _resolve(catalog.lamp_powers,
                       [t.value for t in space.lighting_technologies], "lighting")
     hvacs = _resolve(catalog.hvac_systems, space.hvac_ids, "hvac")
-    return [
-        *((np.array(space.wwr[o], dtype=float),) for o in ORIENTATION_ORDER),
-        *(tuple(np.array([seasonal_shading(v, climate) for v in space.overhang_ratio[o]],
-                         dtype=float).T) for o in ORIENTATION_ORDER),
-        (np.array([g.u_value for g in glz]), np.array([g.shgc for g in glz])),
-        *((np.array([c.u_value for c in constructions]),) for constructions in (walls, roofs)),
-        (np.array(space.infiltration, dtype=float),),
-        (np.array([scheduled_lighting_kwh(spec, w, calib) for w in lamp_w]),),
-        (np.array([h.cooling_cop for h in hvacs]),
-         np.array([h.heating_efficiency for h in hvacs]),
-         np.array([h.heating_fuel is HeatingFuel.GAS for h in hvacs], dtype=float)),
-    ]
+    *season, w_heat = season_terms(climate)
+    season.append(_column([w_heat, -w_heat], 0))
+    glz_u, shgc = (_column(column, 4) for column in zip(*((g.u_value, g.shgc) for g in glz)))
+    wall_u = _column([c.u_value for c in walls], 3)
+    facades = [facade_loads(spec.envelope(o).gross_wall_area, _column(space.wwr[o], 2), wall_u,
+                            glz_u, shgc, climate.irradiation[o],
+                            *(_column(f, 1) for f in zip(*(seasonal_shading(v, climate)
+                                                           for v in space.overhang_ratio[o]))),
+                            *season) for o in ORIENTATION_ORDER]
+    light = _column([scheduled_lighting_kwh(spec, w, calib) for w in lamp_w], 2)
+    core = core_loads(spec.roof.area, _column([c.u_value for c in roofs], 4),
+                      _column(space.infiltration, 3), spec.conditioned_volume, light,
+                      annual_equipment_kwh(spec, calib), calib.internal_gain_multiplier, *season)
+    hvac = [_column(column, 1) for column in zip(*(
+        (h.cooling_cop, h.heating_efficiency, h.heating_fuel is HeatingFuel.GAS) for h in hvacs))]
+    return facades, core, light, hvac
 
 
-def _fill(rows: np.ndarray, tables: list[tuple[np.ndarray, ...]], digits) -> None:
-    """Per variable, write each table ``t`` at its digits ``d`` into the next row, broadcast."""
-    rows = iter(rows)
-    for ts, d in zip(tables, digits):
-        for t in ts:
-            next(rows)[...] = t[d]
-
-
-def _group_bounds(tables: list[tuple[np.ndarray, ...]],
-                  shared: tuple) -> tuple[np.ndarray, float]:
+def _group_bounds(facades, core, light, hvac, shared: tuple) -> tuple[np.ndarray, float]:
     """Per group, in enumeration order, a lower bound on its designs' EUI; and a
-    scale that bounds the summed magnitudes of any design's EUI summands.
+    scale that bounds the EUI of any design's summed summand magnitudes.
 
-    In a group each load is a constant plus one term per orientation, set by its
-    wwr and overhang alone; EUI never falls as a load grows, so the summed
-    per-orientation minima bound the group. Negating ``w_heat`` makes every
-    summand >= 0, and the same sum of maxima gives the scale."""
+    A group fixes every input but each orientation's wwr and overhang, so its bound
+    runs :func:`thermal_balance` over each facade's least terms, then :func:`end_use`.
+    A rounded sum never grows when one of its terms shrinks, and the EUI never falls
+    as a load grows, so no design lies below its group's bound, to the bit. The
+    greatest terms with heating gains added give the scale in the same way."""
     import numpy as np
 
-    gross, irr, roof_area, volume, *season, equip, gain_mult, floor_area, gas_kwh_m3 = shared
+    def extremes(x):  # over wwr and overhang: the least loads, the greatest magnitudes
+        return np.stack([x[..., 0].min((2, 3)), x[..., -1].max((2, 3))], -1)[
+            :, :, None, None, None, None]
 
-    def at(table, axis):  # 0: loads, magnitudes; 1-6: the group; 7, 8: wwr, overhang
-        return table.reshape([-1 if i == axis else 1 for i in range(9)])
-
-    def only(o, value):  # per orientation: `value` on o, 0 on the others
-        return [value if i == o else 0.0 for i in range(4)]
-
-    season[3] = at(np.array([season[3], -season[3]]), 0)
-    (glz_u, shgc), (wall_u,), (roof_u,), (ach,), (light,), hvac = (
-        [at(t, axis) for t in ts] for axis, ts in enumerate(tables[_ORIENTED:], start=1))
-    parts = [thermal_balance(only(o, gross[o]), only(o, at(*tables[o], 7)), only(o, wall_u),
-                             only(o, glz_u), only(o, shgc), irr,
-                             *(only(o, at(t, 8)) for t in tables[4 + o]), 0.0, 0.0, 0.0,
-                             volume, 0.0, 0.0, 0.0, *season) for o in range(4)]
-    parts.append(thermal_balance(*[(0.0,) * 4] * 8, roof_area, roof_u, ach, volume,
-                                 light, equip, gain_mult, *season))
-    l_cool, l_heat = (sum(np.concatenate([x[:1].min((7, 8), keepdims=True),
-                                          x[-1:].max((7, 8), keepdims=True)]) for x in loads)
-                      for loads in zip(*parts))
-    eui = end_use(l_cool, l_heat, light, equip, *hvac, floor_area, gas_kwh_m3)[0]
-    return eui[0].ravel(), float(eui[1].max())
+    equip, floor_area, gas_kwh_m3 = shared
+    loads = thermal_balance(core, [tuple(map(extremes, f)) for f in facades])
+    eui = end_use(*loads, light, equip, *hvac, floor_area, gas_kwh_m3)[0]
+    return eui[..., 0].ravel(), float(eui[..., 1].max())
 
 
 def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
@@ -481,56 +473,52 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     if feasible > DEFAULT_ENUMERATION_CAP:
         raise DesignSpaceTooLarge(
             f"{feasible} code-legal designs exceed the cap of {DEFAULT_ENUMERATION_CAP}")
-    tables = _candidate_tables(legal, catalog, spec, climate, calib)
-    shared = (np.array([spec.envelope(o).gross_wall_area for o in ORIENTATION_ORDER]),
-              np.array([climate.irradiation[o] for o in ORIENTATION_ORDER]),
-              spec.roof.area, spec.conditioned_volume, *season_terms(climate),
-              annual_equipment_kwh(spec, calib), calib.internal_gain_multiplier,
-              spec.floor_area, tariff.gas_energy_content)
-
+    shared = (annual_equipment_kwh(spec, calib), spec.floor_area, tariff.gas_energy_content)
     # Bounds first: computed after the block is allocated, their small arrays
     # raised the peak RSS of repeated all-k sweeps by ~1 MiB.
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        bound, scale = _group_bounds(tables, shared)
+        facades, core, light, hvac = _load_tables(legal, catalog, spec, climate, calib)
+        bound, scale = _group_bounds(facades, core, light, hvac, shared)
     if not math.isfinite(scale):  # then every design's EUI is finite
         raise ValueError("the spec's areas, volume or loads overflow the designs' EUI")
-    # A unit is one group times a block of the longest run of trailing orientation
-    # variables whose legal product fits in a chunk (at least the last); a call
-    # takes `per_call` units. The block's rows are filled once and each unit's
-    # other rows broadcast over it. Reusing one array keeps glibc from returning
-    # pages that the next call would fault in again.
+    # A unit is one group times a run of orientation designs, those of the longest run
+    # of trailing orientation variables whose legal product fits in a chunk (at least
+    # the last); a call takes `per_call` units. A unit's facade rows are taken by its
+    # group's (glazing, wall) pair from the facade tables spread over the orientation
+    # designs. Reusing one block keeps glibc from returning pages the next call faults in.
     groups = math.prod(dims[_ORIENTED:])
     suffix = [math.prod(dims[i:_ORIENTED]) for i in range(_ORIENTED)]
-    split = next((i for i, n in enumerate(suffix) if n <= CHUNK_SIZE), _ORIENTED - 1)
-    width = suffix[split]
+    width = next((n for n in suffix if n <= CHUNK_SIZE), suffix[-1])
+    runs = suffix[0] // width
     per_call = min(max(1, CHUNK_SIZE // width), feasible // width)
-    lead_rows, oriented_rows = (sum(map(len, tables[:n])) for n in (split, _ORIENTED))
-    block = np.empty((sum(map(len, tables)), per_call, width))
-    _fill(block[lead_rows:oriented_rows], tables[split:_ORIENTED],
-          np.unravel_index(np.arange(width), dims[split:_ORIENTED]))
+    pairs = dims[_ORIENTED] * dims[_ORIENTED + 1]
+    spread = np.empty((8, pairs, *dims[:_ORIENTED]))
+    for o, f in enumerate(facades):
+        for row, table in zip(spread[o::4], f):
+            row[...] = table[..., 0].reshape([pairs] + [dims[i] if i in (o, 4 + o) else 1
+                                                        for i in range(_ORIENTED)])
+    spread = spread.reshape(8, pairs * runs, width)
+    # per group, in enumeration order: its core terms, lighting kWh and HVAC values
+    per_group = np.empty((6, *dims[_ORIENTED:]))
+    for row, x in zip(per_group, (*core, light, *hvac)):
+        row[...] = x[..., 0]
+    block = np.empty((8 + len(per_group), per_call, width))
 
     def evaluate(first: int, units: np.ndarray) -> tuple[np.ndarray, ...]:
-        rows = itertools.chain(block[:lead_rows, :units.size], block[oriented_rows:, :units.size])
-        _fill(rows, tables[:split] + tables[_ORIENTED:],  # a unit: leading digits, group digits
-              np.unravel_index(units[:, None], dims[:split] + dims[_ORIENTED:]))
+        run, group = np.divmod(units, groups)  # (glazing, wall) lead a group's digits
+        np.take(spread, group // (groups // pairs) * runs + run, axis=1,
+                out=block[:8, :units.size], mode="clip")  # "raise" would buffer `out`
+        block[8:, :units.size] = per_group.reshape(6, groups)[:, group, None]
         index = np.arange(first * width, (first + units.size) * width)
         cols = block.reshape(len(block), -1)[:, :index.size]
-        return (*_kernels.batch_energy(cols[:4], cols[4:12].reshape(4, 2, -1), *cols[12:],
-                                       *shared), index)
+        return (*_kernels.batch_energy(cols[:4], cols[4:8], *cols[8:], *shared), index)
 
     # Units go in ascending order of their group's bound (stable: ties keep
     # enumeration order), `limit` holding those bounds; the ranking is total, so
     # the order changes no result.
-    unit_bound = np.tile(bound, feasible // width // groups)
+    unit_bound = np.tile(bound, runs)
     order = np.argsort(unit_bound, kind="stable")
     limit = unit_bound[order]
-    # Rounding (u = 2^-53): a float EUI, and a float bound, lies within ~35u times
-    # its summed summand magnitudes (<= scale) of its real value, and a real bound
-    # is <= the real EUIs of its group; so no EUI is below its group's float bound
-    # by more than ~70u * scale, far inside the margin. The margin follows `scale`,
-    # not the k-th EUI: an EUI near 0, where gains cancel the heating losses,
-    # still carries the rounding of its large summands.
-    margin = 1e-9 * scale
     held, first, stop = [], 0, order.size
     # a tiny gas energy content overflows a gas design's volume: refused below if kept
     with np.errstate(over="ignore", invalid="ignore"):
@@ -542,8 +530,8 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
                 # with it stay, since cost and position order them
                 cut = np.partition(np.concatenate([part[0] for part in held]), k - 1)[k - 1]
                 held = [tuple(c[keep] for c in part) for part in held for keep in [part[0] <= cut]]
-                # no design of a unit whose group bound exceeds the cut by the margin can rank
-                stop = np.searchsorted(limit, cut + margin, "right")
+                # no design of a unit whose group bound exceeds the cut can rank
+                stop = np.searchsorted(limit, cut, "right")
 
         # free the chunk's inputs, then the held rows, before the designs are built
         del block

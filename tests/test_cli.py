@@ -282,27 +282,27 @@ def test_reports_are_byte_identical_across_runs(fixtures, tmp_path):
 #: binds for every design) and the sha256 of every report but run_manifest.json.
 PINNED_REPORTS = {
     "audit": ("audit", [], None, {
-        "report.csv": "8fc6cbd83f9bd0a45ff11d9131334f2d3a575ab942fadbf3a504aefd3deb4d5f",
-        "report.json": "139a45f45672dceeb9edd120cd9bda8f5ee435fe204de2292f4b778c4d0e4501",
+        "report.csv": "bad08965069cf521e7bf92c8823f12ee9a65a09952613d12515500e32775283f",
+        "report.json": "7eee5816de3350ba3377389926fcd617979abb435875571deceb63ab3d8809aa",
     }),
     "audit-gain-300": ("audit", [], 300.0, {
         "report.csv": "3f39b81bebd2b603d6cf54182d3ab4d9297e06d7819660b9bc15019511a1ba89",
         "report.json": "9752408ca3f04947d042a5f0d2bfadbb43e0157b2b2266dc519fb5e1257a3f96",
     }),
     "calibrate": ("calibrate", [], None, {
-        "calibration.json": "ef9c0bcdfbbdc51a3e111920d8506f76c5632ecc8619e9657576117a5d83f9a5",
+        "calibration.json": "1a652c7a47f24fb48b07c0d7336666ad3c03fbd9a1bbe5304a8c2a505381f1b4",
     }),
     "optimize": ("optimize", [], None, {
-        "results.csv": "5e897c2fd231323d80c472e3f9193626a2f9aac6ac2ceee5f6afa6d826115b32",
-        "results.json": "b7d7fbd679c5f8df2c199cac245a7665ff0675f74f21b0f2261e7190d007ac2e",
+        "results.csv": "db50de2dd3e3dcdb10bba6abf18dfcb79c15e6ea3d1d5164576874fd3e51d074",
+        "results.json": "dc85cb3236d3f766b8c3419324550c4c74801a280b89fc304615448bfb0d8405",
     }),
     "optimize-all": ("optimize", ["--k", "20736"], None, {
-        "results.csv": "8d626a98ebe1864c6ca1ca7e38c4cd4e32b0a4bb259aaac1aa24c0f45f4cfb5e",
-        "results.json": "ae99526d3e76f2268d9d6fad44e1f5f7c1c77f5b778cb118b3088359703ffbd1",
+        "results.csv": "5ff0a5a69162eb0e69aa7bef7dcc0970e4dcd159fa51b4ffa682833d08e93006",
+        "results.json": "15884cd853f9b849bf83f527d0b30d3b8f3724600792081a6104a7c77ffea949",
     }),
     "optimize-all-gain-300": ("optimize", ["--k", "20736"], 300.0, {
-        "results.csv": "a4f085db452289c66e8fde8a10465cb6b6989d0fcd3a4c030887f22aefbf7b17",
-        "results.json": "d6b013ab089c14915afb654d1ea1a69280c2af531c53ad691ea2969cd966900d",
+        "results.csv": "3915effae8142b02897b9a80e3182aedda57f530c2bbbe19a1a9dcfb84a3324c",
+        "results.json": "ceddc70ed26067f4d7f38ffaf1ecbf14c64d2e0fe4aea48e274a5a6bd11c0079",
     }),
     "pv": ("pv", [], None, {
         "pv_report.json": "757d47cf803840b9698f0398abbecdf7d43c7ea1dae7f41d97d557df722ebb2d",

@@ -18,7 +18,7 @@ from lowcarb import (
     eui,
     shading_factor,
 )
-from lowcarb.energy import MJ_PER_KWH, EndUseTargets, end_use, season_terms
+from lowcarb.energy import MJ_PER_KWH, EndUseTargets, end_use, season_terms, thermal_balance
 from lowcarb.model import ClimateProfile
 
 from test_model import _make_spec
@@ -103,6 +103,42 @@ def test_end_use_gives_the_same_bits_for_floats_and_arrays(
     assert scalar[5].hex() == (heating * MJ_PER_KWH / 1000.0).hex()
     assert math.copysign(1.0, scalar[5]) == 1.0
     assert (scalar[1].hex(), scalar[2].hex()) == (electricity.hex(), gas_m3.hex())
+
+
+# finite load terms of either sign, -0.0 and the least subnormals; five of them
+# cannot overflow a sum
+_terms = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324]), st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=500)
+@given(core=st.tuples(_terms, _terms),
+       facades=st.lists(st.tuples(_terms, _terms), min_size=4, max_size=4),
+       which=st.integers(0, 3), lower=st.tuples(_terms, _terms))
+def test_lowering_a_facade_term_never_raises_the_loads(core, facades, which, lower):
+    """A rounded sum never grows when one of its terms shrinks: the sweep's group
+    bounds, which add each facade's least terms, rest on this to the bit."""
+    lowered = list(facades)
+    lowered[which] = tuple(map(min, facades[which], lower))
+    for low, high in zip(thermal_balance(core, lowered), thermal_balance(core, facades)):
+        assert low <= high
+
+
+@settings(max_examples=500)
+@given(cool=st.tuples(_heating_loads, _heating_loads),
+       heat=st.tuples(_heating_loads, _heating_loads), lighting=st.floats(0.0, 1e9),
+       equipment=st.floats(0.0, 1e9), cop=st.floats(0.1, 10.0), heat_eff=st.floats(0.1, 10.0),
+       gas=st.booleans(), floor_area=st.floats(1.0, 1e6), gas_content=st.floats(1.0, 20.0))
+def test_end_use_eui_never_falls_as_a_load_rises(cool, heat, lighting, equipment, cop,
+                                                 heat_eff, gas, floor_area, gas_content):
+    """Also across the heating clamp: a group's bound, from its least loads, is at
+    most the EUI of each of its designs."""
+    def eui_at(l_cool, l_heat):
+        return end_use(l_cool, l_heat, lighting, equipment, cop, heat_eff, gas, floor_area,
+                       gas_content)[0]
+
+    (c_low, c_high), (h_low, h_high) = sorted(cool), sorted(heat)
+    assert eui_at(c_low, h_low) <= eui_at(c_low, h_high) <= eui_at(c_high, h_high)
+    assert eui_at(c_low, h_low) <= eui_at(c_high, h_low) <= eui_at(c_high, h_high)
 
 
 # ---------------------------------------------------------------------------

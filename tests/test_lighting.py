@@ -183,3 +183,28 @@ def test_a_repeated_id_is_refused(name, load, kind):
     with pytest.raises(SpecError) as err:
         load(f"{text}{rid} ,{rest}\n")
     assert str(err.value) == f"{kind} id {rid!r} repeats an earlier row"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: luminaire_count(Room("r", 1e308, 6.0, 10.0, 0.7, 1e308), LED),
+                 "room 'r' and lamp 'led_linear_3600': the target_illuminance and floor_area "
+                 "over the luminous_flux, utilization_factor and maintenance_factor overflow "
+                 "the luminaire count", id="luminaire-count-area-and-target"),
+    pytest.param(lambda: luminaire_count(Room("r", 60.0, 6.0, 10.0, 0.7, 500.0),
+                                         Lamp("dim", 5e-324, 30.0, 0.52, 0.8)),
+                 "room 'r' and lamp 'dim': the target_illuminance and floor_area over the "
+                 "luminous_flux, utilization_factor and maintenance_factor overflow the "
+                 "luminaire count", id="luminaire-count-subnormal-flux"),
+    pytest.param(lambda: daylight_class(Room("r", 1e308, 1e-300, 10.0, 0.7, 500.0)),
+                 "room 'r': the floor_area, depth_from_window, ceiling_height, window_area "
+                 "and glazing_vt overflow the daylight factor", id="daylight-class-width"),
+    pytest.param(lambda: annual_lighting_energy(1e308, 1e308, 1, 0),
+                 "count, lamp_power and hours overflow the annual lighting energy",
+                 id="lighting-energy"),
+])
+def test_finite_arguments_that_overflow_a_result_are_one_value_error(call, message):
+    """Before, these raised OverflowError or ZeroDivisionError, classified a room of
+    infinite width, or returned inf."""
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -189,6 +189,16 @@ class TestSimulate:
         with pytest.raises(TraceError, match="irradiance_fraction"):
             simulate(make_config(), samples, dt=60.0)
 
+    @pytest.mark.parametrize("sample, message", [
+        (EnvSample(1.4, 0.0, 60.0), "irradiance_fraction must be within [0, 1], got 1.4"),
+        (EnvSample(-0.0, -np.inf, 120.0), "rain_reading must be finite, got -inf at t=120.0"),
+    ], ids=["irradiance", "rain"])
+    def test_a_sample_is_checked_by_its_fields_rule(self, sample, message):
+        """The FRACTION and FINITE rules' tests and texts, as a file's value is checked."""
+        with pytest.raises(TraceError) as err:
+            simulate(make_config(), [sample], dt=60.0)
+        assert str(err.value) == message
+
     def test_alarm_drains_faster(self):
         quiet = make_trace(10, irradiance=0.0, rain=0.0)
         rainy = make_trace(10, irradiance=0.0, rain=900.0)

@@ -389,10 +389,6 @@ def test_sweep_memory_is_bounded_by_the_chunk(baseline_spec, climate, catalog,
     assert peak < 64 * 2**20
 
 
-# A group (one value of each shared variable) is pruned when its EUI bound is
-# above the k-th EUI by more than this share of the bound's scale.
-MARGIN = 1e-9
-
 _CLIMATES = {"bundled": {}, "no cooling": {"cooling_degree_days": (0.0,) * 12},
              "no heating": {"heating_degree_days": (0.0,) * 12}}
 
@@ -404,7 +400,8 @@ _CLIMATES = {"bundled": {}, "no cooling": {"cooling_degree_days": (0.0,) * 12},
 def test_group_bound_is_at_most_the_group_minimum(space, climate_kind, gain, schedule,
                                                   equipment, baseline_spec, climate, catalog,
                                                   tariff):
-    """Every group's bound is at most the least EUI of its designs, within the margin.
+    """Every group's bound is at most the least EUI of its designs, and the scale at
+    least the greatest EUI, to the bit.
 
     At full lighting and equipment, an internal-gain multiplier of 30 makes the
     heating clamp bind for some designs and not for others, and 300 for all.
@@ -424,8 +421,8 @@ def test_group_bound_is_at_most_the_group_minimum(space, climate_kind, gain, sch
         least.setdefault(tuple(getattr(r.design, a) for a in shared), r.eui)
     lists = [candidates for name, candidates in space.candidate_lists() if name in shared]
     for b, group in zip(bound, itertools.product(*lists), strict=True):
-        assert b <= least[group] + MARGIN * scale
-    assert ranked[-1].eui <= scale * (1 + MARGIN)  # the scale is exact up to rounding
+        assert b <= least[group]
+    assert ranked[-1].eui <= scale
 
 
 def _fields(ranked):
@@ -436,7 +433,7 @@ def _fields(ranked):
 @st.composite
 def _near_tied_spaces(draw):
     """Tied spaces whose infiltration candidates may be nudged by 1e-12 ach, so
-    some EUIs differ by far less than the margin."""
+    some EUIs nearly tie."""
     space = draw(_tied_spaces())
     return dataclasses.replace(space, infiltration=tuple(
         v + draw(st.sampled_from([0.0, 1e-12])) for v in space.infiltration))
@@ -476,6 +473,28 @@ def _scored_designs(k, space, limits, *context):
     return sum(counts)
 
 
+@pytest.mark.parametrize("chunk, width", [(3, 3), (40, 9), (100, 54)])
+def test_no_kernel_call_exceeds_a_chunk_below_the_orientation_block(
+        chunk, width, paper_space, baseline_spec, climate, catalog, baseline_calibration,
+        tariff):
+    """The paper space has 108 code-legal orientation designs, whose trailing
+    overhang candidates number 6 (S), 3 (E) and 3 (W). Below 108 a unit is one group
+    times the longest trailing run that fits in the chunk, and no call takes more."""
+    space, limits = paper_space
+    counts = []
+    kernel = _kernels.batch_energy
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize_module, "CHUNK_SIZE", chunk)
+        mp.setattr(_kernels, "batch_energy", lambda f_cool, *a: counts.append(f_cool.shape[1])
+                   or kernel(f_cool, *a))
+        mp.setattr(optimize_module, "_design_from_digits", lambda lists, digits: None)
+        optimize(baseline_spec, climate, catalog, space, limits, 20_736, baseline_calibration,
+                 tariff)
+    assert sum(counts) == 20_736
+    assert max(counts) <= chunk
+    assert {n % width for n in counts} == {0}
+
+
 def test_pruning_scores_fewer_designs_only_when_k_is_below_the_feasible_count(
         baseline_spec, climate, catalog, baseline_calibration, tariff):
     """The space of test_sweep_memory_is_bounded_by_the_chunk: 279,936 code-legal
@@ -501,8 +520,8 @@ def test_a_group_tied_with_the_kth_eui_is_still_scored(baseline_spec, climate, c
                                                        baseline_calibration, tariff):
     """Two one-design groups of equal EUI; the second is cheaper (gas heating).
 
-    Its bound lies 4e-16 relative above its EUI, which is the k-th EUI once the
-    first group is scored, so only the margin keeps it from being pruned. A
+    Its bound equals its EUI, which is the k-th EUI once the first group is
+    scored, so only a cut that keeps bounds equal to it keeps it from being pruned. A
     second group of clearly higher EUI (the VAV system) is pruned as soon as the
     first call holds k rows.
     """
