@@ -32,6 +32,7 @@ from .model import (
     Tariff,
     _read,
     check,
+    check_record,
     read_json,
     spec,
     validate_spec,
@@ -251,7 +252,8 @@ def annual_end_use(spec: BuildingSpec, climate: ClimateProfile,
     Raises
     ------
     SpecError
-        If the spec fails :func:`lowcarb.model.validate_spec`.
+        If the spec fails :func:`lowcarb.model.validate_spec`, or ``calib`` breaks a rule
+        of its fields.
     ValueError
         If the spec's values or ``gas_energy_content``, each finite, overflow an end use.
     """
@@ -261,6 +263,7 @@ def annual_end_use(spec: BuildingSpec, climate: ClimateProfile,
             "cannot evaluate an invalid spec:\n" + "\n".join(str(v) for v in violations),
             violations,
         )
+    check_record(calib, "calibration.")
 
     cooling_load, heating_load, lighting_kwh, equipment_kwh = _loads(spec, climate, calib)
     _, electricity, gas_m3, *gj = end_use(
@@ -289,6 +292,7 @@ def cost_per_m2(electricity, gas, tariff: Tariff, floor_area):
 
 def annual_cost(report: EnergyReport, tariff: Tariff, floor_area: float) -> float:
     """Annual energy cost per floor area, CNY/(m2.yr), from :func:`cost_per_m2`."""
+    check_record(tariff, "tariff.")
     check(floor_area, "floor_area", POSITIVE)
     value = cost_per_m2(report.electricity, report.gas, tariff, floor_area)
     if not math.isfinite(value):

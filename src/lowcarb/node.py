@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import _kernels
 from .model import (FINITE, FRACTION, NONNEGATIVE, POSITIVE, SensorFleet, SpecError, TraceError,
-                    _read, check_record, read_json, spec, total)
+                    _read, check, check_record, read_json, spec, total)
 
 if TYPE_CHECKING:
     import numpy as np  # imported at run time by the SimResult views, on first read
@@ -214,8 +214,9 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
 
     The trace timestamps must be strictly increasing; integration always
     uses ``dt`` seconds per sample. ``uptime_fraction`` counts steps whose
-    demand was fully served. A ``dt`` so large that the clock or an energy
-    total overflows is refused with :class:`ValueError`.
+    demand was fully served. An ``initial`` whose ``soc`` lies outside [0, 1] or whose
+    ``clock`` is not finite is refused with :class:`~lowcarb.model.SpecError`; a ``dt``
+    so large that the clock or an energy total overflows, with :class:`ValueError`.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be a finite number > 0, got {dt}")
@@ -238,6 +239,8 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
             raise TraceError(f"rain_reading {finite_text}, got {reading} at t={t}")
 
     start = initial if initial is not None else initial_state(config)
+    check(start.soc, "initial.soc", FRACTION)
+    check(start.clock, "initial.clock", FINITE)
     soc, alarm, harvest, load, served, harvested, served_total, curtailed = _kernels.node_sim(
         trace, dt, start.soc, 1 if start.alarm is AlarmState.ALARM else 0,
         config.panel.rated_power, config.base_load, config.alarm_power,

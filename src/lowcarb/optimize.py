@@ -49,6 +49,7 @@ from .model import (
     FRACTION,
     NONNEGATIVE,
     ORIENTATION_ORDER,
+    POSITIVE,
     BuildingSpec,
     Catalog,
     ClimateProfile,
@@ -371,6 +372,10 @@ def _resolve(table: Mapping, ids, kind: str) -> list:
     if missing:
         raise SpecError(f"design space names {kind} ids missing from the catalog: "
                         + ", ".join(map(repr, missing)))
+    if kind == "lighting":  # bare lamp powers, held to the catalog file's rule
+        return [check(table[i], f"catalog {i!r}: lamp_power", POSITIVE) for i in ids]
+    for i in ids:
+        check_record(table[i], f"catalog {i!r}: ")
     return [table[i] for i in ids]
 
 
@@ -384,13 +389,11 @@ def _column(values, trailing: int):
 def _load_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
                  climate: ClimateProfile, calib: CalibrationParams) -> tuple:
     """The kernel inputs of each candidate: per orientation a (cooling, heating) pair of
-    :func:`facade_loads` on axes (glazing, wall, wwr, overhang, _), then a :func:`core_loads`
+    :func:`facade_loads` on axes (glazing, wall, wwr, overhang), then a :func:`core_loads`
     pair, the lighting kWh and the HVAC (COP, heating efficiency, gas flag as 0/1) on the
-    trailing axes of a group's (glazing, wall, roof, infiltration, lighting, hvac, _).
-    The second entry on a heating table's last axis negates ``w_heat``, so that each
-    summand counts at its magnitude.
+    trailing axes of a group's (glazing, wall, roof, infiltration, lighting, hvac).
 
-    Raises :class:`SpecError` when the space names an id the catalog lacks.
+    Raises :class:`SpecError` for an id the catalog lacks or a record that breaks its rules.
     """
     glz = _resolve(catalog.glazings, space.glazing_ids, "glazing")
     walls = _resolve(catalog.constructions, space.wall_ids, "wall")
@@ -398,43 +401,41 @@ def _load_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
     lamp_w = _resolve(catalog.lamp_powers,
                       [t.value for t in space.lighting_technologies], "lighting")
     hvacs = _resolve(catalog.hvac_systems, space.hvac_ids, "hvac")
-    *season, w_heat = season_terms(climate)
-    season.append(_column([w_heat, -w_heat], 0))
-    glz_u, shgc = (_column(column, 4) for column in zip(*((g.u_value, g.shgc) for g in glz)))
-    wall_u = _column([c.u_value for c in walls], 3)
-    facades = [facade_loads(spec.envelope(o).gross_wall_area, _column(space.wwr[o], 2), wall_u,
+    season = season_terms(climate)
+    glz_u, shgc = (_column(column, 3) for column in zip(*((g.u_value, g.shgc) for g in glz)))
+    wall_u = _column([c.u_value for c in walls], 2)
+    facades = [facade_loads(spec.envelope(o).gross_wall_area, _column(space.wwr[o], 1), wall_u,
                             glz_u, shgc, climate.irradiation[o],
-                            *(_column(f, 1) for f in zip(*(seasonal_shading(v, climate)
+                            *(_column(f, 0) for f in zip(*(seasonal_shading(v, climate)
                                                            for v in space.overhang_ratio[o]))),
                             *season) for o in ORIENTATION_ORDER]
-    light = _column([scheduled_lighting_kwh(spec, w, calib) for w in lamp_w], 2)
-    core = core_loads(spec.roof.area, _column([c.u_value for c in roofs], 4),
-                      _column(space.infiltration, 3), spec.conditioned_volume, light,
+    light = _column([scheduled_lighting_kwh(spec, w, calib) for w in lamp_w], 1)
+    core = core_loads(spec.roof.area, _column([c.u_value for c in roofs], 3),
+                      _column(space.infiltration, 2), spec.conditioned_volume, light,
                       annual_equipment_kwh(spec, calib), calib.internal_gain_multiplier, *season)
-    hvac = [_column(column, 1) for column in zip(*(
+    hvac = [_column(column, 0) for column in zip(*(
         (h.cooling_cop, h.heating_efficiency, h.heating_fuel is HeatingFuel.GAS) for h in hvacs))]
     return facades, core, light, hvac
 
 
 def _group_bounds(facades, core, light, hvac, shared: tuple) -> tuple[np.ndarray, float]:
-    """Per group, in enumeration order, a lower bound on its designs' EUI; and a
-    scale that bounds the EUI of any design's summed summand magnitudes.
+    """Per group, in enumeration order, the EUI of its facades' least terms; and the
+    greatest EUI of any group's greatest terms. Every design's EUI lies between the two.
 
-    A group fixes every input but each orientation's wwr and overhang, so its bound
-    runs :func:`thermal_balance` over each facade's least terms, then :func:`end_use`.
-    A rounded sum never grows when one of its terms shrinks, and the EUI never falls
-    as a load grows, so no design lies below its group's bound, to the bit. The
-    greatest terms with heating gains added give the scale in the same way."""
+    A group fixes every input but each orientation's wwr and overhang, so both run
+    :func:`thermal_balance` over one term per facade, then :func:`end_use`. Each such sum
+    is some design's own sum, in the same order; a rounded sum never falls when a term
+    rises, and the EUI never falls as a load rises. So no design lies outside the two,
+    to the bit, and if both are finite no design's loads or EUI overflow."""
     import numpy as np
 
-    def extremes(x):  # over wwr and overhang: the least loads, the greatest magnitudes
-        return np.stack([x[..., 0].min((2, 3)), x[..., -1].max((2, 3))], -1)[
-            :, :, None, None, None, None]
+    def extremes(x):  # over wwr and overhang: the least, then the greatest terms
+        return np.stack([x.min((2, 3)), x.max((2, 3))])[:, :, :, None, None, None, None]
 
     equip, floor_area, gas_kwh_m3 = shared
     loads = thermal_balance(core, [tuple(map(extremes, f)) for f in facades])
     eui = end_use(*loads, light, equip, *hvac, floor_area, gas_kwh_m3)[0]
-    return eui[..., 0].ravel(), float(eui[..., 1].max())
+    return eui[0].ravel(), float(eui[1].max())
 
 
 def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
@@ -452,7 +453,7 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     DesignSpaceTooLarge
         When the code-legal designs number more than :data:`DEFAULT_ENUMERATION_CAP`.
     SpecError
-        When the space names an id the catalog lacks, or a code limit breaks its rule.
+        When the space names an id the catalog lacks, or a record breaks a rule of its fields.
     ValueError
         When the spec's loads, or the tariff's prices or gas energy content, overflow a
         design's EUI or cost.
@@ -462,8 +463,9 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     space.validate()
-    for o in ORIENTATION_ORDER:
-        check_record(limits.limit(o), f"code_limits.{o}.")
+    for record, prefix in ((spec, ""), (calib, "calibration."), (tariff, "tariff."),
+                           *((limits.limit(o), f"code_limits.{o}.") for o in ORIENTATION_ORDER)):
+        check_record(record, prefix)
     legal = legal_space(space, limits)
     lists = [candidates for _, candidates in legal.candidate_lists()]
     dims = list(map(len, lists))
@@ -478,8 +480,8 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     # raised the peak RSS of repeated all-k sweeps by ~1 MiB.
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         facades, core, light, hvac = _load_tables(legal, catalog, spec, climate, calib)
-        bound, scale = _group_bounds(facades, core, light, hvac, shared)
-    if not math.isfinite(scale):  # then every design's EUI is finite
+        bound, greatest = _group_bounds(facades, core, light, hvac, shared)
+    if not (math.isfinite(greatest) and np.isfinite(bound).all()):  # then no design overflows
         raise ValueError("the spec's areas, volume or loads overflow the designs' EUI")
     # A unit is one group times a run of orientation designs, those of the longest run
     # of trailing orientation variables whose legal product fits in a chunk (at least
@@ -493,15 +495,12 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     per_call = min(max(1, CHUNK_SIZE // width), feasible // width)
     pairs = dims[_ORIENTED] * dims[_ORIENTED + 1]
     spread = np.empty((8, pairs, *dims[:_ORIENTED]))
-    for o, f in enumerate(facades):
-        for row, table in zip(spread[o::4], f):
-            row[...] = table[..., 0].reshape([pairs] + [dims[i] if i in (o, 4 + o) else 1
-                                                        for i in range(_ORIENTED)])
+    for o, f in enumerate(facades):  # cooling rows N, S, E, W, then heating rows
+        spread[[o, 4 + o]] = np.reshape(f, [2, pairs] + [dims[i] if i in (o, 4 + o) else 1
+                                                         for i in range(_ORIENTED)])
     spread = spread.reshape(8, pairs * runs, width)
     # per group, in enumeration order: its core terms, lighting kWh and HVAC values
-    per_group = np.empty((6, *dims[_ORIENTED:]))
-    for row, x in zip(per_group, (*core, light, *hvac)):
-        row[...] = x[..., 0]
+    per_group = np.stack([np.broadcast_to(x, dims[_ORIENTED:]) for x in (*core, light, *hvac)])
     block = np.empty((8 + len(per_group), per_call, width))
 
     def evaluate(first: int, units: np.ndarray) -> tuple[np.ndarray, ...]:

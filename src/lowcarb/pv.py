@@ -69,8 +69,10 @@ def economics(generation: float, consumption: float, tariff: Tariff,
 
     Self-consumed energy offsets the bill at the retail price; the surplus
     sells at the feed-in price. No degradation, discounting or O&M: payback
-    is capex over first-year benefit, infinite when there is no benefit.
+    is capex over first-year benefit, infinite when there is no benefit. A ``tariff``
+    that breaks a rule of its fields raises :class:`~lowcarb.model.SpecError`.
     """
+    check_record(tariff, "tariff.")
     if not all(v >= 0 for v in (generation, consumption, capex_per_watt, capacity)):  # NaN fails
         raise ValueError("generation, consumption, capex_per_watt and capacity must be "
                          "nonnegative")

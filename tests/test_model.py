@@ -54,7 +54,7 @@ from lowcarb.model import (
 )
 from lowcarb.node import NodeConfig, NodePanel, SensorLoad, load_node_config
 from lowcarb.optimize import OrientationLimit
-from lowcarb.pv import PvSite, load_pv_site
+from lowcarb.pv import PvSite, load_pv_site, site_economics
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +402,73 @@ def test_library_functions_refuse_nan_and_infinity_naming_the_argument(call, nam
     "cannot convert float NaN to integer"."""
     with pytest.raises(ValueError, match=rf"^{re.escape(named)}\b"):
         call(tariff)
+
+
+def _optimize(f, spec=None, calib=None, tariff=None, catalog=None):
+    space, limits = f("paper_space")
+    return lowcarb.optimize(spec or f("baseline_spec"), f("climate"), catalog or f("catalog"),
+                            space, limits, 1, calib or f("baseline_calibration"),
+                            tariff or f("tariff"))
+
+
+def _with_catalog_entry(f, table, key, change):
+    """The bundled catalog with ``table[key]`` replaced by ``change`` of it."""
+    catalog = f("catalog")
+    entries = dict(getattr(catalog, table))
+    entries[key] = change(entries[key])
+    return dataclasses.replace(catalog, **{table: entries})
+
+
+def _site_economics(f, **prices):
+    return site_economics(load_pv_site(read_fixture("pv_site.json")),
+                          f("climate").pv_equivalent_full_sun_hours,
+                          dataclasses.replace(f("tariff"), **prices))
+
+
+_NEGATIVE_GAIN = CalibrationParams(-5.0, 1.0, 1.0)
+_GAIN_RULE = "calibration.internal_gain_multiplier must be nonnegative and finite, got -5.0"
+_PRICE_RULE = "tariff.electricity_price must be > 0 and finite, got -1.0"
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda f: _optimize(f, spec=dataclasses.replace(f("baseline_spec"),
+                                                                 floor_area=-100.0)),
+                 "floor_area must be > 0 and finite, got -100.0", id="optimize-floor-area"),
+    pytest.param(lambda f: _optimize(f, calib=_NEGATIVE_GAIN), _GAIN_RULE,
+                 id="optimize-calibration"),
+    pytest.param(lambda f: _optimize(f, tariff=dataclasses.replace(
+        f("tariff"), electricity_price=-1.0)), _PRICE_RULE, id="optimize-tariff"),
+    pytest.param(lambda f: _optimize(f, catalog=_with_catalog_entry(
+        f, "hvac_systems", "heat_pump", lambda r: dataclasses.replace(r, cooling_cop=-3.0))),
+        "catalog 'heat_pump': cooling_cop must be > 0 and finite, got -3.0",
+        id="optimize-catalog-hvac"),
+    pytest.param(lambda f: _optimize(f, catalog=_with_catalog_entry(
+        f, "glazings", "dbl_loe", lambda r: dataclasses.replace(r, shgc=5.0))),
+        "catalog 'dbl_loe': shgc must be within [0, 1], got 5.0", id="optimize-catalog-glazing"),
+    pytest.param(lambda f: _optimize(f, catalog=_with_catalog_entry(
+        f, "lamp_powers", "led", lambda w: -w)),
+                 "catalog 'led': lamp_power must be > 0 and finite, got -30.0",
+                 id="optimize-catalog-lamp-power"),
+    pytest.param(lambda f: lowcarb.annual_end_use(f("baseline_spec"), f("climate"),
+                                                  _NEGATIVE_GAIN),
+                 _GAIN_RULE, id="annual-end-use-calibration"),
+    pytest.param(lambda f: lowcarb.annual_cost(_REPORT, dataclasses.replace(
+        f("tariff"), electricity_price=-1.0), 2612.7), _PRICE_RULE, id="annual-cost-tariff"),
+    pytest.param(lambda f: _site_economics(f, electricity_price=-1.0), _PRICE_RULE,
+                 id="site-economics-price"),
+    pytest.param(lambda f: _site_economics(f, feed_in_price=math.nan),
+                 "tariff.feed_in_price must be > 0 and finite, got nan",
+                 id="site-economics-feed-in-nan"),
+])
+def test_library_functions_refuse_a_record_built_in_code_that_breaks_its_rules(
+        call, message, request):
+    """A spec, calibration, tariff or catalog record built in code is checked by the rules
+    its fields declare, as a file's would be. Before, these calls ranked negative EUIs or
+    costs, ranked a glazing of SHGC 5, reported a negative cooling energy, cost, benefit
+    or payback, or blamed a NaN feed-in price on an overflow."""
+    with pytest.raises(SpecError) as err:
+        call(request.getfixturevalue)
+    assert str(err.value) == message
 
 
 def test_unset_optional_field_passes_its_rule():

@@ -89,6 +89,22 @@ class TestStep:
             step(initial_state(config), config, env, dt=60.0)
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("soc", np.nan, "initial.soc must be within [0, 1], got nan"),
+        ("soc", -1.0, "initial.soc must be within [0, 1], got -1.0"),
+        ("soc", 2.0, "initial.soc must be within [0, 1], got 2.0"),
+        ("clock", np.inf, "initial.clock must be finite, got inf"),
+    ], ids=["nan-soc", "negative-soc", "soc-above-1", "infinite-clock"])
+    def test_refuses_an_initial_state_that_breaks_its_rules(self, field, value, message):
+        """Before, a NaN soc or an infinite clock was blamed on ``dt``, a soc of -1
+        served a negative energy and a soc of 2 curtailed energy never harvested."""
+        config = make_config()
+        start = dataclasses.replace(initial_state(config), **{field: value})
+        with pytest.raises(SpecError) as err:
+            step(start, config, EnvSample(0.0, 0.0, 60.0), dt=60.0)
+        assert str(err.value) == message
+
+
 class TestAlarmTransition:
     def test_fires_exactly_at_threshold(self):
         assert alarm_transition(AlarmState.IDLE, 500.0, 500.0, 0.0) is AlarmState.ALARM

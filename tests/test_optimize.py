@@ -27,6 +27,7 @@ from lowcarb.optimize import VARIABLES, CodeLimits, DesignSpaceTooLarge, DesignV
 
 # the package exports the function optimize under the submodule's name
 optimize_module = importlib.import_module("lowcarb.optimize")
+energy_module = importlib.import_module("lowcarb.energy")
 
 
 def _small_space(**overrides) -> DesignSpace:
@@ -423,6 +424,51 @@ def test_group_bound_is_at_most_the_group_minimum(space, climate_kind, gain, sch
     for b, group in zip(bound, itertools.product(*lists), strict=True):
         assert b <= least[group]
     assert ranked[-1].eui <= scale
+
+
+def test_the_overflow_guard_holds_at_any_gain_utilization(baseline_spec, climate, catalog,
+                                                          baseline_calibration, tariff):
+    """With every winter gain offsetting heating and 5e305 kWh/m2 on each facade, an
+    unshaded facade's heating term is so negative that some designs' heating sums
+    overflow to -inf, while every fully shaded design stays finite. The space is refused,
+    rather than ranked without the overflowed designs; at the bundled utilization the
+    same space is ranked."""
+    climate = dataclasses.replace(climate, cooling_degree_days=(0.0,) * 12,
+                                  irradiation={o: 5e305 for o in "NSEW"})
+    space = _small_space(wwr={o: (0.5,) for o in "NSEW"},
+                         overhang_ratio={o: (0.0, 3.0) for o in "NSEW"},
+                         lighting_technologies=(LightingTechnology.LED,),
+                         hvac_ids=("heat_pump",))
+
+    def best():
+        return optimize(baseline_spec, climate, catalog, space, NO_LIMITS, k=1,
+                        calib=baseline_calibration, tariff=tariff)[0]
+
+    assert math.isfinite(best().eui)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy_module, "HEATING_GAIN_UTILIZATION", 1.0)
+        with pytest.raises(ValueError, match="^the spec's areas, volume or loads overflow "
+                                             "the designs' EUI$"):
+            best()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_space_whose_greatest_loads_alone_overflow_is_refused(k, baseline_spec, climate,
+                                                                catalog, baseline_calibration,
+                                                                tariff):
+    """A south wall of 5e306 m2 overflows the cooling load through all-glass glazing, not
+    through an opaque wall: every group's bound is finite and only the greatest terms'
+    EUI is not. The space is refused, rather than ranking the opaque design alone at
+    k = 1 or blaming the tariff for the overflowed design's cost at k = 2."""
+    spec = dataclasses.replace(baseline_spec, orientations=tuple(
+        dataclasses.replace(g, gross_wall_area=5e306) if g.orientation == "S" else g
+        for g in baseline_spec.orientations))
+    climate = dataclasses.replace(climate, irradiation={**climate.irradiation, "S": 0.0})
+    space = _small_space(wwr={"N": (0.30,), "S": (0.0, 1.0), "E": (0.25,), "W": (0.25,)})
+    with pytest.raises(ValueError, match="^the spec's areas, volume or loads overflow "
+                                         "the designs' EUI$"):
+        optimize(spec, climate, catalog, space, NO_LIMITS, k=k, calib=baseline_calibration,
+                 tariff=tariff)
 
 
 def _fields(ranked):
