@@ -24,11 +24,11 @@ _EXPORTS = {
     "lighting": ("DaylightClass", "Lamp", "Room", "annual_lighting_energy", "daylight_class",
                  "luminaire_count"),
     "optimize": ("CodeLimits", "DesignSpace", "DesignVariables", "NoFeasibleDesignError",
-                 "apply_design", "code_check", "enumerate_designs", "optimize"),
+                 "apply_design", "optimize"),
     "pv": ("PanelSpec", "PvEconomicsReport", "annual_generation", "economics",
            "panel_count"),
     "node": ("AlarmState", "EnvSample", "NodeConfig", "NodePanel", "NodeState", "SimResult",
-             "alarm_transition", "fleet_annual_energy", "simulate", "step"),
+             "fleet_annual_energy", "simulate", "step"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "cli", "_kernels")

@@ -28,7 +28,6 @@ from .model import (
     NONNEGATIVE,
     POSITIVE,
     HeatingFuel,
-    SpecError,
     Tariff,
     _read,
     check,
@@ -252,18 +251,14 @@ def annual_end_use(spec: BuildingSpec, climate: ClimateProfile,
     Raises
     ------
     SpecError
-        If the spec fails :func:`lowcarb.model.validate_spec`, or ``calib`` breaks a rule
-        of its fields.
+        If the spec or ``calib`` breaks a rule of its fields, or ``gas_energy_content`` the
+        tariff's (> 0 and finite), naming the first such field.
     ValueError
-        If the spec's values or ``gas_energy_content``, each finite, overflow an end use.
+        If the spec's values or ``gas_energy_content`` overflow an end use.
     """
-    violations = validate_spec(spec)
-    if violations:
-        raise SpecError(
-            "cannot evaluate an invalid spec:\n" + "\n".join(str(v) for v in violations),
-            violations,
-        )
+    check_record(spec)
     check_record(calib, "calibration.")
+    check(gas_energy_content, "gas_energy_content", POSITIVE)
 
     cooling_load, heating_load, lighting_kwh, equipment_kwh = _loads(spec, climate, calib)
     _, electricity, gas_m3, *gj = end_use(
@@ -314,15 +309,14 @@ def calibrate(spec: BuildingSpec, climate: ClimateProfile,
     ValueError
         If any target is not positive, or the cooling or heating one is so small
         or so large that the least squares overflows.
+    SpecError
+        If the spec breaks a rule of its fields, as :func:`annual_end_use` names it.
     CalibrationError
         If the best residual exceeds :data:`CALIBRATION_TOLERANCE`.
     """
     for v in validate_spec(targets):
         raise ValueError(f"calibration target {v.field} must be positive and finite, "
                          f"got {v.value!r}")
-    violations = validate_spec(spec)
-    if violations:
-        raise SpecError("cannot calibrate an invalid spec", violations)
 
     base = annual_end_use(spec, climate, CalibrationParams())
     if base.lighting <= 0 or base.equipment <= 0:

@@ -177,20 +177,6 @@ class SimResult:
         )
 
 
-def alarm_transition(current: AlarmState, rain_reading: float,
-                     threshold: float, hysteresis: float) -> AlarmState:
-    """Threshold comparator with hysteresis.
-
-    Turns on at ``reading >= threshold``; releases only below
-    ``threshold - hysteresis``. With zero hysteresis it is a pure comparator.
-    This is the reference the trace fold in :func:`simulate` is tested
-    against; :meth:`NodeConfig.validate` rejects negative settings.
-    """
-    if current is AlarmState.IDLE:
-        return AlarmState.ALARM if rain_reading >= threshold else AlarmState.IDLE
-    return AlarmState.IDLE if rain_reading < threshold - hysteresis else AlarmState.ALARM
-
-
 def step(state: NodeState, config: NodeConfig, env: EnvSample, dt: float) -> NodeState:
     """Advance the node by one step of ``dt`` seconds.
 
@@ -270,7 +256,9 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
 
 
 def fleet_annual_energy(fleet: SensorFleet) -> float:
-    """Annual energy of a sensor fleet, kWh/yr (8760 h, duty-cycled power)."""
+    """Annual energy of a sensor fleet, kWh/yr (8760 h, duty-cycled power); an entry that
+    breaks a rule of its fields raises :class:`SpecError`."""
+    check_record(fleet, "fleet.")
     return total(e.count * e.unit_power * e.duty_cycle * HOURS_PER_YEAR / 1000.0
                  for e in fleet.entries)
 

@@ -23,7 +23,6 @@ kept rows are ranked once.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import numbers
 import operator
@@ -58,7 +57,6 @@ from .model import (
     Orientation,
     SpecError,
     Tariff,
-    Violation,
     _read,
     check,
     check_record,
@@ -72,7 +70,7 @@ from .model import (
 if TYPE_CHECKING:
     import numpy as np  # imported at run time by the functions that use it
 
-#: Cap on the code-legal designs a sweep evaluates and on :func:`enumerate_designs`.
+#: Cap on the code-legal designs :func:`optimize` scores; the space itself may be larger.
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
 #: Code-legal designs per kernel call (more only if the last orientation variable has more).
@@ -296,17 +294,6 @@ def _design_from_digits(lists: Sequence[tuple], digits: Sequence[int]) -> Design
     return DesignVariables(*map(operator.getitem, lists, digits))
 
 
-def enumerate_designs(space: DesignSpace) -> list[DesignVariables]:
-    """Full Cartesian product in lexicographic order of the variable order; raises
-    :class:`DesignSpaceTooLarge` when it exceeds :data:`DEFAULT_ENUMERATION_CAP` designs."""
-    space.validate()
-    if space.size > DEFAULT_ENUMERATION_CAP:
-        raise DesignSpaceTooLarge(
-            f"{space.size} designs exceed the cap of {DEFAULT_ENUMERATION_CAP}")
-    return list(itertools.starmap(DesignVariables, itertools.product(
-        *(candidates for _, candidates in space.candidate_lists()))))
-
-
 def legal_space(space: DesignSpace, limits: CodeLimits) -> DesignSpace:
     """``space`` holding only its code-legal candidates, in their order."""
     fields: dict = {}
@@ -315,19 +302,6 @@ def legal_space(space: DesignSpace, limits: CodeLimits) -> DesignSpace:
         v.place(fields, v.space_attr, tuple(value for value in values
                                             if not ok or ok(v.limit, value)))
     return DesignSpace(**fields)
-
-
-def code_check(design: DesignVariables, limits: CodeLimits) -> list[Violation]:
-    """One violation per exceeded bound; empty when the design is code-legal."""
-    out: list[Violation] = []
-    for o in ORIENTATION_ORDER:
-        lim = limits.limit(o)
-        for var in ("wwr", "overhang"):
-            value = getattr(design, var)(o)
-            if not lim.ok(var, value):
-                rule = " and ".join(f"{var} {op} {bound}" for op, bound in lim.bounds(var))
-                out.append(Violation(f"{var}[{o}]", value, rule))
-    return out
 
 
 def apply_design(spec: BuildingSpec, design: DesignVariables,
@@ -449,7 +423,7 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     Raises
     ------
     NoFeasibleDesignError
-        When no design passes :func:`code_check`.
+        When no design passes the code limits.
     DesignSpaceTooLarge
         When the code-legal designs number more than :data:`DEFAULT_ENUMERATION_CAP`.
     SpecError

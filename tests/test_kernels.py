@@ -10,7 +10,6 @@ from lowcarb import (
     AlarmState,
     DesignSpace,
     EnvSample,
-    alarm_transition,
     annual_cost,
     annual_end_use,
     apply_design,
@@ -23,6 +22,7 @@ from lowcarb.energy import CalibrationParams
 from lowcarb.model import LightingTechnology
 from lowcarb.node import NodeConfig, NodePanel, initial_state
 from lowcarb.optimize import CodeLimits
+from reference_model import alarm_transition
 
 
 def assert_sweep_matches_scalar_engine(space, spec, climate, catalog, calib, tariff):

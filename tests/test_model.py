@@ -39,6 +39,7 @@ from lowcarb.model import (
     HeatingFuel,
     LightingTechnology,
     Roof,
+    SensorEntry,
     SensorFleet,
     Tariff,
     _read,
@@ -428,12 +429,21 @@ def _site_economics(f, **prices):
 _NEGATIVE_GAIN = CalibrationParams(-5.0, 1.0, 1.0)
 _GAIN_RULE = "calibration.internal_gain_multiplier must be nonnegative and finite, got -5.0"
 _PRICE_RULE = "tariff.electricity_price must be > 0 and finite, got -1.0"
+_FLOOR_RULE = "floor_area must be > 0 and finite, got -100.0"
+
+
+def _negative_floor(f):
+    return dataclasses.replace(f("baseline_spec"), floor_area=-100.0)
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda f: _optimize(f, spec=dataclasses.replace(f("baseline_spec"),
-                                                                 floor_area=-100.0)),
-                 "floor_area must be > 0 and finite, got -100.0", id="optimize-floor-area"),
+    pytest.param(lambda f: _optimize(f, spec=_negative_floor(f)), _FLOOR_RULE,
+                 id="optimize-floor-area"),
+    pytest.param(lambda f: lowcarb.annual_end_use(_negative_floor(f), f("climate")),
+                 _FLOOR_RULE, id="annual-end-use-floor-area"),
+    pytest.param(lambda f: lowcarb.calibrate(_negative_floor(f), f("climate"),
+                                             f("baseline_targets")),
+                 _FLOOR_RULE, id="calibrate-floor-area"),
     pytest.param(lambda f: _optimize(f, calib=_NEGATIVE_GAIN), _GAIN_RULE,
                  id="optimize-calibration"),
     pytest.param(lambda f: _optimize(f, tariff=dataclasses.replace(
@@ -452,6 +462,19 @@ _PRICE_RULE = "tariff.electricity_price must be > 0 and finite, got -1.0"
     pytest.param(lambda f: lowcarb.annual_end_use(f("baseline_spec"), f("climate"),
                                                   _NEGATIVE_GAIN),
                  _GAIN_RULE, id="annual-end-use-calibration"),
+    *(pytest.param(lambda f, content=content: lowcarb.annual_end_use(
+        f("baseline_spec"), f("climate"), f("baseline_calibration"), content),
+        f"gas_energy_content must be > 0 and finite, got {content!r}",
+        id=f"annual-end-use-gas-energy-content-{content}")
+      for content in (-10.0, 0.0, math.nan, math.inf)),
+    pytest.param(lambda f: lowcarb.fleet_annual_energy(SensorFleet((
+        SensorEntry("rainfall", -3, 1.0, 1.0),))),
+        "fleet.entries[rainfall].count must be a whole number >= 0, got -3",
+        id="fleet-count"),
+    pytest.param(lambda f: lowcarb.fleet_annual_energy(SensorFleet((
+        SensorEntry("rainfall", 3, 1.0, 5.0),))),
+        "fleet.entries[rainfall].duty_cycle must be within [0, 1], got 5.0",
+        id="fleet-duty-cycle"),
     pytest.param(lambda f: lowcarb.annual_cost(_REPORT, dataclasses.replace(
         f("tariff"), electricity_price=-1.0), 2612.7), _PRICE_RULE, id="annual-cost-tariff"),
     pytest.param(lambda f: _site_economics(f, electricity_price=-1.0), _PRICE_RULE,
@@ -462,10 +485,15 @@ _PRICE_RULE = "tariff.electricity_price must be > 0 and finite, got -1.0"
 ])
 def test_library_functions_refuse_a_record_built_in_code_that_breaks_its_rules(
         call, message, request):
-    """A spec, calibration, tariff or catalog record built in code is checked by the rules
-    its fields declare, as a file's would be. Before, these calls ranked negative EUIs or
-    costs, ranked a glazing of SHGC 5, reported a negative cooling energy, cost, benefit
-    or payback, or blamed a NaN feed-in price on an overflow."""
+    """A spec, calibration, tariff, catalog or fleet record built in code, or a gas energy
+    content passed alone, is checked by the rules its fields declare, as a file's would
+    be, and an invalid spec is refused in one line, whichever function gets it. Before,
+    these calls ranked negative EUIs or costs, ranked a glazing of SHGC 5, reported a
+    negative cooling energy, cost, benefit, payback, gas volume (-3477 m3 at -10.0) or
+    fleet energy (-26.28 kWh/yr for a count of -3, 131.4 for a duty cycle of 5.0),
+    raised ZeroDivisionError for a gas energy content of 0.0, reported no gas at inf,
+    blamed a NaN feed-in price or gas energy content on an overflow, or refused the
+    spec in several lines (annual_end_use) or without naming the field (calibrate)."""
     with pytest.raises(SpecError) as err:
         call(request.getfixturevalue)
     assert str(err.value) == message

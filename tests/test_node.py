@@ -10,7 +10,6 @@ from lowcarb import (
     EnvSample,
     NodeConfig,
     NodePanel,
-    alarm_transition,
     fleet_annual_energy,
     read_fixture,
     simulate,
@@ -18,6 +17,7 @@ from lowcarb import (
 )
 from lowcarb.model import SensorEntry, SensorFleet, SpecError
 from lowcarb.node import SensorLoad, TraceError, initial_state, load_node_config, load_trace
+from reference_model import alarm_transition
 
 BATTERY_WH = 16.28  # 2.2 Ah x 7.4 V
 
