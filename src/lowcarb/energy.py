@@ -34,7 +34,6 @@ from .model import (
     check_record,
     read_json,
     spec,
-    validate_spec,
 )
 
 #: Volumetric heat capacity of air, Wh/(m3.K).
@@ -307,16 +306,14 @@ def calibrate(spec: BuildingSpec, climate: ClimateProfile,
     Raises
     ------
     ValueError
-        If any target is not positive, or the cooling or heating one is so small
-        or so large that the least squares overflows.
+        If a target is not > 0 and finite (a :class:`SpecError`), or the cooling or
+        heating one is so small or so large that the least squares overflows.
     SpecError
         If the spec breaks a rule of its fields, as :func:`annual_end_use` names it.
     CalibrationError
         If the best residual exceeds :data:`CALIBRATION_TOLERANCE`.
     """
-    for v in validate_spec(targets):
-        raise ValueError(f"calibration target {v.field} must be positive and finite, "
-                         f"got {v.value!r}")
+    check_record(targets, "targets.")
 
     base = annual_end_use(spec, climate, CalibrationParams())
     if base.lighting <= 0 or base.equipment <= 0:

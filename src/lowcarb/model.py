@@ -104,17 +104,41 @@ class Violation:
 # record formats: each field of a record read from a file declares its key and rule
 # ---------------------------------------------------------------------------
 
-Rule = tuple[Callable[[float], bool], str]
+class Rule:
+    """A value rule: ``test(value)`` is True iff the value passes, and a refusal quotes
+    ``text`` ("must be true or false")."""
 
-#: Value rules as (test, text) pairs. Every test is False for NaN and +-inf.
-FINITE: Rule = (math.isfinite, "must be finite")
-POSITIVE: Rule = (lambda v: 0 < v < math.inf, "must be > 0 and finite")
-NONNEGATIVE: Rule = (lambda v: 0 <= v < math.inf, "must be nonnegative and finite")
-FRACTION: Rule = (lambda v: 0 <= v <= 1, "must be within [0, 1]")
-ALTITUDE: Rule = (lambda v: 0 < v < 90, "must lie in (0, 90) degrees")
-INTEGER: Rule = (lambda v: v >= 0 and float(v).is_integer(), "must be a whole number >= 0")
-BOOLEAN: Rule = (lambda v: isinstance(v, bool), "must be true or false")
-SCHEMA: Rule = (lambda v: v == SCHEMA_VERSION, f"must be {SCHEMA_VERSION}")
+    def __init__(self, test: Callable[[Any], bool], text: str):
+        self.test, self.text = test, text
+
+
+class Interval(Rule):
+    """The numbers from ``low`` to ``high``; an end is in it where ``ends`` has a bracket:
+    ``Interval(0, 1, "(]")`` is (0, 1]. Its test is two comparisons, False for NaN and at
+    an open infinite end, and its text is formed from the ends."""
+
+    def __init__(self, low: float, high: float, ends: str = "[]"):
+        self.low, self.high, self.ends = low, high, ends
+        above, below = (operator.le if end in "[]" else operator.lt for end in ends)
+        super().__init__(lambda v: above(low, v) and below(v, high), (
+            f"must be within {ends[0]}{low}, {high}{ends[1]}" if high < math.inf
+            else "must be finite" if low == -math.inf
+            else "must be nonnegative and finite" if low == 0 and ends[0] == "["
+            else f"must be {'>=' if ends[0] == '[' else '>'} {low} and finite"))
+
+
+#: Every value rule is False for NaN and +-inf.
+FINITE = Interval(-math.inf, math.inf, "()")
+POSITIVE = Interval(0, math.inf, "()")
+NONNEGATIVE = Interval(0, math.inf, "[)")
+FRACTION = Interval(0, 1)
+ALTITUDE = Interval(0, 90, "()")  # degrees
+INTEGER = Rule(lambda v: v >= 0 and float(v).is_integer(), "must be a whole number >= 0")
+POSITIVE_INTEGER = Rule(lambda v: v >= 1 and float(v).is_integer(), "must be a whole number >= 1")
+BOOLEAN = Rule(lambda v: isinstance(v, bool), "must be true or false")
+SCHEMA = Rule(lambda v: v == SCHEMA_VERSION, f"must be {SCHEMA_VERSION}")
+ONE_PER_ORIENTATION = Rule(lambda v: sorted(v) == sorted(ORIENTATION_ORDER),
+                           "exactly one envelope group per cardinal orientation")
 
 
 def spec(key: str, rule: Rule | None = None, **default: Any) -> Any:
@@ -192,7 +216,7 @@ class Roof:
 class LightingSystem:
     technology: LightingTechnology = spec("technology")
     lamp_power: float = spec("lamp_power_w", NONNEGATIVE)  # W per lamp
-    lamp_count: int = spec("lamp_count", NONNEGATIVE)
+    lamp_count: int = spec("lamp_count", INTEGER)
     annual_hours: float = spec("annual_hours", NONNEGATIVE)  # h/yr
     daylight_offset: float = spec("daylight_offset", FRACTION, default=0.0)  # daylit share
 
@@ -209,14 +233,11 @@ class BuildingSpec:
     name: str = spec("name")
     floor_area: float = spec("floor_area_m2", POSITIVE)  # m2
     conditioned_volume: float = spec("conditioned_volume_m3", POSITIVE)  # m3
-    storeys: int = spec("storeys", (lambda v: v >= 1, "must be >= 1"))
-    orientations: tuple[EnvelopeGroup, ...] = spec(
-        "orientations", (lambda v: sorted(v) == sorted(ORIENTATION_ORDER),
-                         "exactly one envelope group per cardinal orientation"))
+    storeys: int = spec("storeys", POSITIVE_INTEGER)
+    orientations: tuple[EnvelopeGroup, ...] = spec("orientations", ONE_PER_ORIENTATION)
     roof: Roof = spec("roof")
     infiltration: float = spec("infiltration_ach", NONNEGATIVE)  # air changes per hour
-    occupancy_hours: float = spec(  # h/yr
-        "occupancy_hours", (lambda v: 0 <= v <= 8760, "must be within [0, 8760]"))
+    occupancy_hours: float = spec("occupancy_hours", Interval(0, 8760))  # h/yr
     equipment_power_density: float = spec("equipment_power_density_w_m2", NONNEGATIVE)  # W/m2
     lighting: LightingSystem = spec("lighting")
     hvac: HvacSystem = spec("hvac")
@@ -309,9 +330,8 @@ def read_json(text: str, what: str) -> dict:
 
 def check(value: float, field: str, rule: Rule) -> float:
     """``value`` if it passes ``rule``; else :class:`SpecError` naming ``field``."""
-    test, text = rule
-    if not test(value):
-        raise SpecError(f"{field} {text}, got {value!r}")
+    if not rule.test(value):
+        raise SpecError(f"{field} {rule.text}, got {value!r}")
     return value
 
 
@@ -407,9 +427,11 @@ def _read(cls: type, doc: Any, context: str, what: str | None = None,
             value = None if _get(doc, f.key) is None else number(
                 doc, f.key, context, f.rule if rules else None)
         elif f.kind in (bool, float, int):  # a bool: absent is the default, null breaks the rule
-            value = doc.get(f.key, f.default) if f.kind is bool else f.kind(
-                number(doc, f.key, context, INTEGER if f.kind is int else None, f.default))
-            value = check(value, name, f.rule) if rules else value
+            value = doc.get(f.key, f.default) if f.kind is bool else number(
+                doc, f.key, context, None, f.default)
+            whole = f.kind is not int or value.is_integer()  # int() never truncates a fraction
+            value = check(value, name, f.rule) if rules or not whole else value
+            value = int(value) if f.kind is int else value
         else:
             value = string(doc, f.key, context, None if f.kind is str else f.kind)
         values[f.attr] = value
@@ -430,8 +452,8 @@ def validate_spec(record: Any, prefix: str = "") -> list[Violation]:
                 items, value = value, [getattr(key, "value", key) for key in
                                        (getattr(item, first) for item in value)]
             unset = value is None and isinstance(f.kind, types.UnionType)
-            if f.rule is not None and not unset and not f.rule[0](value):
-                out.append(Violation(name, value, f.rule[1]))
+            if f.rule is not None and not unset and not f.rule.test(value):
+                out.append(Violation(name, value, f.rule.text))
             if isinstance(f.kind, tuple):
                 for key, item in zip(value, items):
                     walk(item, f"{name}[{key}].")

@@ -210,7 +210,7 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
     if n == 0:
         raise TraceError("trace must not be empty")
     config.validate()
-    (in_range, in_range_text), (finite, finite_text) = FRACTION, FINITE
+    low, high, finite = FRACTION.low, FRACTION.high, math.isfinite  # no Python call per sample
     last = -math.inf
     for sample in trace:
         t = sample.timestamp
@@ -219,10 +219,10 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
                 f"trace timestamps must be finite and strictly increasing at t={t}")
         last = t
         fraction, reading = sample.irradiance_fraction, sample.rain_reading
-        if not in_range(fraction):
-            raise TraceError(f"irradiance_fraction {in_range_text}, got {fraction}")
+        if not low <= fraction <= high:
+            raise TraceError(f"irradiance_fraction {FRACTION.text}, got {fraction}")
         if not finite(reading):
-            raise TraceError(f"rain_reading {finite_text}, got {reading} at t={t}")
+            raise TraceError(f"rain_reading {FINITE.text}, got {reading} at t={t}")
 
     start = initial if initial is not None else initial_state(config)
     check(start.soc, "initial.soc", FRACTION)

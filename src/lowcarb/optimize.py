@@ -1,7 +1,7 @@
 """Retrofit design-space enumeration, code checks and exhaustive search.
 
 One table, :data:`VARIABLES`, names each design variable in code, in the space
-file and in the results reports, and gives the rule or kind of its candidates.
+file and in the results reports, and gives the interval or kind of its candidates.
 The space file, validation, enumeration and the reports all walk it, so a bad
 candidate is named by its path in the file (``design space wwr.S item 0``).
 
@@ -53,6 +53,7 @@ from .model import (
     Catalog,
     ClimateProfile,
     HeatingFuel,
+    Interval,
     LightingTechnology,
     Orientation,
     SpecError,
@@ -119,8 +120,8 @@ class Variable(NamedTuple):
     space_attr: str  # DesignSpace field, a mapping by orientation when one is set
     orientation: str | None
     key: str  # in the design-space file, and in results.json when per orientation
-    kind: Any  # a value Rule, str, or LightingTechnology
-    limit: str | None = None  # the OrientationLimit bounds ("wwr" or "overhang") it obeys
+    kind: Any  # an Interval of numbers, str, or LightingTechnology
+    limit: str | None = None  # the OrientationLimit interval ("wwr" or "overhang") it obeys
 
     def place(self, doc: dict, key: str, value: Any) -> None:
         """Set ``doc[key]``, or ``doc[key][orientation]`` for a per-orientation variable."""
@@ -176,11 +177,11 @@ class DesignSpace:
     def validate(self) -> None:
         """Raise :class:`SpecError` on an empty candidate list or a value that is
         not of its variable's kind in :data:`VARIABLES` (a real number other than
-        a bool, where the kind is a rule) or breaks its rule."""
+        a bool, where the kind is an interval) or lies outside it."""
         for v, (name, values) in zip(VARIABLES, self.candidate_lists()):
             if len(values) == 0:
                 raise SpecError(f"design space variable {name!r} has no candidates")
-            numeric = isinstance(v.kind, tuple)
+            numeric = isinstance(v.kind, Interval)
             kind, wanted = (numbers.Real, "numeric") if numeric else (v.kind, v.kind.__name__)
             for value in values:
                 if isinstance(value, bool) or not isinstance(value, kind):
@@ -209,7 +210,7 @@ class DesignSpace:
             if not (isinstance(values, list) and values):
                 raise SpecError(f"design space is missing {path!r}" if values is None
                                 else f"design space {path!r} must be a non-empty list")
-            read, rule = (number, v.kind) if isinstance(v.kind, tuple) else (
+            read, rule = (number, v.kind) if isinstance(v.kind, Interval) else (
                 string, None if v.kind is str else v.kind)
             v.place(fields, v.space_attr, tuple(
                 read(values, i, f"design space {path} item ", rule) for i in range(len(values))))
@@ -243,23 +244,17 @@ class OrientationLimit:
     max_overhang: float | None = spec("max_overhang", FINITE, default=None)
     min_overhang: float | None = spec("min_overhang", FINITE, default=None)
 
-    def bounds(self, var: str) -> list[tuple[str, float]]:
-        """The (operator, bound) pairs a ``var`` value ("wwr" or "overhang") must meet."""
-        upper = "<" if var == "wwr" and self.strict else "<="
-        pairs = ((upper, getattr(self, f"max_{var}")), (">=", getattr(self, f"min_{var}")))
-        return [(op, bound) for op, bound in pairs if bound is not None]
-
-    def ok(self, var: str, value: float) -> bool:
-        return all(_OPERATORS[op](value, bound) for op, bound in self.bounds(var))
+    def interval(self, var: str) -> Interval:
+        """The ``var`` values ("wwr" or "overhang") allowed; an unset bound is an infinite end."""
+        low, high = getattr(self, f"min_{var}"), getattr(self, f"max_{var}")
+        return Interval(-math.inf if low is None else low, math.inf if high is None else high,
+                        "[)" if var == "wwr" and self.strict else "[]")
 
     def wwr_ok(self, value: float) -> bool:
-        return self.ok("wwr", value)
+        return self.interval("wwr").test(value)
 
     def overhang_ok(self, value: float) -> bool:
-        return self.ok("overhang", value)
-
-
-_OPERATORS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
+        return self.interval("overhang").test(value)
 
 
 @dataclass(frozen=True)
@@ -298,9 +293,8 @@ def legal_space(space: DesignSpace, limits: CodeLimits) -> DesignSpace:
     """``space`` holding only its code-legal candidates, in their order."""
     fields: dict = {}
     for v, (_, values) in zip(VARIABLES, space.candidate_lists()):
-        ok = v.limit and limits.limit(v.orientation).ok
-        v.place(fields, v.space_attr, tuple(value for value in values
-                                            if not ok or ok(v.limit, value)))
+        ok = v.limit and limits.limit(v.orientation).interval(v.limit).test
+        v.place(fields, v.space_attr, tuple(value for value in values if not ok or ok(value)))
     return DesignSpace(**fields)
 
 

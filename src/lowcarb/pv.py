@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import NONNEGATIVE, POSITIVE, Rule, Tariff, _read, check, check_record, read_json, spec
+from .model import (NONNEGATIVE, POSITIVE, Interval, Tariff, _read, check, check_record,
+                    read_json, spec)
 
 #: The share of the roof that modules may cover.
-PACKING: Rule = (lambda v: 0 < v <= 1, "must be within (0, 1]")
+PACKING = Interval(0, 1, "(]")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,10 @@
+import dataclasses
+import itertools
+import math
+
 import pytest
 from hypothesis import strategies as st
+from reference_model import alarm_transition
 
 from lowcarb import (
     BuildingSpec,
@@ -19,6 +24,7 @@ from lowcarb import (
 )
 from lowcarb.energy import EndUseTargets, load_calibration
 from lowcarb.model import HeatingFuel, LightingTechnology, Roof
+from lowcarb.node import AlarmState, EnvSample, NodeConfig, NodePanel, initial_state, simulate
 
 
 @pytest.fixture(scope="session")
@@ -113,3 +119,28 @@ def building_specs(draw):
         hvac=HvacSystem(draw(st.floats(0.5, 8.0)), draw(st.floats(0.3, 6.0)),
                         draw(st.sampled_from(list(HeatingFuel)))),
     )
+
+
+def alarm_columns(readings, threshold, hysteresis, start=AlarmState.IDLE):
+    """The alarm state after each of ``readings`` from ``start``, as simulate's alarm column
+    gives it and as reference_model.alarm_transition folds it: a pair of lists."""
+    config = NodeConfig(NodePanel(6.0, 12.0, 0.5), 16.28, 0.5, (), threshold, 0.5, hysteresis)
+    trace = [EnvSample(0.0, reading, i + 1.0) for i, reading in enumerate(readings)]
+    result = simulate(config, trace, 60.0, dataclasses.replace(initial_state(config), alarm=start))
+    folded = itertools.accumulate(
+        readings, lambda alarm, reading: alarm_transition(alarm, reading, threshold, hysteresis),
+        initial=start)
+    return [AlarmState.ALARM if a else AlarmState.IDLE for a in result.alarm_col], [*folded][1:]
+
+
+def dotted(path):
+    """A key path as the loaders name it, e.g. ``sensor_loads[0].name``."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+def outside(rule):
+    """Values just outside the interval ``rule``: the next float past each closed finite
+    end, each open finite end itself, then -inf, inf and NaN."""
+    ends = [(rule.low, rule.ends[0] == "[", -math.inf), (rule.high, rule.ends[1] == "]", math.inf)]
+    return [math.nextafter(end, away) if closed else float(end)
+            for end, closed, away in ends if math.isfinite(end)] + [-math.inf, math.inf, math.nan]

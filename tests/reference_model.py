@@ -3,16 +3,37 @@
 Each restates one job of the program in the most direct way, so that tests can
 compare the program with it: the alarm FSM that :func:`lowcarb._kernels.node_sim`
 folds over a trace, the Cartesian product of designs that
-:func:`lowcarb.optimize.optimize` ranks, and the code limits, checked here one
-design at a time where :func:`lowcarb.optimize.legal_space` checks one candidate
-value at a time.
+:func:`lowcarb.optimize.optimize` ranks, the code limits, checked here one
+design at a time from their fields where :func:`lowcarb.optimize.legal_space` checks
+one candidate value at a time against each limit's interval, and the value rules as
+lambdas, as they were written before they were declared as intervals.
 """
 
 import itertools
+import math
+import operator
 
 from lowcarb.model import ORIENTATION_ORDER, Violation
 from lowcarb.node import AlarmState
 from lowcarb.optimize import CodeLimits, DesignSpace, DesignVariables
+
+#: The tests of the value rules by their names in ``lowcarb.model`` (``PACKING`` in
+#: ``lowcarb.pv``), and of the rules that ``BuildingSpec`` fields wrote inline, by
+#: their field path. ``lighting.lamp_count`` was ``NONNEGATIVE``.
+RULES = {
+    "FINITE": math.isfinite,
+    "POSITIVE": lambda v: 0 < v < math.inf,
+    "NONNEGATIVE": lambda v: 0 <= v < math.inf,
+    "FRACTION": lambda v: 0 <= v <= 1,
+    "ALTITUDE": lambda v: 0 < v < 90,
+    "INTEGER": lambda v: v >= 0 and float(v).is_integer(),
+    "BOOLEAN": lambda v: isinstance(v, bool),
+    "SCHEMA": lambda v: v == 1,
+    "PACKING": lambda v: 0 < v <= 1,
+    "storeys": lambda v: v >= 1,
+    "occupancy_hours": lambda v: 0 <= v <= 8760,
+    "lighting.lamp_count": lambda v: 0 <= v < math.inf,
+}
 
 
 def alarm_transition(current: AlarmState, rain_reading: float,
@@ -35,13 +56,22 @@ def enumerate_designs(space: DesignSpace) -> list[DesignVariables]:
 
 
 def code_check(design: DesignVariables, limits: CodeLimits) -> list[Violation]:
-    """One violation per exceeded bound; empty when the design is code-legal."""
+    """One violation per orientation and variable that exceeds a bound, naming every
+    bound set on it; empty when the design is code-legal. A ``strict`` wwr maximum
+    excludes the bound itself, every other bound includes it."""
     out: list[Violation] = []
     for o in ORIENTATION_ORDER:
         lim = limits.limit(o)
         for var in ("wwr", "overhang"):
             value = getattr(design, var)(o)
-            if not lim.ok(var, value):
-                rule = " and ".join(f"{var} {op} {bound}" for op, bound in lim.bounds(var))
+            upper = "<" if var == "wwr" and lim.strict else "<="
+            bounds = [(op, bound) for op, bound in ((upper, getattr(lim, f"max_{var}")),
+                                                    (">=", getattr(lim, f"min_{var}")))
+                      if bound is not None]
+            if not all(_COMPARE[op](value, bound) for op, bound in bounds):
+                rule = " and ".join(f"{var} {op} {bound}" for op, bound in bounds)
                 out.append(Violation(f"{var}[{o}]", value, rule))
     return out
+
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}

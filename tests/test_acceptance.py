@@ -10,6 +10,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import alarm_columns
 
 from lowcarb import (
     EnvSample,
@@ -35,7 +36,7 @@ from lowcarb import (
 from lowcarb.lighting import load_lamps, load_rooms
 from lowcarb.node import AlarmState, NodeConfig, NodePanel
 from lowcarb.optimize import DesignVariables
-from reference_model import alarm_transition, enumerate_designs
+from reference_model import enumerate_designs
 
 KWH_PER_GJ = 1000.0 / 3.6
 
@@ -273,10 +274,14 @@ class TestCriterion7Properties:
         assert runtime_h == pytest.approx(32.6, abs=0.1)
 
     def test_alarm_fsm_threshold_and_hysteresis(self):
-        assert alarm_transition(AlarmState.IDLE, 500.0, 500.0, 50.0) is AlarmState.ALARM
-        assert alarm_transition(AlarmState.IDLE, 499.9, 500.0, 50.0) is AlarmState.IDLE
-        assert alarm_transition(AlarmState.ALARM, 460.0, 500.0, 50.0) is AlarmState.ALARM
-        assert alarm_transition(AlarmState.ALARM, 449.9, 500.0, 50.0) is AlarmState.IDLE
+        """simulate and the oracle fire at the threshold 500 and release below 500 - 50,
+        one reading at a time and over the four readings in a row."""
+        idle, alarm = AlarmState.IDLE, AlarmState.ALARM
+        for start, reading, after in [(idle, 500.0, alarm), (idle, 499.9, idle),
+                                      (alarm, 460.0, alarm), (alarm, 449.9, idle)]:
+            assert alarm_columns([reading], 500.0, 50.0, start) == ([after], [after])
+        assert alarm_columns([500.0, 499.9, 460.0, 449.9], 500.0, 50.0) == (
+            [alarm, alarm, alarm, idle],) * 2
 
     def test_spec_file_roundtrip(self, baseline_spec, retrofit_spec):
         for spec in (baseline_spec, retrofit_spec):

@@ -1,6 +1,5 @@
-import math
-
 import pytest
+from conftest import outside
 from hypothesis import given, strategies as st
 
 from lowcarb import (
@@ -14,7 +13,7 @@ from lowcarb import (
 )
 from lowcarb.energy import annual_lighting_kwh
 from lowcarb.lighting import load_lamps, load_rooms, write_lighting_report
-from lowcarb.model import SpecError
+from lowcarb.model import POSITIVE, SpecError
 
 LED = Lamp("led_linear_3600", 3600.0, 30.0, 0.52, 0.8)
 
@@ -44,11 +43,12 @@ class TestDaylightClass:
         assert classroom.depth_from_window == 8.0
         assert daylight_class(classroom) is DaylightClass.INSUFFICIENT
 
-    @pytest.mark.parametrize("area", [math.nan, math.inf, -1.0])
-    def test_nonfinite_or_negative_floor_area_rejected(self, area):
+    @pytest.mark.parametrize("area", outside(POSITIVE))
+    def test_floor_area_outside_its_rule_is_refused(self, area):
         """A NaN or infinite floor area used to classify the room INSUFFICIENT."""
-        with pytest.raises(ValueError, match="room 'r': floor_area must be > 0 and finite"):
+        with pytest.raises(SpecError) as err:
             daylight_class(Room("r", area, 5.0, 5.0, 0.7, 300.0))
+        assert str(err.value) == f"room 'r': floor_area {POSITIVE.text}, got {area!r}"
 
 
 class TestLuminaireCount:
@@ -61,18 +61,14 @@ class TestLuminaireCount:
         room = Room("r", 60.0, 6.0, 10.0, 0.7, 0.0)
         assert luminaire_count(room, LED) == 0
 
-    def test_zero_flux_rejected(self):
-        room = Room("r", 60.0, 6.0, 10.0, 0.7, 500.0)
-        with pytest.raises(ValueError, match="luminous_flux"):
-            luminaire_count(room, Lamp("dead", 0.0, 30.0, 0.5, 0.8))
-
-    @pytest.mark.parametrize("flux", [math.nan, math.inf, -1.0])
-    def test_nonfinite_or_negative_flux_rejected(self, flux):
+    @pytest.mark.parametrize("flux", outside(POSITIVE))
+    def test_flux_outside_its_rule_is_refused(self, flux):
         """An infinite flux used to need 0 lamps, and a NaN one raised "cannot convert
         float NaN to integer"."""
-        room = Room("r", 60.0, 6.0, 10.0, 0.7, 500.0)
-        with pytest.raises(ValueError, match="lamp 'x': luminous_flux must be > 0 and finite"):
-            luminaire_count(room, Lamp("x", flux, 30.0, 0.5, 0.8))
+        with pytest.raises(SpecError) as err:
+            luminaire_count(Room("r", 60.0, 6.0, 10.0, 0.7, 500.0),
+                            Lamp("x", flux, 30.0, 0.5, 0.8))
+        assert str(err.value) == f"lamp 'x': luminous_flux {POSITIVE.text}, got {flux!r}"
 
     def test_whole_building_total_near_500(self, rooms, lamps):
         total = sum(luminaire_count(room, lamps["led_linear_3600"]) for room in rooms)

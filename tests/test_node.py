@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import alarm_columns
 from hypothesis import given, settings, strategies as st
 
 from lowcarb import (
@@ -106,18 +107,20 @@ class TestStep:
 
 
 class TestAlarmTransition:
+    """Spot cases, each run through simulate and through the oracle."""
+
     def test_fires_exactly_at_threshold(self):
-        assert alarm_transition(AlarmState.IDLE, 500.0, 500.0, 0.0) is AlarmState.ALARM
+        assert alarm_columns([500.0], 500.0, 0.0) == ([AlarmState.ALARM],) * 2
 
     def test_idle_below_threshold(self):
-        assert alarm_transition(AlarmState.IDLE, 0.0, 500.0, 0.0) is AlarmState.IDLE
+        assert alarm_columns([0.0], 500.0, 0.0) == ([AlarmState.IDLE],) * 2
 
     def test_hysteresis_holds_alarm(self):
         # reading = threshold - hysteresis/2 stays inside the holding band
-        assert alarm_transition(AlarmState.ALARM, 475.0, 500.0, 50.0) is AlarmState.ALARM
+        assert alarm_columns([475.0], 500.0, 50.0, AlarmState.ALARM) == ([AlarmState.ALARM],) * 2
 
     def test_releases_below_band(self):
-        assert alarm_transition(AlarmState.ALARM, 449.0, 500.0, 50.0) is AlarmState.IDLE
+        assert alarm_columns([449.0], 500.0, 50.0, AlarmState.ALARM) == ([AlarmState.IDLE],) * 2
 
     def test_negative_threshold_rejected(self):
         config = make_config(threshold=-1.0)
