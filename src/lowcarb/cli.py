@@ -141,7 +141,7 @@ def write_results_csv(*args, **kwargs) -> str:
 
 def cmd_optimize(args, texts: dict[str, str]) -> Output:
     from . import energy
-    from .optimize import DesignSpace, design_doc, legal_space
+    from .optimize import DesignSpace, design_doc
 
     spec_text = texts.pop("spec")
     spec = parse_building_spec(spec_text)
@@ -154,8 +154,7 @@ def cmd_optimize(args, texts: dict[str, str]) -> Output:
     ranked = run_optimize(spec, climate, catalog, space, limits,
                           k=args.k, calib=calib, tariff=tariff)
 
-    top = ranked[0]
-    evaluated = legal_space(space, limits).size
+    top, evaluated = ranked[0], ranked.evaluated
     doc = {"evaluated_space_size": evaluated, "returned": len(ranked),
            "best": {"eui_kwh_m2": top.eui, "cost_cny_m2": top.cost_per_m2,
                     "design": design_doc(top.design)}}

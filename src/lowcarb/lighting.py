@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .energy import MJ_PER_KWH, annual_lighting_kwh
-from .model import FRACTION, NONNEGATIVE, POSITIVE, SpecError, _read, check, check_record, spec
+from .model import (FRACTION, INTEGER, NONNEGATIVE, POSITIVE, SpecError, _read, check,
+                    check_record, spec)
 
 #: Flat-rate constant of the average daylight-factor formula
 #: DF = window_area * VT * 45 / total_room_surface_area (in percent).
@@ -100,7 +101,8 @@ def annual_lighting_energy(count: int, lamp_power: float, hours: float,
 def _checked_lighting_kwh(count: int, lamp_power: float, hours: float,
                           daylight_offset: float) -> float:
     """:func:`lowcarb.energy.annual_lighting_kwh` of arguments checked to be in range."""
-    for name, value in (("count", count), ("lamp_power", lamp_power), ("hours", hours)):
+    check(count, "count", INTEGER)
+    for name, value in (("lamp_power", lamp_power), ("hours", hours)):
         check(value, name, NONNEGATIVE)
     check(daylight_offset, "daylight_offset", FRACTION)
     kwh = annual_lighting_kwh(count, lamp_power, hours, daylight_offset)

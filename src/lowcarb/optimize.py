@@ -11,13 +11,16 @@ annual cost per m2 as tie-break and the enumeration index as the final, total
 tie-break, so it is invariant under any evaluation order.
 
 Code limits act on single candidate values, so the code-legal designs form
-a Cartesian product of their own (:func:`legal_space`). It is scored in
-chunks, group by group in ascending order of a lower bound on the group's EUI
-(:func:`_group_bounds`). Rows above the k-th least EUI held are dropped and
-groups whose bound lies above it are skipped, so memory is bounded by the chunk,
-``k`` and the facade terms spread over the orientation designs (8 floats per
-(glazing, wall) pair and orientation design), not by the size of the space; the
-kept rows are ranked once.
+a Cartesian product of their own (:func:`legal_space`). It is scored in units,
+each one group times a run of ``width`` orientation designs, in ascending order
+of a lower bound on the group's EUI (:func:`_group_bounds`). When every unit fits
+in one call of up to :data:`CHUNK_SIZE` designs, one call scores them all;
+otherwise the first call takes the ``ceil(k / width)`` units that can hold k rows
+and each later call twice as many, up to a chunk. Rows above the k-th least EUI
+held are dropped and groups whose bound lies above it are skipped, so memory is
+bounded by the largest call made, ``k`` and the facade terms spread over the
+orientation designs (8 floats per (glazing, wall) pair and orientation design),
+not by the size of the space; the kept rows are ranked once.
 """
 
 from __future__ import annotations
@@ -335,6 +338,15 @@ class RankedDesign:
     pareto: bool  # not dominated on (EUI, cost)
 
 
+class Ranking(list):
+    """The :class:`RankedDesign` rows :func:`optimize` returns, best first, and
+    ``evaluated``, the number of code-legal designs they were ranked from."""
+
+    def __init__(self, rows, evaluated: int):
+        super().__init__(rows)
+        self.evaluated = evaluated
+
+
 def _resolve(table: Mapping, ids, kind: str) -> list:
     missing = [i for i in dict.fromkeys(ids) if i not in table]
     if missing:
@@ -408,11 +420,12 @@ def _group_bounds(facades, core, light, hvac, shared: tuple) -> tuple[np.ndarray
 
 def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
              space: DesignSpace, limits: CodeLimits, k: int,
-             calib: CalibrationParams, tariff: Tariff) -> list[RankedDesign]:
+             calib: CalibrationParams, tariff: Tariff) -> Ranking:
     """Rank every code-legal design by EUI, ascending.
 
     Ties break by ascending annual cost per m2, then by enumeration order.
-    ``k`` larger than the feasible count returns all feasible designs.
+    ``k`` larger than the feasible count returns all feasible designs. The
+    ranking's ``evaluated`` is the feasible count.
 
     Raises
     ------
@@ -453,14 +466,21 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
         raise ValueError("the spec's areas, volume or loads overflow the designs' EUI")
     # A unit is one group times a run of orientation designs, those of the longest run
     # of trailing orientation variables whose legal product fits in a chunk (at least
-    # the last); a call takes `per_call` units. A unit's facade rows are taken by its
-    # group's (glazing, wall) pair from the facade tables spread over the orientation
-    # designs. Reusing one block keeps glibc from returning pages the next call faults in.
+    # the last); a call takes up to `per_call` units. A unit's facade rows are taken by
+    # its group's (glazing, wall) pair from the facade tables spread over the orientation
+    # designs.
     groups = math.prod(dims[_ORIENTED:])
     suffix = [math.prod(dims[i:_ORIENTED]) for i in range(_ORIENTED)]
     width = next((n for n in suffix if n <= CHUNK_SIZE), suffix[-1])
     runs = suffix[0] // width
     per_call = min(max(1, CHUNK_SIZE // width), feasible // width)
+    # One call when every unit fits in it. Otherwise the first call takes the
+    # ceil(k / width) units that can hold k rows and each later one twice as many, up to
+    # `per_call`, so the k-th EUI prunes units before a whole chunk is scored. The block
+    # is sized to the call and reallocated only when the call grows: memory is bounded
+    # by the largest call made, and reusing the block keeps glibc from returning pages
+    # the next call faults in.
+    size = per_call if per_call * width == feasible else min(-(-k // width), per_call)
     pairs = dims[_ORIENTED] * dims[_ORIENTED + 1]
     spread = np.empty((8, pairs, *dims[:_ORIENTED]))
     for o, f in enumerate(facades):  # cooling rows N, S, E, W, then heating rows
@@ -469,7 +489,7 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     spread = spread.reshape(8, pairs * runs, width)
     # per group, in enumeration order: its core terms, lighting kWh and HVAC values
     per_group = np.stack([np.broadcast_to(x, dims[_ORIENTED:]) for x in (*core, light, *hvac)])
-    block = np.empty((8 + len(per_group), per_call, width))
+    block = np.empty((8 + len(per_group), size, width))
 
     def evaluate(first: int, units: np.ndarray) -> tuple[np.ndarray, ...]:
         run, group = np.divmod(units, groups)  # (glazing, wall) lead a group's digits
@@ -490,8 +510,11 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     # a tiny gas energy content overflows a gas design's volume: refused below if kept
     with np.errstate(over="ignore", invalid="ignore"):
         while first < stop:
-            held.append(evaluate(first, order[first:min(first + per_call, stop)]))
-            first += per_call
+            if block.shape[1] < size:
+                block = np.empty((len(block), size, width))
+            held.append(evaluate(first, order[first:min(first + size, stop)]))
+            first += size
+            size = min(2 * size, per_call)
             if sum(part[0].size for part in held) >= k:
                 # a row with EUI above the k-th least held trails k rows; rows tied
                 # with it stay, since cost and position order them
@@ -520,8 +543,9 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     # before it is cheaper. Ranks before a returned one are all returned.
     pareto = cost <= np.minimum.accumulate(cost)
     digits = np.stack(np.unravel_index(position, dims), 1).tolist()
-    return [RankedDesign(rank, _design_from_digits(lists, d), *row) for rank, (d, *row) in
-            enumerate(zip(digits, *(c.tolist() for c in (eui, cost, elec, gas, pareto))), 1)]
+    rows = zip(digits, *(c.tolist() for c in (eui, cost, elec, gas, pareto)))
+    return Ranking((RankedDesign(rank, _design_from_digits(lists, d), *row)
+                    for rank, (d, *row) in enumerate(rows, 1)), feasible)
 
 
 def write_results_csv(ranked: list[RankedDesign]) -> str:

@@ -328,6 +328,10 @@ _REPORT = lowcarb.EnergyReport(1.0, 1.0, 1.0, 1.0, 4.0, 1000.0, 10.0)
 @pytest.mark.parametrize("call, named", [
     pytest.param(lambda tariff: lowcarb.annual_lighting_energy(math.nan, 30.0, 2000.2, 0.0),
                  "count", id="lighting-count-nan"),
+    pytest.param(lambda tariff: lowcarb.annual_lighting_energy(0.5, 30.0, 2000.0, 0.0),
+                 "count", id="lighting-count-half"),
+    pytest.param(lambda tariff: lowcarb.annual_lighting_energy(2.5, 30.0, 2000.0, 0.0),
+                 "count", id="lighting-count-fraction"),
     pytest.param(lambda tariff: lowcarb.annual_lighting_energy(10, math.inf, 2000.2, 0.0),
                  "lamp_power", id="lighting-lamp-power-inf"),
     pytest.param(lambda tariff: lowcarb.eui(_REPORT, math.inf), "floor_area", id="eui-inf"),
@@ -355,7 +359,8 @@ def test_library_functions_refuse_nan_and_infinity_naming_the_argument(call, nam
     those quantities. Before, these calls returned nan, inf or 0.0 (the lighting energy,
     EUI, annual cost, yield, benefit and daylight class), or raised an error that named
     no argument: "overflows the EUI", "overflows the panel count", OverflowError and
-    "cannot convert float NaN to integer"."""
+    "cannot convert float NaN to integer". A lamp count is a whole number: 0.5 and 2.5
+    lamps gave 0.108 and 0.54 GJ."""
     with pytest.raises(ValueError, match=rf"^{re.escape(named)}\b"):
         call(tariff)
 

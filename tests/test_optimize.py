@@ -6,7 +6,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from lowcarb import (
     DesignSpace,
@@ -311,6 +311,10 @@ _orientation_limits = st.builds(
 _code_limits = st.builds(CodeLimits, _orientation_limits, _orientation_limits,
                          _orientation_limits, _orientation_limits)
 
+# Shrinking a failing example reruns optimize and the oracle for every candidate it
+# tries, which took minutes; the tests that score whole spaces report it as drawn.
+_NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+
 
 @settings(max_examples=60, deadline=None)
 @given(space=_tied_spaces(), limits=_code_limits)
@@ -322,7 +326,7 @@ def test_legal_space_enumerates_the_code_legal_designs_in_order(space, limits):
     assert (enumerate_designs(legal) if legal.size else []) == passing
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
 @given(space=_tied_spaces(), limits=_code_limits,
        k_kind=st.sampled_from(["one", "middle", "beyond"]),
        chunk=st.sampled_from([1, 7, 1 << 16]))
@@ -477,14 +481,17 @@ def _near_tied_spaces(draw):
         v + draw(st.sampled_from([0.0, 1e-12])) for v in space.infiltration))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
 @given(space=_near_tied_spaces(), limits=_code_limits,
        k_kind=st.sampled_from(["one", "middle", "all but one"]),
-       chunk=st.sampled_from([1, 7, 108]))
+       chunk=st.sampled_from([1, 7, 24, 108]))
 def test_pruned_top_k_equals_a_full_score_and_sort(space, limits, k_kind, chunk,
                                                    baseline_spec, climate, catalog,
                                                    baseline_calibration, tariff):
-    """Every field of a pruned top k is bitwise the head of the full ranking."""
+    """Every field of a pruned top k is bitwise the head of the full ranking.
+
+    A chunk of 24 takes up to 24 units of one design, or 8 of three, so at k = 1 the
+    calls can grow from one unit through three doublings."""
     feasible = legal_space(space, limits).size
     if feasible == 0:
         return
@@ -509,6 +516,30 @@ def _scored_designs(k, space, limits, *context):
         mp.setattr(optimize_module, "_design_from_digits", lambda lists, digits: None)
         optimize(*context[:3], space, limits, k, *context[3:])
     return sum(counts)
+
+
+@pytest.mark.parametrize("k", [1, 10])
+def test_calls_grow_from_k_by_doubling_up_to_a_chunk(k, paper_space, baseline_spec, climate,
+                                                     catalog, baseline_calibration, tariff):
+    """With chunks of 40 designs the paper space's 20,736 code-legal designs are 2,304
+    units of 9 (one group times the E and W overhangs), at most 4 per call. The first
+    call takes the ceil(k / 9) units that can hold k rows, each later one twice as
+    many up to 4; the last stops at the last unit that can rank. Scoring from the
+    fewest units up changes no field of the ranking."""
+    space, limits = paper_space
+    context = (baseline_spec, climate, catalog, baseline_calibration, tariff)
+    units = []
+    kernel = _kernels.batch_energy
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize_module, "CHUNK_SIZE", 40)
+        mp.setattr(_kernels, "batch_energy", lambda f_cool, *a: units.append(
+            f_cool.shape[1] / 9) or kernel(f_cool, *a))
+        ranked = optimize(*context[:3], space, limits, k, *context[3:])
+    full = optimize(*context[:3], space, limits, 20_736, *context[3:])
+    schedule = [min(math.ceil(k / 9) << i, 4) for i in range(len(units))]
+    assert len(units) >= 3
+    assert units[:-1] == schedule[:-1] and 1 <= units[-1] <= schedule[-1]
+    assert _fields(ranked) == _fields(full[:k])
 
 
 @pytest.mark.parametrize("chunk, width", [(3, 3), (40, 9), (100, 54)])
@@ -536,8 +567,10 @@ def test_no_kernel_call_exceeds_a_chunk_below_the_orientation_block(
 def test_pruning_scores_fewer_designs_only_when_k_is_below_the_feasible_count(
         baseline_spec, climate, catalog, baseline_calibration, tariff):
     """The space of test_sweep_memory_is_bounded_by_the_chunk: 279,936 code-legal
-    designs, 32,076 per kernel call. At k = 20,000 the calls after the first stop
-    at the last unit that can rank, so fewer than two whole calls are scored."""
+    designs, units of 2,916, up to 11 per kernel call. At k = 10 the first call is one
+    unit, and its 10th least EUI prunes every other unit. At k = 20,000 the calls
+    after the first stop at the last unit that can rank, so fewer than two whole
+    calls are scored."""
     grid = {o: (0.2, 0.3, 0.4, 0.5) for o in "NSEW"}
     space = DesignSpace(
         wwr=grid, overhang_ratio={"N": (0.0, 0.25, 0.5), "S": (0.0, 0.25, 0.5),
@@ -549,7 +582,7 @@ def test_pruning_scores_fewer_designs_only_when_k_is_below_the_feasible_count(
         hvac_ids=("vav_baseline", "heat_pump"))
     limits = CodeLimits(*[OrientationLimit(max_wwr=0.45, strict=True)] * 4)
     context = (baseline_spec, climate, catalog, baseline_calibration, tariff)
-    assert _scored_designs(10, space, limits, *context) < 279_936
+    assert _scored_designs(10, space, limits, *context) == 2_916
     assert _scored_designs(20_000, space, limits, *context) < 2 * 32_076
     assert _scored_designs(279_936, space, limits, *context) == 279_936
 
