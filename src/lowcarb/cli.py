@@ -270,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
                 texts[flag], inputs[flag] = _read_input(path)
         # the command builds every report first, so a run that fails writes nothing
         reports, lines = command.run(args, texts)
-        out_dir = Path(args.out or os.environ.get(DEFAULT_OUT_ENV, "lowcarb_out"))
+        out_dir = Path(args.out or os.environ.get(DEFAULT_OUT_ENV) or "lowcarb_out")
         for name, text in reports.items():
             _write_text(out_dir / name, text)
         _write_manifest(out_dir, args.command, inputs)

@@ -11,16 +11,17 @@ annual cost per m2 as tie-break and the enumeration index as the final, total
 tie-break, so it is invariant under any evaluation order.
 
 Code limits act on single candidate values, so the code-legal designs form
-a Cartesian product of their own (:func:`legal_space`). It is scored in units,
-each one group times a run of ``width`` orientation designs, in ascending order
-of a lower bound on the group's EUI (:func:`_group_bounds`). When every unit fits
-in one call of up to :data:`CHUNK_SIZE` designs, one call scores them all;
-otherwise the first call takes the ``ceil(k / width)`` units that can hold k rows
-and each later call twice as many, up to a chunk. Rows above the k-th least EUI
-held are dropped and groups whose bound lies above it are skipped, so memory is
-bounded by the largest call made, ``k`` and the facade terms spread over the
-orientation designs (8 floats per (glazing, wall) pair and orientation design),
-not by the size of the space; the kept rows are ranked once.
+a Cartesian product of their own (:func:`legal_space`). It is scored a whole
+design group at a time (its ``width`` orientation designs), in ascending order
+of a lower bound on the group's EUI (:func:`_group_bounds`). A kernel call takes
+as many groups as fit in :data:`CHUNK_SIZE` designs, and at least one. When
+every group fits in one call, one call scores them all; otherwise the first call
+takes the ``ceil(k / width)`` groups that can hold k rows and each later call
+twice as many, up to a chunk. Rows above the k-th least EUI held are dropped
+and groups whose bound lies above it are skipped, so memory is bounded by the
+largest call made (max(CHUNK_SIZE designs, one group)), ``k`` and the facade
+table (8 floats per (glazing, wall) pair and orientation design), not by the
+size of the space; the kept rows are ranked once.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ if TYPE_CHECKING:
 #: Cap on the code-legal designs :func:`optimize` scores; the space itself may be larger.
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
-#: Code-legal designs per kernel call (more only if the last orientation variable has more).
+#: Code-legal designs per kernel call, in whole groups (more only if one group has more).
 CHUNK_SIZE = 1 << 15
 
 
@@ -359,46 +360,54 @@ def _resolve(table: Mapping, ids, kind: str) -> list:
     return [table[i] for i in ids]
 
 
-def _column(values, trailing: int):
-    """``values`` as a float64 column followed by ``trailing`` axes of length 1."""
-    import numpy as np
-
-    return np.array(values, dtype=float).reshape(-1, *(1,) * trailing)
-
-
 def _load_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
                  climate: ClimateProfile, calib: CalibrationParams) -> tuple:
-    """The kernel inputs of each candidate: per orientation a (cooling, heating) pair of
-    :func:`facade_loads` on axes (glazing, wall, wwr, overhang), then a :func:`core_loads`
-    pair, the lighting kWh and the HVAC (COP, heating efficiency, gas flag as 0/1) on the
-    trailing axes of a group's (glazing, wall, roof, infiltration, lighting, hvac).
+    """The kernel inputs of the space's designs, in enumeration order: ``facade``, shape
+    (8, glazing x wall pairs, orientation designs), each design's :func:`facade_loads`
+    cooling terms N, S, E, W, then its heating terms; and ``group``, shape (6, groups),
+    each group's :func:`core_loads` pair, lighting kWh and HVAC (COP, heating efficiency,
+    gas flag as 0/1).
 
     Raises :class:`SpecError` for an id the catalog lacks or a record that breaks its rules.
     """
+    import numpy as np
+
     glz = _resolve(catalog.glazings, space.glazing_ids, "glazing")
     walls = _resolve(catalog.constructions, space.wall_ids, "wall")
     roofs = _resolve(catalog.constructions, space.roof_ids, "roof")
     lamp_w = _resolve(catalog.lamp_powers,
                       [t.value for t in space.lighting_technologies], "lighting")
     hvacs = _resolve(catalog.hvac_systems, space.hvac_ids, "hvac")
+    dims = [len(candidates) for _, candidates in space.candidate_lists()]
     season = season_terms(climate)
-    glz_u, shgc = (_column(column, 3) for column in zip(*((g.u_value, g.shgc) for g in glz)))
-    wall_u = _column([c.u_value for c in walls], 2)
-    facades = [facade_loads(spec.envelope(o).gross_wall_area, _column(space.wwr[o], 1), wall_u,
-                            glz_u, shgc, climate.irradiation[o],
-                            *(_column(f, 0) for f in zip(*(seasonal_shading(v, climate)
-                                                           for v in space.overhang_ratio[o]))),
-                            *season) for o in ORIENTATION_ORDER]
-    light = _column([scheduled_lighting_kwh(spec, w, calib) for w in lamp_w], 1)
-    core = core_loads(spec.roof.area, _column([c.u_value for c in roofs], 3),
-                      _column(space.infiltration, 2), spec.conditioned_volume, light,
+
+    def grid(shape):  # each variable's candidate position at each point of their product
+        return np.unravel_index(np.arange(math.prod(shape)), shape)
+
+    def at(values, positions):
+        return np.array(values, dtype=float)[positions]
+
+    positions = grid(dims[:_ORIENTED])  # wwr N, S, E, W, then overhang N, S, E, W
+    glz_u, shgc = (np.array(c, dtype=float)[:, None, None]
+                   for c in zip(*((g.u_value, g.shgc) for g in glz)))
+    wall_u = np.array([c.u_value for c in walls], dtype=float)[:, None]
+    facade = np.empty((8, len(glz), len(walls), len(positions[0])))
+    for i, o in enumerate(ORIENTATION_ORDER):  # cooling rows N, S, E, W, then heating rows
+        facade[i], facade[4 + i] = facade_loads(
+            spec.envelope(o).gross_wall_area, at(space.wwr[o], positions[i]), wall_u, glz_u,
+            shgc, climate.irradiation[o], *(at(f, positions[4 + i]) for f in zip(*(
+                seasonal_shading(v, climate) for v in space.overhang_ratio[o]))), *season)
+    _, _, roof, infiltration, lamp, hvac = grid(dims[_ORIENTED:])
+    light = at([scheduled_lighting_kwh(spec, w, calib) for w in lamp_w], lamp)
+    core = core_loads(spec.roof.area, at([c.u_value for c in roofs], roof),
+                      at(space.infiltration, infiltration), spec.conditioned_volume, light,
                       annual_equipment_kwh(spec, calib), calib.internal_gain_multiplier, *season)
-    hvac = [_column(column, 0) for column in zip(*(
-        (h.cooling_cop, h.heating_efficiency, h.heating_fuel is HeatingFuel.GAS) for h in hvacs))]
-    return facades, core, light, hvac
+    fuel = [at(c, hvac) for c in zip(*((h.cooling_cop, h.heating_efficiency,
+                                        h.heating_fuel is HeatingFuel.GAS) for h in hvacs))]
+    return facade.reshape(8, len(glz) * len(walls), -1), np.stack([*core, light, *fuel])
 
 
-def _group_bounds(facades, core, light, hvac, shared: tuple) -> tuple[np.ndarray, float]:
+def _group_bounds(facade, group, shared: tuple) -> tuple[np.ndarray, float]:
     """Per group, in enumeration order, the EUI of its facades' least terms; and the
     greatest EUI of any group's greatest terms. Every design's EUI lies between the two.
 
@@ -409,11 +418,12 @@ def _group_bounds(facades, core, light, hvac, shared: tuple) -> tuple[np.ndarray
     to the bit, and if both are finite no design's loads or EUI overflow."""
     import numpy as np
 
-    def extremes(x):  # over wwr and overhang: the least, then the greatest terms
-        return np.stack([x.min((2, 3)), x.max((2, 3))])[:, :, :, None, None, None, None]
-
     equip, floor_area, gas_kwh_m3 = shared
-    loads = thermal_balance(core, [tuple(map(extremes, f)) for f in facades])
+    # each facade row's least, then greatest term per (glazing, wall) pair, against the
+    # groups of that pair: glazing and wall lead a group's digits
+    terms = np.stack([facade.min(-1), facade.max(-1)], 1)[..., None]
+    cool, heat, light, *hvac = group.reshape(len(group), facade.shape[1], -1)
+    loads = thermal_balance((cool, heat), zip(terms[:4], terms[4:]))
     eui = end_use(*loads, light, equip, *hvac, floor_area, gas_kwh_m3)[0]
     return eui[0].ravel(), float(eui[1].max())
 
@@ -460,59 +470,46 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     # Bounds first: computed after the block is allocated, their small arrays
     # raised the peak RSS of repeated all-k sweeps by ~1 MiB.
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        facades, core, light, hvac = _load_tables(legal, catalog, spec, climate, calib)
-        bound, greatest = _group_bounds(facades, core, light, hvac, shared)
+        facade, group = _load_tables(legal, catalog, spec, climate, calib)
+        bound, greatest = _group_bounds(facade, group, shared)
     if not (math.isfinite(greatest) and np.isfinite(bound).all()):  # then no design overflows
         raise ValueError("the spec's areas, volume or loads overflow the designs' EUI")
-    # A unit is one group times a run of orientation designs, those of the longest run
-    # of trailing orientation variables whose legal product fits in a chunk (at least
-    # the last); a call takes up to `per_call` units. A unit's facade rows are taken by
-    # its group's (glazing, wall) pair from the facade tables spread over the orientation
-    # designs.
-    groups = math.prod(dims[_ORIENTED:])
-    suffix = [math.prod(dims[i:_ORIENTED]) for i in range(_ORIENTED)]
-    width = next((n for n in suffix if n <= CHUNK_SIZE), suffix[-1])
-    runs = suffix[0] // width
-    per_call = min(max(1, CHUNK_SIZE // width), feasible // width)
-    # One call when every unit fits in it. Otherwise the first call takes the
-    # ceil(k / width) units that can hold k rows and each later one twice as many, up to
-    # `per_call`, so the k-th EUI prunes units before a whole chunk is scored. The block
-    # is sized to the call and reallocated only when the call grows: memory is bounded
-    # by the largest call made, and reusing the block keeps glibc from returning pages
-    # the next call faults in.
-    size = per_call if per_call * width == feasible else min(-(-k // width), per_call)
-    pairs = dims[_ORIENTED] * dims[_ORIENTED + 1]
-    spread = np.empty((8, pairs, *dims[:_ORIENTED]))
-    for o, f in enumerate(facades):  # cooling rows N, S, E, W, then heating rows
-        spread[[o, 4 + o]] = np.reshape(f, [2, pairs] + [dims[i] if i in (o, 4 + o) else 1
-                                                         for i in range(_ORIENTED)])
-    spread = spread.reshape(8, pairs * runs, width)
-    # per group, in enumeration order: its core terms, lighting kWh and HVAC values
-    per_group = np.stack([np.broadcast_to(x, dims[_ORIENTED:]) for x in (*core, light, *hvac)])
-    block = np.empty((8 + len(per_group), size, width))
+    # A group is scored whole: its `width` orientation designs, whose facade rows are its
+    # (glazing, wall) pair's. A call takes up to `per_call` groups. One call when every
+    # group fits in it; otherwise the first call takes the ceil(k / width) groups that can
+    # hold k rows and each later one twice as many, up to `per_call`, so the k-th EUI
+    # prunes groups before a whole chunk is scored. The block is sized to the call and
+    # reallocated only when the call grows: memory is bounded by the largest call made,
+    # and reusing the block keeps glibc from returning pages the next call faults in.
+    width, groups = facade.shape[2], group.shape[1]
+    per_pair = groups // facade.shape[1]  # (glazing, wall) lead a group's digits
+    per_call = min(max(1, CHUNK_SIZE // width), groups)
+    size = per_call if per_call == groups else min(-(-k // width), per_call)
+    block = np.empty((len(facade) + len(group), size, width))
 
-    def evaluate(first: int, units: np.ndarray) -> tuple[np.ndarray, ...]:
-        run, group = np.divmod(units, groups)  # (glazing, wall) lead a group's digits
-        np.take(spread, group // (groups // pairs) * runs + run, axis=1,
-                out=block[:8, :units.size], mode="clip")  # "raise" would buffer `out`
-        block[8:, :units.size] = per_group.reshape(6, groups)[:, group, None]
-        index = np.arange(first * width, (first + units.size) * width)
-        cols = block.reshape(len(block), -1)[:, :index.size]
-        return (*_kernels.batch_energy(cols[:4], cols[4:8], *cols[8:], *shared), index)
+    def evaluate(units: np.ndarray) -> tuple[np.ndarray, ...]:
+        np.take(facade, units // per_pair, axis=1, out=block[:8, :units.size],
+                mode="clip")  # "raise" would buffer `out`
+        block[8:, :units.size] = group[:, units, None]
+        cols = block.reshape(len(block), -1)[:, :units.size * width]
+        # orientation variables lead, so a design's position in the legal space (which
+        # orders designs as their enumeration index does) is its orientation design's
+        # index times `groups` plus its group's
+        position = (units[:, None] + np.arange(width) * groups).ravel()
+        return (*_kernels.batch_energy(cols[:4], cols[4:8], *cols[8:], *shared), position)
 
-    # Units go in ascending order of their group's bound (stable: ties keep
-    # enumeration order), `limit` holding those bounds; the ranking is total, so
-    # the order changes no result.
-    unit_bound = np.tile(bound, runs)
-    order = np.argsort(unit_bound, kind="stable")
-    limit = unit_bound[order]
-    held, first, stop = [], 0, order.size
+    # Groups go in ascending order of their bound (stable: ties keep enumeration
+    # order), `limit` holding those bounds; the ranking is total, so the order
+    # changes no result.
+    order = np.argsort(bound, kind="stable")
+    limit = bound[order]
+    held, first, stop = [], 0, groups
     # a tiny gas energy content overflows a gas design's volume: refused below if kept
     with np.errstate(over="ignore", invalid="ignore"):
         while first < stop:
             if block.shape[1] < size:
                 block = np.empty((len(block), size, width))
-            held.append(evaluate(first, order[first:min(first + size, stop)]))
+            held.append(evaluate(order[first:min(first + size, stop)]))
             first += size
             size = min(2 * size, per_call)
             if sum(part[0].size for part in held) >= k:
@@ -520,18 +517,13 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
                 # with it stay, since cost and position order them
                 cut = np.partition(np.concatenate([part[0] for part in held]), k - 1)[k - 1]
                 held = [tuple(c[keep] for c in part) for part in held for keep in [part[0] <= cut]]
-                # no design of a unit whose group bound exceeds the cut can rank
+                # no design of a group whose bound exceeds the cut can rank
                 stop = np.searchsorted(limit, cut, "right")
 
         # free the chunk's inputs, then the held rows, before the designs are built
         del block
-        eui, elec, gas, position = map(np.concatenate, zip(*held))  # kept rows' indices so far
+        eui, elec, gas, position = map(np.concatenate, zip(*held))
         del held
-        # A design's position in the legal space orders designs as its enumeration index
-        # does (legal_space keeps candidates in order). Row i is offset i % width of unit
-        # order[i // width], so its position is shift[i // width] + i * groups, where:
-        shift = (order // groups - np.arange(order.size)) * (width * groups) + order % groups
-        position = shift[position // width] + position * groups
         # the cost of the kept rows only, then their first k in rank order
         cost = cost_per_m2(elec, gas, tariff, spec.floor_area)
     if not np.isfinite(cost).all():

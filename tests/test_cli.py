@@ -329,6 +329,20 @@ def test_out_dir_from_environment(fixtures, tmp_path, monkeypatch):
     assert (target / "report.json").exists()
 
 
+def test_an_empty_out_dir_in_the_environment_means_the_default(fixtures, tmp_path,
+                                                               monkeypatch):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("LOWCARB_OUT", "")
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(["audit", "--spec", str(fixtures / "baseline_school.json"),
+                     "--climate", str(fixtures / "gd_climate.csv")]) == 0
+    assert stdout.getvalue().endswith("reports written to lowcarb_out\n")
+    assert [p.name for p in work.iterdir()] == ["lowcarb_out"]
+    assert (work / "lowcarb_out" / "report.json").exists()
+
+
 def test_optimize_subcommand(fixtures, tmp_path):
     out = tmp_path / "opt"
     code = main(["optimize", "--spec", str(fixtures / "baseline_school.json"),

@@ -316,7 +316,7 @@ _code_limits = st.builds(CodeLimits, _orientation_limits, _orientation_limits,
 _NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=_NO_SHRINK)
 @given(space=_tied_spaces(), limits=_code_limits)
 def test_legal_space_enumerates_the_code_legal_designs_in_order(space, limits):
     """The legal space's designs are the space's designs that pass code_check, in
@@ -326,23 +326,31 @@ def test_legal_space_enumerates_the_code_legal_designs_in_order(space, limits):
     assert (enumerate_designs(legal) if legal.size else []) == passing
 
 
+def _draw_chunk(data, space, limits):
+    """A chunk below one group of the legal space, of 2-3 groups, or of the whole space."""
+    lists = [candidates for _, candidates in legal_space(space, limits).candidate_lists()]
+    group = max(1, math.prod(map(len, lists[:8])))  # the code-legal orientation designs
+    return data.draw(st.one_of(st.integers(1, max(1, group - 1)),
+                               st.integers(2 * group, 4 * group - 1),
+                               st.just(max(1, math.prod(map(len, lists))))))
+
+
 @settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
 @given(space=_tied_spaces(), limits=_code_limits,
-       k_kind=st.sampled_from(["one", "middle", "beyond"]),
-       chunk=st.sampled_from([1, 7, 1 << 16]))
-def test_streamed_top_k_matches_a_full_sort(space, limits, k_kind, chunk, baseline_spec,
+       k_kind=st.sampled_from(["one", "middle", "beyond"]), data=st.data())
+def test_streamed_top_k_matches_a_full_sort(space, limits, k_kind, data, baseline_spec,
                                             climate, catalog, baseline_calibration, tariff):
     """Chunked top-k equals enumerate, score, sort by (EUI, cost, index), running min.
 
-    A call holds whole units (one group times a run of trailing orientation
-    variables): a chunk of 1 makes each call one group times the last orientation
-    variable, 7 part of the product, and 2^16 the whole space.
+    A kernel call scores whole groups: a chunk below one group still takes one group
+    per call, one of 2-3 groups takes up to 2-3, and one of the whole space takes every
+    group in one call.
     """
     legal = [(i, d) for i, d in enumerate(enumerate_designs(space))
              if not code_check(d, limits)]
     k = {"one": 1, "middle": len(legal) // 2 + 1, "beyond": len(legal) + 3}[k_kind]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimize_module, "CHUNK_SIZE", chunk)
+        mp.setattr(optimize_module, "CHUNK_SIZE", _draw_chunk(data, space, limits))
         if not legal:
             with pytest.raises(NoFeasibleDesignError):
                 optimize(baseline_spec, climate, catalog, space, limits, k=k,
@@ -483,21 +491,22 @@ def _near_tied_spaces(draw):
 
 @settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
 @given(space=_near_tied_spaces(), limits=_code_limits,
-       k_kind=st.sampled_from(["one", "middle", "all but one"]),
-       chunk=st.sampled_from([1, 7, 24, 108]))
-def test_pruned_top_k_equals_a_full_score_and_sort(space, limits, k_kind, chunk,
+       k_kind=st.sampled_from(["one", "middle", "all but one"]), data=st.data())
+def test_pruned_top_k_equals_a_full_score_and_sort(space, limits, k_kind, data,
                                                    baseline_spec, climate, catalog,
                                                    baseline_calibration, tariff):
     """Every field of a pruned top k is bitwise the head of the full ranking.
 
-    A chunk of 24 takes up to 24 units of one design, or 8 of three, so at k = 1 the
-    calls can grow from one unit through three doublings."""
+    The chunk is drawn against the space's group size. Below one group each call
+    scores one group; at 2-3 groups the calls can grow from ceil(k / group size)
+    groups by a doubling, pruned by the k-th EUI held; at the whole space one call
+    scores every group."""
     feasible = legal_space(space, limits).size
     if feasible == 0:
         return
     k = {"one": 1, "middle": feasible // 2 + 1, "all but one": max(1, feasible - 1)}[k_kind]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimize_module, "CHUNK_SIZE", chunk)
+        mp.setattr(optimize_module, "CHUNK_SIZE", _draw_chunk(data, space, limits))
         ranked, full = (optimize(baseline_spec, climate, catalog, space, limits, k=n,
                                  calib=baseline_calibration, tariff=tariff)
                         for n in (k, feasible))
@@ -518,37 +527,35 @@ def _scored_designs(k, space, limits, *context):
     return sum(counts)
 
 
-@pytest.mark.parametrize("k", [1, 10])
+@pytest.mark.parametrize("k", [108, 300])
 def test_calls_grow_from_k_by_doubling_up_to_a_chunk(k, paper_space, baseline_spec, climate,
                                                      catalog, baseline_calibration, tariff):
-    """With chunks of 40 designs the paper space's 20,736 code-legal designs are 2,304
-    units of 9 (one group times the E and W overhangs), at most 4 per call. The first
-    call takes the ceil(k / 9) units that can hold k rows, each later one twice as
-    many up to 4; the last stops at the last unit that can rank. Scoring from the
-    fewest units up changes no field of the ranking."""
+    """With chunks of 432 designs the paper space's 20,736 code-legal designs are 192
+    groups of 108, at most 4 per call. The first call takes the ceil(k / 108) groups
+    that can hold k rows, each later one twice as many up to 4; the last stops at the
+    last group that can rank. Scoring from the fewest groups up changes no field of
+    the ranking."""
     space, limits = paper_space
     context = (baseline_spec, climate, catalog, baseline_calibration, tariff)
     units = []
     kernel = _kernels.batch_energy
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimize_module, "CHUNK_SIZE", 40)
+        mp.setattr(optimize_module, "CHUNK_SIZE", 432)
         mp.setattr(_kernels, "batch_energy", lambda f_cool, *a: units.append(
-            f_cool.shape[1] / 9) or kernel(f_cool, *a))
+            f_cool.shape[1] / 108) or kernel(f_cool, *a))
         ranked = optimize(*context[:3], space, limits, k, *context[3:])
     full = optimize(*context[:3], space, limits, 20_736, *context[3:])
-    schedule = [min(math.ceil(k / 9) << i, 4) for i in range(len(units))]
+    schedule = [min(math.ceil(k / 108) << i, 4) for i in range(len(units))]
     assert len(units) >= 3
     assert units[:-1] == schedule[:-1] and 1 <= units[-1] <= schedule[-1]
     assert _fields(ranked) == _fields(full[:k])
 
 
-@pytest.mark.parametrize("chunk, width", [(3, 3), (40, 9), (100, 54)])
-def test_no_kernel_call_exceeds_a_chunk_below_the_orientation_block(
-        chunk, width, paper_space, baseline_spec, climate, catalog, baseline_calibration,
-        tariff):
-    """The paper space has 108 code-legal orientation designs, whose trailing
-    overhang candidates number 6 (S), 3 (E) and 3 (W). Below 108 a unit is one group
-    times the longest trailing run that fits in the chunk, and no call takes more."""
+@pytest.mark.parametrize("chunk", [3, 40, 100])
+def test_a_chunk_below_one_group_scores_one_whole_group_per_call(
+        chunk, paper_space, baseline_spec, climate, catalog, baseline_calibration, tariff):
+    """A group of the paper space is its 108 code-legal orientation designs. A chunk
+    smaller than that still takes one whole group per kernel call, never part of one."""
     space, limits = paper_space
     counts = []
     kernel = _kernels.batch_energy
@@ -559,9 +566,7 @@ def test_no_kernel_call_exceeds_a_chunk_below_the_orientation_block(
         mp.setattr(optimize_module, "_design_from_digits", lambda lists, digits: None)
         optimize(baseline_spec, climate, catalog, space, limits, 20_736, baseline_calibration,
                  tariff)
-    assert sum(counts) == 20_736
-    assert max(counts) <= chunk
-    assert {n % width for n in counts} == {0}
+    assert counts == [108] * 192
 
 
 def test_pruning_scores_fewer_designs_only_when_k_is_below_the_feasible_count(
