@@ -5,8 +5,10 @@ files and other options); the parser and the run manifest's inputs come from it.
 :func:`main` alone touches files: it reads each given input once, then runs the
 subcommand, which turns the input texts into report texts and summary lines, then
 writes the machine-readable reports (JSON + CSV) plus a run manifest holding the
-sha256 of each input's bytes into the output directory. Reports for identical
-inputs are byte-identical; anything time-dependent lives only in the manifest.
+sha256 of each input's bytes (by the interpreter's own sha256, not OpenSSL) into the
+output directory. Reports for identical inputs are byte-identical; anything
+time-dependent lives only in the manifest. Unless it is set, :func:`main` (not import)
+sets ``OPENBLAS_NUM_THREADS=1``: lowcarb makes no BLAS call, so numpy needs no BLAS threads.
 
 Exit codes: 0 success, 1 domain/validation failure, 2 usage error,
 3 I/O error.
@@ -17,13 +19,20 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import json
 import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
+
+try:  # the interpreter's own sha256, as random.py does: hashlib maps OpenSSL's libcrypto
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # a build without it
+        from hashlib import sha256
 
 from . import __version__
 from .model import CalibrationError, load_catalog, load_climate_profile, load_tariff, \
@@ -40,13 +49,17 @@ EXIT_IO = 3
 DEFAULT_OUT_ENV = "LOWCARB_OUT"
 
 
-def _read_input(path: str) -> tuple[str, dict[str, str]]:
+def _read_input(flag: str, path: str) -> tuple[str, dict[str, str]]:
     """The file's text, decoded as text mode does (UTF-8, universal newlines), and its
     manifest entry: the path and the sha256 of the bytes that text came from."""
     with open(path, "rb") as fh:
         data = fh.read()
-    entry = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
-    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"), entry
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # its own text names no input
+        raise ValueError(f"--{flag} {path} is not UTF-8: {exc}") from None
+    entry = {"path": str(path), "sha256": sha256(data).hexdigest()}
+    return text.replace("\r\n", "\n").replace("\r", "\n"), entry
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -262,12 +275,14 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
 
+    # lowcarb makes no BLAS call, so numpy starts no BLAS thread pool unless one is asked for
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     command = COMMANDS[args.command]
     try:
         texts, inputs = {}, {}
         for flag in command.files:  # every input is read, once, before any is parsed
             if path := getattr(args, flag):
-                texts[flag], inputs[flag] = _read_input(path)
+                texts[flag], inputs[flag] = _read_input(flag, path)
         # the command builds every report first, so a run that fails writes nothing
         reports, lines = command.run(args, texts)
         out_dir = Path(args.out or os.environ.get(DEFAULT_OUT_ENV) or "lowcarb_out")

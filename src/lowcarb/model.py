@@ -29,7 +29,6 @@ import operator
 import types
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import (Any, Callable, Collection, Iterable, Mapping, NamedTuple, get_args,
                     get_origin, get_type_hints)
@@ -628,10 +627,12 @@ def load_sensor_fleet(text: str) -> SensorFleet:
 
 def fixture_path(name: str) -> Path:
     """Path to a bundled data fixture, e.g. ``fixture_path('baseline_school.json')``."""
+    from importlib import resources  # only here and in read_fixture: the CLI needs neither
     ref = resources.files("lowcarb.data").joinpath(name)
     with resources.as_file(ref) as path:
         return Path(path)
 
 
 def read_fixture(name: str) -> str:
+    from importlib import resources
     return resources.files("lowcarb.data").joinpath(name).read_text(encoding="utf-8")

@@ -229,6 +229,22 @@ def test_crlf_inputs_give_byte_identical_reports(fixtures, tmp_path):
         crlf["gd_climate.csv"].read_bytes()).hexdigest()
 
 
+@pytest.mark.parametrize("command, name, flag", [
+    ("audit", "baseline_school.json", "spec"), ("node-sim", "node_demo_trace.csv", "trace")])
+def test_an_input_that_is_not_utf8_is_one_line_naming_it(fixtures, tmp_path, capsys,
+                                                         command, name, flag):
+    """A file saved as UTF-16 (bytes ff fe first) is refused, naming its flag and path."""
+    path = tmp_path / name
+    path.write_bytes((fixtures / name).read_text().encode("utf-16"))
+    out = tmp_path / "o"
+    assert main(_argv(fixtures, command, **{name: path}) + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: --{flag} {path} is not UTF-8: 'utf-8' codec can't decode byte 0xff in "
+        "position 0: invalid start byte"]
+    assert captured.out == "" and not out.exists()
+
+
 def test_every_input_is_read_before_any_is_parsed(fixtures, tmp_path, capsys):
     """A malformed spec and a missing tariff: the missing file is found first (exit 3),
     and nothing is written."""
@@ -630,6 +646,16 @@ def test_reports_refuse_nan_and_infinity(value):
         _json_dumps({"x": value})
 
 
+def _fresh_python(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """This interpreter run on ``args`` in a fresh process, in ``env`` (default: this
+    process's environment), importing lowcarb from the tree these tests import."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(lowcarb.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
 def test_audit_calibrate_pv_and_node_sim_never_load_numpy(fixtures, tmp_path):
     # a fresh interpreter, since this one has numpy loaded by other tests
     runs = [
@@ -657,15 +683,49 @@ def test_audit_calibrate_pv_and_node_sim_never_load_numpy(fixtures, tmp_path):
               "                  node.EnvSample(0.5, 0.0, 60.0), 60.0)\n"
               "loaded.append('numpy' in sys.modules)\n"
               "print(json.dumps({'codes': codes, 'soc': state.soc, 'numpy_loaded': loaded}))\n")
-    src = str(Path(lowcarb.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _fresh_python("-c", script, json.dumps(runs))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     # the step's 3 W harvest covers the demo node's load, so the battery stays full
     assert result == {"codes": [0, 0, 0, 0], "soc": 1.0, "numpy_loaded": [False, False]}
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_runs_load_no_openssl_and_start_no_blas_threads_unless_asked(fixtures, tmp_path,
+                                                                         preset):
+    """Every subcommand hashes its inputs without hashlib, which would map OpenSSL's
+    libcrypto. ``main`` sets OPENBLAS_NUM_THREADS to 1 unless it is set, so the numpy that
+    optimize imports starts no BLAS worker thread; a value the user set is kept."""
+    script = ("import json, os, sys\n"
+              "from lowcarb.cli import main\n"
+              "runs = [(main(a), '_hashlib' in sys.modules) for a in json.loads(sys.argv[1])]\n"
+              "task = '/proc/self/task'\n"
+              "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+              "print(json.dumps([runs, os.environ.get('OPENBLAS_NUM_THREADS'), threads]))\n")
+    runs = [_argv(fixtures, command) + ["--out", str(tmp_path / command)]
+            for command in ("audit", "calibrate", "optimize", "pv", "node-sim")]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = _fresh_python("-c", script, json.dumps(runs), env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes_and_hashlib, blas_threads, threads = json.loads(proc.stdout.splitlines()[-1])
+    assert codes_and_hashlib == [[0, False]] * 5
+    assert blas_threads == (preset or "1")
+    if preset is None and threads is not None:  # Linux: numpy is loaded, in one thread
+        assert threads == 1
+
+
+def test_an_audit_without_site_packages_never_imports_importlib_resources(fixtures, tmp_path):
+    """Only the bundled-fixture helpers need importlib.resources; python -S, so that no
+    site .pth file imports it first."""
+    script = ("import sys\n"
+              "from lowcarb.cli import main\n"
+              "print(main(sys.argv[1:]), 'importlib.resources' in sys.modules)\n")
+    proc = _fresh_python("-S", "-c", script, *_argv(fixtures, "audit"),
+                         "--out", str(tmp_path / "o"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_version_flag(capsys):
@@ -690,11 +750,7 @@ def test_one_process_reuses_the_parser_and_keeps_each_call_independent(fixtures,
     assert build_parser() is build_parser()
     assert (rows(tmp_path / "k3"), rows(tmp_path / "k10")) == (3, 10)
     fresh = tmp_path / "fresh"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(Path(lowcarb.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "lowcarb", *_argv(fixtures, "audit"),
-                           "--out", str(fresh)], capture_output=True, text=True, env=env,
-                          timeout=60)
+    proc = _fresh_python("-m", "lowcarb", *_argv(fixtures, "audit"), "--out", str(fresh))
     assert proc.returncode == 0, proc.stderr
     for name in ("report.json", "report.csv"):
         assert (tmp_path / "audit" / name).read_bytes() == (fresh / name).read_bytes()

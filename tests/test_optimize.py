@@ -6,7 +6,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, event, given, settings, strategies as st
 
 from lowcarb import (
     DesignSpace,
@@ -311,6 +311,44 @@ _orientation_limits = st.builds(
 _code_limits = st.builds(CodeLimits, _orientation_limits, _orientation_limits,
                          _orientation_limits, _orientation_limits)
 
+
+@st.composite
+def _limits_keeping_a_design(draw, space):
+    """Code limits whose bounds are ``space``'s own wwr and overhang candidates, so
+    strict and inclusive limits differ, set so that one drawn wwr and one drawn overhang
+    of each orientation stay legal: some design of the space is code-legal."""
+    def limit(orientation):
+        wwrs, overhangs = space.wwr[orientation], space.overhang_ratio[orientation]
+        wwr, overhang = draw(st.sampled_from(wwrs)), draw(st.sampled_from(overhangs))
+        strict = draw(st.booleans())
+
+        def bound(values):
+            return draw(st.sampled_from([None, *values]))
+
+        return OrientationLimit(
+            max_wwr=bound([v for v in wwrs if v > wwr or v == wwr and not strict]),
+            strict=strict, min_wwr=bound([v for v in wwrs if v <= wwr]),
+            max_overhang=bound([v for v in overhangs if v >= overhang]),
+            min_overhang=bound([v for v in overhangs if v <= overhang]))
+
+    return CodeLimits(*map(limit, "NSEW"))
+
+
+def _kernel_calls(mp) -> list[int]:
+    """Patch the batch kernel to record the designs of each call in the list returned."""
+    calls, kernel = [], _kernels.batch_energy
+    mp.setattr(_kernels, "batch_energy", lambda f_cool, *a: calls.append(f_cool.shape[1])
+               or kernel(f_cool, *a))
+    return calls
+
+
+def _label(space, legal: int, calls: list[int]) -> None:
+    """Label a feasible example with whether its limits rejected any design, and with
+    the kernel calls its sweep made."""
+    event(f"code-legal: {'all' if legal == space.size else 'some'} of the space")
+    event(f"kernel calls: {len(calls)}")
+
+
 # Shrinking a failing example reruns optimize and the oracle for every candidate it
 # tries, which took minutes; the tests that score whole spaces report it as drawn.
 _NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
@@ -336,28 +374,27 @@ def _draw_chunk(data, space, limits):
 
 
 @settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
-@given(space=_tied_spaces(), limits=_code_limits,
-       k_kind=st.sampled_from(["one", "middle", "beyond"]), data=st.data())
-def test_streamed_top_k_matches_a_full_sort(space, limits, k_kind, data, baseline_spec,
+@given(space=_tied_spaces(), k_kind=st.sampled_from(["one", "middle", "beyond"]),
+       data=st.data())
+def test_streamed_top_k_matches_a_full_sort(space, k_kind, data, baseline_spec,
                                             climate, catalog, baseline_calibration, tariff):
     """Chunked top-k equals enumerate, score, sort by (EUI, cost, index), running min.
 
-    A kernel call scores whole groups: a chunk below one group still takes one group
-    per call, one of 2-3 groups takes up to 2-3, and one of the whole space takes every
-    group in one call.
+    The limits keep some design legal (test_empty_feasible_set covers the case where
+    none is). A kernel call scores whole groups: a chunk below one group still takes one
+    group per call, one of 2-3 groups takes up to 2-3, and one of the whole space takes
+    every group in one call.
     """
+    limits = data.draw(_limits_keeping_a_design(space))
     legal = [(i, d) for i, d in enumerate(enumerate_designs(space))
              if not code_check(d, limits)]
     k = {"one": 1, "middle": len(legal) // 2 + 1, "beyond": len(legal) + 3}[k_kind]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize_module, "CHUNK_SIZE", _draw_chunk(data, space, limits))
-        if not legal:
-            with pytest.raises(NoFeasibleDesignError):
-                optimize(baseline_spec, climate, catalog, space, limits, k=k,
-                         calib=baseline_calibration, tariff=tariff)
-            return
+        calls = _kernel_calls(mp)
         ranked = optimize(baseline_spec, climate, catalog, space, limits, k=k,
                           calib=baseline_calibration, tariff=tariff)
+    _label(space, len(legal), calls)
 
     scored = sorted((*_score_alone(d, baseline_spec, climate, catalog,
                                    baseline_calibration, tariff), i, d) for i, d in legal)
@@ -490,26 +527,29 @@ def _near_tied_spaces(draw):
 
 
 @settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
-@given(space=_near_tied_spaces(), limits=_code_limits,
+@given(space=_near_tied_spaces(),
        k_kind=st.sampled_from(["one", "middle", "all but one"]), data=st.data())
-def test_pruned_top_k_equals_a_full_score_and_sort(space, limits, k_kind, data,
-                                                   baseline_spec, climate, catalog,
-                                                   baseline_calibration, tariff):
-    """Every field of a pruned top k is bitwise the head of the full ranking.
+def test_pruned_top_k_equals_a_full_score_and_sort(space, k_kind, data, baseline_spec,
+                                                   climate, catalog, baseline_calibration,
+                                                   tariff):
+    """Every field of a pruned top k is bitwise the head of the full ranking, whose
+    length is the count of designs that pass the reference code check.
 
-    The chunk is drawn against the space's group size. Below one group each call
-    scores one group; at 2-3 groups the calls can grow from ceil(k / group size)
-    groups by a doubling, pruned by the k-th EUI held; at the whole space one call
-    scores every group."""
-    feasible = legal_space(space, limits).size
-    if feasible == 0:
-        return
+    The limits keep some design legal. The chunk is drawn against the space's group
+    size. Below one group each call scores one group; at 2-3 groups the calls can grow
+    from ceil(k / group size) groups by a doubling, pruned by the k-th EUI held; at the
+    whole space one call scores every group."""
+    limits = data.draw(_limits_keeping_a_design(space))
+    feasible = sum(not code_check(d, limits) for d in enumerate_designs(space))
     k = {"one": 1, "middle": feasible // 2 + 1, "all but one": max(1, feasible - 1)}[k_kind]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize_module, "CHUNK_SIZE", _draw_chunk(data, space, limits))
-        ranked, full = (optimize(baseline_spec, climate, catalog, space, limits, k=n,
-                                 calib=baseline_calibration, tariff=tariff)
-                        for n in (k, feasible))
+        full = optimize(baseline_spec, climate, catalog, space, limits, k=space.size,
+                        calib=baseline_calibration, tariff=tariff)
+        calls = _kernel_calls(mp)
+        ranked = optimize(baseline_spec, climate, catalog, space, limits, k=k,
+                          calib=baseline_calibration, tariff=tariff)
+    _label(space, feasible, calls)
     assert len(full) == feasible
     assert _fields(ranked) == _fields(full[:k])
 
@@ -517,11 +557,8 @@ def test_pruned_top_k_equals_a_full_score_and_sort(space, limits, k_kind, data,
 def _scored_designs(k, space, limits, *context):
     """The designs optimize hands to the kernel, summed over its calls; the
     returned designs are not built."""
-    counts = []
-    kernel = _kernels.batch_energy
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "batch_energy", lambda wwr, *a: counts.append(wwr.shape[1])
-                   or kernel(wwr, *a))
+        counts = _kernel_calls(mp)
         mp.setattr(optimize_module, "_design_from_digits", lambda lists, digits: None)
         optimize(*context[:3], space, limits, k, *context[3:])
     return sum(counts)
@@ -537,13 +574,11 @@ def test_calls_grow_from_k_by_doubling_up_to_a_chunk(k, paper_space, baseline_sp
     the ranking."""
     space, limits = paper_space
     context = (baseline_spec, climate, catalog, baseline_calibration, tariff)
-    units = []
-    kernel = _kernels.batch_energy
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize_module, "CHUNK_SIZE", 432)
-        mp.setattr(_kernels, "batch_energy", lambda f_cool, *a: units.append(
-            f_cool.shape[1] / 108) or kernel(f_cool, *a))
+        units = _kernel_calls(mp)
         ranked = optimize(*context[:3], space, limits, k, *context[3:])
+    units = [designs / 108 for designs in units]
     full = optimize(*context[:3], space, limits, 20_736, *context[3:])
     schedule = [min(math.ceil(k / 108) << i, 4) for i in range(len(units))]
     assert len(units) >= 3
@@ -557,12 +592,9 @@ def test_a_chunk_below_one_group_scores_one_whole_group_per_call(
     """A group of the paper space is its 108 code-legal orientation designs. A chunk
     smaller than that still takes one whole group per kernel call, never part of one."""
     space, limits = paper_space
-    counts = []
-    kernel = _kernels.batch_energy
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize_module, "CHUNK_SIZE", chunk)
-        mp.setattr(_kernels, "batch_energy", lambda f_cool, *a: counts.append(f_cool.shape[1])
-                   or kernel(f_cool, *a))
+        counts = _kernel_calls(mp)
         mp.setattr(optimize_module, "_design_from_digits", lambda lists, digits: None)
         optimize(baseline_spec, climate, catalog, space, limits, 20_736, baseline_calibration,
                  tariff)
