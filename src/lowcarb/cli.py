@@ -50,12 +50,12 @@ DEFAULT_OUT_ENV = "LOWCARB_OUT"
 
 
 def _read_input(flag: str, path: str) -> tuple[str, dict[str, str]]:
-    """The file's text, decoded as text mode does (UTF-8, universal newlines), and its
-    manifest entry: the path and the sha256 of the bytes that text came from."""
+    """The file's text, decoded as UTF-8 (a leading BOM dropped) with universal newlines,
+    and its manifest entry: the path and the sha256 of the bytes that text came from."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # its own text names no input
         raise ValueError(f"--{flag} {path} is not UTF-8: {exc}") from None
     entry = {"path": str(path), "sha256": sha256(data).hexdigest()}
@@ -292,18 +292,21 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
+    except (OSError, CalibrationError, ValueError) as exc:  # SpecError, TraceError: ValueErrors
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (CalibrationError, ValueError) as exc:  # SpecError and TraceError are ValueErrors
-        print(*getattr(exc, "violations", None) or [f"error: {exc}"], sep="\n", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_DOMAIN
     print(*lines, f"reports written to {out_dir}", sep="\n")
     return EXIT_OK
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # no reader: stdout goes to devnull, so exit flushes no error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from .model import (
     check,
     check_record,
     read_json,
+    read_record,
     spec,
 )
 
@@ -96,7 +97,7 @@ class EndUseTargets:
     @staticmethod
     def from_json(text: str) -> "EndUseTargets":
         """Parse a targets file; every target must be a finite number > 0."""
-        return _read(EndUseTargets, read_json(text, "targets"), "targets.")
+        return read_record(EndUseTargets, text, "targets", "targets")
 
 
 def shading_factor(overhang_ratio: float, sun_altitude: float) -> float:

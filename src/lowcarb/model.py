@@ -4,18 +4,19 @@ All types are frozen dataclasses and safe to share between threads. Parsing
 is strict. Each field of a record read from a file declares its key, rule and
 default once, on its class, through :func:`spec`; :func:`record_format` collects
 them. Every file that maps one key to one field is read through that format by
-:func:`_read`: the building spec, the tariff, targets, PV site, sensor fleet and
-node config files, the spec's ``calibration`` block, the design space's code
-limits, and the catalog, rooms and lamps rows. :func:`validate_spec` checks the
-rules of any such record built in code, and :func:`check_record` raises its first
-broken one. :func:`to_doc` writes a record under the same keys: the building
-spec's serialize and the reports use it. A spec key the format does not list
-(besides the top-level ``schema_version`` and ``calibration``) is refused by its
-path. Spec files carry every thermal coefficient explicitly: the only defaulted
-fields are ``daylight_offset``, ``overhang_ratio`` and ``cost_index``, and a null
-or absent one takes its default. Spec numbers pass the same boundary as every
-other input (:func:`number`), so a malformed one is named by its JSON path;
-``name``, ids and enums are required strings (:func:`string`).
+:func:`_read`, which checks each value's rule as it reads it: the building spec,
+the tariff, targets, PV site, sensor fleet and node config files, the spec's
+``calibration`` block, the design space's code limits, and the catalog, rooms and
+lamps rows. :func:`validate_spec` checks the rules of any such record built in
+code, and :func:`check_record` raises its first broken one. :func:`to_doc` writes a
+record under the same keys: the building spec's serialize and the reports use it. A
+JSON key no field declares is refused by its path, but for a top-level
+``schema_version`` and ``name`` (:func:`read_record`) or the spec's ``calibration``.
+Spec files carry every thermal coefficient explicitly: the only defaulted fields are
+``daylight_offset``, ``overhang_ratio`` and ``cost_index``, and a null or absent one
+takes its default. Spec numbers pass the same boundary as every other input
+(:func:`number`), so a malformed one is named by its JSON path; ``name``, ids and
+enums are required strings (:func:`string`).
 """
 
 from __future__ import annotations
@@ -64,15 +65,7 @@ class HeatingFuel(str, Enum):
 
 
 class SpecError(ValueError):
-    """A spec file could not be parsed into a valid domain object.
-
-    Carries the list of violations when the failure is semantic rather
-    than syntactic, so callers can report them one per line.
-    """
-
-    def __init__(self, message: str, violations: list["Violation"] | None = None):
-        super().__init__(message)
-        self.violations = violations or []
+    """An input, or a record built in code, is malformed; the message names the field."""
 
 
 class CalibrationError(RuntimeError):
@@ -137,7 +130,7 @@ POSITIVE_INTEGER = Rule(lambda v: v >= 1 and float(v).is_integer(), "must be a w
 BOOLEAN = Rule(lambda v: isinstance(v, bool), "must be true or false")
 SCHEMA = Rule(lambda v: v == SCHEMA_VERSION, f"must be {SCHEMA_VERSION}")
 ONE_PER_ORIENTATION = Rule(lambda v: sorted(v) == sorted(ORIENTATION_ORDER),
-                           "exactly one envelope group per cardinal orientation")
+                           "must hold exactly one envelope group per cardinal orientation")
 
 
 def spec(key: str, rule: Rule | None = None, **default: Any) -> Any:
@@ -162,7 +155,7 @@ class Field(NamedTuple):
 def record_format(cls: type) -> tuple[Field, ...]:
     """The fields of the record type ``cls`` in class order, as its :func:`spec` calls
     declare them. The records of a tuple field are named by their first field (an
-    Enum), and the field's rule tests those names."""
+    Enum), and the field's rule tests those names (:func:`_names`)."""
     hints = get_type_hints(cls)
     out = []
     for f in fields(cls):
@@ -173,6 +166,12 @@ def record_format(cls: type) -> tuple[Field, ...]:
         out.append(Field(f.name, f.metadata["key"], kind, f.metadata["rule"], default,
                          is_dataclass(kind)))
     return tuple(out)
+
+
+def _names(f: Field, items: tuple) -> list:
+    """The tuple field ``f``'s records ``items`` by their first field, an Enum's value."""
+    first = record_format(f.kind[0])[0].attr
+    return [getattr(key, "value", key) for key in (getattr(item, first) for item in items)]
 
 
 @dataclass(frozen=True)
@@ -321,15 +320,18 @@ def read_json(text: str, what: str) -> dict:
         raise SpecError(
             f"{what}: syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:  # its own text names no input
+        raise SpecError(f"{what}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise SpecError(f"{what} document must be a JSON object")
     number(doc, "schema_version", f"{what}.", SCHEMA, default=SCHEMA_VERSION)
     return doc
 
 
-def check(value: float, field: str, rule: Rule) -> float:
-    """``value`` if it passes ``rule``; else :class:`SpecError` naming ``field``."""
-    if not rule.test(value):
+def check(value: Any, field: str, rule: Rule | None) -> Any:
+    """``value`` if it passes ``rule`` (any value passes None); else :class:`SpecError`
+    naming ``field``."""
+    if rule is not None and not rule.test(value):
         raise SpecError(f"{field} {rule.text}, got {value!r}")
     return value
 
@@ -369,7 +371,7 @@ def number(doc: Any, key: Any, context: str, rule: Rule | None,
         value = None
     if value is None or isinstance(raw, bool):
         raise SpecError(f"{context}{key} must be a number, got {raw!r}")
-    return value if rule is None else check(value, f"{context}{key}", rule)
+    return check(value, f"{context}{key}", rule)
 
 
 def string(doc: Any, key: Any, context: str, choices: type[Enum] | None = None) -> Any:
@@ -398,12 +400,11 @@ def glazed_area(spec: BuildingSpec, orientation: Orientation | str) -> float:
 # records read through record_format, and the building spec file (JSON)
 # ---------------------------------------------------------------------------
 
-def _read(cls: type, doc: Any, context: str, what: str | None = None,
-          rules: bool = True) -> Any:
+def _read(cls: type, doc: Any, context: str, what: str | None = None) -> Any:
     """A ``cls`` record from the JSON object or CSV row ``doc``, whose fields are named
-    ``context + key``. If ``what`` is set, a key that no field declares is refused as
-    not a ``what`` field; if ``rules``, each value must pass its field's rule (the
-    building spec leaves them to :func:`validate_spec`). Nested records read alike."""
+    ``context + key``. Each value must pass its field's rule as it is read, a tuple's
+    names once its records are read. If ``what`` is set, a key that no field declares is
+    refused as not a ``what`` field. Nested records read alike."""
     where = context.removesuffix(".")
     if not isinstance(doc, dict):
         raise SpecError(f"missing required field {where}" if doc is None
@@ -418,23 +419,29 @@ def _read(cls: type, doc: Any, context: str, what: str | None = None,
             if not isinstance(items, list):
                 raise SpecError(f"missing required field {name}" if items is None
                                 else f"{name} must be a JSON list, got {items!r}")
-            value = tuple(_read(f.kind[0], item, f"{name}[{i}].", what, rules)
+            value = tuple(_read(f.kind[0], item, f"{name}[{i}].", what)
                           for i, item in enumerate(items))
+            check(_names(f, value), name, f.rule)
         elif f.record:
-            value = _read(f.kind, doc.get(f.key), name + ".", what, rules)
+            value = _read(f.kind, doc.get(f.key), name + ".", what)
         elif isinstance(f.kind, types.UnionType):  # float | None: absent or null is None
-            value = None if _get(doc, f.key) is None else number(
-                doc, f.key, context, f.rule if rules else None)
+            value = None if _get(doc, f.key) is None else number(doc, f.key, context, f.rule)
         elif f.kind in (bool, float, int):  # a bool: absent is the default, null breaks the rule
-            value = doc.get(f.key, f.default) if f.kind is bool else number(
-                doc, f.key, context, None, f.default)
-            whole = f.kind is not int or value.is_integer()  # int() never truncates a fraction
-            value = check(value, name, f.rule) if rules or not whole else value
+            value = check(doc.get(f.key, f.default) if f.kind is bool else number(
+                doc, f.key, context, None, f.default), name, f.rule)
             value = int(value) if f.kind is int else value
         else:
             value = string(doc, f.key, context, None if f.kind is str else f.kind)
         values[f.attr] = value
     return cls(**values)
+
+
+def read_record(cls: type, text: str, what: str, noun: str) -> Any:
+    """A ``cls`` record from the JSON file ``text``, its fields named ``what.key``. A key no
+    field declares is not a ``noun`` field, save a top-level ``schema_version`` or ``name``."""
+    doc = read_json(text, what)
+    return _read(cls, {key: value for key, value in doc.items()
+                       if key not in ("schema_version", "name")}, f"{what}.", noun)
 
 
 def validate_spec(record: Any, prefix: str = "") -> list[Violation]:
@@ -447,9 +454,7 @@ def validate_spec(record: Any, prefix: str = "") -> list[Violation]:
         for f in record_format(type(record)):
             value, name = getattr(record, f.attr), prefix + f.attr
             if isinstance(f.kind, tuple):
-                first = record_format(f.kind[0])[0].attr
-                items, value = value, [getattr(key, "value", key) for key in
-                                       (getattr(item, first) for item in value)]
+                items, value = value, _names(f, value)
             unset = value is None and isinstance(f.kind, types.UnionType)
             if f.rule is not None and not unset and not f.rule.test(value):
                 out.append(Violation(name, value, f.rule.text))
@@ -476,24 +481,17 @@ def parse_building_spec(text: str) -> BuildingSpec:
     Raises
     ------
     SpecError
-        On JSON syntax errors (with position), a missing or mistyped field,
-        an unsupported schema version, or invariant violations.
+        On JSON syntax errors (with position), an unsupported schema version, or the
+        first field in class order that is missing, mistyped or breaks its rule.
     """
     doc = read_json(text, "spec")
     try:
         number(doc, "schema_version", "", SCHEMA)  # read_json lets an absent one pass
         # the other top-level keys: the version, checked above, and load_calibration's block
-        spec = _read(BuildingSpec, {key: value for key, value in doc.items()
-                                    if key not in ("schema_version", "calibration")},
-                     "", "spec", rules=False)
+        return _read(BuildingSpec, {key: value for key, value in doc.items() if key not in
+                                    ("schema_version", "calibration")}, "", "spec")
     except SpecError as exc:
         raise SpecError(f"malformed spec: {exc}") from exc
-
-    violations = validate_spec(spec)
-    if violations:
-        raise SpecError("spec violates invariants:\n" + "\n".join(map(str, violations)),
-                        violations)
-    return spec
 
 
 def to_doc(record: Any) -> Any:
@@ -613,12 +611,12 @@ def load_catalog(text: str) -> Catalog:
 
 def load_tariff(text: str) -> Tariff:
     """Parse a tariff file; every price and the gas energy content must be > 0."""
-    return _read(Tariff, read_json(text, "tariff"), "tariff.")
+    return read_record(Tariff, text, "tariff", "tariff")
 
 
 def load_sensor_fleet(text: str) -> SensorFleet:
     """Parse a sensor-fleet file: a list of entries with kind, count, power and duty."""
-    return _read(SensorFleet, read_json(text, "fleet"), "fleet.")
+    return read_record(SensorFleet, text, "fleet", "sensor fleet")
 
 
 # ---------------------------------------------------------------------------

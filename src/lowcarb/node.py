@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import _kernels
 from .model import (FINITE, FRACTION, NONNEGATIVE, POSITIVE, SensorFleet, SpecError, TraceError,
-                    _read, check, check_record, read_json, spec, total)
+                    check, check_record, read_record, spec, total)
 
 if TYPE_CHECKING:
     import numpy as np  # imported at run time by the SimResult views, on first read
@@ -268,12 +268,9 @@ def fleet_annual_energy(fleet: SensorFleet) -> float:
 # ---------------------------------------------------------------------------
 
 def load_node_config(text: str) -> NodeConfig:
-    """Parse a node config file; the values must pass :meth:`NodeConfig.validate`,
-    and a key that no field declares, at any level, is refused. The top level may
-    also hold ``schema_version`` and ``name``."""
-    doc = read_json(text, "node")
-    config = _read(NodeConfig, {key: value for key, value in doc.items()
-                                if key not in ("schema_version", "name")}, "node.", "node config")
+    """Parse a node config file (:func:`~lowcarb.model.read_record`); the values must also
+    pass :meth:`NodeConfig.validate`."""
+    config = read_record(NodeConfig, text, "node", "node config")
     config.validate()
     return config
 

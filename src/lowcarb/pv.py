@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (NONNEGATIVE, POSITIVE, Interval, Tariff, _read, check, check_record,
-                    read_json, spec)
+from .model import (NONNEGATIVE, POSITIVE, Interval, Tariff, check, check_record, read_record,
+                    spec)
 
 #: The share of the roof that modules may cover.
 PACKING = Interval(0, 1, "(]")
@@ -113,7 +113,7 @@ class PvSite:
 def load_pv_site(text: str) -> PvSite:
     """Parse a PV site file: panel dimensions and rating must be > 0, the
     packing factor within (0, 1] and the other values nonnegative."""
-    return _read(PvSite, read_json(text, "pv_site"), "pv_site.")
+    return read_record(PvSite, text, "pv_site", "PV site")
 
 
 def site_economics(site: PvSite, equivalent_hours: float,

@@ -56,7 +56,8 @@ def test_audit_missing_spec_is_io_error(tmp_path, capsys):
     assert "file not found" in capsys.readouterr().err
 
 
-def test_audit_invalid_spec_prints_violations(fixtures, tmp_path, capsys):
+def test_audit_invalid_spec_names_its_first_broken_field(fixtures, tmp_path, capsys):
+    """Two broken fields: the one first in class order, storeys, is named by its key."""
     doc = json.loads((fixtures / "baseline_school.json").read_text())
     doc["infiltration_ach"] = -2.0
     doc["storeys"] = 0
@@ -66,10 +67,8 @@ def test_audit_invalid_spec_prints_violations(fixtures, tmp_path, capsys):
                  "--climate", str(fixtures / "gd_climate.csv"),
                  "--out", str(tmp_path / "o")])
     assert code == 1
-    err_lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
-    assert len(err_lines) == 2  # one violation per line
-    assert any("infiltration" in ln for ln in err_lines)
-    assert any("storeys" in ln for ln in err_lines)
+    assert capsys.readouterr().err.splitlines() == [
+        "error: malformed spec: storeys must be a whole number >= 1, got 0.0"]
 
 
 def _audit_with_calibration(fixtures, tmp_path, block, name="o"):
@@ -229,6 +228,28 @@ def test_crlf_inputs_give_byte_identical_reports(fixtures, tmp_path):
         crlf["gd_climate.csv"].read_bytes()).hexdigest()
 
 
+@pytest.mark.parametrize("command", ["audit", "calibrate", "optimize", "pv", "node-sim"])
+def test_inputs_that_start_with_a_byte_order_mark_give_byte_identical_reports(
+        fixtures, tmp_path, command):
+    """Every input saved with a UTF-8 BOM (as some editors save it) reads as without one;
+    the manifest hashes the bytes with the BOM."""
+    bom = {}
+    for name in _COMMAND_OF:
+        bom[name] = tmp_path / name
+        bom[name].write_bytes(b"\xef\xbb\xbf" + (fixtures / name).read_bytes())
+    outs = {"plain": tmp_path / "plain", "bom": tmp_path / "bom"}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(_argv(fixtures, command) + ["--out", str(outs["plain"])]) == 0
+        assert main(_argv(fixtures, command, **bom) + ["--out", str(outs["bom"])]) == 0
+    reports = sorted(p.name for p in outs["plain"].iterdir() if p.name != "run_manifest.json")
+    for name in reports:
+        assert (outs["plain"] / name).read_bytes() == (outs["bom"] / name).read_bytes()
+    manifest = json.loads((outs["bom"] / "run_manifest.json").read_text())
+    spec = _argv(fixtures, command, **bom)[2]
+    assert manifest["inputs"]["spec"] == {
+        "path": spec, "sha256": hashlib.sha256(Path(spec).read_bytes()).hexdigest()}
+
+
 @pytest.mark.parametrize("command, name, flag", [
     ("audit", "baseline_school.json", "spec"), ("node-sim", "node_demo_trace.csv", "trace")])
 def test_an_input_that_is_not_utf8_is_one_line_naming_it(fixtures, tmp_path, capsys,
@@ -242,6 +263,23 @@ def test_an_input_that_is_not_utf8_is_one_line_naming_it(fixtures, tmp_path, cap
     assert captured.err.splitlines() == [
         f"error: --{flag} {path} is not UTF-8: 'utf-8' codec can't decode byte 0xff in "
         "position 0: invalid start byte"]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command, name, what", [
+    ("audit", "baseline_school.json", "spec"), ("audit", "paper_tariff.json", "tariff"),
+    ("calibrate", "baseline_targets.json", "targets"),
+    ("optimize", "paper_space.json", "design space"), ("pv", "pv_site.json", "pv_site"),
+    ("node-sim", "node_demo.json", "node")])
+def test_a_json_input_nested_too_deeply_is_one_line_naming_it(fixtures, tmp_path, capsys,
+                                                              command, name, what):
+    """A value nested 100,000 lists deep exceeds what the JSON decoder recurses into."""
+    path = tmp_path / name
+    path.write_text('{"deep": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    out = tmp_path / "o"
+    assert main(_argv(fixtures, command, **{name: path}) + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {what}: JSON nested too deeply"]
     assert captured.out == "" and not out.exists()
 
 
@@ -646,14 +684,16 @@ def test_reports_refuse_nan_and_infinity(value):
         _json_dumps({"x": value})
 
 
-def _fresh_python(*args: str, env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+def _fresh_python(*args: str, env: dict[str, str] | None = None,
+                  stdout: int = subprocess.PIPE) -> subprocess.CompletedProcess:
     """This interpreter run on ``args`` in a fresh process, in ``env`` (default: this
-    process's environment), importing lowcarb from the tree these tests import."""
+    process's environment), importing lowcarb from the tree these tests import; its
+    stderr is captured, and its stdout unless ``stdout`` is another file descriptor."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(lowcarb.__file__).parents[1]), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=60)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=60)
 
 
 def test_audit_calibrate_pv_and_node_sim_never_load_numpy(fixtures, tmp_path):
@@ -726,6 +766,22 @@ def test_an_audit_without_site_packages_never_imports_importlib_resources(fixtur
                          "--out", str(tmp_path / "o"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_a_run_whose_stdout_has_no_reader_is_an_io_error_without_a_traceback(fixtures,
+                                                                           tmp_path):
+    """``lowcarb audit ... | true``: the reports are written, the summary has nowhere to
+    go, and the run exits 3 with nothing on stderr."""
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    out = tmp_path / "o"
+    try:
+        proc = _fresh_python("-m", "lowcarb", *_argv(fixtures, "audit"), "--out", str(out),
+                             stdout=write_fd)
+    finally:
+        os.close(write_fd)
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert (out / "report.json").exists()
 
 
 def test_version_flag(capsys):
@@ -939,6 +995,22 @@ def _key_paths(name, below=()):
     *(_probe("audit", "baseline_school.json", _rename(*path, to=f"{path[-1]}_x"),
              f"{dotted(path)}_x is not a calibration field")
       for path in _key_paths("baseline_school.json", ("calibration",))),
+    *(_probe(command, name, _rename(*path, to=f"{path[-1]}_x"),
+             f"{what}.{dotted(path)}_x is not a {noun} field")
+      for command, name, what, noun in [("audit", "paper_tariff.json", "tariff", "tariff"),
+                                        ("calibrate", "baseline_targets.json", "targets",
+                                         "targets"),
+                                        ("pv", "pv_site.json", "pv_site", "PV site")]
+      for path in _key_paths(name)),
+    _probe("audit", "baseline_school.json", _set("floor_area_m2", value=-1),
+           "error: malformed spec: floor_area_m2 must be > 0 and finite, got -1.0",
+           id="audit-spec-floor-area"),
+    _probe("audit", "baseline_school.json", _set("orientations", 1, "wwr", value=1.5),
+           "error: malformed spec: orientations[1].wwr must be within [0, 1], got 1.5",
+           id="audit-spec-wwr"),
+    _probe("audit", "baseline_school.json", _set("orientations", 3, drop=True),
+           "error: malformed spec: orientations must hold exactly one envelope group per "
+           "cardinal orientation, got ['N', 'S', 'E']", id="audit-spec-three-orientations"),
 ])
 def test_malformed_input_is_one_line_naming_the_field(fixtures, tmp_path, capsys,
                                                        command, name, edit, named):
