@@ -2,10 +2,9 @@
 trace fold.
 
 ``batch_energy`` is the adapter that ``perfbench`` wraps to time the sweep: it
-runs :func:`lowcarb.energy.thermal_balance` and :func:`lowcarb.energy.end_use`,
-the functions the scalar engine calls, on per-design arrays of the load terms that
-:func:`lowcarb.energy.facade_loads` and :func:`lowcarb.energy.core_loads` give, so the
-two agree to the bit.
+gathers each design's load terms from the sweep's tables a slice at a time and runs
+:func:`lowcarb.energy.thermal_balance` and :func:`lowcarb.energy.end_use`, the
+functions the scalar engine calls, on them, so the two agree to the bit.
 ``node_sim`` is the only implementation of the node step; :func:`lowcarb.node.step`
 runs it on a one-sample trace. It writes stdlib ``array.array`` columns, so node-sim
 never loads numpy. Both are timed per layer by ``perfbench/run.py --trace 1``.
@@ -29,36 +28,40 @@ def numba_enabled() -> bool:
 # batch design evaluation (one row per candidate design)
 # ---------------------------------------------------------------------------
 
-#: Designs per pass through the kernel's arithmetic. Its ~30 transient arrays of
-#: 64 KiB stay below glibc's 128 KiB mmap threshold and are reused from the heap:
-#: at 2^14 (128 KiB arrays) a sweep_large op took ~1,800 minor page faults, at 2^13 0.6.
-_SLICE = 1 << 13
+#: Designs per pass through the kernel's gather and arithmetic: one (14, _SLICE) block
+#: and ~30 transient arrays of 16 KiB, reused from the heap. The paper sweep's traced
+#: peak was 1.25 MiB at 2^11, 1.8 at 2^12 and 2.9 at 2^13.
+_SLICE = 1 << 11
 
 
-def batch_energy(facade_cool, facade_heat, core_cool, core_heat, lighting_kwh, cop, heat_eff,
-                 heat_is_gas, equip_kwh, floor_area, gas_energy_content):
-    """Evaluate the annual energy balance for a whole batch of designs.
+def batch_energy(facade, group, position, equip_kwh, floor_area, gas_energy_content):
+    """The annual (eui, electricity_kwh, gas_m3) of the designs at ``position`` in the
+    legal space, from :func:`lowcarb.energy.thermal_balance` and :func:`lowcarb.energy.end_use`.
 
-    ``facade_cool`` and ``facade_heat`` are (4, n) arrays of each design's
-    :func:`lowcarb.energy.facade_loads` terms in N, S, E, W order, and ``core_cool``
-    and ``core_heat`` its :func:`lowcarb.energy.core_loads` terms. The next four
-    arguments are length-n arrays too; the last three are shared by the whole sweep.
-    Returns per-design (eui, electricity_kwh, gas_m3), from
-    :func:`lowcarb.energy.thermal_balance` and :func:`lowcarb.energy.end_use`.
+    ``facade`` (8, pairs, width) and ``group`` (6, groups) are the tables of
+    :func:`lowcarb.optimize._load_tables`. A design's position is its orientation design's
+    index times ``groups`` plus its group's, whose (glazing, wall) pair leads its digits.
+    The last three arguments are shared by the whole sweep.
     """
     import numpy as np
 
     from .energy import end_use, thermal_balance
 
-    out = np.empty((3, len(core_cool)))
-    for start in range(0, len(core_cool), _SLICE):
-        part = slice(start, start + _SLICE)
-        loads = thermal_balance((core_cool[part], core_heat[part]),
-                                zip(facade_cool[:, part], facade_heat[:, part]))
-        values = end_use(*loads, lighting_kwh[part], equip_kwh, cop[part], heat_eff[part],
-                         heat_is_gas[part], floor_area, gas_energy_content)
-        for row, value in zip(out, values[:3]):
-            row[part] = value
+    width, groups = facade.shape[2], group.shape[1]
+    per_pair = groups // facade.shape[1]
+    facade = facade.reshape(8, -1)  # a pair's orientation designs side by side
+    out = np.empty((3, len(position)))
+    block = np.empty(14 * min(len(position), _SLICE))
+    for start in range(0, len(position), _SLICE):
+        od, g = np.divmod(position[start:start + _SLICE], groups)
+        cols = block[:14 * len(g)].reshape(14, -1)  # facade rows, then group rows
+        # C-contiguous rows of `cols` are written in place; "raise" would buffer them
+        np.take(facade, g // per_pair * width + od, axis=1, out=cols[:8], mode="clip")
+        np.take(group, g, axis=1, out=cols[8:], mode="clip")
+        loads = thermal_balance(cols[8:10], zip(cols[:4], cols[4:8]))
+        values = end_use(*loads, cols[10], equip_kwh, *cols[11:], floor_area,
+                         gas_energy_content)
+        out[:, start:start + len(g)] = values[:3]
     return tuple(out)
 
 

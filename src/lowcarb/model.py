@@ -31,6 +31,7 @@ import types
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
+from reprlib import repr as shown  # as an error line quotes a value: [0, 0, 0, 0, 0, 0, ...]
 from typing import (Any, Callable, Collection, Iterable, Mapping, NamedTuple, get_args,
                     get_origin, get_type_hints)
 
@@ -307,15 +308,19 @@ class Catalog:
 # input boundary: every loader reads through read_json, number and string
 # ---------------------------------------------------------------------------
 
+class JsonObject(dict):
+    """A JSON object from :func:`read_json`, whose strings :func:`number` reads no number from."""
+
+
 def read_json(text: str, what: str) -> dict:
-    """Parse one input file that must hold a JSON object.
+    """Parse one input file that must hold a JSON object, each object a :class:`JsonObject`.
 
     Raises :class:`SpecError` on a syntax error (with its position), on a
     document that is not an object, and on a ``schema_version`` that breaks
     :data:`SCHEMA`.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=JsonObject)
     except json.JSONDecodeError as exc:
         raise SpecError(
             f"{what}: syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -332,7 +337,7 @@ def check(value: Any, field: str, rule: Rule | None) -> Any:
     """``value`` if it passes ``rule`` (any value passes None); else :class:`SpecError`
     naming ``field``."""
     if rule is not None and not rule.test(value):
-        raise SpecError(f"{field} {rule.text}, got {value!r}")
+        raise SpecError(f"{field} {rule.text}, got {shown(value)}")
     return value
 
 
@@ -356,7 +361,7 @@ def number(doc: Any, key: Any, context: str, rule: Rule | None,
     """``doc[key]`` (a JSON object, a list or a CSV row) as a float passing ``rule``.
 
     An absent key, a null or an empty CSV cell gives ``default`` when one is
-    set. Otherwise it, a non-number or a rule failure raises
+    set. Otherwise it, a non-number (in JSON, a string too) or a rule failure raises
     :class:`SpecError` naming ``context + key``; so do NaN and +-inf, unless
     ``rule`` is None, which accepts every float.
     """
@@ -369,8 +374,9 @@ def number(doc: Any, key: Any, context: str, rule: Rule | None,
         value = float(raw)
     except (OverflowError, TypeError, ValueError):
         value = None
-    if value is None or isinstance(raw, bool):
-        raise SpecError(f"{context}{key} must be a number, got {raw!r}")
+    if value is None or isinstance(raw, bool) or isinstance(raw, str) and isinstance(
+            doc, (JsonObject, list)):
+        raise SpecError(f"{context}{key} must be a number, got {shown(raw)}")
     return check(value, f"{context}{key}", rule)
 
 
@@ -387,7 +393,7 @@ def string(doc: Any, key: Any, context: str, choices: type[Enum] | None = None) 
         return raw if choices is None else choices(raw)
     wanted = ("a string" if choices is None
               else "one of " + ", ".join(repr(member.value) for member in choices))
-    raise SpecError(f"{context}{key} must be {wanted}, got {raw!r}")
+    raise SpecError(f"{context}{key} must be {wanted}, got {shown(raw)}")
 
 
 def glazed_area(spec: BuildingSpec, orientation: Orientation | str) -> float:
@@ -408,7 +414,7 @@ def _read(cls: type, doc: Any, context: str, what: str | None = None) -> Any:
     where = context.removesuffix(".")
     if not isinstance(doc, dict):
         raise SpecError(f"missing required field {where}" if doc is None
-                        else f"{where} must be a JSON object, got {doc!r}")
+                        else f"{where} must be a JSON object, got {shown(doc)}")
     if what:
         known_keys(doc, [f.key for f in record_format(cls)], context, what)
     values = {}
@@ -418,7 +424,7 @@ def _read(cls: type, doc: Any, context: str, what: str | None = None) -> Any:
             items = doc.get(f.key)
             if not isinstance(items, list):
                 raise SpecError(f"missing required field {name}" if items is None
-                                else f"{name} must be a JSON list, got {items!r}")
+                                else f"{name} must be a JSON list, got {shown(items)}")
             value = tuple(_read(f.kind[0], item, f"{name}[{i}].", what)
                           for i, item in enumerate(items))
             check(_names(f, value), name, f.rule)
@@ -440,8 +446,8 @@ def read_record(cls: type, text: str, what: str, noun: str) -> Any:
     """A ``cls`` record from the JSON file ``text``, its fields named ``what.key``. A key no
     field declares is not a ``noun`` field, save a top-level ``schema_version`` or ``name``."""
     doc = read_json(text, what)
-    return _read(cls, {key: value for key, value in doc.items()
-                       if key not in ("schema_version", "name")}, f"{what}.", noun)
+    return _read(cls, JsonObject(item for item in doc.items()
+                                 if item[0] not in ("schema_version", "name")), f"{what}.", noun)
 
 
 def validate_spec(record: Any, prefix: str = "") -> list[Violation]:
@@ -472,7 +478,7 @@ def check_record(record: Any, prefix: str = "") -> None:
     """Raise :class:`SpecError` for the first rule of ``record`` that
     :func:`validate_spec` finds broken."""
     for v in validate_spec(record, prefix):
-        raise SpecError(f"{v.field} {v.rule}, got {v.value!r}")
+        raise SpecError(f"{v.field} {v.rule}, got {shown(v.value)}")
 
 
 def parse_building_spec(text: str) -> BuildingSpec:
@@ -488,8 +494,8 @@ def parse_building_spec(text: str) -> BuildingSpec:
     try:
         number(doc, "schema_version", "", SCHEMA)  # read_json lets an absent one pass
         # the other top-level keys: the version, checked above, and load_calibration's block
-        return _read(BuildingSpec, {key: value for key, value in doc.items() if key not in
-                                    ("schema_version", "calibration")}, "", "spec")
+        return _read(BuildingSpec, JsonObject(item for item in doc.items() if item[0] not in
+                                              ("schema_version", "calibration")), "", "spec")
     except SpecError as exc:
         raise SpecError(f"malformed spec: {exc}") from exc
 

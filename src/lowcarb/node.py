@@ -79,9 +79,13 @@ class NodeConfig:
             s.power * s.duty_cycle for s in self.sensor_loads)
 
     def validate(self) -> None:
-        """Raise :class:`SpecError` for the first broken field rule, for loads whose sum
-        overflows, or for a rated power that disagrees with rated voltage x current."""
+        """Raise :class:`SpecError` for a broken field rule, then as :meth:`check_totals` does."""
         check_record(self)
+        self.check_totals()
+
+    def check_totals(self) -> None:
+        """Raise :class:`SpecError` for loads whose sum overflows, or for a rated power
+        that disagrees with rated voltage x current."""
         if not math.isfinite(self.base_load + self.alarm_power):
             raise SpecError("node loads controller_idle_power_w, sensor_loads power_w x "
                             "duty_cycle and alarm_power_w add up to an infinite demand")
@@ -268,10 +272,10 @@ def fleet_annual_energy(fleet: SensorFleet) -> float:
 # ---------------------------------------------------------------------------
 
 def load_node_config(text: str) -> NodeConfig:
-    """Parse a node config file (:func:`~lowcarb.model.read_record`); the values must also
-    pass :meth:`NodeConfig.validate`."""
+    """Parse a node config file (:func:`~lowcarb.model.read_record`, which checks each
+    field's rule); the values must also pass :meth:`NodeConfig.check_totals`."""
     config = read_record(NodeConfig, text, "node", "node config")
-    config.validate()
+    config.check_totals()
     return config
 
 

@@ -19,8 +19,9 @@ every group fits in one call, one call scores them all; otherwise the first call
 takes the ``ceil(k / width)`` groups that can hold k rows and each later call
 twice as many, up to a chunk. Rows above the k-th least EUI held are dropped
 and groups whose bound lies above it are skipped, so memory is bounded by the
-largest call made (max(CHUNK_SIZE designs, one group)), ``k`` and the facade
-table (8 floats per (glazing, wall) pair and orientation design), not by the
+largest call made (max(CHUNK_SIZE designs, one group), 32 bytes per design, as the
+kernel gathers each design's terms from the tables a slice at a time), ``k`` and the
+facade table (8 floats per (glazing, wall) pair and orientation design), not by the
 size of the space; the kept rows are ranked once.
 """
 
@@ -467,8 +468,6 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
         raise DesignSpaceTooLarge(
             f"{feasible} code-legal designs exceed the cap of {DEFAULT_ENUMERATION_CAP}")
     shared = (annual_equipment_kwh(spec, calib), spec.floor_area, tariff.gas_energy_content)
-    # Bounds first: computed after the block is allocated, their small arrays
-    # raised the peak RSS of repeated all-k sweeps by ~1 MiB.
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         facade, group = _load_tables(legal, catalog, spec, climate, calib)
         bound, greatest = _group_bounds(facade, group, shared)
@@ -478,26 +477,12 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     # (glazing, wall) pair's. A call takes up to `per_call` groups. One call when every
     # group fits in it; otherwise the first call takes the ceil(k / width) groups that can
     # hold k rows and each later one twice as many, up to `per_call`, so the k-th EUI
-    # prunes groups before a whole chunk is scored. The block is sized to the call and
-    # reallocated only when the call grows: memory is bounded by the largest call made,
-    # and reusing the block keeps glibc from returning pages the next call faults in.
+    # prunes groups before a whole chunk is scored. The kernel gathers each design's terms
+    # from the tables a slice at a time: a call holds the positions and outputs of its
+    # designs, 32 bytes each, and one slice's block.
     width, groups = facade.shape[2], group.shape[1]
-    per_pair = groups // facade.shape[1]  # (glazing, wall) lead a group's digits
     per_call = min(max(1, CHUNK_SIZE // width), groups)
     size = per_call if per_call == groups else min(-(-k // width), per_call)
-    block = np.empty((len(facade) + len(group), size, width))
-
-    def evaluate(units: np.ndarray) -> tuple[np.ndarray, ...]:
-        np.take(facade, units // per_pair, axis=1, out=block[:8, :units.size],
-                mode="clip")  # "raise" would buffer `out`
-        block[8:, :units.size] = group[:, units, None]
-        cols = block.reshape(len(block), -1)[:, :units.size * width]
-        # orientation variables lead, so a design's position in the legal space (which
-        # orders designs as their enumeration index does) is its orientation design's
-        # index times `groups` plus its group's
-        position = (units[:, None] + np.arange(width) * groups).ravel()
-        return (*_kernels.batch_energy(cols[:4], cols[4:8], *cols[8:], *shared), position)
-
     # Groups go in ascending order of their bound (stable: ties keep enumeration
     # order), `limit` holding those bounds; the ranking is total, so the order
     # changes no result.
@@ -507,9 +492,12 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     # a tiny gas energy content overflows a gas design's volume: refused below if kept
     with np.errstate(over="ignore", invalid="ignore"):
         while first < stop:
-            if block.shape[1] < size:
-                block = np.empty((len(block), size, width))
-            held.append(evaluate(order[first:min(first + size, stop)]))
+            units = order[first:min(first + size, stop)]
+            # orientation variables lead, so a design's position in the legal space (which
+            # orders designs as their enumeration index does) is its orientation design's
+            # index times `groups` plus its group's
+            position = (units[:, None] + np.arange(width) * groups).ravel()
+            held.append((*_kernels.batch_energy(facade, group, position, *shared), position))
             first += size
             size = min(2 * size, per_call)
             if sum(part[0].size for part in held) >= k:
@@ -520,8 +508,7 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
                 # no design of a group whose bound exceeds the cut can rank
                 stop = np.searchsorted(limit, cut, "right")
 
-        # free the chunk's inputs, then the held rows, before the designs are built
-        del block
+        # free the held rows before the designs are built
         eui, elec, gas, position = map(np.concatenate, zip(*held))
         del held
         # the cost of the kept rows only, then their first k in rank order

@@ -1011,6 +1011,15 @@ def _key_paths(name, below=()):
     _probe("audit", "baseline_school.json", _set("orientations", 3, drop=True),
            "error: malformed spec: orientations must hold exactly one envelope group per "
            "cardinal orientation, got ['N', 'S', 'E']", id="audit-spec-three-orientations"),
+    _probe("audit", "baseline_school.json", _set("floor_area_m2", value="1000.0"),
+           "error: malformed spec: floor_area_m2 must be a number, got '1000.0'",
+           id="audit-spec-number-as-string"),
+    _probe("audit", "paper_tariff.json", _set("electricity_price_cny_kwh", value="0.66"),
+           "error: tariff.electricity_price_cny_kwh must be a number, got '0.66'",
+           id="audit-tariff-number-as-string"),
+    _probe("optimize", "paper_space.json", _set("wwr", "S", 0, value="0.3"),
+           "error: design space wwr.S item 0 must be a number, got '0.3'",
+           id="optimize-space-number-as-string"),
 ])
 def test_malformed_input_is_one_line_naming_the_field(fixtures, tmp_path, capsys,
                                                        command, name, edit, named):
@@ -1029,6 +1038,22 @@ def test_malformed_input_is_one_line_naming_the_field(fixtures, tmp_path, capsys
     err_lines = [ln for ln in capsys.readouterr().err.splitlines() if ln]
     assert len(err_lines) == 1
     assert err_lines[0].startswith("error: ") and named in err_lines[0]
+    assert not out.exists()
+
+
+def test_an_error_line_quotes_a_long_value_cut_short(fixtures, tmp_path, capsys):
+    """A spec whose floor area is a 300,000-item list is refused in one short line that
+    names the field; the line quoted the whole list, 900 KB, before."""
+    doc = json.loads((fixtures / "baseline_school.json").read_text())
+    doc["floor_area_m2"] = [0] * 300_000
+    path = tmp_path / "baseline_school.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(_argv(fixtures, "audit", **{"baseline_school.json": path})
+                + ["--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: malformed spec: floor_area_m2 must be a number, got [0, 0")
+    assert len(line.encode()) < 200
     assert not out.exists()
 
 

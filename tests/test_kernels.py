@@ -18,6 +18,7 @@ from lowcarb import (
     simulate,
     step,
 )
+from lowcarb import _kernels
 from lowcarb.energy import CalibrationParams
 from lowcarb.model import LightingTechnology
 from lowcarb.node import NodeConfig, NodePanel, initial_state
@@ -25,10 +26,23 @@ from lowcarb.optimize import CodeLimits
 from reference_model import alarm_transition
 
 
-def assert_sweep_matches_scalar_engine(space, spec, climate, catalog, calib, tariff):
-    """Returns the scalar engine's reports, one per design."""
-    ranked = optimize(spec, climate, catalog, space, CodeLimits(),
-                      k=space.size, calib=calib, tariff=tariff)
+def assert_sweep_matches_scalar_engine(space, spec, climate, catalog, calib, tariff,
+                                       slice_=None):
+    """Returns the scalar engine's reports, one per design.
+
+    With ``slice_`` set the kernel gathers and scores that many designs per pass, so
+    the sweep spans many slices, the last one short; its ranking must equal the one
+    that the default slice gives, to the bit."""
+    def sweep():
+        return optimize(spec, climate, catalog, space, CodeLimits(),
+                        k=space.size, calib=calib, tariff=tariff)
+
+    ranked = sweep()
+    if slice_ is not None:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_SLICE", slice_)
+            assert list(map(dataclasses.astuple, sweep())) == list(map(dataclasses.astuple,
+                                                                       ranked))
     assert len(ranked) == space.size
     reports = []
     for r in ranked:
@@ -43,13 +57,17 @@ def assert_sweep_matches_scalar_engine(space, spec, climate, catalog, calib, tar
     return reports
 
 
+@pytest.mark.parametrize("slice_", [None, 1, 7], ids=["default-slice", "slice-1", "slice-7"])
 @pytest.mark.parametrize("gain, clamped", [(None, 0), (30.0, 184), (300.0, 256)],
                          ids=["baseline", "gain-30", "gain-300"])
 def test_batch_energy_matches_scalar_engine(baseline_spec, climate, catalog,
-                                            baseline_calibration, tariff, gain, clamped):
+                                            baseline_calibration, tariff, gain, clamped,
+                                            slice_, monkeypatch):
     """The vectorized sweep and the reference engine are the same model, also
     where the heating clamp binds: for ``clamped`` of the 256 designs at an
     internal-gain multiplier of 30, and for all at 300. Both fuels are in the space.
+    The kernel gets the 256 positions in one call, in bound order, not ascending; at a
+    slice of 1 or 7 designs they span 256 or 37 passes.
     """
     calib = baseline_calibration if gain is None else dataclasses.replace(
         baseline_calibration, internal_gain_multiplier=gain)
@@ -63,9 +81,13 @@ def test_batch_energy_matches_scalar_engine(baseline_spec, climate, catalog,
         lighting_technologies=(LightingTechnology.INCANDESCENT, LightingTechnology.LED),
         hvac_ids=("vav_baseline", "heat_pump"),
     )
+    calls, kernel = [], _kernels.batch_energy
+    monkeypatch.setattr(_kernels, "batch_energy", lambda facade, group, position, *a:
+                        calls.append(position.tolist()) or kernel(facade, group, position, *a))
     reports = assert_sweep_matches_scalar_engine(space, baseline_spec, climate, catalog,
-                                                 calib, tariff)
+                                                 calib, tariff, slice_)
     assert sum(r.heating == 0.0 for r in reports) == clamped
+    assert len(calls[0]) == 256 and calls[0] != sorted(calls[0])
 
 
 def _candidates(elements):
@@ -97,7 +119,8 @@ def test_batch_energy_matches_scalar_engine_on_random_spaces(
     spec = data.draw(building_specs())
     multiplier = st.floats(0.0, 20.0)
     calib = CalibrationParams(data.draw(multiplier), data.draw(multiplier), data.draw(multiplier))
-    assert_sweep_matches_scalar_engine(space, spec, climate, catalog, calib, tariff)
+    assert_sweep_matches_scalar_engine(space, spec, climate, catalog, calib, tariff,
+                                       data.draw(st.sampled_from([None, 1, 7])))
 
 
 # small integer readings and settings land on the threshold and on the edge

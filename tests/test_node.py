@@ -12,6 +12,7 @@ from lowcarb import (
     NodeConfig,
     NodePanel,
     fleet_annual_energy,
+    node,
     read_fixture,
     simulate,
     step,
@@ -333,6 +334,18 @@ class TestNodeFiles:
         assert config.panel.rated_power == pytest.approx(6.0)
         assert config.battery_capacity == pytest.approx(16.28)
         assert config.base_load == pytest.approx(0.25 + 0.10 + 0.05 + 0.075)
+
+    def test_a_file_is_checked_field_by_field_once(self, monkeypatch):
+        """read_record checks each field as it reads it; the loader then runs only the
+        cross-field checks, and no second walk of the rules."""
+        monkeypatch.setattr(node, "check_record", lambda *a: pytest.fail("rules walked twice"))
+        load_node_config(read_fixture("node_demo.json"))
+
+    def test_loads_adding_up_to_an_infinite_demand_rejected(self):
+        text = read_fixture("node_demo.json").replace("0.25", "1e308").replace(
+            '"alarm_power_w": 0.5', '"alarm_power_w": 1e308')
+        with pytest.raises(SpecError, match="add up to an infinite demand"):
+            load_node_config(text)
 
     def test_inconsistent_panel_rating_rejected(self):
         text = read_fixture("node_demo.json").replace('"rated_power_w": 6.0',
