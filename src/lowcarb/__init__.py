@@ -15,10 +15,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "model": ("BuildingSpec", "Catalog", "ClimateProfile", "EnvelopeGroup", "GlazingOption",
               "HvacSystem", "LightingSystem", "OpaqueConstruction", "Orientation",
-              "SensorFleet", "SpecError", "Tariff", "Violation", "fixture_path",
+              "SensorFleet", "SpecError", "Tariff", "fixture_path",
               "glazed_area", "load_catalog", "load_climate_profile", "load_sensor_fleet",
               "load_tariff", "parse_building_spec", "read_fixture",
-              "serialize_building_spec", "validate_spec"),
+              "serialize_building_spec"),
     "energy": ("CalibrationError", "CalibrationParams", "EndUseTargets", "EnergyReport",
                "annual_cost", "annual_end_use", "calibrate", "eui", "shading_factor"),
     "lighting": ("DaylightClass", "Lamp", "Room", "annual_lighting_energy", "daylight_class",

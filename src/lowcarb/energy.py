@@ -28,10 +28,10 @@ from .model import (
     NONNEGATIVE,
     POSITIVE,
     HeatingFuel,
+    Record,
     Tariff,
     _read,
     check,
-    check_record,
     read_json,
     read_record,
     spec,
@@ -57,7 +57,7 @@ KWH_PER_GJ = 1000.0 / MJ_PER_KWH
 
 
 @dataclass(frozen=True)
-class CalibrationParams:
+class CalibrationParams(Record):
     """Multipliers absorbing everything the surrogate does not model.
 
     ``internal_gain_multiplier`` rescales the internal gains seen by the
@@ -86,7 +86,7 @@ class EnergyReport:
 
 
 @dataclass(frozen=True)
-class EndUseTargets:
+class EndUseTargets(Record):
     """Calibration targets, annual GJ per end use."""
 
     lighting_gj: float = spec("lighting_gj", POSITIVE)
@@ -251,13 +251,11 @@ def annual_end_use(spec: BuildingSpec, climate: ClimateProfile,
     Raises
     ------
     SpecError
-        If the spec or ``calib`` breaks a rule of its fields, or ``gas_energy_content`` the
-        tariff's (> 0 and finite), naming the first such field.
+        If ``gas_energy_content`` breaks the tariff's rule (> 0 and finite). The spec and
+        ``calib`` are records, tested when they were built.
     ValueError
         If the spec's values or ``gas_energy_content`` overflow an end use.
     """
-    check_record(spec)
-    check_record(calib, "calibration.")
     check(gas_energy_content, "gas_energy_content", POSITIVE)
 
     cooling_load, heating_load, lighting_kwh, equipment_kwh = _loads(spec, climate, calib)
@@ -287,7 +285,6 @@ def cost_per_m2(electricity, gas, tariff: Tariff, floor_area):
 
 def annual_cost(report: EnergyReport, tariff: Tariff, floor_area: float) -> float:
     """Annual energy cost per floor area, CNY/(m2.yr), from :func:`cost_per_m2`."""
-    check_record(tariff, "tariff.")
     check(floor_area, "floor_area", POSITIVE)
     value = cost_per_m2(report.electricity, report.gas, tariff, floor_area)
     if not math.isfinite(value):
@@ -307,15 +304,11 @@ def calibrate(spec: BuildingSpec, climate: ClimateProfile,
     Raises
     ------
     ValueError
-        If a target is not > 0 and finite (a :class:`SpecError`), or the cooling or
-        heating one is so small or so large that the least squares overflows.
-    SpecError
-        If the spec breaks a rule of its fields, as :func:`annual_end_use` names it.
+        If the cooling or heating target is so small or so large that the least squares
+        overflows.
     CalibrationError
         If the best residual exceeds :data:`CALIBRATION_TOLERANCE`.
     """
-    check_record(targets, "targets.")
-
     base = annual_end_use(spec, climate, CalibrationParams())
     if base.lighting <= 0 or base.equipment <= 0:
         raise CalibrationError(

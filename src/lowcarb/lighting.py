@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .energy import MJ_PER_KWH, annual_lighting_kwh
-from .model import (FRACTION, INTEGER, NONNEGATIVE, POSITIVE, SpecError, _read, check,
-                    check_record, spec)
+from .model import (FRACTION, INTEGER, NONNEGATIVE, POSITIVE, Record, SpecError, _read, check,
+                    spec)
 
 #: Flat-rate constant of the average daylight-factor formula
 #: DF = window_area * VT * 45 / total_room_surface_area (in percent).
@@ -31,7 +31,7 @@ class DaylightClass(str, Enum):
 
 
 @dataclass(frozen=True)
-class Room:
+class Room(Record):
     id: str = spec("id")
     floor_area: float = spec("floor_area_m2", POSITIVE)  # m2
     depth_from_window: float = spec("depth_from_window_m", NONNEGATIVE)  # m
@@ -43,7 +43,7 @@ class Room:
 
 
 @dataclass(frozen=True)
-class Lamp:
+class Lamp(Record):
     id: str = spec("id")
     luminous_flux: float = spec("luminous_flux_lm", POSITIVE)  # lumen
     power: float = spec("power_w", NONNEGATIVE)  # W
@@ -58,7 +58,6 @@ def daylight_class(room: Room) -> DaylightClass:
     climate-independent. A room counts as sufficient when DF >= 2% and no
     point lies deeper than twice the window head height.
     """
-    check_record(room, f"room {room.id!r}: ")
     width = room.floor_area / room.depth_from_window if room.depth_from_window > 0 else 0.0
     surface_area = (2.0 * room.floor_area
                     + 2.0 * (room.depth_from_window + width) * room.ceiling_height)
@@ -77,8 +76,6 @@ def daylight_class(room: Room) -> DaylightClass:
 
 def luminaire_count(room: Room, lamp: Lamp) -> int:
     """Lumen-method lamp count: ceil(E * A / (flux * UF * MF))."""
-    check_record(room, f"room {room.id!r}: ")
-    check_record(lamp, f"lamp {lamp.id!r}: ")
     delivered = lamp.luminous_flux * lamp.utilization_factor * lamp.maintenance_factor
     count = room.target_illuminance * room.floor_area / delivered if delivered > 0 else math.inf
     if not math.isfinite(count):

@@ -3,14 +3,16 @@
 All types are frozen dataclasses and safe to share between threads. Parsing
 is strict. Each field of a record read from a file declares its key, rule and
 default once, on its class, through :func:`spec`; :func:`record_format` collects
-them. Every file that maps one key to one field is read through that format by
-:func:`_read`, which checks each value's rule as it reads it: the building spec,
-the tariff, targets, PV site, sensor fleet and node config files, the spec's
-``calibration`` block, the design space's code limits, and the catalog, rooms and
-lamps rows. :func:`validate_spec` checks the rules of any such record built in
-code, and :func:`check_record` raises its first broken one. :func:`to_doc` writes a
-record under the same keys: the building spec's serialize and the reports use it. A
-JSON key no field declares is refused by its path, but for a top-level
+them. A record whose fields declare rules is a :class:`Record`: building one, in code
+or from a file, tests each of its own fields' rules and raises :class:`RuleError`
+(a :class:`SpecError`) naming ``Class.attr`` for the first one broken, so a record
+that exists is valid. Every file that maps one key to one field is read through that
+format by :func:`_read`, which refuses a missing or mistyped value as it reads it and
+names a broken rule by its path in the file: the building spec, the tariff, targets,
+PV site, sensor fleet and node config files, the spec's ``calibration`` block, the
+design space's code limits, and the catalog, rooms and lamps rows. :func:`to_doc`
+writes a record under the same keys: the building spec's serialize and the reports
+use it. A JSON key no field declares is refused by its path, but for a top-level
 ``schema_version`` and ``name`` (:func:`read_record`) or the spec's ``calibration``.
 Spec files carry every thermal coefficient explicitly: the only defaulted fields are
 ``daylight_offset``, ``overhang_ratio`` and ``cost_index``, and a null or absent one
@@ -27,11 +29,11 @@ import io
 import json
 import math
 import operator
+import reprlib
 import types
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from reprlib import repr as shown  # as an error line quotes a value: [0, 0, 0, 0, 0, 0, ...]
 from typing import (Any, Callable, Collection, Iterable, Mapping, NamedTuple, get_args,
                     get_origin, get_type_hints)
 
@@ -79,18 +81,6 @@ class CalibrationError(RuntimeError):
 
 class TraceError(ValueError):
     """An environment trace is malformed or cannot be simulated."""
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One broken invariant: which field, the offending value, the rule."""
-
-    field: str
-    value: Any
-    rule: str
-
-    def __str__(self) -> str:
-        return f"{self.field}={self.value!r} violates rule: {self.rule}"
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +165,33 @@ def _names(f: Field, items: tuple) -> list:
     return [getattr(key, "value", key) for key in (getattr(item, first) for item in items)]
 
 
+class RuleError(SpecError):
+    """A record refused at build time: ``value``, in its field ``field``, breaks the rule."""
+
+    def __init__(self, cls: type, field: Field, value: Any):
+        super().__init__(f"{cls.__name__}.{field.attr} {field.rule.text}, got {shown(value)}")
+        self.field, self.value = field, value
+
+
+class Record:
+    """A record whose fields declare rules: building one tests each of its own fields' rule
+    in class order, and raises :class:`RuleError` for the first one broken. A nested record
+    was tested when it was built; a tuple field's rule tests its records' :func:`_names`,
+    and an unset ``float | None`` field passes."""
+
+    def __post_init__(self) -> None:
+        for f in record_format(type(self)):
+            value = getattr(self, f.attr)
+            if f.rule is None or value is None and isinstance(f.kind, types.UnionType):
+                continue
+            if isinstance(f.kind, tuple):
+                value = _names(f, value)
+            if not f.rule.test(value):
+                raise RuleError(type(self), f, value)
+
+
 @dataclass(frozen=True)
-class OpaqueConstruction:
+class OpaqueConstruction(Record):
     id: str = spec("id")
     r_value: float = spec("r_value", POSITIVE)  # (m2.K)/W
     cost_index: float = spec("cost_index", POSITIVE, default=1.0)
@@ -187,7 +202,7 @@ class OpaqueConstruction:
 
 
 @dataclass(frozen=True)
-class GlazingOption:
+class GlazingOption(Record):
     id: str = spec("id")
     u_value: float = spec("u_value", POSITIVE)  # W/(m2.K)
     shgc: float = spec("shgc", FRACTION)
@@ -196,7 +211,7 @@ class GlazingOption:
 
 
 @dataclass(frozen=True)
-class EnvelopeGroup:
+class EnvelopeGroup(Record):
     orientation: Orientation = spec("orientation")
     gross_wall_area: float = spec("gross_wall_area_m2", NONNEGATIVE)  # m2
     wwr: float = spec("wwr", FRACTION)
@@ -206,13 +221,13 @@ class EnvelopeGroup:
 
 
 @dataclass(frozen=True)
-class Roof:
+class Roof(Record):
     construction: OpaqueConstruction = spec("construction")
     area: float = spec("area_m2", NONNEGATIVE)  # m2
 
 
 @dataclass(frozen=True)
-class LightingSystem:
+class LightingSystem(Record):
     technology: LightingTechnology = spec("technology")
     lamp_power: float = spec("lamp_power_w", NONNEGATIVE)  # W per lamp
     lamp_count: int = spec("lamp_count", INTEGER)
@@ -221,14 +236,14 @@ class LightingSystem:
 
 
 @dataclass(frozen=True)
-class HvacSystem:
+class HvacSystem(Record):
     cooling_cop: float = spec("cooling_cop", POSITIVE)
     heating_efficiency: float = spec("heating_efficiency", POSITIVE)
     heating_fuel: HeatingFuel = spec("heating_fuel")
 
 
 @dataclass(frozen=True)
-class BuildingSpec:
+class BuildingSpec(Record):
     name: str = spec("name")
     floor_area: float = spec("floor_area_m2", POSITIVE)  # m2
     conditioned_volume: float = spec("conditioned_volume_m3", POSITIVE)  # m3
@@ -242,11 +257,8 @@ class BuildingSpec:
     hvac: HvacSystem = spec("hvac")
 
     def envelope(self, orientation: Orientation | str) -> EnvelopeGroup:
-        key = Orientation(orientation)
-        for group in self.orientations:
-            if group.orientation is key:
-                return group
-        raise ValueError(f"orientation {key.value} not present in spec {self.name!r}")
+        key = Orientation(orientation)  # a spec holds one group per orientation
+        return next(group for group in self.orientations if group.orientation is key)
 
 
 @dataclass(frozen=True)
@@ -274,7 +286,7 @@ class ClimateProfile:
 
 
 @dataclass(frozen=True)
-class Tariff:
+class Tariff(Record):
     electricity_price: float = spec("electricity_price_cny_kwh", POSITIVE)  # CNY/kWh
     gas_price: float = spec("gas_price_cny_m3", POSITIVE)  # CNY/m3
     gas_energy_content: float = spec("gas_energy_content_kwh_m3", POSITIVE)  # kWh/m3
@@ -282,7 +294,7 @@ class Tariff:
 
 
 @dataclass(frozen=True)
-class SensorEntry:
+class SensorEntry(Record):
     kind: str = spec("kind")
     count: int = spec("count", INTEGER)
     unit_power: float = spec("unit_power_w", NONNEGATIVE)  # W
@@ -290,7 +302,7 @@ class SensorEntry:
 
 
 @dataclass(frozen=True)
-class SensorFleet:
+class SensorFleet(Record):
     entries: tuple[SensorEntry, ...] = spec("entries")
 
 
@@ -310,6 +322,14 @@ class Catalog:
 
 class JsonObject(dict):
     """A JSON object from :func:`read_json`, whose strings :func:`number` reads no number from."""
+
+
+class _Shown(reprlib.Repr):
+    repr_JsonObject = reprlib.Repr.repr_dict  # not the repr of the whole object, cut after
+
+
+#: A value as an error line quotes it: [0, 0, 0, 0, 0, 0, ...]
+shown = _Shown().repr
 
 
 def read_json(text: str, what: str) -> dict:
@@ -408,9 +428,10 @@ def glazed_area(spec: BuildingSpec, orientation: Orientation | str) -> float:
 
 def _read(cls: type, doc: Any, context: str, what: str | None = None) -> Any:
     """A ``cls`` record from the JSON object or CSV row ``doc``, whose fields are named
-    ``context + key``. Each value must pass its field's rule as it is read, a tuple's
-    names once its records are read. If ``what`` is set, a key that no field declares is
-    refused as not a ``what`` field. Nested records read alike."""
+    ``context + key``. A value that is missing or of the wrong kind is refused as it is
+    read, and nested records are read (and so checked) alike; the record's own rules are
+    tested when it is built, a broken one named by its key. If ``what`` is set, a key that
+    no field declares is refused as not a ``what`` field."""
     where = context.removesuffix(".")
     if not isinstance(doc, dict):
         raise SpecError(f"missing required field {where}" if doc is None
@@ -427,19 +448,24 @@ def _read(cls: type, doc: Any, context: str, what: str | None = None) -> Any:
                                 else f"{name} must be a JSON list, got {shown(items)}")
             value = tuple(_read(f.kind[0], item, f"{name}[{i}].", what)
                           for i, item in enumerate(items))
-            check(_names(f, value), name, f.rule)
         elif f.record:
             value = _read(f.kind, doc.get(f.key), name + ".", what)
         elif isinstance(f.kind, types.UnionType):  # float | None: absent or null is None
-            value = None if _get(doc, f.key) is None else number(doc, f.key, context, f.rule)
-        elif f.kind in (bool, float, int):  # a bool: absent is the default, null breaks the rule
-            value = check(doc.get(f.key, f.default) if f.kind is bool else number(
-                doc, f.key, context, None, f.default), name, f.rule)
-            value = int(value) if f.kind is int else value
+            value = None if _get(doc, f.key) is None else number(doc, f.key, context, None)
+        elif f.kind is bool:  # absent is the default, null breaks the rule
+            value = doc.get(f.key, f.default)
+        elif f.kind in (float, int):  # a fraction stays a float, for the int rule to refuse
+            value = number(doc, f.key, context, None, f.default)
+            value = int(value) if f.kind is int and value.is_integer() else value
         else:
             value = string(doc, f.key, context, None if f.kind is str else f.kind)
         values[f.attr] = value
-    return cls(**values)
+    try:
+        return cls(**values)
+    except RuleError as exc:  # shown as read: an int field's value as its float
+        f, value = exc.field, exc.value
+        raise SpecError(f"{context}{f.key} {f.rule.text}, got "
+                        f"{shown(float(value) if f.kind is int else value)}") from exc
 
 
 def read_record(cls: type, text: str, what: str, noun: str) -> Any:
@@ -450,45 +476,16 @@ def read_record(cls: type, text: str, what: str, noun: str) -> Any:
                                  if item[0] not in ("schema_version", "name")), f"{what}.", noun)
 
 
-def validate_spec(record: Any, prefix: str = "") -> list[Violation]:
-    """Check every rule of ``record``'s :func:`record_format`, naming each field
-    ``prefix + attr`` and a tuple's items by their first field; returns an empty list
-    iff all hold."""
-    out: list[Violation] = []
-
-    def walk(record: Any, prefix: str) -> None:
-        for f in record_format(type(record)):
-            value, name = getattr(record, f.attr), prefix + f.attr
-            if isinstance(f.kind, tuple):
-                items, value = value, _names(f, value)
-            unset = value is None and isinstance(f.kind, types.UnionType)
-            if f.rule is not None and not unset and not f.rule.test(value):
-                out.append(Violation(name, value, f.rule.text))
-            if isinstance(f.kind, tuple):
-                for key, item in zip(value, items):
-                    walk(item, f"{name}[{key}].")
-            elif f.record:
-                walk(value, name + ".")
-
-    walk(record, prefix)
-    return out
-
-
-def check_record(record: Any, prefix: str = "") -> None:
-    """Raise :class:`SpecError` for the first rule of ``record`` that
-    :func:`validate_spec` finds broken."""
-    for v in validate_spec(record, prefix):
-        raise SpecError(f"{v.field} {v.rule}, got {shown(v.value)}")
-
-
 def parse_building_spec(text: str) -> BuildingSpec:
     """Parse a building spec document into a validated :class:`BuildingSpec`.
 
     Raises
     ------
     SpecError
-        On JSON syntax errors (with position), an unsupported schema version, or the
-        first field in class order that is missing, mistyped or breaks its rule.
+        On JSON syntax errors (with position), an unsupported schema version, or a
+        field that is missing, mistyped or breaks its rule. Missing and mistyped fields,
+        and nested blocks with a broken rule, are found as the file is read, in class
+        order; a record's own rules are tested once its fields are read.
     """
     doc = read_json(text, "spec")
     try:

@@ -14,8 +14,9 @@ library callers as numpy arrays, importing numpy only when one is read.
 
 :func:`load_node_config` reads a node config file through the field declarations
 (:func:`lowcarb.model.spec`) of :class:`NodeConfig`, :class:`NodePanel` and
-:class:`SensorLoad`; :meth:`NodeConfig.validate` checks the same rules on a config
-built in code.
+:class:`SensorLoad`. Each is a :class:`~lowcarb.model.Record`, whose rules are tested
+once, when it is built, in code or from a file; a :class:`NodeConfig` also refuses an
+infinite total demand and a panel rating off its voltage x current.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from . import _kernels
-from .model import (FINITE, FRACTION, NONNEGATIVE, POSITIVE, SensorFleet, SpecError, TraceError,
-                    check, check_record, read_record, spec, total)
+from .model import (FINITE, FRACTION, NONNEGATIVE, POSITIVE, Record, SensorFleet, SpecError,
+                    TraceError, check, read_record, spec, total)
 
 if TYPE_CHECKING:
     import numpy as np  # imported at run time by the SimResult views, on first read
@@ -48,21 +49,21 @@ class AlarmState(str, Enum):
 
 
 @dataclass(frozen=True)
-class NodePanel:
+class NodePanel(Record):
     rated_power: float = spec("rated_power_w", NONNEGATIVE)  # W
     rated_voltage: float = spec("rated_voltage_v", NONNEGATIVE)  # V
     rated_current: float = spec("rated_current_a", NONNEGATIVE)  # A
 
 
 @dataclass(frozen=True)
-class SensorLoad:
+class SensorLoad(Record):
     name: str = spec("name")
     power: float = spec("power_w", NONNEGATIVE)  # W
     duty_cycle: float = spec("duty_cycle", FRACTION)
 
 
 @dataclass(frozen=True)
-class NodeConfig:
+class NodeConfig(Record):
     panel: NodePanel = spec("panel")
     battery_capacity: float = spec("battery_capacity_wh", POSITIVE)  # Wh
     controller_idle_power: float = spec("controller_idle_power_w", NONNEGATIVE)  # W
@@ -78,14 +79,10 @@ class NodeConfig:
         return self.controller_idle_power + total(
             s.power * s.duty_cycle for s in self.sensor_loads)
 
-    def validate(self) -> None:
-        """Raise :class:`SpecError` for a broken field rule, then as :meth:`check_totals` does."""
-        check_record(self)
-        self.check_totals()
-
-    def check_totals(self) -> None:
-        """Raise :class:`SpecError` for loads whose sum overflows, or for a rated power
-        that disagrees with rated voltage x current."""
+    def __post_init__(self) -> None:
+        """Raise :class:`SpecError` for a broken field rule, then for loads whose sum
+        overflows, or for a rated power that disagrees with rated voltage x current."""
+        super().__post_init__()
         if not math.isfinite(self.base_load + self.alarm_power):
             raise SpecError("node loads controller_idle_power_w, sensor_loads power_w x "
                             "duty_cycle and alarm_power_w add up to an infinite demand")
@@ -213,7 +210,6 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
     n = len(trace)
     if n == 0:
         raise TraceError("trace must not be empty")
-    config.validate()
     low, high, finite = FRACTION.low, FRACTION.high, math.isfinite  # no Python call per sample
     last = -math.inf
     for sample in trace:
@@ -260,9 +256,7 @@ def simulate(config: NodeConfig, trace: Sequence[EnvSample], dt: float,
 
 
 def fleet_annual_energy(fleet: SensorFleet) -> float:
-    """Annual energy of a sensor fleet, kWh/yr (8760 h, duty-cycled power); an entry that
-    breaks a rule of its fields raises :class:`SpecError`."""
-    check_record(fleet, "fleet.")
+    """Annual energy of a sensor fleet, kWh/yr (8760 h, duty-cycled power)."""
     return total(e.count * e.unit_power * e.duty_cycle * HOURS_PER_YEAR / 1000.0
                  for e in fleet.entries)
 
@@ -272,11 +266,9 @@ def fleet_annual_energy(fleet: SensorFleet) -> float:
 # ---------------------------------------------------------------------------
 
 def load_node_config(text: str) -> NodeConfig:
-    """Parse a node config file (:func:`~lowcarb.model.read_record`, which checks each
-    field's rule); the values must also pass :meth:`NodeConfig.check_totals`."""
-    config = read_record(NodeConfig, text, "node", "node config")
-    config.check_totals()
-    return config
+    """Parse a node config file through :func:`~lowcarb.model.read_record`: a broken rule
+    is named by its key, and the values must also pass :class:`NodeConfig`'s totals."""
+    return read_record(NodeConfig, text, "node", "node config")
 
 
 TRACE_COLUMNS = ("timestamp_s", "irradiance_fraction", "rain_reading")

@@ -61,11 +61,11 @@ from .model import (
     Interval,
     LightingTechnology,
     Orientation,
+    Record,
     SpecError,
     Tariff,
     _read,
     check,
-    check_record,
     known_keys,
     number,
     read_json,
@@ -235,7 +235,7 @@ def design_doc(design: DesignVariables) -> dict:
 
 
 @dataclass(frozen=True)
-class OrientationLimit:
+class OrientationLimit(Record):
     """Code limits for one orientation, each under its key in a ``code_limits`` block;
     an unset bound sets no limit.
 
@@ -356,8 +356,6 @@ def _resolve(table: Mapping, ids, kind: str) -> list:
                         + ", ".join(map(repr, missing)))
     if kind == "lighting":  # bare lamp powers, held to the catalog file's rule
         return [check(table[i], f"catalog {i!r}: lamp_power", POSITIVE) for i in ids]
-    for i in ids:
-        check_record(table[i], f"catalog {i!r}: ")
     return [table[i] for i in ids]
 
 
@@ -369,7 +367,7 @@ def _load_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
     each group's :func:`core_loads` pair, lighting kWh and HVAC (COP, heating efficiency,
     gas flag as 0/1).
 
-    Raises :class:`SpecError` for an id the catalog lacks or a record that breaks its rules.
+    Raises :class:`SpecError` for an id the catalog lacks or a lamp power not > 0 and finite.
     """
     import numpy as np
 
@@ -445,7 +443,8 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     DesignSpaceTooLarge
         When the code-legal designs number more than :data:`DEFAULT_ENUMERATION_CAP`.
     SpecError
-        When the space names an id the catalog lacks, or a record breaks a rule of its fields.
+        When the space holds a candidate of the wrong kind or out of its range, or names an
+        id the catalog lacks or a lamp power that is not > 0 and finite.
     ValueError
         When the spec's loads, or the tariff's prices or gas energy content, overflow a
         design's EUI or cost.
@@ -455,9 +454,6 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     space.validate()
-    for record, prefix in ((spec, ""), (calib, "calibration."), (tariff, "tariff."),
-                           *((limits.limit(o), f"code_limits.{o}.") for o in ORIENTATION_ORDER)):
-        check_record(record, prefix)
     legal = legal_space(space, limits)
     lists = [candidates for _, candidates in legal.candidate_lists()]
     dims = list(map(len, lists))

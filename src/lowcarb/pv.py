@@ -5,23 +5,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (NONNEGATIVE, POSITIVE, Interval, Tariff, check, check_record, read_record,
-                    spec)
+from .model import NONNEGATIVE, POSITIVE, Interval, Record, Tariff, check, read_record, spec
 
 #: The share of the roof that modules may cover.
 PACKING = Interval(0, 1, "(]")
 
 
 @dataclass(frozen=True)
-class PanelSpec:
+class PanelSpec(Record):
     """One physical module."""
 
     length: float = spec("length_m", POSITIVE)  # m
     width: float = spec("width_m", POSITIVE)  # m
     rated_power: float = spec("rated_power_w", POSITIVE)  # W
-
-    def __post_init__(self):
-        check_record(self, "panel.")
 
 
 @dataclass(frozen=True)
@@ -70,10 +66,8 @@ def economics(generation: float, consumption: float, tariff: Tariff,
 
     Self-consumed energy offsets the bill at the retail price; the surplus
     sells at the feed-in price. No degradation, discounting or O&M: payback
-    is capex over first-year benefit, infinite when there is no benefit. A ``tariff``
-    that breaks a rule of its fields raises :class:`~lowcarb.model.SpecError`.
+    is capex over first-year benefit, infinite when there is no benefit.
     """
-    check_record(tariff, "tariff.")
     if not all(v >= 0 for v in (generation, consumption, capex_per_watt, capacity)):  # NaN fails
         raise ValueError("generation, consumption, capex_per_watt and capacity must be "
                          "nonnegative")
@@ -99,7 +93,7 @@ def economics(generation: float, consumption: float, tariff: Tariff,
 
 
 @dataclass(frozen=True)
-class PvSite:
+class PvSite(Record):
     """Inputs of the full rooftop chain, as read from a site file; the annual
     consumption is what the array offsets."""
 

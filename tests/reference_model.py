@@ -12,8 +12,10 @@ lambdas, as they were written before they were declared as intervals.
 import itertools
 import math
 import operator
+from dataclasses import dataclass
+from typing import Any
 
-from lowcarb.model import ORIENTATION_ORDER, Violation
+from lowcarb.model import ORIENTATION_ORDER
 from lowcarb.node import AlarmState
 from lowcarb.optimize import CodeLimits, DesignSpace, DesignVariables
 
@@ -34,6 +36,18 @@ RULES = {
     "occupancy_hours": lambda v: 0 <= v <= 8760,
     "lighting.lamp_count": lambda v: 0 <= v < math.inf,
 }
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One broken code limit: which variable, the offending value, the rule."""
+
+    field: str
+    value: Any
+    rule: str
+
+    def __str__(self) -> str:
+        return f"{self.field}={self.value!r} violates rule: {self.rule}"
 
 
 def alarm_transition(current: AlarmState, rain_reading: float,

@@ -179,10 +179,9 @@ class TestAnnualEndUse:
         report = annual_end_use(retrofit_spec, climate, baseline_calibration)
         assert eui(report, retrofit_spec.floor_area) == pytest.approx(105.0, abs=5.0)
 
-    def test_invalid_spec_rejected(self, baseline_spec, climate):
-        bad = dataclasses.replace(baseline_spec, storeys=0)
-        with pytest.raises(SpecError):
-            annual_end_use(bad, climate)
+    def test_invalid_spec_cannot_be_built(self, baseline_spec):
+        with pytest.raises(SpecError, match="^BuildingSpec.storeys "):
+            dataclasses.replace(baseline_spec, storeys=0)
 
     def test_deterministic_bit_identical(self, baseline_spec, climate,
                                          baseline_calibration):
@@ -398,12 +397,10 @@ class TestCalibrate:
         assert params.equipment_multiplier == pytest.approx(1.0, rel=1e-9)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
-    def test_target_built_in_code_is_named_with_its_value(self, baseline_spec, climate,
-                                                          value):
-        targets = EndUseTargets(170.0, value, 300.0, 200.0)
+    def test_target_built_in_code_is_named_with_its_value(self, value):
         with pytest.raises(SpecError) as err:
-            calibrate(baseline_spec, climate, targets)
-        assert str(err.value) == f"targets.cooling_gj must be > 0 and finite, got {value!r}"
+            EndUseTargets(170.0, value, 300.0, 200.0)
+        assert str(err.value) == f"EndUseTargets.cooling_gj must be > 0 and finite, got {value!r}"
 
     def test_unreachable_targets_raise_with_residual(self, baseline_spec, climate):
         # gains cannot push heating up, so a huge heating target cannot be met

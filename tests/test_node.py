@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from lowcarb import (
     NodeConfig,
     NodePanel,
     fleet_annual_energy,
-    node,
     read_fixture,
     simulate,
     step,
 )
-from lowcarb.model import SensorEntry, SensorFleet, SpecError
+from lowcarb.cli import main
+from lowcarb.model import FRACTION, SensorEntry, SensorFleet, SpecError, fixture_path, record_format
 from lowcarb.node import SensorLoad, TraceError, initial_state, load_node_config, load_trace
 from reference_model import alarm_transition
 
@@ -124,9 +125,8 @@ class TestAlarmTransition:
         assert alarm_columns([449.0], 500.0, 50.0, AlarmState.ALARM) == ([AlarmState.IDLE],) * 2
 
     def test_negative_threshold_rejected(self):
-        config = make_config(threshold=-1.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            step(initial_state(config), config, EnvSample(0.0, 1.0, 60.0), dt=60.0)
+        with pytest.raises(SpecError, match="^NodeConfig.rain_threshold must be nonnegative"):
+            make_config(threshold=-1.0)
 
     @given(reading=st.floats(0, 1000, allow_nan=False),
            threshold=st.floats(0, 1000, allow_nan=False))
@@ -321,11 +321,10 @@ def test_base_load_adds_the_sensors_left_to_right():
     (1e308, 0.0, 1e308),  # each is finite; the alarm demand overflows
 ])
 def test_loads_adding_up_to_an_infinite_demand_rejected(idle, sensor_w, alarm_w):
-    config = dataclasses.replace(make_config(load_w=idle, alarm_w=alarm_w),
-                                 sensor_loads=(SensorLoad("rain", sensor_w, 1.0),))
     with pytest.raises(SpecError, match="controller_idle_power_w, sensor_loads power_w x "
                                         "duty_cycle and alarm_power_w add up to an infinite"):
-        config.validate()
+        dataclasses.replace(make_config(load_w=idle), alarm_power=alarm_w,
+                            sensor_loads=(SensorLoad("rain", sensor_w, 1.0),))
 
 
 class TestNodeFiles:
@@ -335,11 +334,22 @@ class TestNodeFiles:
         assert config.battery_capacity == pytest.approx(16.28)
         assert config.base_load == pytest.approx(0.25 + 0.10 + 0.05 + 0.075)
 
-    def test_a_file_is_checked_field_by_field_once(self, monkeypatch):
-        """read_record checks each field as it reads it; the loader then runs only the
-        cross-field checks, and no second walk of the rules."""
-        monkeypatch.setattr(node, "check_record", lambda *a: pytest.fail("rules walked twice"))
-        load_node_config(read_fixture("node_demo.json"))
+    def test_a_node_sim_run_tests_each_config_rule_once(self, monkeypatch, tmp_path):
+        """The config's records test their fields' rules when they are built, as the file
+        is read, and nothing tests them again: before, simulate walked every rule a second
+        time. FRACTION is tested once more, on simulate's initial state of charge."""
+        config = load_node_config(read_fixture("node_demo.json"))
+        fields = [*record_format(NodeConfig), *record_format(NodePanel),
+                  *(f for _ in config.sensor_loads for f in record_format(SensorLoad))]
+        expected = Counter(f.rule.text for f in fields if f.rule) + Counter([FRACTION.text])
+        tested = Counter()
+        for rule in {f.rule for f in fields if f.rule}:
+            monkeypatch.setattr(rule, "test", lambda v, text=rule.text, test=rule.test: (
+                tested.update([text]) or test(v)))
+        assert main(["node-sim", "--spec", str(fixture_path("node_demo.json")),
+                     "--trace", str(fixture_path("node_demo_trace.csv")),
+                     "--out", str(tmp_path)]) == 0
+        assert tested == expected
 
     def test_loads_adding_up_to_an_infinite_demand_rejected(self):
         text = read_fixture("node_demo.json").replace("0.25", "1e308").replace(

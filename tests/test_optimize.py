@@ -721,16 +721,13 @@ def test_code_limits_read_their_defaults(doc, limits):
     assert CodeLimits.from_doc(doc) == limits
 
 
-@pytest.mark.parametrize("limit, message", [
-    (OrientationLimit(max_wwr=math.nan), "code_limits.N.max_wwr must be finite, got nan"),
-    (OrientationLimit(min_overhang=math.inf),
-     "code_limits.N.min_overhang must be finite, got inf"),
+@pytest.mark.parametrize("bound, message", [
+    ({"max_wwr": math.nan}, "OrientationLimit.max_wwr must be finite, got nan"),
+    ({"min_overhang": math.inf}, "OrientationLimit.min_overhang must be finite, got inf"),
 ])
-def test_optimize_names_a_code_limit_built_in_code_that_breaks_its_rule(
-        limit, message, baseline_spec, climate, catalog, baseline_calibration, tariff):
-    """A bound that is not a finite number is named as a file's bound is; before, it
+def test_a_code_limit_built_in_code_that_breaks_its_rule_is_refused(bound, message):
+    """A bound that is not a finite number is refused when the limit is built; before, it
     rejected every candidate and was reported as an empty feasible set."""
     with pytest.raises(SpecError) as err:
-        optimize(baseline_spec, climate, catalog, _small_space(), CodeLimits(north=limit),
-                 k=1, calib=baseline_calibration, tariff=tariff)
+        OrientationLimit(**bound)
     assert str(err.value) == message
