@@ -304,8 +304,8 @@ def calibrate(spec: BuildingSpec, climate: ClimateProfile,
     Raises
     ------
     ValueError
-        If the cooling or heating target is so small or so large that the least squares
-        overflows.
+        If a target is so large against the spec's end use that its multiplier overflows,
+        or a cooling or heating target so small or large that the least squares does.
     CalibrationError
         If the best residual exceeds :data:`CALIBRATION_TOLERANCE`.
     """
@@ -316,6 +316,8 @@ def calibrate(spec: BuildingSpec, climate: ClimateProfile,
             best_residual=math.inf)
     schedule_m = targets.lighting_gj / base.lighting
     equipment_m = targets.equipment_gj / base.equipment
+    if not (math.isfinite(schedule_m) and math.isfinite(equipment_m)):
+        raise ValueError("the targets' lighting_gj or equipment_gj overflows its multiplier")
 
     # Cooling is affine in the gain multiplier, heating is affine until the
     # clamp: probe the unclamped loads at 0 and 1 to recover both lines.

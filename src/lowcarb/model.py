@@ -126,17 +126,17 @@ ONE_PER_ORIENTATION = Rule(lambda v: sorted(v) == sorted(ORIENTATION_ORDER),
 
 def spec(key: str, rule: Rule | None = None, **default: Any) -> Any:
     """A record field stored under ``key`` in its file, whose value must pass ``rule``;
-    ``default=`` lets the key be absent, and null unless the field is a bool."""
+    ``default=`` lets the key be absent, and null unless the field is a bool or a record."""
     return field(metadata={"key": key, "rule": rule}, **default)
 
 
 class Field(NamedTuple):
     """One field of a record. Only a field with a ``default`` may be absent or null (a bool
-    only absent); an absent or null ``float | None`` field reads as None."""
+    or a record only absent); an absent or null ``float | None`` field reads as None."""
 
     attr: str
     key: str  # in the JSON document or CSV row
-    kind: Any  # float, float | None, int, bool, str, an Enum, a record type, or (record type,)
+    kind: Any  # float, float | None, int, bool, str, an Enum, a record type, (record type,), ...
     rule: Rule | None
     default: Any
     record: bool  # kind is a record type
@@ -145,14 +145,14 @@ class Field(NamedTuple):
 @functools.cache
 def record_format(cls: type) -> tuple[Field, ...]:
     """The fields of the record type ``cls`` in class order, as its :func:`spec` calls
-    declare them. The records of a tuple field are named by their first field (an
-    Enum), and the field's rule tests those names (:func:`_names`)."""
+    declare them. The records of a tuple-of-records field are named by their first field
+    (an Enum), and the field's rule tests those names (:func:`_names`)."""
     hints = get_type_hints(cls)
     out = []
     for f in fields(cls):
         kind = hints[f.name]
-        if get_origin(kind) is tuple:  # tuple[X, ...] -> (X,)
-            kind = get_args(kind)[:1]
+        if get_origin(kind) is tuple and is_dataclass(get_args(kind)[0]):
+            kind = get_args(kind)[:1]  # tuple[X, ...] of records -> (X,)
         default = None if f.default is MISSING else f.default
         out.append(Field(f.name, f.metadata["key"], kind, f.metadata["rule"], default,
                          is_dataclass(kind)))
@@ -176,8 +176,8 @@ class RuleError(SpecError):
 class Record:
     """A record whose fields declare rules: building one tests each of its own fields' rule
     in class order, and raises :class:`RuleError` for the first one broken. A nested record
-    was tested when it was built; a tuple field's rule tests its records' :func:`_names`,
-    and an unset ``float | None`` field passes."""
+    was tested when it was built; a tuple-of-records field's rule tests its records'
+    :func:`_names`, and an unset ``float | None`` field passes."""
 
     def __post_init__(self) -> None:
         for f in record_format(type(self)):
@@ -448,8 +448,8 @@ def _read(cls: type, doc: Any, context: str, what: str | None = None) -> Any:
                                 else f"{name} must be a JSON list, got {shown(items)}")
             value = tuple(_read(f.kind[0], item, f"{name}[{i}].", what)
                           for i, item in enumerate(items))
-        elif f.record:
-            value = _read(f.kind, doc.get(f.key), name + ".", what)
+        elif f.record:  # absent reads as the default, if there is one
+            value = _read(f.kind, doc.get(f.key, to_doc(f.default)), name + ".", what)
         elif isinstance(f.kind, types.UnionType):  # float | None: absent or null is None
             value = None if _get(doc, f.key) is None else number(doc, f.key, context, None)
         elif f.kind is bool:  # absent is the default, null breaks the rule

@@ -2,8 +2,8 @@
 
 One table, :data:`VARIABLES`, names each design variable in code, in the space
 file and in the results reports, and gives the interval or kind of its candidates.
-The space file, validation, enumeration and the reports all walk it, so a bad
-candidate is named by its path in the file (``design space wwr.S item 0``).
+The space's field rules, the space file, enumeration and the reports all walk it,
+and the file reader names a bad candidate by its path (``design space wwr.S item 0``).
 
 The search is exact: its ranking is the one that scoring every code-legal point
 of the Cartesian product through the energy engine gives, by EUI with the
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
@@ -62,6 +61,8 @@ from .model import (
     LightingTechnology,
     Orientation,
     Record,
+    Rule,
+    RuleError,
     SpecError,
     Tariff,
     _read,
@@ -157,18 +158,39 @@ VARIABLES: tuple[Variable, ...] = (
 _ORIENTED = sum(v.orientation is not None for v in VARIABLES)
 
 
-@dataclass(frozen=True)
-class DesignSpace:
-    """Per-variable candidate lists; the product must be finite and non-empty."""
+class Candidates(Rule):
+    """The rule of design variable ``key``'s :class:`DesignSpace` field, from :data:`VARIABLES`."""
 
-    wwr: Mapping[str, tuple[float, ...]]
-    overhang_ratio: Mapping[str, tuple[float, ...]]
-    glazing_ids: tuple[str, ...]
-    wall_ids: tuple[str, ...]
-    roof_ids: tuple[str, ...]
-    infiltration: tuple[float, ...]
-    lighting_technologies: tuple[LightingTechnology, ...]
-    hvac_ids: tuple[str, ...]
+    def __init__(self, key: str):
+        v = next(v for v in VARIABLES if v.key == key)
+        numeric = isinstance(v.kind, Interval)
+
+        def listed(values):
+            return isinstance(values, tuple) and len(values) > 0 and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) and v.kind.test(x)
+                if numeric else isinstance(x, v.kind) for x in values)
+
+        test = listed if not v.orientation else lambda per: isinstance(per, Mapping) and \
+            per.keys() == set(ORIENTATION_ORDER) and all(map(listed, per.values()))
+        wanted = "numbers, each " + v.kind.text[len("must be "):] if numeric else v.kind.__name__
+        super().__init__(test, ("must map N, S, E and W each to" if v.orientation else "must be")
+                         + f" a non-empty tuple of {wanted}")
+
+
+@dataclass(frozen=True)
+class DesignSpace(Record):
+    """Per-variable candidate lists, each non-empty (and in a space file free of repeats)."""
+
+    wwr: Mapping[str, tuple[float, ...]] = spec("wwr", Candidates("wwr"))
+    overhang_ratio: Mapping[str, tuple[float, ...]] = spec("overhang_ratio",
+                                                           Candidates("overhang_ratio"))
+    glazing_ids: tuple[str, ...] = spec("glazing", Candidates("glazing"))
+    wall_ids: tuple[str, ...] = spec("wall", Candidates("wall"))
+    roof_ids: tuple[str, ...] = spec("roof", Candidates("roof"))
+    infiltration: tuple[float, ...] = spec("infiltration_ach", Candidates("infiltration_ach"))
+    lighting_technologies: tuple[LightingTechnology, ...] = spec(
+        "lighting_technology", Candidates("lighting_technology"))
+    hvac_ids: tuple[str, ...] = spec("hvac", Candidates("hvac"))
 
     def candidate_lists(self) -> list[tuple[str, tuple]]:
         """(variable name, candidates) pairs in enumeration order."""
@@ -179,33 +201,17 @@ class DesignSpace:
     def size(self) -> int:
         return math.prod(len(values) for _, values in self.candidate_lists())
 
-    def validate(self) -> None:
-        """Raise :class:`SpecError` on an empty candidate list or a value that is
-        not of its variable's kind in :data:`VARIABLES` (a real number other than
-        a bool, where the kind is an interval) or lies outside it."""
-        for v, (name, values) in zip(VARIABLES, self.candidate_lists()):
-            if len(values) == 0:
-                raise SpecError(f"design space variable {name!r} has no candidates")
-            numeric = isinstance(v.kind, Interval)
-            kind, wanted = (numbers.Real, "numeric") if numeric else (v.kind, v.kind.__name__)
-            for value in values:
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise SpecError(f"design space variable {name!r} must hold "
-                                    f"{wanted} values, got {value!r}")
-                if numeric:
-                    check(value, f"design space variable {name!r}", v.kind)
-
     @staticmethod
     def from_json(text: str) -> tuple["DesignSpace", "CodeLimits"]:
         """Parse a design-space file; returns the space and its code limits.
 
         Raises :class:`SpecError` on a key it does not read, a missing, empty or non-list
-        candidate entry, a candidate that fails its variable's kind or repeats one (named
+        candidate entry, a candidate that breaks its variable's rule or repeats one (named
         by its path, e.g. ``wwr.S item 0``), or malformed code limits."""
         doc = read_json(text, "design space")
         known_keys(doc, ["schema_version", "name", "code_limits", *(v.key for v in VARIABLES)],
                    "", "design space")
-        fields: dict = {}
+        fields, items = {}, []  # items: (context, interval or None, candidates) per variable
         for v in VARIABLES:
             values, path = doc.get(v.key), v.key
             if v.orientation:
@@ -213,16 +219,25 @@ class DesignSpace:
                 values = values.get(v.orientation) if isinstance(values, dict) else None
                 path = f"{v.key}.{v.orientation}"
             if not (isinstance(values, list) and values):
-                raise SpecError(f"design space is missing {path!r}" if values is None
-                                else f"design space {path!r} must be a non-empty list")
-            read, rule = (number, v.kind) if isinstance(v.kind, Interval) else (
+                raise SpecError(f"design space is missing {path}" if values is None
+                                else f"design space {path} must be a non-empty list")
+            context = f"design space {path} item "
+            read, choices = (number, None) if isinstance(v.kind, Interval) else (
                 string, None if v.kind is str else v.kind)
-            v.place(fields, v.space_attr, tuple(
-                read(values, i, f"design space {path} item ", rule) for i in range(len(values))))
+            candidates = tuple(read(values, i, context, choices) for i in range(len(values)))
             for i, value in enumerate(values):
                 if value in values[:i]:
-                    raise SpecError(f"design space {path} item {i} repeats {value!r}")
-        return DesignSpace(**fields), CodeLimits.from_doc(doc.get("code_limits", {}))
+                    raise SpecError(f"{context}{i} repeats {value!r}")
+            v.place(fields, v.space_attr, candidates)
+            items.append((context, v.kind if read is number else None, candidates))
+        try:
+            space = DesignSpace(**fields)
+        except RuleError:  # a number outside its interval: name the first such item
+            for context, interval, candidates in items:
+                for i, value in enumerate(candidates):
+                    check(value, f"{context}{i}", interval)
+            raise
+        return space, _read(CodeLimits, doc.get("code_limits", {}), "code_limits.", "code limit")
 
 
 def design_doc(design: DesignVariables) -> dict:
@@ -263,30 +278,17 @@ class OrientationLimit(Record):
 
 
 @dataclass(frozen=True)
-class CodeLimits:
-    """Per-orientation limits; the fields follow :data:`ORIENTATION_ORDER`."""
+class CodeLimits(Record):
+    """Per-orientation limits under N, S, E, W (:data:`ORIENTATION_ORDER`), unset if absent."""
 
-    north: OrientationLimit = OrientationLimit()
-    south: OrientationLimit = OrientationLimit()
-    east: OrientationLimit = OrientationLimit()
-    west: OrientationLimit = OrientationLimit()
+    north: OrientationLimit = spec("N", default=OrientationLimit())
+    south: OrientationLimit = spec("S", default=OrientationLimit())
+    east: OrientationLimit = spec("E", default=OrientationLimit())
+    west: OrientationLimit = spec("W", default=OrientationLimit())
 
     def limit(self, orientation: Orientation | str) -> OrientationLimit:
         index = ORIENTATION_ORDER.index(Orientation(orientation).value)
         return getattr(self, dataclasses.fields(self)[index].name)
-
-    @staticmethod
-    def from_doc(doc: Mapping) -> "CodeLimits":
-        """Per-orientation blocks read through :class:`OrientationLimit`'s fields; an
-        absent orientation or bound sets no limit, and an unknown orientation or bound,
-        or a block that is not a JSON object, raises :class:`SpecError` naming it."""
-        if not isinstance(doc, dict):
-            raise SpecError("code_limits must map orientations to JSON objects")
-        for o in doc:
-            if o not in ORIENTATION_ORDER:
-                raise SpecError(f"code_limits.{o} is not an orientation: use N, S, E or W")
-        return CodeLimits(*(_read(OrientationLimit, doc.get(o, {}), f"code_limits.{o}.",
-                                  "code limit") for o in ORIENTATION_ORDER))
 
 
 def _design_from_digits(lists: Sequence[tuple], digits: Sequence[int]) -> DesignVariables:
@@ -294,13 +296,10 @@ def _design_from_digits(lists: Sequence[tuple], digits: Sequence[int]) -> Design
     return DesignVariables(*map(operator.getitem, lists, digits))
 
 
-def legal_space(space: DesignSpace, limits: CodeLimits) -> DesignSpace:
-    """``space`` holding only its code-legal candidates, in their order."""
-    fields: dict = {}
-    for v, (_, values) in zip(VARIABLES, space.candidate_lists()):
-        ok = v.limit and limits.limit(v.orientation).interval(v.limit).test
-        v.place(fields, v.space_attr, tuple(value for value in values if not ok or ok(value)))
-    return DesignSpace(**fields)
+def legal_space(space: DesignSpace, limits: CodeLimits) -> list[tuple]:
+    """``space``'s candidate lists in enumeration order, each holding its code-legal ones."""
+    return [tuple(filter(limits.limit(v.orientation).interval(v.limit).test, values))
+            if v.limit else values for v, (_, values) in zip(VARIABLES, space.candidate_lists())]
 
 
 def apply_design(spec: BuildingSpec, design: DesignVariables,
@@ -359,25 +358,25 @@ def _resolve(table: Mapping, ids, kind: str) -> list:
     return [table[i] for i in ids]
 
 
-def _load_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
+def _load_tables(lists: Sequence[tuple], catalog: Catalog, spec: BuildingSpec,
                  climate: ClimateProfile, calib: CalibrationParams) -> tuple:
-    """The kernel inputs of the space's designs, in enumeration order: ``facade``, shape
-    (8, glazing x wall pairs, orientation designs), each design's :func:`facade_loads`
-    cooling terms N, S, E, W, then its heating terms; and ``group``, shape (6, groups),
-    each group's :func:`core_loads` pair, lighting kWh and HVAC (COP, heating efficiency,
-    gas flag as 0/1).
+    """The kernel inputs of the designs of the candidate ``lists``, in enumeration order:
+    ``facade``, shape (8, glazing x wall pairs, orientation designs), each design's
+    :func:`facade_loads` cooling terms N, S, E, W, then its heating terms; and ``group``,
+    shape (6, groups), each group's :func:`core_loads` pair, lighting kWh and HVAC (COP,
+    heating efficiency, gas flag as 0/1).
 
     Raises :class:`SpecError` for an id the catalog lacks or a lamp power not > 0 and finite.
     """
     import numpy as np
 
-    glz = _resolve(catalog.glazings, space.glazing_ids, "glazing")
-    walls = _resolve(catalog.constructions, space.wall_ids, "wall")
-    roofs = _resolve(catalog.constructions, space.roof_ids, "roof")
-    lamp_w = _resolve(catalog.lamp_powers,
-                      [t.value for t in space.lighting_technologies], "lighting")
-    hvacs = _resolve(catalog.hvac_systems, space.hvac_ids, "hvac")
-    dims = [len(candidates) for _, candidates in space.candidate_lists()]
+    glazing_ids, wall_ids, roof_ids, infiltration, technologies, hvac_ids = lists[_ORIENTED:]
+    glz = _resolve(catalog.glazings, glazing_ids, "glazing")
+    walls = _resolve(catalog.constructions, wall_ids, "wall")
+    roofs = _resolve(catalog.constructions, roof_ids, "roof")
+    lamp_w = _resolve(catalog.lamp_powers, [t.value for t in technologies], "lighting")
+    hvacs = _resolve(catalog.hvac_systems, hvac_ids, "hvac")
+    dims = list(map(len, lists))
     season = season_terms(climate)
 
     def grid(shape):  # each variable's candidate position at each point of their product
@@ -393,13 +392,13 @@ def _load_tables(space: DesignSpace, catalog: Catalog, spec: BuildingSpec,
     facade = np.empty((8, len(glz), len(walls), len(positions[0])))
     for i, o in enumerate(ORIENTATION_ORDER):  # cooling rows N, S, E, W, then heating rows
         facade[i], facade[4 + i] = facade_loads(
-            spec.envelope(o).gross_wall_area, at(space.wwr[o], positions[i]), wall_u, glz_u,
+            spec.envelope(o).gross_wall_area, at(lists[i], positions[i]), wall_u, glz_u,
             shgc, climate.irradiation[o], *(at(f, positions[4 + i]) for f in zip(*(
-                seasonal_shading(v, climate) for v in space.overhang_ratio[o]))), *season)
-    _, _, roof, infiltration, lamp, hvac = grid(dims[_ORIENTED:])
+                seasonal_shading(v, climate) for v in lists[4 + i]))), *season)
+    _, _, roof, infiltration_at, lamp, hvac = grid(dims[_ORIENTED:])
     light = at([scheduled_lighting_kwh(spec, w, calib) for w in lamp_w], lamp)
     core = core_loads(spec.roof.area, at([c.u_value for c in roofs], roof),
-                      at(space.infiltration, infiltration), spec.conditioned_volume, light,
+                      at(infiltration, infiltration_at), spec.conditioned_volume, light,
                       annual_equipment_kwh(spec, calib), calib.internal_gain_multiplier, *season)
     fuel = [at(c, hvac) for c in zip(*((h.cooling_cop, h.heating_efficiency,
                                         h.heating_fuel is HeatingFuel.GAS) for h in hvacs))]
@@ -443,8 +442,8 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
     DesignSpaceTooLarge
         When the code-legal designs number more than :data:`DEFAULT_ENUMERATION_CAP`.
     SpecError
-        When the space holds a candidate of the wrong kind or out of its range, or names an
-        id the catalog lacks or a lamp power that is not > 0 and finite.
+        When the space names an id the catalog lacks or a lamp power that is not > 0 and
+        finite.
     ValueError
         When the spec's loads, or the tariff's prices or gas energy content, overflow a
         design's EUI or cost.
@@ -453,9 +452,7 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
 
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    space.validate()
-    legal = legal_space(space, limits)
-    lists = [candidates for _, candidates in legal.candidate_lists()]
+    lists = legal_space(space, limits)
     dims = list(map(len, lists))
     feasible = math.prod(dims)
     if feasible == 0:
@@ -465,7 +462,7 @@ def optimize(spec: BuildingSpec, climate: ClimateProfile, catalog: Catalog,
             f"{feasible} code-legal designs exceed the cap of {DEFAULT_ENUMERATION_CAP}")
     shared = (annual_equipment_kwh(spec, calib), spec.floor_area, tariff.gas_energy_content)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        facade, group = _load_tables(legal, catalog, spec, climate, calib)
+        facade, group = _load_tables(lists, catalog, spec, climate, calib)
         bound, greatest = _group_bounds(facade, group, shared)
     if not (math.isfinite(greatest) and np.isfinite(bound).all()):  # then no design overflows
         raise ValueError("the spec's areas, volume or loads overflow the designs' EUI")

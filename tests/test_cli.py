@@ -930,7 +930,7 @@ def _key_paths(name, below=()):
            _set("code_limits", "S", "max_overhang_ratio", value=0.1),
            "code_limits.S.max_overhang_ratio is not a code limit"),
     _probe("optimize", "paper_space.json", _set("code_limits", "SW", value={"max_wwr": 0.3}),
-           "code_limits.SW is not an orientation"),
+           "code_limits.SW is not a code limit field"),
     _probe("optimize", "paper_space.json", _set("code_limits", "N", value=None),
            "missing required field code_limits.N", id="optimize-code-limits-null-block"),
     _probe("optimize", "paper_space.json", _set("code_limits", "N", value=5),
@@ -968,7 +968,9 @@ def _key_paths(name, below=()):
            "design space infiltration_ach item 3 must be nonnegative and finite, got -0.5",
            id="optimize-space-infiltration"),
     _probe("optimize", "paper_space.json", _set("wall", value=[]),
-           "design space 'wall' must be a non-empty list", id="optimize-space-empty"),
+           "design space wall must be a non-empty list", id="optimize-space-empty"),
+    _probe("optimize", "paper_space.json", _set("wall", drop=True),
+           "design space is missing wall", id="optimize-space-missing"),
     _probe("optimize", "paper_space.json", lambda doc: doc["lighting_technology"].append("led"),
            "design space lighting_technology item 2 repeats 'led'", id="optimize-space-repeat"),
     _probe("optimize", "catalog.csv",
@@ -1188,6 +1190,28 @@ def test_overflow_is_one_line_naming_the_inputs_and_writes_nothing(fixtures, tmp
     assert err_lines[0].startswith("error: ") and named in err_lines[0]
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("spec_edit, key", [
+    (_set("lighting", "lamp_power_w", value=1e-320), "lighting_gj"),
+    (_set("equipment_power_density_w_m2", value=1e-320), "equipment_gj"),
+])
+def test_calibrate_names_the_targets_whose_multiplier_overflows(fixtures, tmp_path, capsys,
+                                                               spec_edit, key):
+    """A target of 1e300 GJ over a modelled end use of a 1e-320 W lamp (or W/m2) fits an
+    infinite multiplier. Before, the line named the fitted CalibrationParams field."""
+    files = {}
+    for name, edit in [("baseline_school.json", spec_edit),
+                       ("baseline_targets.json", _set(key, value=1e300))]:
+        doc = json.loads((fixtures / name).read_text())
+        edit(doc)
+        files[name] = tmp_path / name
+        files[name].write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(_argv(fixtures, "calibrate", **files) + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the targets' lighting_gj or equipment_gj overflows its multiplier"]
+    assert not out.exists()
 
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)

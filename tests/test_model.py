@@ -58,7 +58,7 @@ from lowcarb.model import (
     to_doc,
 )
 from lowcarb.node import NodeConfig, NodePanel, SensorLoad, load_node_config
-from lowcarb.optimize import OrientationLimit
+from lowcarb.optimize import CodeLimits, OrientationLimit
 from lowcarb.pv import PvSite, load_pv_site
 from reference_model import RULES
 
@@ -586,7 +586,7 @@ def test_rules_accept_what_they_accepted_before(value):
 
 
 @pytest.mark.parametrize("cls", [Tariff, EndUseTargets, PvSite, SensorFleet, NodeConfig,
-                                 CalibrationParams, OrientationLimit, BuildingSpec],
+                                 CalibrationParams, OrientationLimit, CodeLimits, BuildingSpec],
                          ids=lambda cls: cls.__name__)
 @given(data=st.data())
 def test_drawn_records_round_trip_through_their_keys(cls, data):
@@ -623,8 +623,9 @@ class TestInputBoundary:
             read_json(text, "tariff")
 
     def test_rules_are_declared_once(self):
-        # a spec(...) rule is a name bound to a Rule or an Interval of numbers; Rule(...)
-        # is called only at model's top level, and no (lambda, text) tuple is left
+        # a spec(...) rule is a name bound to a Rule, an Interval of numbers or the
+        # Candidates of a design variable named by its key; Rule(...) is called only at
+        # model's top level, and no (lambda, text) tuple is left
         kinds = []
         for path in sorted(Path(lowcarb.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -639,7 +640,8 @@ class TestInputBoundary:
                 for rule in rules:
                     named = isinstance(rule, ast.Name) and isinstance(
                         getattr(pv, rule.id, getattr(model, rule.id, None)), model.Rule)
-                    interval = (isinstance(rule, ast.Call) and ast.unparse(rule.func) == "Interval"
+                    interval = (isinstance(rule, ast.Call)
+                                and ast.unparse(rule.func) in ("Interval", "Candidates")
                                 and all(isinstance(arg, ast.Constant) for arg in rule.args))
                     assert named or interval, ast.unparse(rule)
         assert kinds and set(kinds) == {("model", True)}

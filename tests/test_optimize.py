@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import importlib
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -20,7 +21,8 @@ from lowcarb import (
 )
 from lowcarb import _kernels
 from lowcarb.energy import CalibrationParams
-from lowcarb.model import HeatingFuel, LightingTechnology, SpecError
+from lowcarb.model import FRACTION, NONNEGATIVE, HeatingFuel, LightingTechnology, \
+    SpecError, read_fixture
 from lowcarb.optimize import VARIABLES, CodeLimits, DesignSpaceTooLarge, DesignVariables, \
     OrientationLimit, legal_space, write_results_csv
 from reference_model import code_check, enumerate_designs
@@ -77,31 +79,60 @@ class TestEnumerate:
         assert len(enumerate_designs(space)) == expected
 
 
-@pytest.mark.parametrize("field, values, name", [
-    ("lighting_technologies", ("led",), "lighting_technology"),
-    ("glazing_ids", (1,), "glazing_id"),
-    ("infiltration", ("x",), "infiltration"),
-    ("infiltration", (True,), "infiltration"),
-    ("wwr", {"N": (0.3,), "S": (None,), "E": (0.25,), "W": (0.25,)}, "wwr_s"),
+_NUMBERS_IN = "a non-empty tuple of numbers, each "
+
+
+@pytest.mark.parametrize("field, values, message", [
+    pytest.param("lighting_technologies", ("led",), "must be a non-empty tuple of "
+                 "LightingTechnology, got ('led',)", id="technology-a-string"),
+    pytest.param("glazing_ids", (1,), "must be a non-empty tuple of str, got (1,)",
+                 id="glazing-id-a-number"),
+    pytest.param("infiltration", ("x",), f"must be {_NUMBERS_IN}nonnegative and finite, "
+                 "got ('x',)", id="infiltration-a-string"),
+    pytest.param("infiltration", (True,), f"must be {_NUMBERS_IN}nonnegative and finite, "
+                 "got (True,)", id="infiltration-a-bool"),
+    pytest.param("infiltration", (1.0, -0.5), f"must be {_NUMBERS_IN}nonnegative and "
+                 "finite, got (1.0, -0.5)", id="infiltration-negative"),
+    pytest.param("hvac_ids", (), "must be a non-empty tuple of str, got ()", id="no-hvac"),
+    pytest.param("hvac_ids", ["vav_baseline"], "must be a non-empty tuple of str, "
+                 "got ['vav_baseline']", id="hvac-a-list"),
+    pytest.param("wwr", {"N": (0.3,), "S": (None,), "E": (0.25,), "W": (0.25,)},
+                 f"must map N, S, E and W each to {_NUMBERS_IN}within [0, 1], got "
+                 "{'E': (0.25,), 'N': (0.3,), 'S': (None,), 'W': (0.25,)}", id="wwr-a-null"),
+    pytest.param("overhang_ratio", {"N": (0.0,), "S": (0.0,), "E": (0.0,)},
+                 f"must map N, S, E and W each to {_NUMBERS_IN}nonnegative and finite, got "
+                 "{'E': (0.0,), 'N': (0.0,), 'S': (0.0,)}", id="overhang-without-w"),
 ])
-def test_validate_refuses_a_candidate_of_the_wrong_kind(field, values, name):
-    space = _small_space(**{field: values})
-    with pytest.raises(SpecError, match=f"design space variable '{name}' must hold"):
-        space.validate()
+def test_a_space_refuses_a_bad_candidate_when_built(field, values, message):
+    """A space built in code tests its candidates when it is built. Before, a bad kind or
+    value waited for optimize's separate walk, and a missing orientation was a KeyError."""
+    with pytest.raises(SpecError) as err:
+        _small_space(**{field: values})
+    assert str(err.value) == f"DesignSpace.{field} {message}"
 
 
-def test_validate_accepts_int_candidates_of_a_numeric_variable():
-    _small_space(infiltration=(0, 2), overhang_ratio={"N": (0,), "S": (1,), "E": (0.5,),
-                                                      "W": (0,)}).validate()
+def test_a_space_accepts_int_candidates_of_a_numeric_variable():
+    space = _small_space(infiltration=(0, 2), overhang_ratio={"N": (0,), "S": (1,),
+                                                              "E": (0.5,), "W": (0,)})
+    assert space.size == 2
 
 
-def test_optimize_refuses_a_lighting_technology_given_as_a_string(
-        paper_space, baseline_spec, climate, catalog, baseline_calibration, tariff):
-    space, limits = paper_space
-    space = dataclasses.replace(space, lighting_technologies=("led",))
-    with pytest.raises(SpecError, match="lighting_technology"):
-        optimize(baseline_spec, climate, catalog, space, limits, k=1,
-                 calib=baseline_calibration, tariff=tariff)
+def test_an_optimize_run_tests_each_candidates_rule_once(baseline_spec, climate, catalog,
+                                                         baseline_calibration, tariff,
+                                                         monkeypatch):
+    """Each wwr and infiltration candidate of the bundled space passes its interval once,
+    as the space is built from its file. Before, optimize walked the space again: twice.
+    (The overhangs, under the same rule as infiltration, are also tested by
+    seasonal_shading, as their shading is computed.)"""
+    tested = {FRACTION: [], NONNEGATIVE: []}
+    for rule, values in tested.items():
+        monkeypatch.setattr(rule, "test", lambda v, test=rule.test, values=values:
+                            values.append(v) or test(v))
+    space, limits = DesignSpace.from_json(read_fixture("paper_space.json"))
+    optimize(baseline_spec, climate, catalog, space, limits, k=1,
+             calib=baseline_calibration, tariff=tariff)
+    assert tested[FRACTION] == [space.wwr[o][0] for o in "NSEW"]
+    assert [tested[NONNEGATIVE].count(v) for v in space.infiltration] == [1, 1, 1, 1]
 
 
 class TestCodeCheck:
@@ -359,15 +390,15 @@ _NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 @given(space=_tied_spaces(), limits=_code_limits)
 def test_legal_space_enumerates_the_code_legal_designs_in_order(space, limits):
     """The legal space's designs are the space's designs that pass code_check, in
-    enumeration order; an empty legal space means no design passes."""
-    legal = legal_space(space, limits)
-    passing = [d for d in enumerate_designs(space) if not code_check(d, limits)]
-    assert (enumerate_designs(legal) if legal.size else []) == passing
+    enumeration order; an empty candidate list means no design passes."""
+    lists = legal_space(space, limits)
+    legal = list(itertools.starmap(DesignVariables, itertools.product(*lists)))
+    assert legal == [d for d in enumerate_designs(space) if not code_check(d, limits)]
 
 
 def _draw_chunk(data, space, limits):
     """A chunk below one group of the legal space, of 2-3 groups, or of the whole space."""
-    lists = [candidates for _, candidates in legal_space(space, limits).candidate_lists()]
+    lists = legal_space(space, limits)
     group = max(1, math.prod(map(len, lists[:8])))  # the code-legal orientation designs
     return data.draw(st.one_of(st.integers(1, max(1, group - 1)),
                                st.integers(2 * group, 4 * group - 1),
@@ -718,7 +749,8 @@ def test_the_cap_counts_code_legal_designs(max_wwr_n, legal, baseline_spec, clim
                  id="absent-orientation-sets-no-limits"),
 ])
 def test_code_limits_read_their_defaults(doc, limits):
-    assert CodeLimits.from_doc(doc) == limits
+    space = json.loads(read_fixture("paper_space.json"))
+    assert DesignSpace.from_json(json.dumps({**space, "code_limits": doc}))[1] == limits
 
 
 @pytest.mark.parametrize("bound, message", [
