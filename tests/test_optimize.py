@@ -117,6 +117,27 @@ def test_a_space_accepts_int_candidates_of_a_numeric_variable():
     assert space.size == 2
 
 
+@pytest.mark.parametrize("field, values, name", [
+    ("lighting_technologies", ("led",), "lighting_technology"),
+])
+def test_validate_refuses_a_candidate_of_the_wrong_kind(field, values, name):
+    """The refusal, made as the space is built, names the space field that holds the
+    candidates of design variable ``name``."""
+    assert next(v.space_attr for v in VARIABLES if v.attr == name) == field
+    with pytest.raises(SpecError, match=f"^DesignSpace.{field} must be"):
+        _small_space(**{field: values})
+
+
+def test_optimize_refuses_a_lighting_technology_given_as_a_string(
+        paper_space, baseline_spec, climate, catalog, baseline_calibration, tariff):
+    """A string technology is refused as the space is built, so optimize never runs on it."""
+    space, limits = paper_space
+    with pytest.raises(SpecError, match="^DesignSpace.lighting_technologies must be"):
+        space = dataclasses.replace(space, lighting_technologies=("led",))
+        optimize(baseline_spec, climate, catalog, space, limits, k=1,
+                 calib=baseline_calibration, tariff=tariff)
+
+
 def test_an_optimize_run_tests_each_candidates_rule_once(baseline_spec, climate, catalog,
                                                          baseline_calibration, tariff,
                                                          monkeypatch):
